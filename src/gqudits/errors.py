@@ -13,6 +13,10 @@ class IrreducibleRequired(GquditError):
     """A field modulus must be irreducible over F_2."""
 
 
+class InvalidFieldCode(GquditError, ValueError):
+    """An element code lies outside [0, q) for its field."""
+
+
 class UnsupportedDegree(GquditError):
     """Extension degree outside the supported range 1..31."""
 

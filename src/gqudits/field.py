@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    InvalidFieldCode,
     InvalidPolynomial,
     IrreducibleRequired,
     UnsupportedDegree,
@@ -222,8 +223,15 @@ class GF:
 
     def check_code(self, code: int) -> int:
         if not 0 <= code < self.q:
-            raise ValueError(f"code {code} outside [0, {self.q})")
+            raise InvalidFieldCode(f"code {code} outside [0, {self.q})")
         return code
+
+    def check_codes(self, codes: np.ndarray) -> np.ndarray:
+        """check_code for a whole array at once: one min/max test."""
+        if codes.size and (codes.min() < 0 or codes.max() >= self.q):
+            bad = codes[(codes < 0) | (codes >= self.q)].flat[0]
+            raise InvalidFieldCode(f"code {bad} outside [0, {self.q})")
+        return codes
 
     # -- scalar arithmetic ---------------------------------------------------
 

@@ -2,17 +2,21 @@
 
 Codewords are evaluations of degree-<k polynomials at distinct points,
 scaled by non-zero column multipliers.  Message coefficients are in the
-monomial basis, low degree first.  Decoding is interpolation-based unique
-decoding up to floor((n-k)/2) errors.
+monomial basis, low degree first.  Decoding is syndrome (Berlekamp-Massey)
+unique decoding up to floor((n-k)/2) errors: Berlekamp-Massey finds the
+error locator, a Chien search over the evaluation points finds the error
+positions and Forney's formula gives the error values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import linalg
 from .css import CssCode, new_css
 from .errors import (
     DecodeFailure,
@@ -33,19 +37,6 @@ def _ptrim(p: list[int]) -> list[int]:
     return p
 
 
-def _pdeg(p: list[int]) -> int:
-    return len(p) - 1
-
-
-def _padd(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] ^= c
-    return _ptrim(out)
-
-
 def _pmul(gf: GF, a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
@@ -58,44 +49,11 @@ def _pmul(gf: GF, a: list[int], b: list[int]) -> list[int]:
     return _ptrim(out)
 
 
-def _pdivmod(gf: GF, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = gf.inv(b[-1])
-    while len(r) >= len(b):
-        f = gf.mul(r[-1], inv_lead)
-        shift = len(r) - len(b)
-        quot[shift] = f
-        for i, cb in enumerate(b):
-            r[shift + i] ^= gf.mul(f, cb)
-        _ptrim(r)
-        if not r:
-            break
-    return _ptrim(quot), r
-
-
-def _peval(gf: GF, p: list[int], x: int) -> int:
-    out = 0
-    for c in reversed(p):
-        out = gf.mul(out, x) ^ c
-    return out
-
-
-def _pinterpolate(gf: GF, xs, ys) -> list[int]:
-    """Lagrange interpolation through distinct points."""
-    out: list[int] = []
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        term = [yi]
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            term = _pmul(gf, term, [xj, 1])  # (x + x_j) == (x - x_j)
-            term = [gf.mul(c, gf.inv(xi ^ xj)) for c in term]
-        out = _padd(out, term)
+def _horner(gf: GF, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Evaluate the polynomial with coefficients high degree first at every x."""
+    out = np.zeros_like(x)
+    for c in coeffs:
+        out = gf.mul_arr(out, x) ^ c
     return out
 
 
@@ -115,6 +73,7 @@ class GrsCode:
         n = self.alpha.size
         if self.v.size != n:
             raise DimensionMismatch("need one multiplier per evaluation point")
+        self.gf.check_codes(np.concatenate([self.alpha, self.v]))
         if n > self.gf.q:
             raise DimensionMismatch(f"n = {n} exceeds q = {self.gf.q} distinct points")
         if len(set(self.alpha.tolist())) != n:
@@ -123,8 +82,6 @@ class GrsCode:
             raise InvalidSupport("column multipliers must be non-zero")
         if not 0 <= self.k <= n:
             raise DimensionMismatch(f"dimension k = {self.k} outside 0..{n}")
-        for c in self.alpha:
-            self.gf.check_code(int(c))
 
     @property
     def n(self) -> int:
@@ -137,6 +94,12 @@ class GrsCode:
     @property
     def radius(self) -> int:
         return (self.n - self.k) // 2
+
+    @cached_property
+    def parity_check(self) -> np.ndarray:
+        """H[j, i] = w_i alpha_i^j (j < n-k), w = dual_multipliers(alpha, v):
+        the dual code's generator matrix, so H . r is the syndrome of r."""
+        return generator_matrix(dual(self))
 
 
 def generator_matrix(c: GrsCode) -> np.ndarray:
@@ -161,16 +124,13 @@ def encode(c: GrsCode, coeffs) -> np.ndarray:
 
 def dual_multipliers(gf: GF, alpha, v) -> np.ndarray:
     """u with u_i^-1 = v_i * prod_{j != i} (alpha_i - alpha_j)."""
-    alpha = np.asarray(alpha, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    u = np.zeros_like(v)
-    for i in range(alpha.size):
-        prod = int(v[i])
-        for j in range(alpha.size):
-            if j != i:
-                prod = gf.mul(prod, int(alpha[i]) ^ int(alpha[j]))
-        u[i] = gf.inv(prod)
-    return u
+    alpha = np.asarray(alpha, dtype=np.int64).reshape(-1)
+    v = np.asarray(v, dtype=np.int64).reshape(-1)
+    diff = alpha[:, None] ^ alpha[None, :]
+    np.fill_diagonal(diff, 1)
+    for col in diff.T:
+        v = gf.mul_arr(v, col)
+    return gf.inv_arr(v)
 
 
 def dual(c: GrsCode) -> GrsCode:
@@ -208,43 +168,70 @@ def min_weight_codeword(c: GrsCode, roots, eta: int) -> np.ndarray:
     return encode(c, poly + [0] * (c.k - len(poly)))
 
 
-def decode(c: GrsCode, received) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolation decoding of codeword + error, radius floor((n-k)/2).
+def _berlekamp_massey(gf: GF, S: np.ndarray) -> tuple[np.ndarray, int]:
+    """Shortest register (Lambda, L) with Lambda_0 = 1 and
+    sum_l Lambda_l S_{j-l} = 0 for L <= j < len(S) (Massey 1969)."""
+    N = S.size
+    lam = np.zeros(N + 1, dtype=np.int64)
+    lam[0] = 1
+    prev = lam.copy()
+    L, shift, prev_d = 0, 1, 1
+    for j in range(N):
+        d = int(S[j] ^ np.bitwise_xor.reduce(gf.mul_arr(lam[1 : L + 1], S[j - L : j][::-1])))
+        if d:
+            old = lam.copy()
+            lam[shift:] ^= gf.mul_arr(prev[: N + 1 - shift], gf.div(d, prev_d))
+            if 2 * L <= j:
+                L, prev, prev_d, shift = j + 1 - L, old, d, 0
+        shift += 1
+    return lam[: L + 1], L
 
-    Returns (codeword, error).  Raises DecodeFailure rather than returning a
-    word further than the radius from the input.
+
+def decode(c: GrsCode, received) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome decoding of codeword + error up to the radius floor((n-k)/2).
+
+    Returns (codeword, error).  Never unsound: an error is returned only if
+    it has at most radius non-zero entries and the received word's syndrome
+    S_j = sum_i w_i r_i alpha_i^j (j < n-k); otherwise DecodeFailure.
+
+    An error at the point alpha_i = 0 adds to S_0 only: it lengthens the
+    Berlekamp-Massey register L but adds no factor to the locator Lambda, so
+    sigma(z) = z^L Lambda(1/z) has the root z = 0, and that error's value is
+    what S_0 holds beyond the other values.
     """
     gf = c.gf
-    received = np.asarray(received, dtype=np.int64).reshape(-1)
+    received = gf.check_codes(np.asarray(received, dtype=np.int64).reshape(-1))
     if received.size != c.n:
         raise DimensionMismatch(f"received word needs length {c.n}")
-    if c.k == 0:
-        if int((received != 0).sum()) > c.radius:
-            raise DecodeFailure("error weight exceeds the decoding radius")
-        return np.zeros(c.n, dtype=np.int64), received.copy()
-    stripped = gf.mul_arr(received, gf.inv_arr(c.v)).tolist()
+    H = c.parity_check
+    syndrome = gf.matvec(H, received)
+    error = np.zeros(c.n, dtype=np.int64)
+    if not syndrome.any():
+        return received.copy(), error
 
-    g0: list[int] = [1]
-    for a in c.alpha:
-        g0 = _pmul(gf, g0, [int(a), 1])
-    g1 = _pinterpolate(gf, c.alpha.tolist(), stripped)
+    lam, L = _berlekamp_massey(gf, syndrome)
+    if L > c.radius:
+        raise DecodeFailure(f"error locator length {L} exceeds the radius {c.radius}")
+    pos = np.flatnonzero(_horner(gf, lam, c.alpha) == 0)  # Chien search on sigma
+    if pos.size != L:
+        raise DecodeFailure("error locator does not split over the evaluation points")
 
-    r_prev, r_cur = g0, g1
-    b_prev: list[int] = []
-    b_cur: list[int] = [1]
-    while r_cur and 2 * _pdeg(r_cur) >= c.n + c.k:
-        quot, rem = _pdivmod(gf, r_prev, r_cur)
-        r_prev, r_cur = r_cur, rem
-        b_prev, b_cur = b_cur, _padd(b_prev, _pmul(gf, quot, b_cur))
+    # Forney: Y_i = X_i Omega(1/X_i) / Lambda'(1/X_i) with Omega = S Lambda mod x^L
+    X = c.alpha[pos]
+    nz = X != 0
+    x_inv = gf.inv_arr(X[nz])
+    lags = np.arange(L)[:, None] - np.arange(L + 1)[None, :]
+    omega = gf.matvec(np.where(lags >= 0, syndrome[np.maximum(lags, 0)], 0), lam)
+    deriv = np.where(np.arange(L) % 2, 0, lam[1:])  # characteristic 2: odd terms only
+    values = np.zeros(L, dtype=np.int64)
+    num = gf.mul_arr(X[nz], _horner(gf, omega[::-1], x_inv))
+    values[nz] = gf.mul_arr(num, gf.inv_arr(_horner(gf, deriv[::-1], x_inv)))
+    values[~nz] = syndrome[0] ^ np.bitwise_xor.reduce(values)
+    error[pos] = gf.mul_arr(values, gf.inv_arr(H[0, pos]))  # H[0] = w
 
-    f, rem = _pdivmod(gf, r_cur, b_cur) if b_cur else ([], [1])
-    if rem or _pdeg(f) >= c.k:
-        raise DecodeFailure("no codeword within the unique-decoding radius")
-    codeword = encode(c, f + [0] * (c.k - len(f)))
-    error = received ^ codeword
-    if int((error != 0).sum()) > c.radius:
-        raise DecodeFailure("error weight exceeds the decoding radius")
-    return codeword, error
+    if not np.array_equal(gf.matvec(H, error), syndrome):
+        raise DecodeFailure("no error within the radius has this syndrome")
+    return received ^ error, error
 
 
 # -- quantum Reed-Solomon --------------------------------------------------------
@@ -283,6 +270,22 @@ class QrsCode:
     def z_side_code(self) -> GrsCode:
         """L_Z = GRS_{n-k2}(alpha, u)."""
         return GrsCode(self.gf, self.n - self.k2, self.alpha, self.u)
+
+    @cached_property
+    def syndrome_lift(self) -> dict[str, tuple[np.ndarray, GrsCode]]:
+        """Per error kind, (R, shift code): R . syndrome is an F_q error with
+        that syndrome (rows . R = I for the full-rank check rows: gx for "Z"
+        errors, gz for "X"), and the shift code decodes it."""
+        out = {}
+        for kind, rows, checks in (
+            ("Z", self.css.gx, self.x_side_code()),
+            ("X", self.css.gz, self.z_side_code()),
+        ):
+            _, E, pivots = linalg.rref_augmented(self.gf, rows, np.eye(len(rows), dtype=np.int64))
+            R = np.zeros((self.n, len(rows)), dtype=np.int64)
+            R[pivots] = E
+            out[kind] = (R, dual(checks))
+        return out
 
     def to_json(self) -> dict:
         data = self.css.to_json()

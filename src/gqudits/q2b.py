@@ -16,9 +16,9 @@ import numpy as np
 from . import linalg
 from .bases import BasisAssignment, FieldBasis, find_self_dual
 from .css import CssCode, dual_space, new_css
-from .errors import DecodeFailure, DimensionMismatch
+from .errors import DimensionMismatch, InvalidFieldCode
 from .field import GF, make_field
-from .grs import GrsCode, QrsCode, decode
+from .grs import QrsCode, decode
 
 
 # -- blockwise decomposition maps ------------------------------------------------
@@ -256,24 +256,19 @@ def end_to_end_decode(
     """
     gf = qrs.gf
     error_bits = np.asarray(error_bits, dtype=np.int64).reshape(-1)
-    if kind == "Z":
-        checks, bases_list, rows = plan.x_checks, plan.x_bases, qrs.css.gx
-        shift_code = GrsCode(gf, qrs.n - qrs.k1, qrs.alpha, qrs.u)
-    elif kind == "X":
-        checks, bases_list, rows = plan.z_checks, plan.z_bases, qrs.css.gz
-        shift_code = GrsCode(gf, qrs.k2, qrs.alpha, qrs.v)
-    else:
+    if error_bits.size != qrs.n * gf.s:
+        raise DimensionMismatch(f"expected {qrs.n * gf.s} error bits, got {error_bits.size}")
+    if np.any((error_bits != 0) & (error_bits != 1)):
+        raise InvalidFieldCode("error bits must be 0 or 1")
+    sides = {"Z": (plan.x_checks, plan.x_bases), "X": (plan.z_checks, plan.z_bases)}
+    if kind not in sides:
         raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
-
-    syndrome = np.zeros(len(checks), dtype=np.int64)
-    for j, group in enumerate(checks):
-        bits = (group @ error_bits) % 2
-        syndrome[j] = reconstruct_syndrome(gf, bits, bases_list[j])
-
-    particular = linalg.solve(gf, rows, syndrome)
-    if particular is None:
-        raise DecodeFailure("qubit syndrome is inconsistent with the check rows")
-    _, err = decode(shift_code, particular)
+    syndrome = np.array(
+        [reconstruct_syndrome(gf, g @ error_bits % 2, b) for g, b in zip(*sides[kind])],
+        dtype=np.int64,
+    )
+    lift, shift_code = qrs.syndrome_lift[kind]
+    _, err = decode(shift_code, gf.matvec(lift, syndrome))
     if kind == "Z":
         return expand_dual(assignment, err)
     return expand_vector(assignment, err)

@@ -9,6 +9,8 @@ from gqudits import linalg
 from gqudits.errors import (
     DecodeFailure,
     DimensionMismatch,
+    GquditError,
+    InvalidFieldCode,
     InvalidNesting,
     InvalidSupport,
     WeightBelowDistance,
@@ -275,6 +277,140 @@ class TestDecode:
             decode(code, np.array([1, 1, 1, 0]))
 
 
+def nearest_codewords(words: np.ndarray, received: np.ndarray) -> tuple[int, np.ndarray]:
+    """Distance from received to the code and every codeword at that distance."""
+    dist = (words != received[None, :]).sum(axis=1)
+    best = int(dist.min())
+    return best, words[dist == best]
+
+
+class TestDecodeAgainstBruteForce:
+    """The decoder is a bounded-distance decoder: within the radius of some
+    codeword it returns that (unique) codeword, and further from the code it
+    refuses.  Checked against exhaustive nearest-codeword search with n = q,
+    so the evaluation points include 0."""
+
+    def check(self, code, words, received):
+        best, nearest = nearest_codewords(words, received)
+        if best <= code.radius:
+            assert nearest.shape[0] == 1
+            got, err = decode(code, received)
+            assert np.array_equal(got, nearest[0])
+            assert np.array_equal(got ^ err, received)
+        else:
+            with pytest.raises(DecodeFailure):
+                decode(code, received)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_f4_every_received_word(self, k):
+        gf = make_field(2)
+        code = GrsCode(gf, k, np.arange(4), np.array([1, 3, 2, 1]))
+        words = np.array(enumerate_codewords(code))
+        for idx in range(gf.q**code.n):
+            received = np.array([(idx >> (2 * i)) & 3 for i in range(4)], dtype=np.int64)
+            self.check(code, words, received)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_f8_random_words_of_every_weight(self, k):
+        gf = make_field(3)
+        rng = np.random.default_rng(211 + k)
+        code = GrsCode(gf, k, np.arange(8), rng.integers(1, 8, 8, dtype=np.int64))
+        words = np.array(enumerate_codewords(code))
+        for weight in range(code.n + 1):
+            for _ in range(40):
+                cw = words[int(rng.integers(len(words)))]
+                err = np.zeros(8, dtype=np.int64)
+                pos = rng.choice(8, size=weight, replace=False)
+                err[pos] = rng.integers(1, 8, weight)
+                self.check(code, words, cw ^ err)
+
+    def test_f8_single_errors_at_every_position(self):
+        gf = make_field(3)
+        code = GrsCode(gf, 4, np.arange(8), np.ones(8, dtype=np.int64))
+        cw = encode(code, [5, 0, 3, 1])
+        for i in range(code.n):  # i = 0 is the evaluation point alpha = 0
+            for value in gf.nonzero_elements():
+                err = np.zeros(8, dtype=np.int64)
+                err[i] = value
+                got, got_err = decode(code, cw ^ err)
+                assert np.array_equal(got, cw) and np.array_equal(got_err, err)
+
+    def test_f8_error_pairs_through_zero_point(self):
+        gf = make_field(3)
+        code = GrsCode(gf, 3, np.arange(8), np.ones(8, dtype=np.int64))
+        cw = encode(code, [1, 6, 2])
+        for j in range(1, code.n):
+            err = np.zeros(8, dtype=np.int64)
+            err[[0, j]] = [7, j]
+            got, got_err = decode(code, cw ^ err)
+            assert np.array_equal(got, cw) and np.array_equal(got_err, err)
+
+
+class TestDecodeEdgeCases:
+    def test_full_dimension_code_takes_every_word(self):
+        gf = make_field(3)
+        rng = np.random.default_rng(223)
+        code = GrsCode(gf, 8, np.arange(8), rng.integers(1, 8, 8, dtype=np.int64))
+        assert code.radius == 0
+        for _ in range(20):
+            received = rng.integers(0, 8, 8)
+            got, err = decode(code, received)
+            assert np.array_equal(got, received) and not err.any()
+
+    def test_zero_dimension_code_up_to_the_radius(self):
+        gf = make_field(3)
+        rng = np.random.default_rng(227)
+        code = GrsCode(gf, 0, np.arange(8), rng.integers(1, 8, 8, dtype=np.int64))
+        assert code.radius == 4
+        for weight in range(code.n + 1):
+            received = np.zeros(8, dtype=np.int64)
+            pos = rng.choice(8, size=weight, replace=False)
+            received[pos] = rng.integers(1, 8, weight)
+            if weight <= code.radius:
+                got, err = decode(code, received)
+                assert not got.any() and np.array_equal(err, received)
+            else:
+                with pytest.raises(DecodeFailure):
+                    decode(code, received)
+
+    def test_n255_full_radius(self):
+        gf = make_field(8)
+        code = GrsCode(gf, 127, np.arange(255), np.ones(255, dtype=np.int64))
+        assert code.radius == 64
+        rng = np.random.default_rng(229)
+        cw = encode(code, rng.integers(0, 256, 127))
+        err = np.zeros(255, dtype=np.int64)
+        pos = np.concatenate([[0], 1 + rng.choice(254, size=63, replace=False)])
+        err[pos] = rng.integers(1, 256, 64)
+        got, got_err = decode(code, cw ^ err)
+        assert np.array_equal(got, cw) and np.array_equal(got_err, err)
+
+
+class TestFieldCodes:
+    """Out-of-range element codes are refused, not wrapped or indexed."""
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_received_word_outside_field(self, bad):
+        gf = make_field(3)
+        code = GrsCode(gf, 3, np.arange(7), np.ones(7, dtype=np.int64))
+        received = encode(code, [1, 2, 3])
+        received[2] = bad
+        with pytest.raises(InvalidFieldCode):
+            decode(code, received)
+
+    def test_multiplier_outside_field(self):
+        with pytest.raises(InvalidFieldCode):
+            GrsCode(make_field(3), 2, np.arange(4), np.array([1, 1, -3, 1]))
+
+    def test_point_outside_field(self):
+        with pytest.raises(InvalidFieldCode):
+            GrsCode(make_field(3), 2, np.array([0, 1, 9]), np.ones(3, dtype=np.int64))
+
+    def test_error_type_is_package_and_value_error(self):
+        assert issubclass(InvalidFieldCode, GquditError)
+        assert issubclass(InvalidFieldCode, ValueError)
+
+
 class TestMakeQrs:
     def test_equal_dimensions_give_k_zero(self):
         gf = make_field(3)
@@ -296,6 +432,21 @@ class TestMakeQrs:
     def test_invalid_nesting(self):
         with pytest.raises(InvalidNesting):
             make_qrs(make_field(3), 8, 5, 2)
+
+    def test_dual_multipliers_match_scalar_products(self):
+        gf = make_field(4)
+        rng = np.random.default_rng(233)
+        for n in (1, 2, 5, 16):
+            alpha = rng.permutation(16)[:n]
+            v = rng.integers(1, 16, n, dtype=np.int64)
+            expected = []
+            for i in range(n):
+                prod = int(v[i])
+                for j in range(n):
+                    if j != i:
+                        prod = gf.mul(prod, int(alpha[i]) ^ int(alpha[j]))
+                expected.append(gf.inv(prod))
+            assert dual_multipliers(gf, alpha, v).tolist() == expected
 
     def test_dual_multipliers_independent_of_k(self):
         gf = make_field(3)

@@ -6,7 +6,7 @@ import pytest
 from gqudits import linalg, oracle
 from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomial_basis
 from gqudits.css import new_css
-from gqudits.errors import DecodeFailure, DimensionMismatch
+from gqudits.errors import DecodeFailure, DimensionMismatch, GquditError
 from gqudits.field import make_field
 from gqudits.gates import pi_map
 from gqudits.grs import make_qrs
@@ -297,6 +297,44 @@ class TestEndToEnd:
             )
             assert int((lifted != 0).sum()) <= 1
         assert failures > 0
+
+
+@pytest.fixture(scope="module")
+def setup64():
+    gf = make_field(6)
+    qrs = make_qrs(gf, 64, 16, 48)  # both decode radii are 8
+    A = default_assignment(gf, 64)
+    return gf, qrs, A, make_plan(qrs.css, A)
+
+
+class TestEndToEndF64:
+    @pytest.mark.parametrize("kind", ["Z", "X"])
+    def test_round_trip_through_zero_point(self, setup64, kind):
+        """Errors of weight 1..8 with one always on qudit 0, whose
+        evaluation point is alpha = 0."""
+        gf, qrs, A, plan = setup64
+        assert qrs.alpha[0] == 0
+        rng = np.random.default_rng(239 if kind == "Z" else 241)
+        for weight in range(1, 9):
+            for _ in range(3):
+                W = np.zeros(64, dtype=np.int64)
+                pos = np.concatenate([[0], 1 + rng.choice(63, size=weight - 1, replace=False)])
+                W[pos] = rng.integers(1, 64, weight)
+                bits = expand_dual(A, W) if kind == "Z" else expand_vector(A, W)
+                assert np.array_equal(end_to_end_decode(qrs, A, plan, bits, kind), bits)
+
+    def test_error_bits_length_checked(self, setup64):
+        gf, qrs, A, plan = setup64
+        with pytest.raises(DimensionMismatch):
+            end_to_end_decode(qrs, A, plan, np.zeros(64 * 6 - 1, dtype=np.int64), "Z")
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_error_bits_must_be_binary(self, setup64, bad):
+        gf, qrs, A, plan = setup64
+        bits = np.zeros(64 * 6, dtype=np.int64)
+        bits[0] = bad
+        with pytest.raises(GquditError):
+            end_to_end_decode(qrs, A, plan, bits, "X")
 
 
 class TestQubitParams:
