@@ -9,7 +9,7 @@ B and Z-type data through B* in the qudit-to-qubit mappings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,7 +23,7 @@ def _bits_of(code: int, s: int) -> np.ndarray:
 
 
 class FieldBasis:
-    """An ordered F_2-basis of F_q with a cached decomposition matrix."""
+    """An ordered F_2-basis of F_q with a cached decomposition map."""
 
     def __init__(self, gf: GF, elements):
         self.gf = gf
@@ -38,7 +38,9 @@ class FieldBasis:
         if not linalg.is_invertible(gf2, cols):
             raise DimensionMismatch(f"elements {self.elements} are F_2-dependent")
         R, inv, _ = linalg.rref_augmented(gf2, cols, np.eye(gf.s, dtype=np.int64))
-        self._inv_cols = inv  # maps polynomial-basis bits to B-coordinates
+        # coordinate j of eta is the parity of eta & _masks[j] (row j of inv)
+        self._masks = inv @ (1 << np.arange(gf.s, dtype=np.int64))
+        self._folds = [1 << j for j in reversed(range((gf.s - 1).bit_length()))]
         self._dual: FieldBasis | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -56,17 +58,19 @@ class FieldBasis:
 
     # -- decomposition -----------------------------------------------------
 
-    def decompose(self, eta: int) -> np.ndarray:
-        """Coefficients c with eta = sum_i c_i eta_i."""
-        self.gf.check_code(eta)
-        return (self._inv_cols @ _bits_of(eta, self.gf.s)) % 2
+    def decompose(self, codes) -> np.ndarray:
+        """Coefficients c with eta = sum_i c_i eta_i, for every code at once.
 
-    def decompose_arr(self, codes) -> np.ndarray:
-        """Row-wise decomposition of an array of codes; shape (..., s)."""
-        codes = np.asarray(codes, dtype=np.int64)
-        shifts = np.arange(self.gf.s, dtype=np.int64)
-        bits = (codes[..., None] >> shifts) & 1
-        return (bits @ self._inv_cols.T) % 2
+        Takes one code or an array of them and returns shape (..., s): an
+        int gives one (s,) bit row, an (m, n) matrix gives (m, n, s).
+        """
+        codes = self.gf.check_codes(np.asarray(codes, dtype=np.int64))
+        x = codes[..., None] & self._masks
+        for k in self._folds:
+            x ^= x >> k
+        return x & 1
+
+    decompose_arr = decompose
 
     def recompose(self, coeffs) -> int:
         coeffs = np.asarray(coeffs, dtype=np.int64)
@@ -216,6 +220,7 @@ class BasisAssignment:
         self.gf = gf
         self.bases = bases
         self.n = len(bases)
+        self._duals: BasisAssignment | None = None
 
     @classmethod
     def uniform(cls, basis: FieldBasis, n: int) -> "BasisAssignment":
@@ -226,7 +231,18 @@ class BasisAssignment:
         return cls.uniform(find_self_dual(gf), n)
 
     def duals(self) -> "BasisAssignment":
-        return BasisAssignment([b.dual() for b in self.bases])
+        if self._duals is None:
+            self._duals = BasisAssignment([b.dual() for b in self.bases])
+            self._duals._duals = self
+        return self._duals
+
+    @cached_property
+    def groups(self) -> tuple[tuple[FieldBasis, np.ndarray], ...]:
+        """(basis, qudit indices) per distinct basis, in order of first use."""
+        sites: dict[FieldBasis, list[int]] = {}
+        for i, b in enumerate(self.bases):
+            sites.setdefault(b, []).append(i)
+        return tuple((b, np.array(idx, dtype=np.int64)) for b, idx in sites.items())
 
     def __getitem__(self, i: int) -> FieldBasis:
         return self.bases[i]

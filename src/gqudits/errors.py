@@ -17,6 +17,10 @@ class InvalidFieldCode(GquditError, ValueError):
     """An element code lies outside [0, q) for its field."""
 
 
+class InvalidAlist(GquditError, ValueError):
+    """Alist text is malformed or describes an inconsistent matrix."""
+
+
 class UnsupportedDegree(GquditError):
     """Extension degree outside the supported range 1..31."""
 

@@ -227,8 +227,9 @@ class GF:
         return code
 
     def check_codes(self, codes: np.ndarray) -> np.ndarray:
-        """check_code for a whole array at once: one min/max test."""
-        if codes.size and (codes.min() < 0 or codes.max() >= self.q):
+        """check_code for a whole integer array at once: one OR-reduction,
+        which has a bit at or above s (or is negative) iff some code does."""
+        if np.bitwise_or.reduce(codes, axis=None) >> self.s:
             bad = codes[(codes < 0) | (codes >= self.q)].flat[0]
             raise InvalidFieldCode(f"code {bad} outside [0, {self.q})")
         return codes

@@ -1,7 +1,10 @@
 """Dense linear algebra over F_q on small integer-code matrices.
 
-Everything here is Gaussian elimination at desk scale.  F_2 is just the
-q = 2 case, so binary and q-ary callers share one implementation.
+Everything here is Gaussian elimination at desk scale.  Over F_q (q > 2)
+rows are scaled and combined with the vectorised field kernels.  Over F_2
+each row of the augmented matrix is packed into one Python integer and
+eliminated by XOR, the dense-GF(2) technique of M4RI; both paths perform
+the same row operations and return the same canonical form.
 """
 
 from __future__ import annotations
@@ -26,12 +29,16 @@ def rref_augmented(gf: GF, M, C) -> tuple[np.ndarray, np.ndarray, list[int]]:
 
     Pivot entries are normalised to 1 and eliminated above and below, so
     the result is the unique canonical representative of the row space
-    (with the carried columns transformed covariantly).
+    (with the carried columns transformed covariantly).  Entries of M and C
+    must be field codes of gf.
     """
-    R = as_matrix(M).copy()
+    R = gf.check_codes(as_matrix(M).copy())
     A = np.asarray(C, dtype=np.int64).copy()
     if A.ndim == 1:
         A = A.reshape(-1, 1)
+    gf.check_codes(A)
+    if gf.q == 2:
+        return _rref_f2(R, A)
     rows, cols = R.shape
     pivots: list[int] = []
     r = 0
@@ -57,6 +64,42 @@ def rref_augmented(gf: GF, M, C) -> tuple[np.ndarray, np.ndarray, list[int]]:
         pivots.append(c)
         r += 1
     return R, A, pivots
+
+
+def _rref_f2(R: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """rref_augmented over F_2 on rows of [R | A] packed into Python ints.
+
+    Column 0 is the most significant bit, so the leftmost non-zero column
+    of a row is read off its bit length.  The row operations are exactly
+    those of the generic loop: the pivot of column c is the first row at or
+    below r that has bit c set, it is swapped into row r and XORed into
+    every other row with bit c set.  Rows below r are zero left of the next
+    pivot column, so that column is the one with the longest such row.
+    """
+    rows, cols = R.shape
+    if cols == 0:  # nothing to eliminate (as_matrix turns an (m, 0) M into (0, 0))
+        return R, A, []
+    width = cols + A.shape[1]
+    nbytes = -(-width // 8)
+    bits = 8 * nbytes  # column j is bit bits - 1 - j of a packed row
+    packed = np.packbits(np.concatenate([R, A], axis=1), axis=1).tobytes()
+    words = [int.from_bytes(packed[i : i + nbytes], "big") for i in range(0, rows * nbytes, nbytes)]
+    pivots: list[int] = []
+    for r in range(rows):
+        lengths = [w.bit_length() for w in words[r:]]
+        top = max(lengths)
+        if top <= bits - cols:  # rows r.. are zero across M
+            break
+        p = r + lengths.index(top)
+        words[r], words[p] = words[p], words[r]
+        pivot = words[r]
+        mask = 1 << (top - 1)
+        words = [w ^ pivot if w & mask else w for w in words]
+        words[r] = pivot
+        pivots.append(bits - top)
+    flat = np.frombuffer(b"".join(w.to_bytes(nbytes, "big") for w in words), dtype=np.uint8)
+    out = np.unpackbits(flat.reshape(rows, nbytes), axis=1, count=width).astype(np.int64)
+    return out[:, :cols], out[:, cols:], pivots
 
 
 def rref(gf: GF, M) -> tuple[np.ndarray, list[int]]:

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .bases import BasisAssignment, FieldBasis, find_self_dual
 from .css import CssCode, dual_space, new_css
-from .errors import DimensionMismatch, InvalidFieldCode
+from .errors import DimensionMismatch, InvalidAlist, InvalidFieldCode
 from .field import GF, make_field
 from .grs import QrsCode, decode
 
@@ -25,18 +25,36 @@ from .grs import QrsCode, decode
 
 
 def expand_vector(assignment: BasisAssignment, V) -> np.ndarray:
-    """D_B(V): expand component i in basis B_i; bits concatenated."""
-    V = np.asarray(V, dtype=np.int64).reshape(-1)
-    if V.size != assignment.n:
-        raise DimensionMismatch(f"vector has {V.size} sites, assignment {assignment.n}")
-    return np.concatenate(
-        [assignment[i].decompose(int(V[i])) for i in range(assignment.n)]
-    )
+    """D_B(V): expand component i in basis B_i; bits concatenated.
+
+    V is an F_q vector (n,) or matrix (m, n); the result is (n*s,) or
+    (m, n*s).  The qudits of each distinct basis are decomposed in one call.
+    """
+    V = np.asarray(V, dtype=np.int64)
+    if V.ndim > 2 or V.shape[-1:] != (assignment.n,):
+        raise DimensionMismatch(f"sites of shape {V.shape}, assignment has {assignment.n}")
+    out = np.empty(V.shape + (assignment.gf.s,), dtype=np.int64)
+    for basis, idx in assignment.groups:
+        out[..., idx, :] = basis.decompose(V[..., idx])
+    return out.reshape(V.shape[:-1] + (assignment.n * assignment.gf.s,))
 
 
 def expand_dual(assignment: BasisAssignment, W) -> np.ndarray:
     """D_{B*}(W): like expand_vector but through the dual bases."""
     return expand_vector(assignment.duals(), W)
+
+
+def _expand_rows(assignment: BasisAssignment, rows, scales, dualise: bool) -> np.ndarray:
+    """(m*s, n*s) bits: D(scales[j, t] * rows[j]) for t = 0..s-1, row by row.
+
+    scales is (m, s), one expansion basis per row, or a shared (s,); Z-type
+    rows (dualise) expand through the dual bases.
+    """
+    gf = assignment.gf
+    rows = linalg.as_matrix(rows, assignment.n)
+    scales = np.broadcast_to(np.asarray(scales, dtype=np.int64), (rows.shape[0], gf.s))
+    scaled = gf.mul_arr(rows[:, None, :], scales[:, :, None]).reshape(-1, rows.shape[1])
+    return expand_dual(assignment, scaled) if dualise else expand_vector(assignment, scaled)
 
 
 def lift_vector(assignment: BasisAssignment, bits) -> np.ndarray:
@@ -45,6 +63,7 @@ def lift_vector(assignment: BasisAssignment, bits) -> np.ndarray:
     s = assignment.gf.s
     if bits.size != assignment.n * s:
         raise DimensionMismatch(f"expected {assignment.n * s} bits, got {bits.size}")
+    make_field(1).check_codes(bits)
     return np.array(
         [assignment[i].recompose(bits[i * s : (i + 1) * s]) for i in range(assignment.n)],
         dtype=np.int64,
@@ -67,9 +86,14 @@ class QubitCssCode:
     assignment: BasisAssignment
 
     def __post_init__(self) -> None:
-        self.hx = linalg.as_matrix(self.hx, self.ns)
-        self.hz = linalg.as_matrix(self.hz, self.ns)
-        if self.hx.size and self.hz.size and np.any((self.hx @ self.hz.T) % 2):
+        gf2 = make_field(1)
+        self.hx = gf2.check_codes(linalg.as_matrix(self.hx, self.ns))
+        self.hz = gf2.check_codes(linalg.as_matrix(self.hz, self.ns))
+        if self.hx.shape[1] != self.ns or self.hz.shape[1] != self.ns:
+            raise DimensionMismatch(f"check matrices need {self.ns} columns")
+        # a float64 (BLAS) product is exact: its entries are at most ns < 2^53
+        overlap = self.hx.astype(np.float64) @ self.hz.T.astype(np.float64)
+        if np.any(overlap % 2):
             raise DimensionMismatch("hx . hz^T != 0 over F_2")
 
     @property
@@ -131,21 +155,9 @@ def convert_code(
         assignment = default_assignment(gf, code.n)
     if enum_basis is None:
         enum_basis = find_self_dual(gf)
-    ns = code.n * gf.s
-
-    def expanded(rows: np.ndarray, dualise: bool) -> np.ndarray:
-        out = []
-        for row in rows:
-            for b in enum_basis.elements:
-                scaled = gf.mul_arr(row, b)
-                out.append(
-                    expand_dual(assignment, scaled) if dualise else expand_vector(assignment, scaled)
-                )
-        return np.array(out, dtype=np.int64).reshape(len(out), ns)
-
-    hx = expanded(code.gx, dualise=False)
-    hz = expanded(code.gz, dualise=True)
-    return QubitCssCode(ns, hx, hz, code, assignment)
+    hx = _expand_rows(assignment, code.gx, enum_basis.elements, dualise=False)
+    hz = _expand_rows(assignment, code.gz, enum_basis.elements, dualise=True)
+    return QubitCssCode(code.n * gf.s, hx, hz, code, assignment)
 
 
 def convert_logicals(
@@ -156,20 +168,9 @@ def convert_logicals(
     gf = code.gf
     if assignment is None:
         assignment = default_assignment(gf, code.n)
-    enum_basis = find_self_dual(gf)
-
-    def span_image(rows: np.ndarray, dualise: bool) -> np.ndarray:
-        out = []
-        for row in rows:
-            for b in enum_basis.elements:
-                scaled = gf.mul_arr(row, b)
-                out.append(
-                    expand_dual(assignment, scaled) if dualise else expand_vector(assignment, scaled)
-                )
-        return np.array(out, dtype=np.int64).reshape(len(out), code.n * gf.s)
-
-    z_space = span_image(dual_space(gf, code.gx), dualise=True)
-    x_space = span_image(dual_space(gf, code.gz), dualise=False)
+    enum = find_self_dual(gf).elements
+    z_space = _expand_rows(assignment, dual_space(gf, code.gx), enum, dualise=True)
+    x_space = _expand_rows(assignment, dual_space(gf, code.gz), enum, dualise=False)
     return z_space, x_space
 
 
@@ -207,20 +208,16 @@ def make_plan(
         raise DimensionMismatch("one expansion basis per qudit check required")
     gf2 = make_field(1)
 
-    def group(row, basis: FieldBasis, dualise: bool) -> np.ndarray:
-        vecs = []
-        for b in basis.elements:
-            scaled = gf.mul_arr(row, b)
-            vecs.append(
-                expand_dual(assignment, scaled) if dualise else expand_vector(assignment, scaled)
-            )
-        arr = np.array(vecs, dtype=np.int64)
-        if linalg.rank(gf2, arr) != gf.s:
+    def checks(rows: np.ndarray, bases: list[FieldBasis], dualise: bool) -> list[np.ndarray]:
+        scales = np.array([b.elements for b in bases], dtype=np.int64).reshape(-1, gf.s)
+        bits = _expand_rows(assignment, rows, scales, dualise)
+        groups = list(bits.reshape(len(bases), gf.s, code.n * gf.s))
+        if any(linalg.rank(gf2, g) != gf.s for g in groups):
             raise DimensionMismatch("expanded qubit checks are dependent")
-        return arr
+        return groups
 
-    x_checks = [group(code.gx[j], x_bases[j], False) for j in range(code.m_x)]
-    z_checks = [group(code.gz[j], z_bases[j], True) for j in range(code.m_z)]
+    x_checks = checks(code.gx, x_bases, False)
+    z_checks = checks(code.gz, z_bases, True)
     return MeasurementPlan(list(x_bases), list(z_bases), x_checks, z_checks)
 
 
@@ -277,38 +274,59 @@ def end_to_end_decode(
 # -- exports ----------------------------------------------------------------------
 
 
+def _index_lines(M: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Row degrees of a 0/1 matrix and each row's 1-based column indices,
+    zero padded to the largest degree (a lone '0' if that is 0)."""
+    r, c = np.nonzero(M)
+    deg = np.bincount(r, minlength=M.shape[0])
+    tokens, zeros = table[c + 1].tolist(), ["0"] * max(int(deg.max(initial=0)), 1)
+    ends = np.cumsum(deg).tolist()
+    return deg, [" ".join(tokens[e - d : e] + zeros[d:]) for d, e in zip(deg.tolist(), ends)]
+
+
 def export_alist(M) -> str:
     """MacKay alist text for a binary matrix: header 'N M', degree lists,
     then 1-based per-column and per-row index lists (zero padded)."""
-    M = linalg.as_matrix(M)
-    m, n = M.shape
-    col_deg = M.sum(axis=0).astype(int) if m else np.zeros(n, dtype=int)
-    row_deg = M.sum(axis=1).astype(int) if n else np.zeros(m, dtype=int)
-    max_col = int(col_deg.max()) if n else 0
-    max_row = int(row_deg.max()) if m else 0
-    lines = [f"{n} {m}", f"{max_col} {max_row}"]
-    lines.append(" ".join(str(int(d)) for d in col_deg))
-    lines.append(" ".join(str(int(d)) for d in row_deg))
-    for c in range(n):
-        idx = [str(int(r) + 1) for r in np.nonzero(M[:, c])[0]]
-        idx += ["0"] * (max_col - len(idx))
-        lines.append(" ".join(idx) if idx else "0")
-    for r in range(m):
-        idx = [str(int(c) + 1) for c in np.nonzero(M[r])[0]]
-        idx += ["0"] * (max_row - len(idx))
-        lines.append(" ".join(idx) if idx else "0")
-    return "\n".join(lines) + "\n"
+    M = make_field(1).check_codes(linalg.as_matrix(M)).astype(bool)
+    table = np.array([str(i) for i in range(max(M.shape) + 1)], dtype=object)
+    col_deg, col_lines = _index_lines(M.T, table)
+    row_deg, row_lines = _index_lines(M, table)
+    head = [f"{M.shape[1]} {M.shape[0]}", f"{col_deg.max(initial=0)} {row_deg.max(initial=0)}"]
+    degrees = [" ".join(table[col_deg]), " ".join(table[row_deg])]
+    return "\n".join(head + degrees + col_lines + row_lines) + "\n"
 
 
 def import_alist(text: str) -> np.ndarray:
-    rows = [[int(t) for t in line.split()] for line in text.strip().splitlines()]
+    """Binary matrix of alist text.  InvalidAlist for a bad header, line
+    count or index, or degree lists that disagree with the index lists."""
+    try:
+        rows = [[int(t) for t in line.split()] for line in text.splitlines()]
+    except ValueError as exc:
+        raise InvalidAlist(f"non-integer token: {exc}") from None
+    if len(rows) < 2 or [len(rows[0]), len(rows[1])] != [2, 2] or min(rows[0] + rows[1]) < 0:
+        raise InvalidAlist("header must be 'N M' and 'max_col max_row', all non-negative")
     n, m = rows[0]
-    M = np.zeros((m, n), dtype=np.int64)
-    for c in range(n):
-        for r in rows[4 + c]:
-            if r:
-                M[r - 1, c] = 1
+    rows, rest = rows[: 4 + n + m], rows[4 + n + m :]
+    if len(rows) != 4 + n + m or any(rest):
+        raise InvalidAlist(f"expected {4 + n + m} lines for N={n} M={m}")
+    cols, M = _incidence(rows[4 : 4 + n], m, "column"), _incidence(rows[4 + n :], n, "row")
+    if not np.array_equal(cols.T, M):
+        raise InvalidAlist("row lists disagree with column lists")
+    col_deg, row_deg = cols.sum(axis=1).tolist(), M.sum(axis=1).tolist()
+    if rows[1:4] != [[max(col_deg, default=0), max(row_deg, default=0)], col_deg, row_deg]:
+        raise InvalidAlist("degree lists disagree with the index lists")
     return M
+
+
+def _incidence(lists: list[list[int]], size: int, what: str) -> np.ndarray:
+    """0/1 rows of alist index lists; zero entries are padding."""
+    out = np.zeros((len(lists), size), dtype=np.int64)
+    for i, line in enumerate(lists):
+        idx = [j - 1 for j in line if j]
+        if not all(0 <= j < size for j in idx) or len(set(idx)) != len(idx):
+            raise InvalidAlist(f"{what} {i + 1}: an index outside 1..{size} or repeated")
+        out[i, idx] = 1
+    return out
 
 
 def export_dense(M) -> str:

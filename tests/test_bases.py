@@ -12,7 +12,7 @@ from gqudits.bases import (
     find_self_dual,
     polynomial_basis,
 )
-from gqudits.errors import DimensionMismatch, SelfDualRequired
+from gqudits.errors import DimensionMismatch, InvalidFieldCode, SelfDualRequired
 from gqudits.field import make_field
 
 
@@ -77,6 +77,30 @@ class TestDecompose:
         arr = B.decompose_arr(np.arange(8))
         for eta in range(8):
             assert np.array_equal(arr[eta], B.decompose(eta))
+
+    @pytest.mark.parametrize("s", [1, 4, 8, 17])
+    def test_matrix_input_matches_scalar(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(13 + s)
+        B = random_basis(gf, rng)
+        codes = rng.integers(0, gf.q, size=(5, 7))
+        out = B.decompose(codes)
+        assert out.shape == (5, 7, s) and out.dtype == np.int64
+        for idx in np.ndindex(codes.shape):
+            eta = int(codes[idx])
+            assert np.array_equal(out[idx], B.decompose(eta))
+            assert B.recompose(out[idx]) == eta
+
+    def test_decompose_arr_is_decompose(self):
+        assert FieldBasis.decompose_arr is FieldBasis.decompose
+
+    @pytest.mark.parametrize("codes", [[-1, 9], 8, [[0, 1], [2, 8]]])
+    def test_out_of_range_codes_rejected(self, codes):
+        B = polynomial_basis(make_field(3))
+        with pytest.raises(InvalidFieldCode):
+            B.decompose_arr(codes)
+        with pytest.raises(InvalidFieldCode):
+            B.decompose(codes)
 
 
 class TestDualBasis:
@@ -192,3 +216,18 @@ class TestAssignment:
         A = BasisAssignment.uniform(polynomial_basis(gf), 2)
         D = A.duals()
         assert D[0] == dual_basis(polynomial_basis(gf))
+
+    def test_duals_cached_both_ways(self):
+        gf = make_field(3)
+        A = BasisAssignment.uniform(polynomial_basis(gf), 2)
+        assert A.duals() is A.duals()
+        assert A.duals().duals() is A
+
+    def test_groups_partition_qudits_by_basis(self):
+        gf = make_field(3)
+        rng = np.random.default_rng(17)
+        B1, B2 = random_basis(gf, rng), polynomial_basis(gf)
+        A = BasisAssignment([B1, B2, B1, FieldBasis(gf, B2.elements), B1])
+        groups = [(b, idx.tolist()) for b, idx in A.groups]
+        assert groups == [(B1, [0, 2, 4]), (B2, [1, 3])]
+        assert A.groups is A.groups

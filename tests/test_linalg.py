@@ -1,0 +1,86 @@
+"""Dense elimination: the packed F_2 path against the generic F_q path."""
+
+import numpy as np
+import pytest
+
+from gqudits import linalg
+from gqudits.errors import InvalidFieldCode
+from gqudits.field import make_field
+
+GF2 = make_field(1)
+GF4 = make_field(2)  # F_2 is the subfield {0, 1} of F_4
+
+
+def random_bits(rng, m, n, density=None):
+    p = rng.random() if density is None else density
+    return (rng.random((m, n)) < p).astype(np.int64)
+
+
+def shapes(rng):
+    """(m, n, carried columns) covering empty, tall, wide and square cases."""
+    yield from [(0, 0, 0), (0, 5, 2), (3, 0, 0), (1, 1, 1), (4, 4, 0)]
+    for _ in range(60):
+        m, n = (int(x) for x in rng.integers(1, 40, 2))
+        yield m, n, int(rng.integers(0, 12))
+    yield 30, 3, 4  # tall
+    yield 3, 70, 5  # wide, one byte boundary crossed many times
+    yield 9, 64, 0  # exactly eight packed bytes
+    yield 9, 63, 1
+
+
+class TestPackedF2AgainstGeneric:
+    def test_rref_augmented_identical(self):
+        rng = np.random.default_rng(401)
+        for m, n, k in shapes(rng):
+            M = random_bits(rng, m, n)
+            if m > 2:  # make some inputs rank deficient
+                M[-1] = M[0] ^ M[1]
+            C = random_bits(rng, m, k, 0.5)
+            R2, X2, p2 = linalg.rref_augmented(GF2, M, C)
+            R4, X4, p4 = linalg.rref_augmented(GF4, M, C)
+            assert p2 == p4
+            assert np.array_equal(R2, R4) and np.array_equal(X2, X4)
+            assert R2.dtype == X2.dtype == np.int64
+
+    def test_identity_carried_gives_transform(self):
+        """[R | E] = rref([M | I]) satisfies E @ M = R over F_2."""
+        rng = np.random.default_rng(403)
+        for _ in range(20):
+            m, n = (int(x) for x in rng.integers(1, 25, 2))
+            M = random_bits(rng, m, n)
+            R, E, pivots = linalg.rref_augmented(GF2, M, np.eye(m, dtype=np.int64))
+            assert np.array_equal(E @ M % 2, R)
+            assert len(pivots) == linalg.rank(GF4, M)
+
+    def test_vector_carried_column(self):
+        M = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        b = np.array([1, 0, 1])
+        _, carried, pivots = linalg.rref_augmented(GF2, M, b)
+        assert carried.shape == (3, 1) and pivots == [0, 1]
+
+    def test_kernel_and_solve(self):
+        rng = np.random.default_rng(405)
+        for _ in range(20):
+            m, n = (int(x) for x in rng.integers(1, 30, 2))
+            M = random_bits(rng, m, n)
+            K = linalg.kernel_basis(GF2, M)
+            assert K.shape == (n - linalg.rank(GF2, M), n)
+            assert not np.any(M @ K.T % 2)
+            x = rng.integers(0, 2, n)
+            sol = linalg.solve(GF2, M, M @ x % 2)
+            assert sol is not None and np.array_equal(M @ sol % 2, M @ x % 2)
+
+
+class TestCodeValidation:
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_f2_rank_rejects_non_bits(self, bad):
+        with pytest.raises(InvalidFieldCode):
+            linalg.rank(GF2, [[bad, 0], [0, 1]])
+
+    def test_fq_rank_rejects_out_of_range(self):
+        with pytest.raises(InvalidFieldCode):
+            linalg.rank(make_field(3), [[8, 1], [0, 1]])
+
+    def test_carried_columns_checked(self):
+        with pytest.raises(InvalidFieldCode):
+            linalg.rref_augmented(GF2, [[1, 0]], [[3]])

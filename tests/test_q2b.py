@@ -1,12 +1,21 @@
 """Qudit-to-qubit conversion, measurement plans, and the decode pipeline."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from gqudits import linalg, oracle
 from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomial_basis
 from gqudits.css import new_css
-from gqudits.errors import DecodeFailure, DimensionMismatch, GquditError
+from gqudits.css import dual_space
+from gqudits.errors import (
+    DecodeFailure,
+    DimensionMismatch,
+    GquditError,
+    InvalidAlist,
+    InvalidFieldCode,
+)
 from gqudits.field import make_field
 from gqudits.gates import pi_map
 from gqudits.grs import make_qrs
@@ -27,6 +36,65 @@ from gqudits.q2b import (
     make_plan,
     reconstruct_syndrome,
 )
+
+
+@lru_cache(maxsize=None)
+def coordinate_table(basis):
+    """eta -> coordinates in basis, by XOR over every subset of its elements."""
+    table = {}
+    for c in range(1 << len(basis.elements)):
+        eta = 0
+        for i, e in enumerate(basis.elements):
+            if (c >> i) & 1:
+                eta ^= e
+        table[eta] = [(c >> i) & 1 for i in range(len(basis.elements))]
+    return table
+
+
+def reference_expand(bases, row):
+    """Per-qudit scalar expansion of one F_q row through the given bases."""
+    return np.array(
+        [bit for basis, eta in zip(bases, row) for bit in coordinate_table(basis)[int(eta)]],
+        dtype=np.int64,
+    )
+
+
+def reference_rows(gf, assignment, rows, elements, dualise):
+    """The nested row/basis-element loop: D(b * row) for each row, each b."""
+    bases = assignment.duals().bases if dualise else assignment.bases
+    ns = assignment.n * gf.s
+    out = [reference_expand(bases, gf.mul_arr(row, b)) for row in rows for b in elements]
+    return np.array(out, dtype=np.int64).reshape(len(out), ns)
+
+
+def reference_alist(M):
+    """The per-column/per-row loop writer that export_alist replaced."""
+    M = linalg.as_matrix(M)
+    m, n = M.shape
+    col_deg = M.sum(axis=0).astype(int) if m else np.zeros(n, dtype=int)
+    row_deg = M.sum(axis=1).astype(int) if n else np.zeros(m, dtype=int)
+    max_col = int(col_deg.max()) if n else 0
+    max_row = int(row_deg.max()) if m else 0
+    lines = [f"{n} {m}", f"{max_col} {max_row}"]
+    lines.append(" ".join(str(int(d)) for d in col_deg))
+    lines.append(" ".join(str(int(d)) for d in row_deg))
+    for c in range(n):
+        idx = [str(int(r) + 1) for r in np.nonzero(M[:, c])[0]]
+        idx += ["0"] * (max_col - len(idx))
+        lines.append(" ".join(idx) if idx else "0")
+    for r in range(m):
+        idx = [str(int(c) + 1) for c in np.nonzero(M[r])[0]]
+        idx += ["0"] * (max_row - len(idx))
+        lines.append(" ".join(idx) if idx else "0")
+    return "\n".join(lines) + "\n"
+
+
+def mixed_assignment(gf, n, rng):
+    """Random per-qudit bases drawn from a pool of three, so that qudits
+    share bases and at least one basis differs from its dual."""
+    pool = list(random_assignment(gf, 3, rng).bases)
+    assert any(b.dual() != b for b in pool)
+    return BasisAssignment([pool[int(i)] for i in rng.integers(0, 3, n)])
 
 
 def random_assignment(gf, n, rng):
@@ -82,6 +150,86 @@ class TestExpansion:
             assert np.array_equal(
                 (expand_vector(A, v1) + expand_vector(A, v2)) % 2, expand_vector(A, v1 ^ v2)
             )
+
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_matrix_expansion_matches_scalar_reference(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(181 + s)
+        for n in (1, 5, 9):
+            for A in (mixed_assignment(gf, n, rng), random_assignment(gf, n, rng)):
+                V = rng.integers(0, gf.q, size=(6, n))
+                X, Z = expand_vector(A, V), expand_dual(A, V)
+                assert X.shape == Z.shape == (6, n * s)
+                for row, x, z in zip(V, X, Z):
+                    assert np.array_equal(x, reference_expand(A.bases, row))
+                    assert np.array_equal(z, reference_expand(A.duals().bases, row))
+                    assert np.array_equal(expand_vector(A, row), x)
+
+    def test_empty_matrix(self):
+        gf = make_field(3)
+        A = default_assignment(gf, 4)
+        assert expand_vector(A, np.zeros((0, 4), dtype=np.int64)).shape == (0, 12)
+
+    def test_out_of_range_site_rejected(self):
+        gf = make_field(2)
+        A = default_assignment(gf, 2)
+        with pytest.raises(InvalidFieldCode):
+            expand_vector(A, [[0, 4]])
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_lift_rejects_non_bits(self, bad):
+        gf = make_field(2)
+        A = default_assignment(gf, 2)
+        with pytest.raises(InvalidFieldCode):
+            lift_vector(A, [0, bad, 0, 0])
+
+
+class TestAgainstNestedLoops:
+    """Conversion outputs against the row-by-row, element-by-element
+    construction with a per-qudit scalar expansion."""
+
+    @pytest.mark.parametrize("s,n,k1,k2", [(2, 4, 1, 3), (3, 8, 2, 5), (4, 12, 3, 8)])
+    def test_convert_plan_and_logicals(self, s, n, k1, k2):
+        gf = make_field(s)
+        rng = np.random.default_rng(191 + s)
+        code = make_qrs(gf, n, k1, k2).css
+        enum = find_self_dual(gf).elements
+        for A in (default_assignment(gf, n), mixed_assignment(gf, n, rng)):
+            qubit = convert_code(code, A)
+            assert np.array_equal(qubit.hx, reference_rows(gf, A, code.gx, enum, False))
+            assert np.array_equal(qubit.hz, reference_rows(gf, A, code.gz, enum, True))
+
+            z_space, x_space = convert_logicals(code, A)
+            assert np.array_equal(z_space, reference_rows(gf, A, dual_space(gf, code.gx), enum, True))
+            assert np.array_equal(x_space, reference_rows(gf, A, dual_space(gf, code.gz), enum, False))
+
+            pool = list(random_assignment(gf, 2, rng).bases) + [polynomial_basis(gf)]
+            x_bases = [pool[int(i)] for i in rng.integers(0, 3, code.m_x)]
+            z_bases = [pool[int(i)] for i in rng.integers(0, 3, code.m_z)]
+            plan = make_plan(code, A, x_bases, z_bases)
+            for rows, bases, checks, dualise in (
+                (code.gx, x_bases, plan.x_checks, False),
+                (code.gz, z_bases, plan.z_checks, True),
+            ):
+                assert len(checks) == len(rows)
+                for row, basis, group in zip(rows, bases, checks):
+                    want = reference_rows(gf, A, [row], basis.elements, dualise)
+                    assert np.array_equal(group, want)
+
+    def test_enumeration_basis_honoured(self):
+        gf = make_field(3)
+        code = make_qrs(gf, 8, 2, 5).css
+        A = default_assignment(gf, 8)
+        enum = polynomial_basis(gf)
+        qubit = convert_code(code, A, enum)
+        assert np.array_equal(qubit.hx, reference_rows(gf, A, code.gx, enum.elements, False))
+
+    def test_assignment_length_checked(self):
+        gf = make_field(2)
+        code = make_qrs(gf, 4, 1, 3).css
+        with pytest.raises(DimensionMismatch):
+            convert_code(code, default_assignment(gf, 2))
 
 
 class TestConvertCode:
@@ -371,9 +519,69 @@ class TestExports:
         assert lines[3] == "2 2"
         assert lines[4].split() == ["1", "0"]  # zero padded to max degree
 
+    def test_alist_matches_loop_writer(self):
+        rng = np.random.default_rng(197)
+        mats = [np.zeros((0, 0)), np.zeros((0, 4)), np.zeros((3, 5)), np.ones((2, 3))]
+        for _ in range(25):
+            # n >= 1: as_matrix reads an (m, 0) matrix as (0, 0)
+            m, n = int(rng.integers(0, 30)), int(rng.integers(1, 30))
+            mats.append((rng.random((m, n)) < rng.random()).astype(np.int64))
+        for M in mats:
+            text = export_alist(M)
+            assert text == reference_alist(M)
+            assert np.array_equal(import_alist(text), M)
+
+    def test_alist_rejects_non_bits(self):
+        with pytest.raises(InvalidFieldCode):
+            export_alist([[0, 2]])
+
     def test_dense_export(self):
         M = np.array([[1, 0], [0, 1]])
         assert export_dense(M) == "10\n01\n"
+
+
+GOOD_ALIST = "3 2\n2 2\n1 1 2\n2 2\n1 0\n2 0\n1 2\n1 3\n2 3\n"
+
+
+class TestImportAlistValidation:
+    def test_good_text(self):
+        assert np.array_equal(import_alist(GOOD_ALIST), [[1, 0, 1], [0, 1, 1]])
+
+    def test_error_type(self):
+        assert issubclass(InvalidAlist, GquditError) and issubclass(InvalidAlist, ValueError)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "3\n2 2\n", "3 -2\n0 0\n", "3 x\n"])
+    def test_bad_header(self, text):
+        with pytest.raises(InvalidAlist, match="header|non-integer"):
+            import_alist(text)
+
+    def test_wrong_line_count(self):
+        lines = GOOD_ALIST.splitlines()
+        with pytest.raises(InvalidAlist, match="expected 9 lines"):
+            import_alist("\n".join(lines[:-1]))
+        with pytest.raises(InvalidAlist, match="expected 9 lines"):
+            import_alist(GOOD_ALIST + "1 2\n")
+
+    @pytest.mark.parametrize("line,text", [(4, "3 0"), (4, "-1 0"), (7, "1 4"), (8, "9 3")])
+    def test_index_out_of_range(self, line, text):
+        lines = GOOD_ALIST.splitlines()
+        lines[line] = text
+        with pytest.raises(InvalidAlist, match="outside"):
+            import_alist("\n".join(lines))
+
+    @pytest.mark.parametrize("line,text", [(2, "1 1 1"), (3, "2 1"), (1, "3 2"), (1, "2 1")])
+    def test_degrees_disagree_with_index_lists(self, line, text):
+        lines = GOOD_ALIST.splitlines()
+        lines[line] = text
+        with pytest.raises(InvalidAlist, match="degree lists"):
+            import_alist("\n".join(lines))
+
+    @pytest.mark.parametrize("line,text", [(4, "1 1"), (7, "1 2"), (8, "2 3 1")])
+    def test_index_lists_disagree(self, line, text):
+        lines = GOOD_ALIST.splitlines()
+        lines[line] = text
+        with pytest.raises(InvalidAlist, match="repeated|disagree"):
+            import_alist("\n".join(lines))
 
 
 class TestValidation:
@@ -388,3 +596,21 @@ class TestValidation:
         code = new_css(gf2, 2, [[1, 0]], [[0, 1]])
         with pytest.raises(DimensionMismatch):
             QubitCssCode(2, [[1, 0]], [[1, 0]], code, default_assignment(make_field(1), 2))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_bundle_entries_must_be_bits(self, bad):
+        gf2 = make_field(1)
+        code = new_css(gf2, 2, [[1, 1]], [[1, 1]])
+        A = default_assignment(gf2, 2)
+        with pytest.raises(InvalidFieldCode):
+            QubitCssCode(2, [[bad, 0]], [[1, 1]], code, A)
+        data = QubitCssCode(2, [[1, 1]], [[1, 1]], code, A).to_json()
+        data["hz"] = [[1, bad]]
+        with pytest.raises(InvalidFieldCode):
+            QubitCssCode.from_json(data)
+
+    def test_bundle_column_count_checked(self):
+        gf2 = make_field(1)
+        code = new_css(gf2, 2, [[1, 1]], [[1, 1]])
+        with pytest.raises(DimensionMismatch):
+            QubitCssCode(2, [[1, 1, 0]], [[1, 1, 0]], code, default_assignment(gf2, 2))
