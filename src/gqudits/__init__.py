@@ -8,16 +8,13 @@ codes, all cross-checked against a dense statevector oracle.
 
 from .bases import (
     BasisAssignment,
-    BasisPair,
     FieldBasis,
-    decompose,
     dual_basis,
     find_self_dual,
     polynomial_basis,
-    recompose,
 )
 from .css import CodeParams, CssCode, dual_space, logical_spaces, new_css, params
-from .field import GF, FieldElement, canonical_modulus, is_irreducible, make_field
+from .field import GF, canonical_modulus, is_irreducible, make_field
 from .gates import (
     DenseOperator,
     HierarchyReport,
@@ -70,5 +67,20 @@ from .tableau import (
     scale_row,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BasisAssignment", "FieldBasis", "dual_basis", "find_self_dual", "polynomial_basis",
+    "CodeParams", "CssCode", "dual_space", "logical_spaces", "new_css", "params",
+    "GF", "canonical_modulus", "is_irreducible", "make_field",
+    "DenseOperator", "HierarchyReport", "build_gate", "hierarchy_level", "pauli_decompose",
+    "phi_map", "pi_map",
+    "GrsCode", "QrsCode", "decode", "dual", "encode", "generator_matrix", "make_qrs",
+    "mds_weight_count", "min_weight_codeword",
+    "NOT_EIGENSTATE", "StateVector", "measure_projective", "pauli_matrix", "stabiliser_state",
+    "syndrome_component",
+    "PauliWord",
+    "MeasurementPlan", "QubitCssCode", "convert_code", "convert_logicals", "end_to_end_decode",
+    "expand_dual", "expand_vector", "export_alist", "make_plan", "reconstruct_syndrome",
+    "CssTableau", "add_row", "apply_gate", "canonical_form", "measure", "new_tableau",
+    "run_cat_gadget", "scale_row",
+]
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ B and Z-type data through B* in the qudit-to-qubit mappings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -86,12 +85,8 @@ class FieldBasis:
 
     def gram(self) -> np.ndarray:
         """Matrix of tr(eta_i * eta_j)."""
-        s = self.gf.s
-        G = np.zeros((s, s), dtype=np.int64)
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                G[i, j] = self.gf.trace(self.gf.mul(a, b))
-        return G
+        e = np.array(self.elements, dtype=np.int64)
+        return self.gf.trace_arr(self.gf.mul_arr(e[:, None], e[None, :]))
 
     def is_self_dual(self) -> bool:
         return bool(np.array_equal(self.gram(), np.eye(self.gf.s, dtype=np.int64)))
@@ -108,33 +103,9 @@ class FieldBasis:
         return self.gf.trace(self.gf.mul(eta, self.elements[i]))
 
 
-@dataclass(frozen=True)
-class BasisPair:
-    """A basis together with its dual, validated on construction."""
-
-    primal: FieldBasis
-    dual: FieldBasis
-
-    def __post_init__(self) -> None:
-        gf = self.primal.gf
-        gf.check_same(self.dual.gf)
-        for i, a in enumerate(self.primal.elements):
-            for j, b in enumerate(self.dual.elements):
-                if gf.trace(gf.mul(a, b)) != (1 if i == j else 0):
-                    raise DimensionMismatch("tr(eta_i mu_j) != delta_ij")
-
-
 def polynomial_basis(gf: GF) -> FieldBasis:
     """(1, alpha, alpha^2, ...): the packing basis of the element codes."""
     return FieldBasis(gf, [1 << i for i in range(gf.s)])
-
-
-def decompose(basis: FieldBasis, eta: int) -> np.ndarray:
-    return basis.decompose(eta)
-
-
-def recompose(basis: FieldBasis, coeffs) -> int:
-    return basis.recompose(coeffs)
 
 
 def dual_basis(basis: FieldBasis) -> FieldBasis:
@@ -163,12 +134,8 @@ def dual_basis(basis: FieldBasis) -> FieldBasis:
 def _find_self_dual_cached(modulus: int) -> tuple[int, ...]:
     gf = make_field(modulus=modulus)
     s, q = gf.s, gf.q
-    tr_mul = np.zeros((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(a, q):
-            t = gf.trace(gf.mul(a, b))
-            tr_mul[a, b] = t
-            tr_mul[b, a] = t
+    codes = np.arange(q, dtype=np.int64)
+    tr_mul = gf.trace_arr(gf.mul_arr(codes[:, None], codes[None, :]))
     candidates = [a for a in range(1, q) if tr_mul[a, a] == 1]
 
     chosen: list[int] = []

@@ -13,7 +13,6 @@ numpy-vectorised products are table lookups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -242,6 +241,9 @@ class GF:
     sub = add  # characteristic 2
 
     def mul(self, a: int, b: int) -> int:
+        if (a | b) >> self.s:  # a or b is negative or >= q
+            self.check_code(a)
+            self.check_code(b)
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
@@ -249,6 +251,8 @@ class GF:
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
+        if a >> self.s:
+            self.check_code(a)
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
         if self._exp is not None:
@@ -273,13 +277,11 @@ class GF:
         return self.mul(a, a)
 
     def trace(self, a: int) -> int:
+        if a >> self.s:
+            self.check_code(a)
         if self._trace is not None:
             return int(self._trace[a])
         return self._trace_raw(a)
-
-    def linear_map(self, gamma: int, eta: int) -> int:
-        """The gamma-indexed F_2-linear map eta -> tr(gamma * eta)."""
-        return self.trace(self.mul(gamma, eta))
 
     # -- element iteration ---------------------------------------------------
 
@@ -288,21 +290,6 @@ class GF:
 
     def nonzero_elements(self) -> range:
         return range(1, self.q)
-
-    def element(self, code: int) -> "FieldElement":
-        return FieldElement(self, self.check_code(code))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def primitive_element(self) -> "FieldElement":
-        return FieldElement(self, self.primitive)
 
     # -- vectorised arithmetic -------------------------------------------------
 
@@ -357,56 +344,6 @@ class GF:
         for k in range(A.shape[1]):
             out ^= self.mul_arr(A[:, k : k + 1], B[k : k + 1, :])
         return out
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A value-typed element of a specific GF instance.
-
-    Arithmetic between elements of different field constructions raises
-    FieldMismatch rather than coercing silently.
-    """
-
-    field: GF
-    code: int
-
-    def __post_init__(self) -> None:
-        self.field.check_code(self.code)
-
-    def _same(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        self.field.check_same(other.field)
-        return other
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.code ^ self._same(other).code)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.code, self._same(other).code))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.div(self.code, self._same(other).code))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def frobenius(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.frobenius(self.code))
-
-    def trace(self) -> int:
-        return self.field.trace(self.code)
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __repr__(self) -> str:
-        return f"FieldElement(q={self.field.q}, code={self.code})"
 
 
 @lru_cache(maxsize=None)

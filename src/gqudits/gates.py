@@ -8,6 +8,7 @@ single-site X/Z generators over a fixed F_2-basis into level k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,11 +25,6 @@ _PAULI_ATOL = 1e-8
 # -- gate construction ----------------------------------------------------------
 
 
-def _diag_phase_op(gf: GF, n: int, phase_of_digits) -> np.ndarray:
-    digits = all_digits(gf, n)
-    return np.diag(np.array([phase_of_digits(u) for u in digits], dtype=np.complex128))
-
-
 def _take(params: dict, kind: str, name: str):
     if name not in params:
         raise InvalidGate(f"gate {kind!r} needs parameter {name!r}")
@@ -42,6 +38,7 @@ def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
     multi_cz(l, gamma), u_n(n, beta), s(gamma), t(gamma).
     """
     q = gf.q
+    codes = np.arange(q, dtype=np.int64)
     if kind == "x":
         beta = gf.check_code(_take(params, kind, "beta"))
         op = pauli_matrix(PauliWord.x_word(gf, [beta]))
@@ -49,24 +46,18 @@ def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
         gamma = gf.check_code(_take(params, kind, "gamma"))
         op = pauli_matrix(PauliWord.z_word(gf, [gamma]))
     elif kind == "hadamard":
-        mat = np.zeros((q, q), dtype=np.complex128)
-        for mu in gf.elements():
-            for eta in gf.elements():
-                mat[mu, eta] = 1 - 2 * gf.trace(gf.mul(mu, eta))
-        op = DenseOperator(gf, 1, mat / np.sqrt(q))
+        op = DenseOperator(gf, 1, _chi_matrix(gf, 1) / np.sqrt(q))
     elif kind == "mult":
         delta = gf.check_code(_take(params, kind, "delta"))
         if delta == 0:
             raise NonUnitary("multiplication by 0 is not unitary")
         mat = np.zeros((q, q), dtype=np.complex128)
-        for eta in gf.elements():
-            mat[gf.mul(delta, eta), eta] = 1.0
+        mat[gf.mul_arr(delta, codes), codes] = 1.0
         op = DenseOperator(gf, 1, mat)
     elif kind == "cnot":
         mat = np.zeros((q * q, q * q), dtype=np.complex128)
-        for e1 in gf.elements():
-            for e2 in gf.elements():
-                mat[e1 * q + (e2 ^ e1), e1 * q + e2] = 1.0
+        kets = np.arange(q * q, dtype=np.int64)  # e1 * q + e2 -> e1 * q + (e2 ^ e1)
+        mat[kets ^ (kets >> gf.s), kets] = 1.0
         op = DenseOperator(gf, 2, mat)
     elif kind in ("ccz", "multi_cz"):
         if kind == "ccz":
@@ -76,32 +67,25 @@ def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
             if not 2 <= l <= 4 or q > 4:
                 raise TooLarge("multi_cz supported for l <= 4 and q <= 4 only")
         gamma = gf.check_code(_take(params, kind, "gamma"))
-
-        def phase(u, gamma=gamma):
-            prod = 1
-            for c in u:
-                prod = gf.mul(prod, int(c))
-            return 1 - 2 * gf.trace(gf.mul(gamma, prod))
-
-        op = DenseOperator(gf, l, _diag_phase_op(gf, l, phase))
+        prod = reduce(gf.mul_arr, all_digits(gf, l).T)
+        op = DenseOperator(gf, l, np.diag(1 - 2 * gf.trace_arr(gf.mul_arr(gamma, prod))))
     elif kind == "u_n":
         npow = int(_take(params, kind, "n"))
         beta = gf.check_code(_take(params, kind, "beta"))
         if npow < 1:
             raise InvalidGate("u_n needs a power n >= 1")
-        mat = _diag_phase_op(
-            gf, 1, lambda u: 1 - 2 * gf.trace(gf.mul(beta, gf.pow(int(u[0]), npow)))
-        )
-        op = DenseOperator(gf, 1, mat)
-    elif kind == "s":
+        power, square = np.ones(q, dtype=np.int64), codes
+        while npow:  # square and multiply, as GF.pow
+            if npow & 1:
+                power = gf.mul_arr(power, square)
+            square = gf.mul_arr(square, square)
+            npow >>= 1
+        op = DenseOperator(gf, 1, np.diag(1 - 2 * gf.trace_arr(gf.mul_arr(beta, power))))
+    elif kind in ("s", "t"):
         gamma = gf.check_code(_take(params, kind, "gamma"))
-        mat = _diag_phase_op(gf, 1, lambda u: 1j ** gf.trace(gf.mul(gamma, int(u[0]))))
-        op = DenseOperator(gf, 1, mat)
-    elif kind == "t":
-        gamma = gf.check_code(_take(params, kind, "gamma"))
-        root8 = np.exp(1j * np.pi / 4)
-        mat = _diag_phase_op(gf, 1, lambda u: root8 ** gf.trace(gf.mul(gamma, int(u[0]))))
-        op = DenseOperator(gf, 1, mat)
+        root = 1j if kind == "s" else np.exp(1j * np.pi / 4)
+        phases = np.array([1, root])[gf.trace_arr(gf.mul_arr(gamma, codes))]
+        op = DenseOperator(gf, 1, np.diag(phases))
     else:
         raise InvalidGate(f"unknown gate kind {kind!r}")
     if params:
@@ -124,11 +108,8 @@ def embed_single(gf: GF, n: int, site: int, U: DenseOperator) -> DenseOperator:
 
 def _chi_matrix(gf: GF, n: int) -> np.ndarray:
     """CHI[b, j] = (-1)^tr(b . j) over packed indices b, j."""
-    q = gf.q
-    chi1 = np.empty((q, q), dtype=np.int8)
-    for b in range(q):
-        for j in range(q):
-            chi1[b, j] = 1 - 2 * gf.trace(gf.mul(b, j))
+    codes = np.arange(gf.q, dtype=np.int64)
+    chi1 = (1 - 2 * gf.trace_arr(gf.mul_arr(codes[:, None], codes[None, :]))).astype(np.int8)
     out = np.ones((1, 1), dtype=np.int8)
     for _ in range(n):
         out = np.kron(out, chi1)
@@ -256,6 +237,7 @@ def hierarchy_level(
             level = k
             break
         witness_word = failing
+    memo.clear()  # in_level's closure refers to itself: free the memo now, not at a GC pass
     # witness explains non-membership one level below the reported level
     witness = witness_word.to_text() if witness_word is not None else None
     return HierarchyReport(gate_name, U.gf.q, max_level, level, witness)

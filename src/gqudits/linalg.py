@@ -15,9 +15,14 @@ from .field import GF
 
 
 def as_matrix(M, ncols: int | None = None) -> np.ndarray:
-    """Coerce to a 2-D int64 array; empty inputs become (0, ncols)."""
+    """Coerce to a 2-D int64 array.
+
+    An (m, 0) matrix keeps its m rows.  An input with no rows, or an empty
+    1-D one, becomes (0, ncols); ncols defaults to the input's column
+    count, or 0 for a 1-D input.
+    """
     A = np.asarray(M, dtype=np.int64)
-    if A.size == 0:
+    if A.size == 0 and not (A.ndim == 2 and A.shape[0]):
         return A.reshape(0, ncols if ncols is not None else (A.shape[1] if A.ndim == 2 else 0))
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {A.shape}")
@@ -77,7 +82,7 @@ def _rref_f2(R: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list
     pivot column, so that column is the one with the longest such row.
     """
     rows, cols = R.shape
-    if cols == 0:  # nothing to eliminate (as_matrix turns an (m, 0) M into (0, 0))
+    if cols == 0:  # an (m, 0) M: nothing to eliminate, the m carried rows stay as given
         return R, A, []
     width = cols + A.shape[1]
     nbytes = -(-width // 8)

@@ -157,14 +157,10 @@ def power_matrices(P: PauliWord, cap: int = DIM_CAP) -> list[np.ndarray]:
 def projectors(P: PauliWord, cap: int = DIM_CAP) -> list[np.ndarray]:
     """The q syndrome projectors Pi_eta = q^-1 sum_mu (-1)^tr(mu eta) P^mu."""
     gf = P.gf
-    mats = power_matrices(P, cap)
-    out = []
-    for eta in gf.elements():
-        acc = np.zeros_like(mats[0])
-        for mu, m in enumerate(mats):
-            acc += (1 - 2 * gf.trace(gf.mul(mu, eta))) * m
-        out.append(acc / gf.q)
-    return out
+    mats = np.array(power_matrices(P, cap))
+    codes = np.arange(gf.q, dtype=np.int64)
+    chi = 1 - 2 * gf.trace_arr(gf.mul_arr(codes[:, None], codes[None, :]))  # chi[eta, mu]
+    return list(np.tensordot(chi, mats, axes=1) / gf.q)
 
 
 # -- stabiliser states --------------------------------------------------------------

@@ -504,7 +504,7 @@ def criterion_qrs(seed: int = 0, trials: int = 500) -> tuple[bool, str]:
     return True, f"[[24,9]] conversion, ranks (6,9), {trials} within-radius recoveries"
 
 
-# -- criterion 10: determinism ---------------------------------------------------------
+# -- the report; criterion 10 (determinism) is the seeded re-run in run_all -----------
 
 
 _CRITERIA: list[tuple[str, object]] = [
@@ -530,14 +530,6 @@ def run_criteria(seed: int = 0) -> list[CriterionResult]:
 
 def render_report(results: list[CriterionResult]) -> str:
     return "\n".join(r.line() for r in results)
-
-
-def criterion_determinism(seed: int = 0) -> tuple[bool, str]:
-    first = render_report(run_criteria(seed))
-    second = render_report(run_criteria(seed))
-    if first != second:
-        return _fail("two runs with the same seed rendered different reports")
-    return True, f"two seeded runs rendered byte-identical reports ({len(first)} bytes)"
 
 
 def run_all(seed: int = 0) -> tuple[str, bool]:

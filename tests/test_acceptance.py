@@ -51,12 +51,12 @@ def test_criterion_09_qrs_end_to_end():
     _check(9, "qrs-end-to-end", verify.criterion_qrs)
 
 
-def test_criterion_10_determinism():
-    _check(10, "determinism", verify.criterion_determinism)
-
-
 def test_verify_all_passes_and_is_stable():
-    report_a, ok_a = verify.run_all(SEED)
-    report_b, ok_b = verify.run_all(SEED)
-    assert ok_a and ok_b
-    assert report_a == report_b
+    """run_all renders the report once and re-runs it for criterion 10; a
+    third, independent run must render the same nine criterion lines."""
+    report, ok = verify.run_all(SEED)
+    assert ok
+    lines = report.splitlines()
+    assert len(lines) == 11 and lines[10] == f"OK (10/10 criteria passed, seed={SEED})"
+    assert lines[9].startswith("PASS 10 determinism: two seeded runs rendered byte-identical")
+    assert "\n".join(lines[:9]) == verify.render_report(verify.run_criteria(SEED))

@@ -6,7 +6,6 @@ import pytest
 from gqudits import linalg
 from gqudits.bases import (
     BasisAssignment,
-    BasisPair,
     FieldBasis,
     dual_basis,
     find_self_dual,
@@ -130,13 +129,6 @@ class TestDualBasis:
             for B in (polynomial_basis(gf), random_basis(gf, rng)):
                 assert dual_basis(dual_basis(B)) == B
 
-    def test_basis_pair_validates(self):
-        gf = make_field(2)
-        B = polynomial_basis(gf)
-        BasisPair(B, dual_basis(B))
-        with pytest.raises(DimensionMismatch):
-            BasisPair(B, B)  # polynomial basis of F_4 is not self-dual
-
 
 class TestSelfDual:
     def test_f2(self):
@@ -171,6 +163,55 @@ class TestSelfDual:
         B = polynomial_basis(make_field(2))
         with pytest.raises(SelfDualRequired):
             B.component_by_trace(1, 0)
+
+
+def reference_gram(B):
+    """tr(eta_i * eta_j) by the scalar double loop."""
+    gf, s = B.gf, B.gf.s
+    G = np.zeros((s, s), dtype=np.int64)
+    for i, a in enumerate(B.elements):
+        for j, b in enumerate(B.elements):
+            G[i, j] = gf.trace(gf.mul(a, b))
+    return G
+
+
+def reference_self_dual(gf):
+    """Depth-first search for the lexicographically first self-dual basis on
+    a trace-form table filled by the scalar double loop."""
+    q = gf.q
+    tr = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            tr[a, b] = gf.trace(gf.mul(a, b))
+
+    def extend(chosen, start):
+        if len(chosen) == gf.s:
+            return tuple(chosen)
+        for a in range(start, q):
+            if tr[a, a] == 1 and not any(tr[a, b] for b in chosen):
+                found = extend(chosen + [a], a + 1)
+                if found:
+                    return found
+        return None
+
+    return extend([], 1)
+
+
+class TestTraceFormTables:
+    @pytest.mark.parametrize("s", list(range(1, 9)))
+    def test_gram_matches_scalar_loop(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(100 + s)
+        bases = [polynomial_basis(gf), find_self_dual(gf)]
+        bases += [random_basis(gf, rng) for _ in range(3)]
+        for B in bases:
+            G, ref = B.gram(), reference_gram(B)
+            assert G.dtype == ref.dtype and np.array_equal(G, ref)
+
+    @pytest.mark.parametrize("s", list(range(1, 9)))
+    def test_find_self_dual_matches_scalar_search(self, s):
+        gf = make_field(s)
+        assert find_self_dual(gf).elements == reference_self_dual(gf)
 
 
 class TestTraceInnerProduct:

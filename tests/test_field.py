@@ -5,13 +5,12 @@ import pytest
 
 from gqudits.errors import (
     DivisionByZero,
-    FieldMismatch,
+    InvalidFieldCode,
     InvalidPolynomial,
     IrreducibleRequired,
     UnsupportedDegree,
 )
 from gqudits.field import (
-    FieldElement,
     canonical_modulus,
     is_irreducible,
     make_field,
@@ -198,14 +197,16 @@ class TestTrace:
 
 
 class TestLinearMaps:
+    """The gamma-indexed F_2-linear maps eta -> tr(gamma * eta)."""
+
     def test_zero_map(self):
         gf = make_field(2)
-        assert all(gf.linear_map(0, eta) == 0 for eta in gf.elements())
+        assert all(gf.trace(gf.mul(0, eta)) == 0 for eta in gf.elements())
 
     def test_maps_pairwise_distinct(self):
         for s in (1, 2):
             gf = make_field(s)
-            cols = {tuple(gf.linear_map(g, e) for e in gf.elements()) for g in gf.elements()}
+            cols = {tuple(gf.trace(gf.mul(g, e)) for e in gf.elements()) for g in gf.elements()}
             assert len(cols) == gf.q
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
@@ -214,9 +215,8 @@ class TestLinearMaps:
         for g in gf.elements():
             for e1 in gf.elements():
                 for e2 in gf.elements():
-                    assert gf.linear_map(g, e1 ^ e2) == gf.linear_map(g, e1) ^ gf.linear_map(
-                        g, e2
-                    )
+                    lhs = gf.trace(gf.mul(g, e1 ^ e2))
+                    assert lhs == gf.trace(gf.mul(g, e1)) ^ gf.trace(gf.mul(g, e2))
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_character_orthogonality(self, s):
@@ -226,25 +226,35 @@ class TestLinearMaps:
             assert total == (gf.q if eta == 0 else 0)
 
 
-class TestFieldElement:
-    def test_value_semantics(self):
+class TestScalarCodeValidation:
+    @pytest.mark.parametrize("s", [2, 17])  # a table field and a table-free one
+    def test_mul_rejects_out_of_range(self, s):
+        gf = make_field(s)
+        for a, b in [(-1, 3), (3, -1), (gf.q + 1, 1), (1, gf.q), (-1, 0), (0, -(1 << 40))]:
+            with pytest.raises(InvalidFieldCode):
+                gf.mul(a, b)
+
+    @pytest.mark.parametrize("s", [2, 17])
+    @pytest.mark.parametrize("a", [-1, -(1 << 40), 1 << 17])
+    def test_inv_and_trace_reject_out_of_range(self, s, a):
+        gf = make_field(s)
+        with pytest.raises(InvalidFieldCode):
+            gf.inv(a)
+        with pytest.raises(InvalidFieldCode):
+            gf.trace(a)
+
+    def test_derived_operations_checked(self):
         gf = make_field(2)
-        a, b = gf.element(2), gf.element(3)
-        assert (a * b).code == 1
-        assert (a + a).code == 0
-        assert (a / b).code == gf.div(2, 3)
-        assert (a**4).code == 2
-        assert a.inverse().code == 3
-        assert a.trace() == 1
+        for call in (lambda: gf.div(1, 4), lambda: gf.pow(-1, 3), lambda: gf.frobenius(4)):
+            with pytest.raises(InvalidFieldCode):
+                call()
 
-    def test_cross_field_rejected(self):
-        a = make_field(2).element(1)
-        b = make_field(3).element(1)
-        with pytest.raises(FieldMismatch):
-            _ = a + b
-        with pytest.raises(FieldMismatch):
-            _ = a * b
+    def test_error_is_a_value_error(self):
+        with pytest.raises(ValueError, match="code -1 outside"):
+            make_field(2).mul(-1, 3)
 
-    def test_code_range_checked(self):
-        with pytest.raises(ValueError):
-            FieldElement(make_field(2), 4)
+    def test_numpy_integer_codes(self):
+        gf = make_field(3)
+        assert gf.mul(np.int64(6), np.int64(7)) == gf.mul(6, 7)
+        with pytest.raises(InvalidFieldCode):
+            gf.trace(np.int64(8))

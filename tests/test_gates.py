@@ -8,6 +8,7 @@ from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomia
 from gqudits.errors import InvalidGate, NonUnitary, TooLarge
 from gqudits.field import make_field
 from gqudits.gates import (
+    _chi_matrix,
     build_gate,
     embed_single,
     hierarchy_level,
@@ -17,7 +18,7 @@ from gqudits.gates import (
     phi_map,
     pi_map,
 )
-from gqudits.oracle import DenseOperator, StateVector, pauli_matrix
+from gqudits.oracle import DenseOperator, StateVector, all_digits, pauli_matrix
 from gqudits.pauli import PauliWord
 
 
@@ -106,6 +107,87 @@ class TestBuildGate:
                 if not np.allclose(lhs, rhs):
                     found = True
         assert found
+
+
+def reference_chi(gf, n):
+    """(-1)^tr(b . j) by the scalar double loop, Kronecker-powered."""
+    chi1 = np.empty((gf.q, gf.q), dtype=np.int8)
+    for b in range(gf.q):
+        for j in range(gf.q):
+            chi1[b, j] = 1 - 2 * gf.trace(gf.mul(b, j))
+    out = np.ones((1, 1), dtype=np.int8)
+    for _ in range(n):
+        out = np.kron(out, chi1)
+    return out
+
+
+def reference_gate(gf, kind, **p):
+    """Dense gate matrix from per-ket scalar field arithmetic."""
+    q = gf.q
+    if kind == "x":
+        return pauli_matrix(PauliWord.x_word(gf, [p["beta"]])).mat
+    if kind == "z":
+        return pauli_matrix(PauliWord.z_word(gf, [p["gamma"]])).mat
+    if kind == "hadamard":
+        mat = np.zeros((q, q), dtype=np.complex128)
+        for mu in range(q):
+            for eta in range(q):
+                mat[mu, eta] = 1 - 2 * gf.trace(gf.mul(mu, eta))
+        return mat / np.sqrt(q)
+    if kind == "mult":
+        mat = np.zeros((q, q), dtype=np.complex128)
+        for eta in range(q):
+            mat[gf.mul(p["delta"], eta), eta] = 1.0
+        return mat
+    if kind == "cnot":
+        mat = np.zeros((q * q, q * q), dtype=np.complex128)
+        for e1 in range(q):
+            for e2 in range(q):
+                mat[e1 * q + (e2 ^ e1), e1 * q + e2] = 1.0
+        return mat
+    l = 3 if kind == "ccz" else p.get("l", 1)
+    phases = []
+    for u in all_digits(gf, l):
+        u = [int(c) for c in u]
+        if kind in ("ccz", "multi_cz"):
+            prod = 1
+            for c in u:
+                prod = gf.mul(prod, c)
+            phases.append(1 - 2 * gf.trace(gf.mul(p["gamma"], prod)))
+        elif kind == "u_n":
+            phases.append(1 - 2 * gf.trace(gf.mul(p["beta"], gf.pow(u[0], p["n"]))))
+        else:
+            root = 1j if kind == "s" else np.exp(1j * np.pi / 4)
+            phases.append(root ** gf.trace(gf.mul(p["gamma"], u[0])))
+    return np.diag(np.array(phases, dtype=np.complex128))
+
+
+def gate_cases(gf):
+    q, codes = gf.q, range(gf.q)
+    cases = [("hadamard", {}), ("cnot", {})]
+    cases += [("x", {"beta": c}) for c in codes] + [("mult", {"delta": c}) for c in codes if c]
+    cases += [(k, {"gamma": c}) for k in ("z", "ccz", "s", "t") for c in codes]
+    cases += [("u_n", {"n": n, "beta": c}) for n in (1, 2, 3, 7) for c in codes]
+    if q <= 4:
+        cases += [("multi_cz", {"l": l, "gamma": c}) for l in (2, 3, 4) for c in codes]
+    return cases
+
+
+class TestTraceFormTables:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_chi_matches_scalar_loop(self, s, n):
+        gf = make_field(s)
+        chi, ref = _chi_matrix(gf, n), reference_chi(gf, n)
+        assert chi.dtype == ref.dtype and np.array_equal(chi, ref)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_every_gate_matches_scalar_build(self, s):
+        gf = make_field(s)
+        for kind, params in gate_cases(gf):
+            mat, ref = build_gate(gf, kind, **params).mat, reference_gate(gf, kind, **params)
+            assert mat.dtype == ref.dtype, (kind, params)
+            assert np.array_equal(mat, ref), (kind, params)
 
 
 class TestPauliDecompose:

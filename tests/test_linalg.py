@@ -84,3 +84,27 @@ class TestCodeValidation:
     def test_carried_columns_checked(self):
         with pytest.raises(InvalidFieldCode):
             linalg.rref_augmented(GF2, [[1, 0]], [[3]])
+
+
+class TestEmptyShapes:
+    @pytest.mark.parametrize(
+        "M,ncols,shape",
+        [
+            (np.zeros((4, 0)), None, (4, 0)),
+            (np.zeros((4, 0)), 3, (4, 0)),
+            (np.zeros((0, 5)), None, (0, 5)),
+            (np.zeros((0, 0)), 3, (0, 3)),
+            ([], None, (0, 0)),
+            ([], 3, (0, 3)),
+        ],
+    )
+    def test_as_matrix_keeps_rows(self, M, ncols, shape):
+        assert linalg.as_matrix(M, ncols).shape == shape
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_rref_of_zero_columns_carries_every_row(self, s):
+        gf = make_field(s)
+        C = np.arange(8).reshape(4, 2) % gf.q
+        R, A, pivots = linalg.rref_augmented(gf, np.zeros((4, 0), dtype=np.int64), C)
+        assert R.shape == (4, 0) and pivots == []
+        assert np.array_equal(A, C)

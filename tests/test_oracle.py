@@ -12,6 +12,7 @@ from gqudits.oracle import (
     collapse,
     measure_projective,
     pauli_matrix,
+    power_matrices,
     projectors,
     states_equal_up_to_phase,
     stabiliser_state,
@@ -178,6 +179,25 @@ class TestProjectors:
                 for j, pj in enumerate(projs):
                     expect = pi if i == j else 0
                     assert np.allclose(pi @ pj, expect, atol=1e-10)
+
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_scalar_character_sum(self, s, n):
+        gf = make_field(s)
+        rng = np.random.default_rng(10 * s + n)
+        words = [PauliWord.x_word(gf, [1] * n), PauliWord.z_word(gf, [gf.q - 1] * n)]
+        for _ in range(4):
+            codes = rng.integers(0, gf.q, n)
+            words += [PauliWord.x_word(gf, codes), PauliWord.z_word(gf, codes)]
+        for P in words:
+            mats = power_matrices(P)
+            for eta, pr in enumerate(projectors(P)):
+                ref = np.zeros_like(mats[0])
+                for mu, m in enumerate(mats):
+                    ref += (1 - 2 * gf.trace(gf.mul(mu, eta))) * m
+                ref = ref / gf.q
+                assert pr.dtype == ref.dtype and np.array_equal(pr, ref)
 
 
 class TestMeasureProjective:

@@ -523,13 +523,21 @@ class TestExports:
         rng = np.random.default_rng(197)
         mats = [np.zeros((0, 0)), np.zeros((0, 4)), np.zeros((3, 5)), np.ones((2, 3))]
         for _ in range(25):
-            # n >= 1: as_matrix reads an (m, 0) matrix as (0, 0)
+            # n >= 1 here; test_alist_round_trip_of_empty_shapes covers (m, 0)
             m, n = int(rng.integers(0, 30)), int(rng.integers(1, 30))
             mats.append((rng.random((m, n)) < rng.random()).astype(np.int64))
         for M in mats:
             text = export_alist(M)
             assert text == reference_alist(M)
             assert np.array_equal(import_alist(text), M)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0, 0), (1, 0)])
+    def test_alist_round_trip_of_empty_shapes(self, shape):
+        M = np.zeros(shape, dtype=np.int64)
+        text = export_alist(M)
+        assert text.splitlines()[0] == f"{shape[1]} {shape[0]}"
+        back = import_alist(text)
+        assert back.shape == shape
 
     def test_alist_rejects_non_bits(self):
         with pytest.raises(InvalidFieldCode):
