@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotCommuting, RankDeficient
+from .errors import NotCommuting, RankDeficient, json_fields
 from .field import GF, make_field
 
 DEFAULT_DISTANCE_BUDGET = 1 << 20
@@ -53,10 +53,11 @@ class CssCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "CssCode":
-        gf = make_field(modulus=data["modulus"])
-        n = max((len(r) for r in data["gx"] + data["gz"]), default=0)
-        gx = np.array(data["gx"], dtype=np.int64).reshape(len(data["gx"]), n)
-        gz = np.array(data["gz"], dtype=np.int64).reshape(len(data["gz"]), n)
+        modulus, gx, gz = json_fields(data, "modulus", "gx", "gz")
+        gf = make_field(modulus=modulus)
+        n = max((len(r) for r in gx + gz), default=0)
+        gx = np.array(gx, dtype=np.int64).reshape(len(gx), n)
+        gz = np.array(gz, dtype=np.int64).reshape(len(gz), n)
         return new_css(gf, n, gx, gz)
 
     def dumps(self) -> str:

@@ -21,6 +21,21 @@ class InvalidAlist(GquditError, ValueError):
     """Alist text is malformed or describes an inconsistent matrix."""
 
 
+class InvalidDocument(GquditError, ValueError):
+    """A JSON document is not an object or lacks a required key."""
+
+
+def json_fields(data, *keys):
+    """The values of keys in a JSON object, in order; InvalidDocument names
+    the first missing key."""
+    if not isinstance(data, dict):
+        raise InvalidDocument(f"expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise InvalidDocument(f"missing key {key!r}")
+    return [data[key] for key in keys]
+
+
 class UnsupportedDegree(GquditError):
     """Extension degree outside the supported range 1..31."""
 

@@ -74,13 +74,8 @@ def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
         beta = gf.check_code(_take(params, kind, "beta"))
         if npow < 1:
             raise InvalidGate("u_n needs a power n >= 1")
-        power, square = np.ones(q, dtype=np.int64), codes
-        while npow:  # square and multiply, as GF.pow
-            if npow & 1:
-                power = gf.mul_arr(power, square)
-            square = gf.mul_arr(square, square)
-            npow >>= 1
-        op = DenseOperator(gf, 1, np.diag(1 - 2 * gf.trace_arr(gf.mul_arr(beta, power))))
+        tr = gf.trace_arr(gf.mul_arr(beta, gf.pow(codes, npow)))
+        op = DenseOperator(gf, 1, np.diag(1 - 2 * tr))
     elif kind in ("s", "t"):
         gamma = gf.check_code(_take(params, kind, "gamma"))
         root = 1j if kind == "s" else np.exp(1j * np.pi / 4)

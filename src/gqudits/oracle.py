@@ -98,11 +98,6 @@ def index_of(gf: GF, u) -> int:
     return out
 
 
-def digits_of(gf: GF, n: int, idx: int) -> np.ndarray:
-    mask = gf.q - 1
-    return np.array([(idx >> (gf.s * (n - 1 - i))) & mask for i in range(n)], dtype=np.int64)
-
-
 def all_digits(gf: GF, n: int) -> np.ndarray:
     """(q^n, n) array of every digit vector in index order."""
     idx = np.arange(gf.q**n, dtype=np.int64)

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .bases import BasisAssignment, FieldBasis, find_self_dual
 from .css import CssCode, dual_space, new_css
-from .errors import DimensionMismatch, InvalidAlist, InvalidFieldCode
+from .errors import DimensionMismatch, InvalidAlist, InvalidFieldCode, json_fields
 from .field import GF, make_field
 from .grs import QrsCode, decode
 
@@ -122,13 +122,12 @@ class QubitCssCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "QubitCssCode":
-        source = CssCode.from_json(data["qudit_code"])
-        assignment = BasisAssignment(
-            [FieldBasis(source.gf, els) for els in data["basis_assignment"]]
-        )
+        qudit_code, bases, hx, hz = json_fields(data, "qudit_code", "basis_assignment", "hx", "hz")
+        source = CssCode.from_json(qudit_code)
+        assignment = BasisAssignment([FieldBasis(source.gf, els) for els in bases])
         ns = source.n * source.gf.s
-        hx = np.array(data["hx"], dtype=np.int64).reshape(len(data["hx"]), ns)
-        hz = np.array(data["hz"], dtype=np.int64).reshape(len(data["hz"]), ns)
+        hx = np.array(hx, dtype=np.int64).reshape(len(hx), ns)
+        hz = np.array(hz, dtype=np.int64).reshape(len(hz), ns)
         return cls(ns, hx, hz, source, assignment)
 
     def dumps(self) -> str:

@@ -23,6 +23,7 @@ from .errors import (
     NotCssPreserving,
     PureTypeRequired,
     RankDeficient,
+    json_fields,
 )
 from .field import GF, make_field
 from .pauli import PauliWord
@@ -66,11 +67,6 @@ class CssTableau:
             self.gf, self.n, self.xrows.copy(), self.zrows.copy(), self.xsyn.copy(), self.zsyn.copy()
         )
 
-    def row_word(self, block: str, j: int) -> PauliWord:
-        if block == "x":
-            return PauliWord.x_word(self.gf, self.xrows[j])
-        return PauliWord.z_word(self.gf, self.zrows[j])
-
     # -- serialisation ------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -85,19 +81,24 @@ class CssTableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "CssTableau":
-        gf = make_field(modulus=data["modulus"])
-        n = max((len(r) for r in data["xrows"] + data["zrows"]), default=0)
-        xrows = np.array(data["xrows"], dtype=np.int64).reshape(len(data["xrows"]), n)
-        zrows = np.array(data["zrows"], dtype=np.int64).reshape(len(data["zrows"]), n)
-        return new_tableau(gf, n, xrows, zrows, data["xsyn"], data["zsyn"])
+        modulus, xrows, zrows, xsyn, zsyn = json_fields(
+            data, "modulus", "xrows", "zrows", "xsyn", "zsyn"
+        )
+        gf = make_field(modulus=modulus)
+        n = max((len(r) for r in xrows + zrows), default=0)
+        xrows = np.array(xrows, dtype=np.int64).reshape(len(xrows), n)
+        zrows = np.array(zrows, dtype=np.int64).reshape(len(zrows), n)
+        return new_tableau(gf, n, xrows, zrows, xsyn, zsyn)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
 
 
 def new_tableau(gf: GF, n: int, xrows, zrows, xsyn, zsyn) -> CssTableau:
-    """Validated tableau: independent rows per block, orthogonal blocks."""
+    """Validated tableau: F_q syndromes, independent rows, orthogonal blocks."""
     t = CssTableau(gf, n, xrows, zrows, xsyn, zsyn)
+    gf.check_codes(t.xsyn)
+    gf.check_codes(t.zsyn)
     if linalg.rank(gf, t.xrows) != t.m_x or linalg.rank(gf, t.zrows) != t.m_z:
         raise RankDeficient("generator rows are linearly dependent")
     if t.m_x and t.m_z:

@@ -125,3 +125,31 @@ class TestExitCodes:
         assert main(["field", "info", "--q", "7"]) == 2
         assert main(["field", "info", "--modulus", "5"]) == 2  # reducible
         capsys.readouterr()
+
+    @pytest.mark.parametrize("eta", ["-1", "99"])
+    def test_cat_demo_eta_outside_field_is_two(self, capsys, eta):
+        code = main(["sim", "cat-demo", "--q", "8", "--gammas", "1,2,3,4", "--eta", eta])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and f"code {eta} outside [0, 8)" in err
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["code", "to-qubits"], "modulus"),
+            (["code", "params"], "modulus"),
+            (["code", "export"], "qudit_code"),
+            (["sim", "measure", "--pauli", "+|x:[1]|z:[0]"], "modulus"),
+        ],
+    )
+    def test_document_missing_key_is_two(self, capsys, tmp_path, argv, key):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"q": 8}))
+        assert main(argv + ["--in", str(path)]) == 2
+        assert f"missing key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["code", "to-qubits"], ["sim", "measure", "--pauli", "+"]])
+    def test_document_not_an_object_is_two(self, capsys, tmp_path, argv):
+        path = tmp_path / "doc.json"
+        path.write_text("[8]")
+        assert main(argv + ["--in", str(path)]) == 2
+        assert "expected a JSON object, got list" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from gqudits import linalg, oracle
 from gqudits.css import CssCode, dual_space, logical_spaces, min_weight_excluding, new_css, params
-from gqudits.errors import NotCommuting, RankDeficient
+from gqudits.errors import InvalidDocument, NotCommuting, RankDeficient
 from gqudits.field import make_field
 from gqudits.grs import make_qrs
 from gqudits.pauli import PauliWord
@@ -44,6 +44,15 @@ class TestNewCss:
         code = make_qrs(gf, 8, 2, 5).css
         again = CssCode.from_json(code.to_json())
         assert np.array_equal(again.gx, code.gx) and np.array_equal(again.gz, code.gz)
+
+    @pytest.mark.parametrize("key", ["modulus", "gx", "gz"])
+    def test_json_missing_key_named(self, key):
+        data = make_qrs(make_field(3), 8, 2, 5).css.to_json()
+        del data[key]
+        with pytest.raises(InvalidDocument, match=f"missing key '{key}'"):
+            CssCode.from_json(data)
+        with pytest.raises(InvalidDocument, match="got str"):
+            CssCode.from_json("gx")
 
 
 class TestDualSpace:

@@ -16,8 +16,16 @@ from gqudits.field import (
     make_field,
     poly_degree,
     poly_mod,
+    poly_mul,
     poly_str,
 )
+
+# Primitive elements of the canonical fields, pinned: `field info` reports them.
+PRIMITIVES = {
+    1: 1, 2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 8: 3, 9: 7, 10: 2,
+    11: 2, 12: 3, 13: 2, 14: 7, 15: 2, 16: 3, 17: 2, 18: 10, 19: 2, 20: 2,
+}
+TABLE_FREE = [17, 20, 31]
 
 
 class TestConstruction:
@@ -62,6 +70,9 @@ class TestConstruction:
 
     def test_serialises_as_modulus_integer(self):
         assert make_field(3).modulus == 11
+
+    def test_primitive_elements_pinned(self):
+        assert {s: make_field(s).primitive for s in PRIMITIVES} == PRIMITIVES
 
 
 class TestIrreducibility:
@@ -258,3 +269,108 @@ class TestScalarCodeValidation:
         assert gf.mul(np.int64(6), np.int64(7)) == gf.mul(6, 7)
         with pytest.raises(InvalidFieldCode):
             gf.trace(np.int64(8))
+
+
+class TestVectorisedCodeValidation:
+    @pytest.mark.parametrize("s", [2, 17])  # a table field and a table-free one
+    def test_mul_arr_rejects_codes_at_or_above_q(self, s):
+        gf = make_field(s)
+        for a, b in [([1, gf.q], 1), (1, [3, gf.q + 5]), ([[0], [1 << 40]], [1, 2])]:
+            with pytest.raises(InvalidFieldCode):
+                gf.mul_arr(a, b)
+
+    def test_table_free_mul_arr_rejects_negative_codes(self):
+        gf = make_field(17)
+        with pytest.raises(InvalidFieldCode):
+            gf.mul_arr([1, -1], 3)
+
+    @pytest.mark.parametrize("s", [2, 17])
+    @pytest.mark.parametrize("bad", [-1, -(1 << 40), 1 << 17])
+    def test_inv_trace_and_pow_arr_reject(self, s, bad):
+        gf = make_field(s)
+        codes = np.array([1, bad])
+        for call in (gf.inv_arr, gf.trace_arr, lambda a: gf.pow(a, 3)):
+            with pytest.raises(InvalidFieldCode):
+                call(codes)
+
+
+class TestKernel:
+    """GF._mul, the one carry-less multiply, and everything built on it."""
+
+    @pytest.mark.parametrize("s", list(range(1, 9)) + [12, 16, 17, 20, 31])
+    def test_mul_matches_polynomial_product(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(50 + s)
+        a = rng.integers(0, gf.q, size=200)
+        b = rng.integers(0, gf.q, size=200)
+        want = [poly_mod(poly_mul(int(x), int(y)), gf.modulus) for x, y in zip(a, b)]
+        assert [gf._mul(int(x), int(y)) for x, y in zip(a, b)] == want
+        got = gf._mul(a, b)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert gf.mul_arr(a, b).tolist() == want
+
+    @pytest.mark.parametrize("s", list(range(1, 11)))
+    def test_tables_are_a_cache_of_the_kernel(self, s):
+        gf = make_field(s)
+        order, codes = gf.q - 1, np.arange(gf.q)
+        exp = gf._exp
+        assert exp[0] == 1 and exp[2 * order] == 1
+        assert np.array_equal(exp[1:order], gf._mul(exp[: order - 1], gf.primitive))
+        assert np.array_equal(exp[order : 2 * order], exp[:order])
+        assert np.array_equal(exp[gf._log[1:]], codes[1:])
+        assert np.array_equal(gf._tr, gf._trace(codes))
+        table = gf.mul_arr(codes[:, None], codes[None, :])
+        assert np.array_equal(table, gf._mul(codes[:, None], codes[None, :]))
+        assert np.array_equal(gf.inv_arr(codes[1:]), gf.pow(codes[1:], gf.q - 2))
+
+    def test_tables_sampled_at_s16(self):
+        gf = make_field(16)
+        rng = np.random.default_rng(66)
+        a = rng.integers(0, gf.q, size=20_000)
+        b = rng.integers(0, gf.q, size=20_000)
+        assert np.array_equal(gf.mul_arr(a, b), gf._mul(a, b))
+        assert np.array_equal(gf._exp[1 : gf.q - 1], gf._mul(gf._exp[: gf.q - 2], gf.primitive))
+        assert np.array_equal(gf.trace_arr(a), gf._trace(a))
+        nz = a[a != 0]
+        assert np.array_equal(gf.inv_arr(nz), gf.pow(nz, gf.q - 2))
+
+    @pytest.mark.parametrize("s", TABLE_FREE)
+    def test_field_axioms_table_free(self, s):
+        gf = make_field(s)
+        assert gf._exp is None and gf._tr is None
+        rng = np.random.default_rng(70 + s)
+        a, b, c = rng.integers(0, gf.q, size=(3, 500))
+        assert np.array_equal(gf.mul_arr(a, b), gf.mul_arr(b, a))
+        assert np.array_equal(gf.mul_arr(gf.mul_arr(a, b), c), gf.mul_arr(a, gf.mul_arr(b, c)))
+        assert np.array_equal(gf.mul_arr(a, b ^ c), gf.mul_arr(a, b) ^ gf.mul_arr(a, c))
+        assert np.array_equal(gf.mul_arr(a, 1), a) and not gf.mul_arr(a, 0).any()
+        nz = a[a != 0]
+        assert (gf.mul_arr(nz, gf.inv_arr(nz)) == 1).all()
+        tr = gf.trace_arr(a)
+        assert set(tr.tolist()) == {0, 1}
+        assert np.array_equal(gf.trace_arr(a ^ b), tr ^ gf.trace_arr(b))
+        assert np.array_equal(gf.trace_arr(gf.mul_arr(a, a)), tr)
+
+    @pytest.mark.parametrize("s", TABLE_FREE)
+    def test_vectorised_matches_scalar_table_free(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(80 + s)
+        a, b = rng.integers(1, gf.q, size=(2, 60))
+        assert gf.mul_arr(a, b).tolist() == [gf.mul(int(x), int(y)) for x, y in zip(a, b)]
+        assert gf.inv_arr(a).tolist() == [gf.inv(int(x)) for x in a]
+        assert gf.trace_arr(a).tolist() == [gf.trace(int(x)) for x in a]
+
+    @pytest.mark.parametrize("s", [1, 3, 8, 17])
+    def test_array_pow_matches_scalar(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(90 + s)
+        a = rng.integers(0, gf.q, size=40)
+        nz = a[a != 0]
+        for e in (0, 1, 2, 5, gf.q - 2, gf.q, gf.q + 3):
+            got = gf.pow(a, e)
+            assert got.shape == a.shape and got.tolist() == [gf.pow(int(x), e) for x in a]
+        for e in (-1, -4):
+            assert gf.pow(nz, e).tolist() == [gf.pow(int(x), e) for x in nz]
+            assert np.array_equal(gf.pow(nz, e), gf.pow(gf.inv_arr(nz), -e))
+        with pytest.raises(DivisionByZero):
+            gf.pow(np.array([1, 0]), -1)

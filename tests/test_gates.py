@@ -4,6 +4,7 @@ qudit-to-qubit operator isomorphism."""
 import numpy as np
 import pytest
 
+from gqudits import linalg
 from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomial_basis
 from gqudits.errors import InvalidGate, NonUnitary, TooLarge
 from gqudits.field import make_field
@@ -15,6 +16,7 @@ from gqudits.gates import (
     is_pauli_multiple,
     pauli_decompose,
     pauli_reconstruct,
+    phi_inverse,
     phi_map,
     pi_map,
 )
@@ -297,6 +299,20 @@ class TestPhiMap:
             lhs = np.vdot(phi_map(BasisAssignment.uniform(B, 2), pa).amps,
                           phi_map(BasisAssignment.uniform(B, 2), pb).amps)
             assert abs(lhs - np.vdot(a, b)) < 1e-10
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_phi_inverse_undoes_phi(self, s):
+        gf, gf2 = make_field(s), make_field(1)
+        rng = np.random.default_rng(43 + s)
+        for _ in range(5):
+            rows = [linalg.random_invertible(gf2, rng, s) for _ in range(2)]
+            random_bases = [FieldBasis(gf, [int(r @ (1 << np.arange(s))) for r in M]) for M in rows]
+            for bases in (find_self_dual(gf), BasisAssignment(random_bases)):
+                amps = rng.normal(size=gf.q**2) + 1j * rng.normal(size=gf.q**2)
+                psi = StateVector(gf, 2, amps)
+                back = phi_inverse(bases, phi_map(bases, psi), gf)
+                assert back.gf == gf and back.n == 2
+                assert np.array_equal(back.amps, psi.amps)
 
 
 class TestPiMap:

@@ -14,6 +14,7 @@ from gqudits.errors import (
     DimensionMismatch,
     GquditError,
     InvalidAlist,
+    InvalidDocument,
     InvalidFieldCode,
 )
 from gqudits.field import make_field
@@ -299,6 +300,19 @@ class TestConvertCode:
         qubit = convert_code(make_qrs(gf, 8, 2, 5).css)
         again = QubitCssCode.from_json(qubit.to_json())
         assert np.array_equal(again.hx, qubit.hx) and np.array_equal(again.hz, qubit.hz)
+
+    @pytest.mark.parametrize("key", ["qudit_code", "basis_assignment", "hx", "hz"])
+    def test_bundle_missing_key_named(self, key):
+        data = convert_code(make_qrs(make_field(2), 4, 1, 2).css).to_json()
+        del data[key]
+        with pytest.raises(InvalidDocument, match=f"missing key '{key}'"):
+            QubitCssCode.from_json(data)
+
+    def test_bundle_nested_code_checked(self):
+        data = convert_code(make_qrs(make_field(2), 4, 1, 2).css).to_json()
+        del data["qudit_code"]["gz"]
+        with pytest.raises(InvalidDocument, match="missing key 'gz'"):
+            QubitCssCode.from_json(data)
 
 
 class TestConvertLogicals:

@@ -7,6 +7,9 @@ import pytest
 from gqudits import linalg, oracle
 from gqudits.errors import (
     FullTableauRequired,
+    GquditError,
+    InvalidDocument,
+    InvalidFieldCode,
     InvalidScale,
     NotCommuting,
     NotCssPreserving,
@@ -99,6 +102,29 @@ class TestValidation:
         t = new_tableau(gf, 2, [[1, 2]], [[2, 1]], [3], [1])
         t2 = CssTableau.from_json(t.to_json())
         assert tableaux_equal(t, t2)
+
+    @pytest.mark.parametrize("xsyn,zsyn", [([4], [0]), ([0], [-1]), ([1 << 40], [0])])
+    def test_syndromes_outside_field_rejected(self, xsyn, zsyn):
+        gf = make_field(2)
+        with pytest.raises(InvalidFieldCode):
+            new_tableau(gf, 2, [[1, 2]], [[2, 1]], xsyn, zsyn)
+
+    @pytest.mark.parametrize("eta", [-1, 8, 99])
+    def test_cat_eta_outside_field_rejected(self, eta):
+        with pytest.raises(InvalidFieldCode):
+            cat_block_tableau(make_field(3), [1, 2, 3, 4], eta)
+
+    @pytest.mark.parametrize("key", ["modulus", "xrows", "zrows", "xsyn", "zsyn"])
+    def test_json_missing_key_named(self, key):
+        data = new_tableau(make_field(2), 2, [[1, 2]], [[2, 1]], [3], [1]).to_json()
+        del data[key]
+        with pytest.raises(InvalidDocument, match=f"missing key '{key}'") as exc:
+            CssTableau.from_json(data)
+        assert isinstance(exc.value, GquditError) and isinstance(exc.value, ValueError)
+
+    def test_json_not_an_object(self):
+        with pytest.raises(InvalidDocument):
+            CssTableau.from_json([1, 2])
 
 
 def walkthrough_tableaux(gf, gammas, etas, eta):
