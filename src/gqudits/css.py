@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotCommuting, RankDeficient, json_fields
+from .errors import NotCommuting, RankDeficient, json_int_fields
 from .field import GF, make_field
 
 DEFAULT_DISTANCE_BUDGET = 1 << 20
@@ -53,7 +53,7 @@ class CssCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "CssCode":
-        modulus, gx, gz = json_fields(data, "modulus", "gx", "gz")
+        modulus, gx, gz = json_int_fields(data, modulus=0, gx=2, gz=2)
         gf = make_field(modulus=modulus)
         n = max((len(r) for r in gx + gz), default=0)
         gx = np.array(gx, dtype=np.int64).reshape(len(gx), n)

@@ -22,7 +22,8 @@ class InvalidAlist(GquditError, ValueError):
 
 
 class InvalidDocument(GquditError, ValueError):
-    """A JSON document is not an object or lacks a required key."""
+    """A JSON document is not an object, lacks a required key, or holds a
+    value of the wrong type."""
 
 
 def json_fields(data, *keys):
@@ -34,6 +35,25 @@ def json_fields(data, *keys):
         if key not in data:
             raise InvalidDocument(f"missing key {key!r}")
     return [data[key] for key in keys]
+
+
+def json_int_fields(data, **depths):
+    """json_fields for integer values: key=0 asks for an int, key=d for lists
+    of ints nested d deep.  InvalidDocument names the first key whose value
+    has a non-int leaf (bool and float included), the wrong nesting, or an
+    int outside int64."""
+
+    def ints(value, depth):
+        if depth == 0:
+            return type(value) is int and -(1 << 63) <= value < 1 << 63
+        return type(value) is list and all(ints(v, depth - 1) for v in value)
+
+    values = json_fields(data, *depths)
+    for (key, depth), value in zip(depths.items(), values):
+        if not ints(value, depth):
+            shape = "a list of " + "lists of " * (depth - 1) + "integers" if depth else "an integer"
+            raise InvalidDocument(f"key {key!r} must be {shape}")
+    return values
 
 
 class UnsupportedDegree(GquditError):

@@ -1,7 +1,8 @@
 """Dense linear algebra over F_q on small integer-code matrices.
 
 Everything here is Gaussian elimination at desk scale.  Over F_q (q > 2)
-rows are scaled and combined with the vectorised field kernels.  Over F_2
+each pivot costs one row scaling and one broadcast rank-1 update of the
+whole augmented matrix with the vectorised field kernels.  Over F_2
 each row of the augmented matrix is packed into one Python integer and
 eliminated by XOR, the dense-GF(2) technique of M4RI; both paths perform
 the same row operations and return the same canonical form.
@@ -37,42 +38,41 @@ def rref_augmented(gf: GF, M, C) -> tuple[np.ndarray, np.ndarray, list[int]]:
     (with the carried columns transformed covariantly).  Entries of M and C
     must be field codes of gf.
     """
-    R = gf.check_codes(as_matrix(M).copy())
-    A = np.asarray(C, dtype=np.int64).copy()
+    R = gf.check_codes(as_matrix(M))
+    A = np.asarray(C, dtype=np.int64)
     if A.ndim == 1:
         A = A.reshape(-1, 1)
     gf.check_codes(A)
-    if gf.q == 2:
-        return _rref_f2(R, A)
     rows, cols = R.shape
+    W = np.concatenate([R, A], axis=1)  # a fresh copy; every row operation acts on [M | C]
+    if gf.q == 2:
+        return _rref_f2(W, cols)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        hits = np.nonzero(R[r:, c])[0]
+        hits = np.flatnonzero(W[r:, c])
         if hits.size == 0:
             continue
         p = r + int(hits[0])
         if p != r:
-            R[[r, p]] = R[[p, r]]
-            A[[r, p]] = A[[p, r]]
-        inv = gf.inv(int(R[r, c]))
+            W[[r, p]] = W[[p, r]]
+        inv = gf.inv(int(W[r, c]))
         if inv != 1:
-            R[r] = gf.mul_arr(R[r], inv)
-            A[r] = gf.mul_arr(A[r], inv)
-        for i in range(rows):
-            f = int(R[i, c])
-            if i != r and f:
-                R[i] ^= gf.mul_arr(R[r], f)
-                A[i] ^= gf.mul_arr(A[r], f)
+            W[r] = gf.mul_arr(W[r], inv)
+        f = W[:, c].copy()
+        f[r] = 0
+        if f.any():  # clear column c: row i -= f_i * pivot row, all rows at once
+            W ^= gf.mul_arr(f[:, None], W[r])
         pivots.append(c)
         r += 1
-    return R, A, pivots
+    return W[:, :cols], W[:, cols:], pivots
 
 
-def _rref_f2(R: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """rref_augmented over F_2 on rows of [R | A] packed into Python ints.
+def _rref_f2(W: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """rref_augmented over F_2 on the rows of W = [M | C] packed into Python
+    ints; M is the first cols columns.
 
     Column 0 is the most significant bit, so the leftmost non-zero column
     of a row is read off its bit length.  The row operations are exactly
@@ -81,13 +81,12 @@ def _rref_f2(R: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list
     every other row with bit c set.  Rows below r are zero left of the next
     pivot column, so that column is the one with the longest such row.
     """
-    rows, cols = R.shape
+    rows, width = W.shape
     if cols == 0:  # an (m, 0) M: nothing to eliminate, the m carried rows stay as given
-        return R, A, []
-    width = cols + A.shape[1]
+        return W[:, :0], W, []
     nbytes = -(-width // 8)
     bits = 8 * nbytes  # column j is bit bits - 1 - j of a packed row
-    packed = np.packbits(np.concatenate([R, A], axis=1), axis=1).tobytes()
+    packed = np.packbits(W, axis=1).tobytes()
     words = [int.from_bytes(packed[i : i + nbytes], "big") for i in range(0, rows * nbytes, nbytes)]
     pivots: list[int] = []
     for r in range(rows):
@@ -143,22 +142,6 @@ def solve(gf: GF, M, b) -> np.ndarray | None:
     for j, p in enumerate(pivots):
         x[p] = carried[j, 0]
     return x
-
-
-def row_space_coefficients(gf: GF, M, w) -> np.ndarray | None:
-    """Coefficients c with c @ M = w, or None if w is outside the row space.
-
-    Unique when the rows of M are independent.
-    """
-    M = as_matrix(M)
-    w = np.asarray(w, dtype=np.int64)
-    if M.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64) if not np.any(w) else None
-    return solve(gf, M.T, w)
-
-
-def in_row_space(gf: GF, M, w) -> bool:
-    return row_space_coefficients(gf, M, w) is not None
 
 
 def is_invertible(gf: GF, M) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .bases import BasisAssignment, FieldBasis, find_self_dual
 from .css import CssCode, dual_space, new_css
-from .errors import DimensionMismatch, InvalidAlist, InvalidFieldCode, json_fields
+from .errors import DimensionMismatch, InvalidAlist, InvalidFieldCode, json_fields, json_int_fields
 from .field import GF, make_field
 from .grs import QrsCode, decode
 
@@ -122,7 +122,8 @@ class QubitCssCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "QubitCssCode":
-        qudit_code, bases, hx, hz = json_fields(data, "qudit_code", "basis_assignment", "hx", "hz")
+        (qudit_code,) = json_fields(data, "qudit_code")
+        bases, hx, hz = json_int_fields(data, basis_assignment=2, hx=2, hz=2)
         source = CssCode.from_json(qudit_code)
         assignment = BasisAssignment([FieldBasis(source.gf, els) for els in bases])
         ns = source.n * source.gf.s

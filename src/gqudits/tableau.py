@@ -5,6 +5,12 @@ syndrome component per row.  Row operations transform syndromes
 covariantly (scale: sigma -> mu sigma; add: sigma_j -> sigma_j + sigma_i),
 so the defined state is unchanged.  A "full" tableau (m_X + m_Z = n) pins a
 unique state and supports pure-type Pauli measurement.
+
+On a full tableau span(X rows) = span(Z rows)^perp, so measuring a word w
+needs no elimination: it is deterministic iff w is orthogonal to every
+opposite-type row, with outcome w . t0 where rows . t0 = syndromes.
+``new_tableau`` checks ranks and orthogonality at the input boundaries
+(user calls, ``from_json``, ``cat_block_tableau``); the updates keep both.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .errors import (
     NotCssPreserving,
     PureTypeRequired,
     RankDeficient,
-    json_fields,
+    json_int_fields,
 )
 from .field import GF, make_field
 from .pauli import PauliWord
@@ -81,8 +87,8 @@ class CssTableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "CssTableau":
-        modulus, xrows, zrows, xsyn, zsyn = json_fields(
-            data, "modulus", "xrows", "zrows", "xsyn", "zsyn"
+        modulus, xrows, zrows, xsyn, zsyn = json_int_fields(
+            data, modulus=0, xrows=2, zrows=2, xsyn=1, zsyn=1
         )
         gf = make_field(modulus=modulus)
         n = max((len(r) for r in xrows + zrows), default=0)
@@ -118,6 +124,7 @@ def _block(t: CssTableau, block: str) -> tuple[np.ndarray, np.ndarray]:
         return t.zrows, t.zsyn
     raise ValueError(f"block must be 'x' or 'z', got {block!r}")
 
+
 def scale_row(t: CssTableau, block: str, j: int, mu: int) -> CssTableau:
     """Multiply row j (and its syndrome) by a non-zero scalar."""
     if mu == 0:
@@ -148,18 +155,6 @@ def canonical_form(t: CssTableau) -> CssTableau:
     return CssTableau(gf, t.n, rx, rz, sx.reshape(-1), sz.reshape(-1))
 
 
-def tableaux_equal(a: CssTableau, b: CssTableau) -> bool:
-    ca, cb = canonical_form(a), canonical_form(b)
-    return (
-        ca.gf == cb.gf
-        and ca.n == cb.n
-        and np.array_equal(ca.xrows, cb.xrows)
-        and np.array_equal(ca.zrows, cb.zrows)
-        and np.array_equal(ca.xsyn, cb.xsyn)
-        and np.array_equal(ca.zsyn, cb.zsyn)
-    )
-
-
 # -- Clifford updates ---------------------------------------------------------
 
 
@@ -167,9 +162,25 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
     """Conjugation update for cnot(i, j), hadamard(i), or mult(i, delta).
 
     Syndromes are unchanged: each row maps to a single rewritten row whose
-    F_q power line carries the same eigenvalue pattern.
+    F_q power line carries the same eigenvalue pattern.  hadamard(i) moves
+    the rows supported on site i alone to the other block and refuses a
+    weight>1 row touching site i, which would no longer be pure-type.
     """
     gf = t.gf
+    if kind == "hadamard":
+        (i,) = sites
+        rows = np.vstack([t.xrows, t.zrows])
+        if np.any((rows[:, i] != 0) & (np.count_nonzero(rows, axis=1) > 1)):
+            raise NotCssPreserving(f"hadamard on site {i} would mix types in a weight>1 row")
+        xmove = t.xrows[:, i] != 0
+        zmove = t.zrows[:, i] != 0
+        return CssTableau(
+            gf, t.n,
+            np.vstack([t.xrows[~xmove], t.zrows[zmove]]),
+            np.vstack([t.zrows[~zmove], t.xrows[xmove]]),
+            np.concatenate([t.xsyn[~xmove], t.zsyn[zmove]]),
+            np.concatenate([t.zsyn[~zmove], t.xsyn[xmove]]),
+        )
     out = t.copy()
     if kind == "cnot":
         i, j = sites
@@ -187,21 +198,6 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
             out.xrows[:, i] = gf.mul_arr(out.xrows[:, i], delta)
         if out.m_z:
             out.zrows[:, i] = gf.mul_arr(out.zrows[:, i], gf.inv(delta))
-    elif kind == "hadamard":
-        (i,) = sites
-        for rows in (out.xrows, out.zrows):
-            for r in range(rows.shape[0]):
-                if rows[r, i] and np.any(np.delete(rows[r], i)):
-                    raise NotCssPreserving(
-                        f"hadamard on site {i} would mix types in a weight>1 row"
-                    )
-        xkeep = out.xrows[:, i] == 0
-        zkeep = out.zrows[:, i] == 0
-        new_x = np.vstack([out.xrows[xkeep], out.zrows[~zkeep]])
-        new_xs = np.concatenate([out.xsyn[xkeep], out.zsyn[~zkeep]])
-        new_z = np.vstack([out.zrows[zkeep], out.xrows[~xkeep]])
-        new_zs = np.concatenate([out.zsyn[zkeep], out.xsyn[~xkeep]])
-        return new_tableau(gf, t.n, new_x, new_z, new_xs, new_zs)
     else:
         raise ValueError(f"unsupported tableau gate {kind!r}")
     return out
@@ -210,60 +206,55 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
 # -- measurement -------------------------------------------------------------
 
 
-def _measured_vector(t: CssTableau, P: PauliWord) -> tuple[str, np.ndarray]:
+def _measured(t: CssTableau, P: PauliWord) -> tuple[str, np.ndarray, np.ndarray]:
+    """P's block and vector w, and w's F_q dot with every opposite-type row."""
+    if not t.is_full:
+        raise FullTableauRequired("measurement is defined on full tableaux")
     if not P.is_pure() or P.sign != 1:
         raise PureTypeRequired("measurement needs an unsigned pure-type word")
     if P.gf != t.gf or P.n != t.n:
         raise DimensionMismatch("word and tableau live on different systems")
-    if P.is_pure_x() and any(P.xvec):
-        return "x", P.x_array
     if any(P.zvec):
-        return "z", P.z_array
-    return "x", P.x_array  # identity word: trivially in the row span
+        return "z", P.z_array, t.gf.matvec(t.xrows, P.z_array)
+    return "x", P.x_array, t.gf.matvec(t.zrows, P.x_array)  # the identity word too
 
 
 def deterministic_outcome(t: CssTableau, P: PauliWord) -> int | None:
-    """Outcome sum_j c_j sigma_j when P's vector lies in its block's span."""
-    if not t.is_full:
-        raise FullTableauRequired("measurement is defined on full tableaux")
-    block, w = _measured_vector(t, P)
-    rows, syn = _block(t, block)
-    coeffs = linalg.row_space_coefficients(t.gf, rows, w)
-    if coeffs is None:
+    """P's outcome when P's vector w has zero dot with every opposite row
+    (so w = c . rows), else None.  The outcome sum_j c_j sigma_j is w . t0
+    for any t0 with rows . t0 = syn."""
+    block, w, dots = _measured(t, P)
+    if np.any(dots):
         return None
-    return t.gf.dot(coeffs, syn)
+    rows, syn = _block(t, block)
+    return t.gf.dot(w, linalg.solve(t.gf, rows, syn))
 
 
 def measure_postselect(t: CssTableau, P: PauliWord, eta: int) -> CssTableau:
     """Tableau update for measuring P with a forced random-branch outcome.
 
-    The first opposite-type row with non-zero F_q dot against P is consumed:
-    its overlap is eliminated from every other opposite row, then (P, eta)
-    joins the same-type block.  Every outcome has probability 1/q, so any
-    forced eta is legal.
+    The first opposite-type row with non-zero dot against P's vector w is
+    the pivot: dots[k] / dots[pivot] times it is added to every other
+    opposite row (syndromes too), then it is dropped and (w, eta) joins the
+    same-type block.  Every outcome has probability 1/q, so any eta in F_q
+    is legal.  The result keeps fullness, rank and orthogonality.
     """
     gf = t.gf
-    if deterministic_outcome(t, P) is not None:
+    block, w, dots = _measured(t, P)
+    hits = np.flatnonzero(dots)
+    if hits.size == 0:
         raise InvalidScale("outcome is deterministic; cannot postselect freely")
-    block, w = _measured_vector(t, P)
-    out = t.copy()
-    opp = "z" if block == "x" else "x"
-    orows, osyn = _block(out, opp)
-    dots = gf.matvec(orows, w)
-    pivot = int(np.nonzero(dots)[0][0])
-    c = int(dots[pivot])
-    for k in range(orows.shape[0]):
-        if k != pivot and dots[k]:
-            f = gf.div(int(dots[k]), c)
-            orows[k] ^= gf.mul_arr(orows[pivot], f)
-            osyn[k] ^= gf.mul(int(osyn[pivot]), f)
-    keep = np.arange(orows.shape[0]) != pivot
-    new_same_rows, new_same_syn = _block(out, block)
-    new_same_rows = np.vstack([new_same_rows, w[None, :]])
-    new_same_syn = np.concatenate([new_same_syn, [eta]])
+    gf.check_code(eta)
+    pivot = hits[0]
+    keep = np.arange(dots.size) != pivot
+    opp = np.column_stack(_block(t, "z" if block == "x" else "x"))  # [rows | syn]
+    f = gf.mul_arr(dots[keep], gf.inv(int(dots[pivot])))
+    opp = opp[keep] ^ gf.mul_arr(f[:, None], opp[pivot])
+    rows, syn = _block(t, block)
+    same_rows, same_syn = np.vstack([rows, w]), np.append(syn, eta)
     if block == "x":
-        return new_tableau(gf, t.n, new_same_rows, orows[keep], new_same_syn, osyn[keep])
-    return new_tableau(gf, t.n, orows[keep], new_same_rows, osyn[keep], new_same_syn)
+        return CssTableau(gf, t.n, same_rows, opp[:, :-1], same_syn, opp[:, -1])
+    return CssTableau(gf, t.n, opp[:, :-1], same_rows, opp[:, -1], same_syn)
 
 
 def measure(t: CssTableau, P: PauliWord, rng: np.random.Generator) -> tuple[int, CssTableau]:

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, artifacts, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from gqudits.cli import main
 from gqudits.field import make_field
 from gqudits.q2b import import_alist
 from gqudits.tableau import new_tableau
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -153,3 +157,53 @@ class TestExitCodes:
         path.write_text("[8]")
         assert main(argv + ["--in", str(path)]) == 2
         assert "expected a JSON object, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,doc,key",
+        [
+            (["code", "params"], {"modulus": 11, "gx": 5, "gz": []}, "gx"),
+            (["code", "params"], {"modulus": "7", "gx": [], "gz": []}, "modulus"),
+            (["code", "params"], {"modulus": 11, "gx": [], "gz": [[1, 2.5]]}, "gz"),
+            (
+                ["sim", "measure", "--pauli", "+|x:[1,1]|z:[0,0]"],
+                {"modulus": 7, "xrows": [[1, 1]], "zrows": [[1, 1]], "xsyn": [0.5], "zsyn": [0]},
+                "xsyn",
+            ),
+            (
+                ["sim", "measure", "--pauli", "+|x:[1,1]|z:[0,0]"],
+                {"modulus": 7, "xrows": [[1, True]], "zrows": [[1, 1]], "xsyn": [0], "zsyn": [0]},
+                "xrows",
+            ),
+            (
+                ["code", "export"],
+                {"qudit_code": {"modulus": 3, "gx": [[1, 1]], "gz": []},
+                 "basis_assignment": [[1], [1]], "hx": [[1, 1]], "hz": [1, 0]},
+                "hz",
+            ),
+        ],
+    )
+    def test_document_value_type_is_two(self, capsys, tmp_path, argv, doc, key):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + ["--in", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"key {key!r} must be" in err
+
+
+class TestGolden:
+    """CLI outputs that must stay byte-identical, stored in tests/data/."""
+
+    def test_verify_report(self, capsys):
+        code, out = run(capsys, "verify", "all", "--seed", "0")
+        assert code == 0 and out == (DATA / "verify_all_seed0.txt").read_text()
+
+    @pytest.mark.parametrize("case", json.loads((DATA / "sim_golden.json").read_text())["measure"])
+    def test_sim_measure(self, capsys, case):
+        code, out = run(capsys, "sim", "measure", "--in", str(DATA / case["tableau"]),
+                        "--pauli", case["pauli"], "--seed", str(case["seed"]))
+        assert code == 0 and out == case["stdout"]
+
+    @pytest.mark.parametrize("case", json.loads((DATA / "sim_golden.json").read_text())["cat_demo"])
+    def test_sim_cat_demo(self, capsys, case):
+        code, out = run(capsys, "sim", "cat-demo", *case["args"])
+        assert code == 0 and out == case["stdout"]

@@ -1,4 +1,5 @@
-"""Dense elimination: the packed F_2 path against the generic F_q path."""
+"""Dense elimination: the packed F_2 path and the rank-1 F_q path against
+the generic loops."""
 
 import numpy as np
 import pytest
@@ -26,6 +27,37 @@ def shapes(rng):
     yield 3, 70, 5  # wide, one byte boundary crossed many times
     yield 9, 64, 0  # exactly eight packed bytes
     yield 9, 63, 1
+
+
+def loop_rref_augmented(gf, M, C):
+    """The row-at-a-time F_q elimination: one scale and one update per row."""
+    R = linalg.as_matrix(M).copy()
+    A = linalg.as_matrix(C).copy()
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.nonzero(R[r:, c])[0]
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+            A[[r, p]] = A[[p, r]]
+        inv = gf.inv(int(R[r, c]))
+        if inv != 1:
+            R[r] = gf.mul_arr(R[r], inv)
+            A[r] = gf.mul_arr(A[r], inv)
+        for i in range(rows):
+            f = int(R[i, c])
+            if i != r and f:
+                R[i] ^= gf.mul_arr(R[r], f)
+                A[i] ^= gf.mul_arr(A[r], f)
+        pivots.append(c)
+        r += 1
+    return R, A, pivots
 
 
 class TestPackedF2AgainstGeneric:
@@ -69,6 +101,39 @@ class TestPackedF2AgainstGeneric:
             x = rng.integers(0, 2, n)
             sol = linalg.solve(GF2, M, M @ x % 2)
             assert sol is not None and np.array_equal(M @ sol % 2, M @ x % 2)
+
+
+class TestRankOneFqAgainstLoop:
+    def test_rref_augmented_identical(self):
+        """600 random matrices over F_4 .. F_256, dependent rows included."""
+        rng = np.random.default_rng(409)
+        for trial in range(600):
+            gf = make_field(int(rng.integers(2, 9)))
+            m, n = (int(x) for x in rng.integers(1, 12, 2))
+            k = int(rng.integers(0, 4))
+            M = rng.integers(0, gf.q, (m, n), dtype=np.int64)
+            M[rng.random((m, n)) < rng.random()] = 0  # some sparse columns
+            if m > 2 and trial % 2:
+                M[-1] = M[0] ^ gf.mul_arr(M[1], int(rng.integers(1, gf.q)))
+            C = rng.integers(0, gf.q, (m, k), dtype=np.int64)
+            R, X, pivots = linalg.rref_augmented(gf, M, C)
+            R0, X0, pivots0 = loop_rref_augmented(gf, M, C)
+            assert pivots == pivots0
+            assert np.array_equal(R, R0) and np.array_equal(X, X0)
+            assert R.dtype == X.dtype == np.int64
+            assert X.shape == (m, k)
+
+    def test_empty_and_one_row(self):
+        gf = make_field(3)
+        for M, C in (
+            ([[0, 0, 0]], [[5]]),
+            ([[0, 3, 6]], [[1, 2]]),
+            (np.zeros((0, 4)), np.zeros((0, 1))),
+        ):
+            R, X, pivots = linalg.rref_augmented(gf, M, C)
+            R0, X0, pivots0 = loop_rref_augmented(gf, M, C)
+            assert pivots == pivots0
+            assert np.array_equal(R, R0) and np.array_equal(X, X0)
 
 
 class TestCodeValidation:

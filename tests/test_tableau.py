@@ -31,12 +31,25 @@ from gqudits.tableau import (
     new_tableau,
     run_cat_gadget,
     scale_row,
-    tableaux_equal,
 )
 
 
-def random_full_tableau(gf, n, rng):
-    m_x = int(rng.integers(0, n + 1))
+def tableaux_equal(a, b):
+    """Same field, size, canonical rows and canonical syndromes."""
+    ca, cb = canonical_form(a), canonical_form(b)
+    return (
+        ca.gf == cb.gf
+        and ca.n == cb.n
+        and np.array_equal(ca.xrows, cb.xrows)
+        and np.array_equal(ca.zrows, cb.zrows)
+        and np.array_equal(ca.xsyn, cb.xsyn)
+        and np.array_equal(ca.zsyn, cb.zsyn)
+    )
+
+
+def random_full_tableau(gf, n, rng, m_x=None):
+    if m_x is None:
+        m_x = int(rng.integers(0, n + 1))
     m_z = n - m_x
     gx = linalg.random_full_rank(gf, rng, m_x, n) if m_x else np.zeros((0, n), dtype=np.int64)
     if m_z:
@@ -354,6 +367,215 @@ class TestMeasure:
                     assert oracle.states_equal_up_to_phase(
                         oracle.stabiliser_state(t2), oracle.collapse(psi, P, eta)
                     )
+
+
+# -- elimination references for measurement by orthogonality -----------------
+
+
+def measured_block(P):
+    """The same-type block a pure-type word is measured in, and its vector."""
+    if any(P.xvec):
+        return "x", P.x_array
+    if any(P.zvec):
+        return "z", P.z_array
+    return "x", P.x_array
+
+
+def coefficient_outcome(t, P):
+    """Solve c . rows = w over the same-type rows; the outcome is c . syn."""
+    block, w = measured_block(P)
+    rows, syn = (t.xrows, t.xsyn) if block == "x" else (t.zrows, t.zsyn)
+    c = linalg.solve(t.gf, rows.T, w)
+    return None if c is None else t.gf.dot(c, syn)
+
+
+def loop_postselect(t, P, eta):
+    """Eliminate the pivot from one opposite row at a time, then validate."""
+    gf = t.gf
+    block, w = measured_block(P)
+    if block == "x":
+        same, same_syn, orows, osyn = t.xrows, t.xsyn, t.zrows.copy(), t.zsyn.copy()
+    else:
+        same, same_syn, orows, osyn = t.zrows, t.zsyn, t.xrows.copy(), t.xsyn.copy()
+    dots = gf.matvec(orows, w)
+    pivot = int(np.nonzero(dots)[0][0])
+    for k in range(orows.shape[0]):
+        if k != pivot and dots[k]:
+            f = gf.div(int(dots[k]), int(dots[pivot]))
+            orows[k] ^= gf.mul_arr(orows[pivot], f)
+            osyn[k] ^= gf.mul(int(osyn[pivot]), f)
+    keep = np.arange(orows.shape[0]) != pivot
+    same = np.vstack([same, w[None, :]])
+    same_syn = np.concatenate([same_syn, [eta]])
+    if block == "x":
+        return new_tableau(gf, t.n, same, orows[keep], same_syn, osyn[keep])
+    return new_tableau(gf, t.n, orows[keep], same, osyn[keep], same_syn)
+
+
+def assert_full_and_valid(t):
+    gf = t.gf
+    assert t.is_full
+    assert linalg.rank(gf, t.xrows) == t.m_x
+    assert linalg.rank(gf, t.zrows) == t.m_z
+    assert not np.any(gf.matmul(t.xrows, t.zrows.T))
+    assert t.xrows.dtype == t.zrows.dtype == t.xsyn.dtype == t.zsyn.dtype == np.int64
+
+
+def assert_same_tableau(a, b):
+    """Bit-for-bit: the same rows and syndromes in the same order."""
+    for name in ("xrows", "zrows", "xsyn", "zsyn"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def sparse_pure_word(gf, n, rng):
+    """A pure-type word, often of low weight and sometimes the identity."""
+    codes = rng.integers(0, gf.q, n, dtype=np.int64)
+    codes[rng.random(n) < rng.random()] = 0
+    return PauliWord.x_word(gf, codes) if rng.integers(2) else PauliWord.z_word(gf, codes)
+
+
+def cases(rng, count):
+    """(gf, tableau) at q in {2, 4, 8}, n <= 4, every split m_x + m_z = n."""
+    for _ in range(count):
+        for s in (1, 2, 3):
+            gf = make_field(s)
+            n = int(rng.integers(1, 5))
+            for m_x in range(n + 1):
+                yield gf, random_full_tableau(gf, n, rng, m_x)
+
+
+ORACLE_DIM = 512  # dense projectors up to 512 x 512
+
+
+def cnot_state(psi, i, j):
+    """|.., x_i, .., x_j, ..> -> |.., x_i, .., x_j + x_i, ..> on a state vector."""
+    gf, n = psi.gf, psi.n
+    digits = oracle.all_digits(gf, n)
+    moved = digits.copy()
+    moved[:, j] ^= moved[:, i]
+    shifts = gf.s * (n - 1 - np.arange(n))
+    amps = np.zeros_like(psi.amps)
+    amps[(moved << shifts).sum(axis=1)] = psi.amps
+    return oracle.StateVector(gf, n, amps)
+
+
+class TestOrthogonalityRule:
+    """Measurement by orthogonality against the elimination references."""
+
+    def test_outcome_matches_coefficient_path(self):
+        rng = np.random.default_rng(83)
+        det = rand = 0
+        for gf, t in cases(rng, 8):
+            n = t.n
+            words = [sparse_pure_word(gf, n, rng) for _ in range(4)]
+            words += [PauliWord.x_word(gf, [0] * n), PauliWord.z_word(gf, [0] * n)]
+            for P in words:
+                got = deterministic_outcome(t, P)
+                assert got == coefficient_outcome(t, P)
+                det += got is not None
+                rand += got is None
+        assert det > 100 and rand > 100
+
+    def test_identity_word_is_deterministic_zero(self):
+        rng = np.random.default_rng(89)
+        for gf, t in cases(rng, 2):
+            for P in (PauliWord.x_word(gf, [0] * t.n), PauliWord.z_word(gf, [0] * t.n)):
+                assert deterministic_outcome(t, P) == 0
+                with pytest.raises(InvalidScale):
+                    measure_postselect(t, P, 0)
+
+    def test_postselect_matches_elimination_loop(self):
+        rng = np.random.default_rng(97)
+        checked = 0
+        for gf, t in cases(rng, 6):
+            for _ in range(4):
+                P = sparse_pure_word(gf, t.n, rng)
+                if deterministic_outcome(t, P) is not None:
+                    continue
+                for eta in (0, 1, gf.q - 1):
+                    got = measure_postselect(t, P, eta)
+                    assert_same_tableau(got, loop_postselect(t, P, eta))
+                    assert_full_and_valid(got)
+                    checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("eta", [-1, 8])
+    def test_postselect_eta_outside_field_rejected(self, eta):
+        gf = make_field(3)
+        t = new_tableau(gf, 2, [[1, 1]], [[1, 1]], [0], [0])
+        with pytest.raises(InvalidFieldCode):
+            measure_postselect(t, PauliWord.x_word(gf, [1, 0]), eta)
+
+    def test_chained_updates_keep_invariants_and_match_oracle(self):
+        """Measurements, hadamard, cnot and mult in random order: every
+        result is a valid full tableau, and while q^n <= 512 its state is
+        the oracle's collapse or conjugation of the previous state."""
+        rng = np.random.default_rng(101)
+        kinds = {"measure": 0, "hadamard": 0, "refused": 0, "cnot": 0, "mult": 0}
+        for _ in range(12):
+            for s in (1, 2, 3):
+                gf = make_field(s)
+                n = int(rng.integers(1, 5))
+                t = random_full_tableau(gf, n, rng)
+                dense = gf.q**n <= ORACLE_DIM
+                psi = oracle.stabiliser_state(t) if dense else None
+                for _ in range(10):
+                    kind = str(rng.choice(["measure", "measure", "hadamard", "cnot", "mult"]))
+                    if kind == "cnot" and n < 2:
+                        kind = "measure"
+                    if kind == "measure":
+                        P = sparse_pure_word(gf, n, rng)
+                        det = deterministic_outcome(t, P)
+                        eta, t2 = measure(t, P, rng)
+                        if dense:
+                            if det is not None:
+                                assert t2 is t and oracle.syndrome_component(psi, P) == eta
+                            else:
+                                psi = oracle.collapse(psi, P, eta)
+                    elif kind == "hadamard":
+                        i = int(rng.integers(n))
+                        try:
+                            t2 = apply_gate(t, "hadamard", i)
+                        except NotCssPreserving:
+                            kinds["refused"] += 1
+                            continue
+                        if dense:
+                            gate = embed_single(gf, n, i, build_gate(gf, "hadamard"))
+                            psi = oracle.StateVector(gf, n, gate.mat @ psi.amps)
+                    elif kind == "cnot":
+                        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+                        t2 = apply_gate(t, "cnot", i, j)
+                        if dense:
+                            psi = cnot_state(psi, i, j)
+                    else:
+                        i, delta = int(rng.integers(n)), int(rng.integers(1, gf.q))
+                        t2 = apply_gate(t, "mult", i, delta=delta)
+                        if dense:
+                            gate = embed_single(gf, n, i, build_gate(gf, "mult", delta=delta))
+                            psi = oracle.StateVector(gf, n, gate.mat @ psi.amps)
+                    kinds[kind] += 1
+                    assert_full_and_valid(t2)
+                    if dense:
+                        assert oracle.states_equal_up_to_phase(oracle.stabiliser_state(t2), psi)
+                    t = t2
+        assert min(kinds.values()) > 10, kinds
+
+    def test_hadamard_mixing_check_per_row(self):
+        """A row touching site i is refused exactly when its weight exceeds 1,
+        in either block."""
+        gf = make_field(2)
+        t = new_tableau(gf, 3, [[1, 0, 0]], [[0, 1, 0], [0, 0, 1]], [2], [1, 3])
+        for i in range(3):
+            t2 = apply_gate(t, "hadamard", i)
+            assert_full_and_valid(t2)
+            assert tableaux_equal(apply_gate(t2, "hadamard", i), t)  # H^2 fixes the rows
+        mixed = new_tableau(gf, 3, [[1, 1, 0]], [[1, 1, 0], [0, 0, 1]], [0], [0, 0])
+        for i, refused in ((0, True), (1, True), (2, False)):
+            if refused:
+                with pytest.raises(NotCssPreserving):
+                    apply_gate(mixed, "hadamard", i)
+            else:
+                assert_full_and_valid(apply_gate(mixed, "hadamard", i))
 
 
 class TestCatGadget:
