@@ -42,6 +42,12 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _codes_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
 
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_code_qrs)
     p = csub.add_parser("params")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--budget", type=int, default=css_mod.DEFAULT_DISTANCE_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=css_mod.DEFAULT_DISTANCE_BUDGET)
     p.set_defaults(fn=cmd_code_params)
     p = csub.add_parser("to-qubits")
     p.add_argument("--in", dest="infile", required=True)

@@ -1,8 +1,12 @@
 """Qudit CSS codes from orthogonal F_q-linear spaces.
 
-Distances are computed by brute-force enumeration of the relevant row
-spaces (message enumeration plus membership rejection), guarded by an
-explicit word budget.
+Distances are exact minimum weights, d_X over L_Z^perp \\ L_X and d_Z over
+L_X^perp \\ L_Z, computed only while the span has at most a budget of
+words.  They are enumerated over F_2: an F_q-span is the F_2-span of its
+rows times the basis codes 1 << j, and the residual modulo the excluded
+space is F_2-linear too.  Every word and its residual come from XOR
+doubling of a table and one XOR per further combination, so no field
+multiply runs per word.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .errors import NotCommuting, RankDeficient, json_int_fields
 from .field import GF, make_field
 
 DEFAULT_DISTANCE_BUDGET = 1 << 20
-_CHUNK = 1 << 14
+_LOW_BITS = 14
 
 
 @dataclass
@@ -100,50 +104,49 @@ def dual_space(gf: GF, M) -> np.ndarray:
     return linalg.kernel_basis(gf, linalg.as_matrix(M))
 
 
-def _iter_words(gf: GF, basis: np.ndarray):
-    """Yield chunks of every F_q-combination of the basis rows (message order)."""
-    dim = basis.shape[0]
-    total = gf.q**dim
-    shifts = np.array([gf.s * (dim - 1 - i) for i in range(dim)], dtype=np.int64)
-    mask = gf.q - 1
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        msgs = (idx[:, None] >> shifts[None, :]) & mask
-        yield gf.matmul(msgs, basis), idx
-
-def _membership_mask(gf: GF, words: np.ndarray, rref_rows: np.ndarray, pivots) -> np.ndarray:
-    """True where a word lies in the row space described by the RREF."""
-    res = words.copy()
-    for j, c in enumerate(pivots):
-        f = res[:, c].copy()
-        nz = f != 0
-        if np.any(nz):
-            res[nz] ^= gf.mul_arr(f[nz, None], rref_rows[j][None, :])
-    return ~res.any(axis=1)
-
-
 def min_weight_excluding(gf: GF, span_basis, exclude, budget: int) -> int | None:
     """Minimum F_q-Hamming weight over span(span_basis) \\ span(exclude).
 
-    Returns None when q^dim exceeds the enumeration budget.
+    Returns None when q^dim exceeds the enumeration budget, before any
+    table is built, and when the difference is empty.
+
+    The F_q-span of the dim rows is the F_2-span of the dim*s vectors
+    beta_j * row (beta_j = 1 << j), and the residual of a word modulo
+    span(exclude), w - w[:, pivots] . rref(exclude), is F_2-linear too.  So
+    each generator carries [word | residual] in the narrowest unsigned
+    dtype, a low table of up to 2^14 combinations is built by XOR doubling,
+    and the remaining generators are walked in Gray-code order, one XOR of
+    the low table per step.  A word lies outside span(exclude) exactly when
+    its residual half is non-zero; no field multiply runs per word.
     """
     span_basis = linalg.as_matrix(span_basis)
     exclude = linalg.as_matrix(exclude, span_basis.shape[1])
-    dim = span_basis.shape[0]
+    dim, n = span_basis.shape
     if gf.q**dim > budget:
         return None
     rx, pivots = linalg.rref(gf, exclude)
     rx = rx[: len(pivots)]
+    betas = 1 << np.arange(gf.s, dtype=np.int64)
+    words = gf.mul_arr(betas[None, :, None], span_basis[:, None, :]).reshape(dim * gf.s, n)
+    residual = words ^ gf.matmul(words[:, pivots], rx)
+    # one column per generator, so every reduction below runs along contiguous rows
+    gens = np.vstack([words.T, residual.T]).astype(np.min_scalar_type(gf.q - 1))
+    n_low = min(dim * gf.s, _LOW_BITS)
+    low = np.zeros((2 * n, 1 << n_low), dtype=gens.dtype)
+    for i in range(n_low):  # column c of low is the XOR of the generators at the set bits of c
+        low[:, 1 << i : 2 << i] = low[:, : 1 << i] ^ gens[:, i : i + 1]
+    high = gens[:, n_low:]
     best: int | None = None
-    for words, idx in _iter_words(gf, span_basis):
-        weights = (words != 0).sum(axis=1)
-        member = _membership_mask(gf, words, rx, pivots)
-        keep = ~member
-        keep &= idx != 0  # note: zero word is always a member anyway
-        if np.any(keep):
-            w = int(weights[keep].min())
-            if best is None or w < best:
-                best = w
+    shift = np.zeros((2 * n, 1), dtype=gens.dtype)
+    for i in range(1 << high.shape[1]):
+        if i:  # Gray code: step i flips the generator at the lowest set bit of i
+            j = (i & -i).bit_length() - 1
+            shift ^= high[:, j : j + 1]
+        T = low ^ shift
+        outside = T[n:].any(axis=0)
+        if outside.any():
+            w = int(np.count_nonzero(T[:n], axis=0)[outside].min())
+            best = w if best is None else min(best, w)
     return best
 
 

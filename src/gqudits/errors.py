@@ -39,9 +39,10 @@ def json_fields(data, *keys):
 
 def json_int_fields(data, **depths):
     """json_fields for integer values: key=0 asks for an int, key=d for lists
-    of ints nested d deep.  InvalidDocument names the first key whose value
-    has a non-int leaf (bool and float included), the wrong nesting, or an
-    int outside int64."""
+    of ints nested d deep, and key=2 for a matrix, whose rows must all have
+    the same length.  InvalidDocument names the first key whose value has a
+    non-int leaf (bool and float included), the wrong nesting, an int outside
+    int64, or (with the row index) a row of another length than row 0."""
 
     def ints(value, depth):
         if depth == 0:
@@ -53,6 +54,12 @@ def json_int_fields(data, **depths):
         if not ints(value, depth):
             shape = "a list of " + "lists of " * (depth - 1) + "integers" if depth else "an integer"
             raise InvalidDocument(f"key {key!r} must be {shape}")
+        if depth == 2:
+            for i, row in enumerate(value):
+                if len(row) != len(value[0]):
+                    raise InvalidDocument(
+                        f"key {key!r}: row {i} has {len(row)} entries, row 0 has {len(value[0])}"
+                    )
     return values
 
 
@@ -125,4 +132,6 @@ class InvalidNesting(GquditError):
 
 
 class DecodeFailure(GquditError):
-    """Error weight exceeds the decoding radius or syndrome inconsistent."""
+    """Decoding refused: the error locator is longer than the decoding
+    radius, the locator does not split over the evaluation points, or the
+    error found fails the final syndrome check."""

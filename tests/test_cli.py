@@ -190,6 +190,44 @@ class TestExitCodes:
         assert out == "" and f"key {key!r} must be" in err
 
 
+    @pytest.mark.parametrize(
+        "argv,doc,key,row",
+        [
+            (["code", "params"], {"modulus": 11, "gx": [[1, 2], [3]], "gz": []}, "gx", 1),
+            (
+                ["sim", "measure", "--pauli", "+|x:[1,1]|z:[0,0]"],
+                {"modulus": 7, "xrows": [[1, 1]], "zrows": [[1, 1], [1, 1, 0]],
+                 "xsyn": [0], "zsyn": [0, 0]},
+                "zrows",
+                1,
+            ),
+            (
+                ["code", "export"],
+                {"qudit_code": {"modulus": 3, "gx": [[1, 1]], "gz": []},
+                 "basis_assignment": [[1], [1]], "hx": [[1, 1], [1, 1], [1]], "hz": []},
+                "hx",
+                2,
+            ),
+        ],
+    )
+    def test_document_ragged_matrix_is_two(self, capsys, tmp_path, argv, doc, key, row):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + ["--in", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"key {key!r}: row {row} has" in err
+
+    @pytest.mark.parametrize("budget", ["-3", "0", "many"])
+    def test_params_budget_below_one_is_two(self, capsys, tmp_path, budget):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"modulus": 11, "gx": [], "gz": []}))
+        with pytest.raises(SystemExit) as exc:
+            main(["code", "params", "--in", str(path), "--budget", budget])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "argument --budget: expected a positive integer" in err
+
+
 class TestGolden:
     """CLI outputs that must stay byte-identical, stored in tests/data/."""
 

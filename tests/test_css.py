@@ -9,11 +9,66 @@ from gqudits.errors import InvalidDocument, NotCommuting, RankDeficient
 from gqudits.field import make_field
 from gqudits.grs import make_qrs
 from gqudits.pauli import PauliWord
+from gqudits.q2b import convert_code
 
 
 def in_row_space(gf, M, w):
     """w is an F_q combination of the rows of M."""
     return linalg.solve(gf, linalg.as_matrix(M).T, w) is not None
+
+
+def chunked_min_weight_excluding(gf, span_basis, exclude, budget):
+    """The former enumerator, kept as the reference: one F_q matmul per
+    2^14 messages, then one mul_arr pass per pivot of rref(exclude) to
+    reduce each word modulo span(exclude)."""
+    span_basis = linalg.as_matrix(span_basis)
+    exclude = linalg.as_matrix(exclude, span_basis.shape[1])
+    dim = span_basis.shape[0]
+    total = gf.q**dim
+    if total > budget:
+        return None
+    rx, pivots = linalg.rref(gf, exclude)
+    shifts = np.array([gf.s * (dim - 1 - i) for i in range(dim)], dtype=np.int64)
+    best = None
+    for start in range(0, total, 1 << 14):
+        idx = np.arange(start, min(start + (1 << 14), total), dtype=np.int64)
+        msgs = (idx[:, None] >> shifts[None, :]) & (gf.q - 1)
+        words = gf.matmul(msgs, span_basis)
+        res = words.copy()
+        for j, c in enumerate(pivots):
+            f = res[:, c].copy()
+            nz = f != 0
+            if np.any(nz):
+                res[nz] ^= gf.mul_arr(f[nz, None], rx[j][None, :])
+        keep = res.any(axis=1) & (idx != 0)
+        if np.any(keep):
+            w = int((words[keep] != 0).sum(axis=1).min())
+            best = w if best is None else min(best, w)
+    return best
+
+
+def random_span_case(gf, rng):
+    """(span rows, exclude rows, kind): at most 2^12 span words, with
+    dependent rows whenever dim exceeds the rank; exclude empty, inside the
+    span, partly outside it, or the span itself."""
+    n = int(rng.integers(1, 7))
+    dim = int(rng.integers(0, 12 // gf.s + 1))
+    r = int(rng.integers(0, min(dim, n) + 1))
+    base = linalg.random_matrix(gf, rng, r, n)
+    mix = linalg.random_matrix(gf, rng, dim - r, r)
+    span = np.vstack([base, gf.matmul(mix, base)]) if r else np.zeros((dim, n), dtype=np.int64)
+    span = span[rng.permutation(dim)]
+    kind = ["empty", "inside", "partly-outside", "span"][int(rng.integers(0, 4))]
+    if kind == "empty":
+        exclude = np.zeros((0, n), dtype=np.int64)
+    elif kind == "span":
+        exclude = span
+    else:
+        m = int(rng.integers(1, dim + 2))
+        exclude = gf.matmul(linalg.random_matrix(gf, rng, m, dim), span)
+        if kind == "partly-outside":
+            exclude = np.vstack([exclude, linalg.random_matrix(gf, rng, 1, n)])
+    return span, exclude, kind
 
 
 class TestNewCss:
@@ -124,6 +179,73 @@ class TestParams:
         gf = make_field(2)
         M = np.array([[1, 0], [0, 1]])
         assert min_weight_excluding(gf, M, M, 1 << 10) is None
+
+
+class TestMinWeightDifferential:
+    """The XOR-doubling enumerator against the chunked F_q enumerator."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_random_cases(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(1000 + s)
+        kinds = set()
+        for _ in range(80):
+            span, exclude, kind = random_span_case(gf, rng)
+            kinds.add(kind)
+            got = min_weight_excluding(gf, span, exclude, 1 << 20)
+            assert got == chunked_min_weight_excluding(gf, span, exclude, 1 << 20)
+            if kind == "span" or span.shape[0] == 0:
+                assert got is None
+        assert kinds == {"empty", "inside", "partly-outside", "span"}
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_budget_edge(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(2000 + s)
+        for dim in range(1, 12 // s + 1):
+            span = linalg.random_matrix(gf, rng, dim, 5)
+            exclude = gf.matmul(linalg.random_matrix(gf, rng, 1, dim), span)
+            got = min_weight_excluding(gf, span, exclude, gf.q**dim)
+            assert got == chunked_min_weight_excluding(gf, span, exclude, gf.q**dim)
+            assert min_weight_excluding(gf, span, exclude, gf.q**dim - 1) is None
+
+    def test_budget_refused_before_tables(self):
+        gf = make_field(4)
+        span = np.eye(40, dtype=np.int64)  # 2^160 words: any table would not fit
+        assert min_weight_excluding(gf, span, span[:1], 1 << 20) is None
+
+    @pytest.mark.parametrize("s,dim,seed", [(1, 16, 0), (2, 8, 1), (4, 4, 2), (3, 5, 3)])
+    def test_high_generators(self, s, dim, seed):
+        """More than 14 F_2 generators, so the Gray-code walk runs."""
+        gf = make_field(s)
+        rng = np.random.default_rng(3000 + seed)
+        span = linalg.random_matrix(gf, rng, dim, 8)
+        for exclude in (span[:1], span[: 14 // s], np.zeros((0, 8), dtype=np.int64)):
+            got = min_weight_excluding(gf, span, exclude, 1 << 20)
+            assert got == chunked_min_weight_excluding(gf, span, exclude, 1 << 20)
+
+    def test_minimum_only_in_high_generators(self):
+        """Over F_2 with 16 rows and exclude = the first 14, the only weight-1
+        word outside span(exclude) is the sum of the last two rows, so the
+        walk must reach the combination of both high generators."""
+        gf = make_field(1)
+        rng = np.random.default_rng(3100)
+        span = np.zeros((16, 18), dtype=np.int64)
+        span[:14, :14] = linalg.random_matrix(gf, rng, 14, 14)
+        span[14, 14:] = 1  # weight 4
+        span[15, 14:17] = 1  # weight 3; span[14] ^ span[15] = e_17
+        got = min_weight_excluding(gf, span, span[:14], 1 << 20)
+        assert got == chunked_min_weight_excluding(gf, span, span[:14], 1 << 20) == 1
+
+    def test_converted_qrs_qubit_params(self):
+        gf = make_field(3)
+        qubit = convert_code(make_qrs(gf, 8, 2, 5).css)
+        p = qubit.params()
+        code = qubit.as_binary_css()
+        gf2 = code.gf
+        d_x = chunked_min_weight_excluding(gf2, dual_space(gf2, code.gz), code.gx, 1 << 20)
+        d_z = chunked_min_weight_excluding(gf2, dual_space(gf2, code.gx), code.gz, 1 << 20)
+        assert (p.d_x, p.d_z, p.d, p.distance_status) == (d_x, d_z, min(d_x, d_z), "exact")
 
 
 class TestLogicalSpaces:
