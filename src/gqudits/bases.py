@@ -17,10 +17,6 @@ from .errors import DimensionMismatch, FieldMismatch, SelfDualRequired
 from .field import GF, make_field
 
 
-def _bits_of(code: int, s: int) -> np.ndarray:
-    return np.array([(code >> i) & 1 for i in range(s)], dtype=np.int64)
-
-
 class FieldBasis:
     """An ordered F_2-basis of F_q with a cached decomposition map."""
 
@@ -31,8 +27,9 @@ class FieldBasis:
             raise DimensionMismatch(f"basis needs {gf.s} elements, got {len(self.elements)}")
         for e in self.elements:
             gf.check_code(e)
+        self._codes = np.array(self.elements, dtype=np.int64)
         # columns are the polynomial-basis bits of each basis element
-        cols = np.array([_bits_of(e, gf.s) for e in self.elements], dtype=np.int64).T
+        cols = (self._codes >> np.arange(gf.s)[:, None]) & 1
         gf2 = make_field(1)
         if not linalg.is_invertible(gf2, cols):
             raise DimensionMismatch(f"elements {self.elements} are F_2-dependent")
@@ -71,15 +68,14 @@ class FieldBasis:
 
     decompose_arr = decompose
 
-    def recompose(self, coeffs) -> int:
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        if coeffs.shape != (self.gf.s,):
-            raise DimensionMismatch(f"expected {self.gf.s} coefficients, got {coeffs.shape}")
-        out = 0
-        for c, e in zip(coeffs, self.elements):
-            if c & 1:
-                out ^= e
-        return out
+    def recompose(self, bits) -> int | np.ndarray:
+        """Inverse of decompose: the code sum_i c_i eta_i of every (..., s)
+        row of bits c, by one XOR-reduction; one (s,) row gives an int."""
+        bits = make_field(1).check_codes(np.asarray(bits, dtype=np.int64))
+        if bits.shape[-1:] != (self.gf.s,):
+            raise DimensionMismatch(f"expected rows of {self.gf.s} bits, got shape {bits.shape}")
+        codes = np.bitwise_xor.reduce(bits * self._codes, axis=-1)
+        return int(codes) if bits.ndim == 1 else codes
 
     # -- duality -----------------------------------------------------------
 
@@ -121,11 +117,8 @@ def dual_basis(basis: FieldBasis) -> FieldBasis:
     R, X, pivots = linalg.rref_augmented(gf2, T, np.eye(s, dtype=np.int64))
     if len(pivots) != s:
         raise RuntimeError("trace form degenerate; should be impossible for F_{2^s}")
-    duals = []
-    for j in range(s):
-        bits = X[:, j]  # solves T x = e_j
-        duals.append(int(sum((int(b) & 1) << k for k, b in enumerate(bits))))
-    out = FieldBasis(gf, duals)
+    # column j of X solves T x = e_j: the polynomial-basis bits of mu_j
+    out = FieldBasis(gf, (1 << np.arange(s, dtype=np.int64)) @ X)
     out._dual = basis
     return out
 

@@ -11,13 +11,12 @@ multiply runs per word.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .errors import NotCommuting, RankDeficient, json_int_fields
+from .errors import NotCommuting, RankDeficient, json_int_fields, json_matrix
 from .field import GF, make_field
 
 DEFAULT_DISTANCE_BUDGET = 1 << 20
@@ -59,13 +58,8 @@ class CssCode:
     def from_json(cls, data: dict) -> "CssCode":
         modulus, gx, gz = json_int_fields(data, modulus=0, gx=2, gz=2)
         gf = make_field(modulus=modulus)
-        n = max((len(r) for r in gx + gz), default=0)
-        gx = np.array(gx, dtype=np.int64).reshape(len(gx), n)
-        gz = np.array(gz, dtype=np.int64).reshape(len(gz), n)
-        return new_css(gf, n, gx, gz)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        n = len((gx + gz)[0]) if gx + gz else 0
+        return new_css(gf, n, json_matrix("gx", gx, n), json_matrix("gz", gz, n))
 
 
 @dataclass
@@ -169,16 +163,11 @@ def logical_spaces(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     gf = code.gf
 
     def extend(stab: np.ndarray, ambient: np.ndarray) -> np.ndarray:
-        reps = []
-        current = stab
-        r = linalg.rank(gf, current)
-        for v in ambient:
-            cand = np.vstack([current, v[None, :]])
-            if linalg.rank(gf, cand) > r:
-                reps.append(v)
-                current = cand
-                r += 1
-        return np.array(reps, dtype=np.int64).reshape(len(reps), code.n)
+        # pivot columns of [stab; ambient]^T: each ambient row independent of
+        # the stabilisers and of the ambient rows before it
+        _, pivots = linalg.rref(gf, np.vstack([stab, ambient]).T)
+        pivots = np.array(pivots, dtype=np.int64)
+        return ambient[pivots[pivots >= len(stab)] - len(stab)]
 
     z_reps = extend(code.gz, dual_space(gf, code.gx))
     x_reps = extend(code.gx, dual_space(gf, code.gz))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class GquditError(Exception):
     """Base class for all errors raised by this package."""
@@ -61,6 +63,14 @@ def json_int_fields(data, **depths):
                         f"key {key!r}: row {i} has {len(row)} entries, row 0 has {len(value[0])}"
                     )
     return values
+
+
+def json_matrix(key, rows, ncols: int) -> np.ndarray:
+    """A matrix value of json_int_fields as an int64 array of ncols columns;
+    InvalidDocument names the key if its rows have another length."""
+    if rows and len(rows[0]) != ncols:
+        raise InvalidDocument(f"key {key!r}: rows have {len(rows[0])} entries, expected {ncols}")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
 
 
 class UnsupportedDegree(GquditError):

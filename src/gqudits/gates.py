@@ -111,11 +111,11 @@ def _chi_matrix(gf: GF, n: int) -> np.ndarray:
     return out
 
 
-def pauli_coefficient_matrix(U: DenseOperator, cap: int = HIERARCHY_DIM_CAP) -> np.ndarray:
+def pauli_coefficient_matrix(U: DenseOperator) -> np.ndarray:
     """C[a, b] with U = sum_{a,b} C[a, b] X^a Z^b over packed index vectors."""
     d = U.dim
-    if d > cap:
-        raise TooLarge(f"dimension {d} exceeds cap {cap}")
+    if d > HIERARCHY_DIM_CAP:
+        raise TooLarge(f"dimension {d} exceeds cap {HIERARCHY_DIM_CAP}")
     cols = np.arange(d, dtype=np.int64)
     xoridx = cols[:, None] ^ cols[None, :]
     diagonals = U.mat[xoridx, cols[None, :]]  # row a holds U[j ^ a, j]
@@ -123,16 +123,16 @@ def pauli_coefficient_matrix(U: DenseOperator, cap: int = HIERARCHY_DIM_CAP) -> 
     return (diagonals @ chi.T) / d
 
 
-def pauli_decompose(U: DenseOperator, tol: float = 1e-12, cap: int = HIERARCHY_DIM_CAP) -> dict:
-    """Map (x codes, z codes) -> coefficient, dropping entries below tol."""
+def pauli_decompose(U: DenseOperator) -> dict:
+    """Map (x codes, z codes) -> coefficient, dropping entries up to 1e-12."""
     gf = U.gf
-    C = pauli_coefficient_matrix(U, cap)
+    C = pauli_coefficient_matrix(U)
     digits = all_digits(gf, U.n)
     out = {}
     for a in range(C.shape[0]):
         for b in range(C.shape[1]):
             c = C[a, b]
-            if abs(c) > tol:
+            if abs(c) > 1e-12:
                 out[(tuple(digits[a]), tuple(digits[b]))] = complex(c)
     return out
 
@@ -145,12 +145,12 @@ def pauli_reconstruct(gf: GF, n: int, coeffs: dict) -> DenseOperator:
     return DenseOperator(gf, n, mat)
 
 
-def is_pauli_multiple(U: DenseOperator, atol: float = _PAULI_ATOL) -> bool:
-    """Single dominant Pauli coefficient; all others below atol."""
+def is_pauli_multiple(U: DenseOperator) -> bool:
+    """Single dominant Pauli coefficient; all others at most _PAULI_ATOL."""
     C = np.abs(pauli_coefficient_matrix(U))
     top = np.unravel_index(int(np.argmax(C)), C.shape)
     C[top] = 0.0
-    return bool(np.max(C) <= atol)
+    return bool(np.max(C) <= _PAULI_ATOL)
 
 
 # -- Clifford hierarchy -----------------------------------------------------------

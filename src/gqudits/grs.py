@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -28,25 +28,7 @@ from .errors import (
 from .field import GF
 
 
-# -- dense univariate polynomials over F_q (coefficient lists, low first) -------
-
-
-def _ptrim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _pmul(gf: GF, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] ^= gf.mul(ca, cb)
-    return _ptrim(out)
+# -- polynomial evaluation ---------------------------------------------------------
 
 
 def _horner(gf: GF, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -160,12 +142,11 @@ def min_weight_codeword(c: GrsCode, roots, eta: int) -> np.ndarray:
         raise InvalidSupport("roots must be distinct evaluation points")
     if len(roots) != c.k - 1:
         raise InvalidSupport(f"need k-1 = {c.k - 1} roots, got {len(roots)}")
-    if eta == 0:
+    if c.gf.check_code(eta) == 0:
         raise InvalidSupport("eta must be non-zero")
-    poly = [eta]
-    for r in roots:
-        poly = _pmul(c.gf, poly, [r, 1])
-    return encode(c, poly + [0] * (c.k - len(poly)))
+    # v_i * eta * prod_r (alpha_i - r), one product per root over all points
+    factors = c.alpha[None, :] ^ np.array(roots, dtype=np.int64).reshape(-1, 1)
+    return reduce(c.gf.mul_arr, factors, c.gf.mul_arr(c.v, eta))
 
 
 def _berlekamp_massey(gf: GF, S: np.ndarray) -> tuple[np.ndarray, int]:

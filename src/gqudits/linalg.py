@@ -122,11 +122,8 @@ def kernel_basis(gf: GF, M) -> np.ndarray:
     n = M.shape[1]
     R, pivots = rref(gf, M)
     free = [c for c in range(n) if c not in pivots]
-    K = np.zeros((len(free), n), dtype=np.int64)
-    for i, f in enumerate(free):
-        K[i, f] = 1
-        for j, p in enumerate(pivots):
-            K[i, p] = R[j, f]  # -R[j,f] == R[j,f] in characteristic 2
+    K = np.eye(n, dtype=np.int64)[free]
+    K[:, pivots] = R[: len(pivots), free].T  # -R[j,f] == R[j,f] in characteristic 2
     return K
 
 
@@ -139,8 +136,7 @@ def solve(gf: GF, M, b) -> np.ndarray | None:
     if np.any(carried[r:]):
         return None
     x = np.zeros(M.shape[1], dtype=np.int64)
-    for j, p in enumerate(pivots):
-        x[p] = carried[j, 0]
+    x[pivots] = carried[:r, 0]
     return x
 
 

@@ -75,9 +75,9 @@ class DenseOperator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def is_unitary(self, atol: float = 1e-10) -> bool:
+    def is_unitary(self) -> bool:
         d = self.dim
-        return bool(np.allclose(self.mat.conj().T @ self.mat, np.eye(d), atol=atol))
+        return bool(np.allclose(self.mat.conj().T @ self.mat, np.eye(d), atol=1e-10))
 
     def apply(self, psi: StateVector) -> StateVector:
         if psi.gf != self.gf or psi.n != self.n:
@@ -106,10 +106,10 @@ def all_digits(gf: GF, n: int) -> np.ndarray:
     return (idx[:, None] >> shifts[None, :]) & mask
 
 
-def _check_cap(gf: GF, n: int, cap: int) -> int:
+def _check_cap(gf: GF, n: int) -> int:
     d = gf.q**n
-    if d > cap:
-        raise TooLarge(f"q^n = {d} exceeds cap {cap}")
+    if d > DIM_CAP:
+        raise TooLarge(f"q^n = {d} exceeds cap {DIM_CAP}")
     return d
 
 
@@ -125,10 +125,10 @@ def _trace_dot_with(gf: GF, codes: np.ndarray, digits: np.ndarray) -> np.ndarray
 # -- Pauli matrices and projectors ------------------------------------------------
 
 
-def pauli_matrix(P: PauliWord, cap: int = DIM_CAP) -> DenseOperator:
+def pauli_matrix(P: PauliWord) -> DenseOperator:
     """Dense matrix of sign * X^x Z^z: maps |u> to sign*(-1)^tr(z.u) |u+x>."""
     gf = P.gf
-    d = _check_cap(gf, P.n, cap)
+    d = _check_cap(gf, P.n)
     cols = np.arange(d, dtype=np.int64)
     rows = cols ^ index_of(gf, P.x_array)
     digits = all_digits(gf, P.n)
@@ -143,16 +143,16 @@ def _require_measurable(P: PauliWord) -> None:
         raise PureTypeRequired("measurement semantics need an unsigned pure-type word")
 
 
-def power_matrices(P: PauliWord, cap: int = DIM_CAP) -> list[np.ndarray]:
+def power_matrices(P: PauliWord) -> list[np.ndarray]:
     """Matrices of P^mu for every mu in F_q."""
     _require_measurable(P)
-    return [pauli_matrix(P.power(mu), cap).mat for mu in P.gf.elements()]
+    return [pauli_matrix(P.power(mu)).mat for mu in P.gf.elements()]
 
 
-def projectors(P: PauliWord, cap: int = DIM_CAP) -> list[np.ndarray]:
+def projectors(P: PauliWord) -> list[np.ndarray]:
     """The q syndrome projectors Pi_eta = q^-1 sum_mu (-1)^tr(mu eta) P^mu."""
     gf = P.gf
-    mats = np.array(power_matrices(P, cap))
+    mats = np.array(power_matrices(P))
     codes = np.arange(gf.q, dtype=np.int64)
     chi = 1 - 2 * gf.trace_arr(gf.mul_arr(codes[:, None], codes[None, :]))  # chi[eta, mu]
     return list(np.tensordot(chi, mats, axes=1) / gf.q)
@@ -161,7 +161,7 @@ def projectors(P: PauliWord, cap: int = DIM_CAP) -> list[np.ndarray]:
 # -- stabiliser states --------------------------------------------------------------
 
 
-def stabiliser_state(t: "CssTableau", cap: int = DIM_CAP) -> StateVector:
+def stabiliser_state(t: "CssTableau") -> StateVector:
     """The unique state fixed by every P^mu of a full tableau's rows.
 
     Built directly as sum over u in L_X of (-1)^tr(u . t0) |x0 + u>, where
@@ -173,7 +173,7 @@ def stabiliser_state(t: "CssTableau", cap: int = DIM_CAP) -> StateVector:
     gf = t.gf
     if not t.is_full:
         raise FullTableauRequired(f"m_X + m_Z = {t.m_x + t.m_z} != n = {t.n}")
-    d = _check_cap(gf, t.n, cap)
+    d = _check_cap(gf, t.n)
 
     x0 = linalg.solve(gf, t.zrows, t.zsyn) if t.m_z else np.zeros(t.n, dtype=np.int64)
     t0 = linalg.solve(gf, t.xrows, t.xsyn) if t.m_x else np.zeros(t.n, dtype=np.int64)
@@ -217,7 +217,7 @@ def _verify_eigen_equations(t: "CssTableau", amps: np.ndarray) -> None:
 # -- syndrome extraction -----------------------------------------------------------
 
 
-def syndrome_component(psi: StateVector, P: PauliWord, atol: float = ATOL):
+def syndrome_component(psi: StateVector, P: PauliWord):
     """The eta with P^mu |psi> = (-1)^tr(mu eta) |psi> for all mu, if any.
 
     Returns NOT_EIGENSTATE when no field element fits within tolerance.
@@ -234,9 +234,9 @@ def syndrome_component(psi: StateVector, P: PauliWord, atol: float = ATOL):
     for i in range(gf.s):
         mat = pauli_matrix(P.power(1 << i)).mat
         moved = mat @ psi.amps
-        if np.max(np.abs(moved - psi.amps)) <= atol:
+        if np.max(np.abs(moved - psi.amps)) <= ATOL:
             bit = 0
-        elif np.max(np.abs(moved + psi.amps)) <= atol:
+        elif np.max(np.abs(moved + psi.amps)) <= ATOL:
             bit = 1
         else:
             return NOT_EIGENSTATE
@@ -245,17 +245,17 @@ def syndrome_component(psi: StateVector, P: PauliWord, atol: float = ATOL):
     return eta
 
 
-def born_probabilities(psi: StateVector, P: PauliWord, cap: int = DIM_CAP) -> np.ndarray:
+def born_probabilities(psi: StateVector, P: PauliWord) -> np.ndarray:
     """Probability of each syndrome outcome eta in code order."""
-    projs = projectors(P, cap)
+    projs = projectors(P)
     probs = np.array([float(np.vdot(pr @ psi.amps, pr @ psi.amps).real) for pr in projs])
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 
 
-def collapse(psi: StateVector, P: PauliWord, eta: int, cap: int = DIM_CAP) -> StateVector:
+def collapse(psi: StateVector, P: PauliWord, eta: int) -> StateVector:
     """Renormalised projection of psi onto the syndrome-eta sector."""
-    pr = projectors(P, cap)[eta]
+    pr = projectors(P)[eta]
     vec = pr @ psi.amps
     nrm = np.linalg.norm(vec)
     if nrm < ATOL:
@@ -264,21 +264,21 @@ def collapse(psi: StateVector, P: PauliWord, eta: int, cap: int = DIM_CAP) -> St
 
 
 def measure_projective(
-    psi: StateVector, P: PauliWord, rng: np.random.Generator, cap: int = DIM_CAP
+    psi: StateVector, P: PauliWord, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Sample a syndrome component with Born probabilities and collapse."""
-    probs = born_probabilities(psi, P, cap)
+    probs = born_probabilities(psi, P)
     eta = int(rng.choice(psi.gf.q, p=probs))
-    return eta, collapse(psi, P, eta, cap)
+    return eta, collapse(psi, P, eta)
 
 
-def states_equal_up_to_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
+def states_equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
     if a.amps.shape != b.amps.shape:
         return False
     i = int(np.argmax(np.abs(a.amps)))
-    if abs(a.amps[i]) < atol or abs(b.amps[i]) < atol:
-        return bool(np.max(np.abs(a.amps - b.amps)) <= atol)
+    if abs(a.amps[i]) < ATOL or abs(b.amps[i]) < ATOL:
+        return bool(np.max(np.abs(a.amps - b.amps)) <= ATOL)
     phase = b.amps[i] / a.amps[i]
-    if abs(abs(phase) - 1.0) > atol:
+    if abs(abs(phase) - 1.0) > ATOL:
         return False
-    return bool(np.max(np.abs(phase * a.amps - b.amps)) <= atol)
+    return bool(np.max(np.abs(phase * a.amps - b.amps)) <= ATOL)

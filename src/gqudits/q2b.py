@@ -8,7 +8,6 @@ component; a classical GRS decoder then recovers the error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,14 @@ import numpy as np
 from . import linalg
 from .bases import BasisAssignment, FieldBasis, find_self_dual
 from .css import CssCode, dual_space, new_css
-from .errors import DimensionMismatch, InvalidAlist, InvalidFieldCode, json_fields, json_int_fields
+from .errors import (
+    DimensionMismatch,
+    InvalidAlist,
+    InvalidDocument,
+    json_fields,
+    json_int_fields,
+    json_matrix,
+)
 from .field import GF, make_field
 from .grs import QrsCode, decode
 
@@ -58,16 +64,18 @@ def _expand_rows(assignment: BasisAssignment, rows, scales, dualise: bool) -> np
 
 
 def lift_vector(assignment: BasisAssignment, bits) -> np.ndarray:
-    """Inverse of expand_vector."""
-    bits = np.asarray(bits, dtype=np.int64).reshape(-1)
-    s = assignment.gf.s
-    if bits.size != assignment.n * s:
-        raise DimensionMismatch(f"expected {assignment.n * s} bits, got {bits.size}")
-    make_field(1).check_codes(bits)
-    return np.array(
-        [assignment[i].recompose(bits[i * s : (i + 1) * s]) for i in range(assignment.n)],
-        dtype=np.int64,
-    )
+    """Inverse of expand_vector: (n*s,) bits give (n,) codes and (m, n*s)
+    bits give (m, n).  The qudits of each distinct basis are recomposed in
+    one call."""
+    bits = np.asarray(bits, dtype=np.int64)
+    n, s = assignment.n, assignment.gf.s
+    if bits.ndim > 2 or bits.shape[-1:] != (n * s,):
+        raise DimensionMismatch(f"bits of shape {bits.shape}, assignment needs {n * s} per row")
+    blocks = bits.reshape(bits.shape[:-1] + (n, s))
+    out = np.empty(blocks.shape[:-1], dtype=np.int64)
+    for basis, idx in assignment.groups:
+        out[..., idx] = basis.recompose(blocks[..., idx, :])
+    return out
 
 
 def lift_dual(assignment: BasisAssignment, bits) -> np.ndarray:
@@ -125,14 +133,12 @@ class QubitCssCode:
         (qudit_code,) = json_fields(data, "qudit_code")
         bases, hx, hz = json_int_fields(data, basis_assignment=2, hx=2, hz=2)
         source = CssCode.from_json(qudit_code)
+        if len(bases) != source.n:
+            raise InvalidDocument(f"key 'basis_assignment': {len(bases)} bases, {source.n} qudits")
+        bases = json_matrix("basis_assignment", bases, source.gf.s)
         assignment = BasisAssignment([FieldBasis(source.gf, els) for els in bases])
         ns = source.n * source.gf.s
-        hx = np.array(hx, dtype=np.int64).reshape(len(hx), ns)
-        hz = np.array(hz, dtype=np.int64).reshape(len(hz), ns)
-        return cls(ns, hx, hz, source, assignment)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
+        return cls(ns, json_matrix("hx", hx, ns), json_matrix("hz", hz, ns), source, assignment)
 
 
 def default_assignment(gf: GF, n: int) -> BasisAssignment:
@@ -140,23 +146,19 @@ def default_assignment(gf: GF, n: int) -> BasisAssignment:
     return BasisAssignment.default_self_dual(gf, n)
 
 
-def convert_code(
-    code: CssCode,
-    assignment: BasisAssignment | None = None,
-    enum_basis: FieldBasis | None = None,
-) -> QubitCssCode:
+def convert_code(code: CssCode, assignment: BasisAssignment | None = None) -> QubitCssCode:
     """Map stabiliser spaces through the decomposition maps.
 
-    Qubit generators are the expansions of b * row over the enumeration
-    basis b; the result has ns physical and s*k logical qubits.
+    Qubit generators are the expansions of b * row over the self-dual basis
+    b (any F_2-basis spans the same space); the result has ns physical and
+    s*k logical qubits.
     """
     gf = code.gf
     if assignment is None:
         assignment = default_assignment(gf, code.n)
-    if enum_basis is None:
-        enum_basis = find_self_dual(gf)
-    hx = _expand_rows(assignment, code.gx, enum_basis.elements, dualise=False)
-    hz = _expand_rows(assignment, code.gz, enum_basis.elements, dualise=True)
+    enum = find_self_dual(gf).elements
+    hx = _expand_rows(assignment, code.gx, enum, dualise=False)
+    hz = _expand_rows(assignment, code.gz, enum, dualise=True)
     return QubitCssCode(code.n * gf.s, hx, hz, code, assignment)
 
 
@@ -181,12 +183,12 @@ def convert_logicals(
 class MeasurementPlan:
     x_bases: list[FieldBasis]  # expansion basis per X check
     z_bases: list[FieldBasis]
-    x_checks: list[np.ndarray]  # s binary check vectors per X check
-    z_checks: list[np.ndarray]
+    x_checks: np.ndarray  # (m_x, s, n*s): s binary check vectors per X check
+    z_checks: np.ndarray
 
     @property
     def total_checks(self) -> int:
-        return sum(c.shape[0] for c in self.x_checks) + sum(c.shape[0] for c in self.z_checks)
+        return (len(self.x_checks) + len(self.z_checks)) * self.x_checks.shape[1]
 
 
 def make_plan(
@@ -208,10 +210,10 @@ def make_plan(
         raise DimensionMismatch("one expansion basis per qudit check required")
     gf2 = make_field(1)
 
-    def checks(rows: np.ndarray, bases: list[FieldBasis], dualise: bool) -> list[np.ndarray]:
+    def checks(rows: np.ndarray, bases: list[FieldBasis], dualise: bool) -> np.ndarray:
         scales = np.array([b.elements for b in bases], dtype=np.int64).reshape(-1, gf.s)
         bits = _expand_rows(assignment, rows, scales, dualise)
-        groups = list(bits.reshape(len(bases), gf.s, code.n * gf.s))
+        groups = bits.reshape(len(bases), gf.s, code.n * gf.s)
         if any(linalg.rank(gf2, g) != gf.s for g in groups):
             raise DimensionMismatch("expanded qubit checks are dependent")
         return groups
@@ -221,17 +223,15 @@ def make_plan(
     return MeasurementPlan(list(x_bases), list(z_bases), x_checks, z_checks)
 
 
-def reconstruct_syndrome(gf: GF, bits, basis: FieldBasis) -> int:
-    """The unique eta with tr(b_i * eta) = bit_i: eta = sum bit_i b_i^*."""
-    bits = np.asarray(bits, dtype=np.int64).reshape(-1)
-    if bits.size != gf.s:
-        raise DimensionMismatch(f"need {gf.s} bits, got {bits.size}")
-    dual = basis.dual()
-    eta = 0
-    for bit, el in zip(bits, dual.elements):
-        if bit & 1:
-            eta ^= el
-    return eta
+def reconstruct_syndrome(gf: GF, bits, bases) -> np.ndarray:
+    """The syndrome components of m checks from their (m, s) measured bits
+    and m expansion bases: eta_j, the unique element with
+    tr(b_ji * eta_j) = bits[j, i], is sum_i bits[j, i] b*_ji."""
+    bits = make_field(1).check_codes(np.asarray(bits, dtype=np.int64))
+    duals = np.array([b.dual().elements for b in bases], dtype=np.int64).reshape(-1, gf.s)
+    if bits.shape != duals.shape:
+        raise DimensionMismatch(f"bits of shape {bits.shape}, need {duals.shape} for the bases")
+    return np.bitwise_xor.reduce(bits * duals, axis=-1)
 
 
 # -- end-to-end qubit decoding ------------------------------------------------------
@@ -255,15 +255,12 @@ def end_to_end_decode(
     error_bits = np.asarray(error_bits, dtype=np.int64).reshape(-1)
     if error_bits.size != qrs.n * gf.s:
         raise DimensionMismatch(f"expected {qrs.n * gf.s} error bits, got {error_bits.size}")
-    if np.any((error_bits != 0) & (error_bits != 1)):
-        raise InvalidFieldCode("error bits must be 0 or 1")
+    make_field(1).check_codes(error_bits)
     sides = {"Z": (plan.x_checks, plan.x_bases), "X": (plan.z_checks, plan.z_bases)}
     if kind not in sides:
         raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
-    syndrome = np.array(
-        [reconstruct_syndrome(gf, g @ error_bits % 2, b) for g, b in zip(*sides[kind])],
-        dtype=np.int64,
-    )
+    checks, bases = sides[kind]
+    syndrome = reconstruct_syndrome(gf, checks @ error_bits % 2, bases)
     lift, shift_code = qrs.syndrome_lift[kind]
     _, err = decode(shift_code, gf.matvec(lift, syndrome))
     if kind == "Z":

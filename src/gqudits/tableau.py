@@ -15,7 +15,6 @@ opposite-type row, with outcome w . t0 where rows . t0 = syndromes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
     PureTypeRequired,
     RankDeficient,
     json_int_fields,
+    json_matrix,
 )
 from .field import GF, make_field
 from .pauli import PauliWord
@@ -91,13 +91,9 @@ class CssTableau:
             data, modulus=0, xrows=2, zrows=2, xsyn=1, zsyn=1
         )
         gf = make_field(modulus=modulus)
-        n = max((len(r) for r in xrows + zrows), default=0)
-        xrows = np.array(xrows, dtype=np.int64).reshape(len(xrows), n)
-        zrows = np.array(zrows, dtype=np.int64).reshape(len(zrows), n)
+        n = len((xrows + zrows)[0]) if xrows + zrows else 0
+        xrows, zrows = json_matrix("xrows", xrows, n), json_matrix("zrows", zrows, n)
         return new_tableau(gf, n, xrows, zrows, xsyn, zsyn)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def new_tableau(gf: GF, n: int, xrows, zrows, xsyn, zsyn) -> CssTableau:

@@ -165,12 +165,12 @@ def _random_pure_word(gf, n: int, rng) -> PauliWord:
     return PauliWord.z_word(gf, codes)
 
 
-def criterion_tableau_oracle(seed: int = 0, cases: int = 200) -> tuple[bool, str]:
+def criterion_tableau_oracle(seed: int = 0) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     det_cases = 0
     rand_cases = 0
     counts: dict[int, np.ndarray] = {2: np.zeros(2), 4: np.zeros(4)}
-    for _ in range(cases):
+    for _ in range(200):
         gf = make_field(int(rng.integers(1, 3)))
         n = int(rng.integers(1, 4))
         t = _random_full_tableau(gf, n, rng)
@@ -211,8 +211,9 @@ def criterion_tableau_oracle(seed: int = 0, cases: int = 200) -> tuple[bool, str
 # -- criterion 4: cat-state gadget ----------------------------------------------------
 
 
-def criterion_cat_gadget(seed: int = 0, trials: int = 100) -> tuple[bool, str]:
+def criterion_cat_gadget(seed: int = 0) -> tuple[bool, str]:
     gf = make_field(3)
+    trials = 100
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         gammas = [int(g) for g in rng.integers(1, 8, size=4)]
@@ -473,8 +474,9 @@ def criterion_grs(seed: int = 0) -> tuple[bool, str]:
 # -- criterion 9: QRS end to end -------------------------------------------------------
 
 
-def criterion_qrs(seed: int = 0, trials: int = 500) -> tuple[bool, str]:
+def criterion_qrs(seed: int = 0) -> tuple[bool, str]:
     gf = make_field(3)
+    trials = 500
     qrs = grs_mod.make_qrs(gf, 8, 2, 5)
     p = css_mod.params(qrs.css)
     if (p.k, p.d_x, p.d_z) != (3, 4, 3):

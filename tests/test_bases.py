@@ -102,6 +102,37 @@ class TestDecompose:
             B.decompose(codes)
 
 
+def reference_recompose(basis, bits):
+    """The scalar bit fold that FieldBasis.recompose replaced."""
+    out = 0
+    for c, e in zip(bits, basis.elements):
+        if c & 1:
+            out ^= e
+    return out
+
+
+class TestRecompose:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_scalar_reference(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(31 + s)
+        B = random_basis(gf, rng)
+        for basis in (polynomial_basis(gf), find_self_dual(gf), B, B.dual()):
+            bits = rng.integers(0, 2, size=(5, 7, s))
+            out = basis.recompose(bits)
+            assert out.shape == (5, 7) and out.dtype == np.int64
+            for idx in np.ndindex(out.shape):
+                assert out[idx] == reference_recompose(basis, bits[idx])
+            row = basis.recompose(bits[0, 0])
+            assert type(row) is int and row == out[0, 0]
+            assert np.array_equal(basis.decompose(out), bits)
+
+    @pytest.mark.parametrize("bits", [[2, 0, 0], [1, -1, 0], [[0, 1, 1], [0, 3, 0]]])
+    def test_non_bits_rejected(self, bits):
+        with pytest.raises(InvalidFieldCode):
+            polynomial_basis(make_field(3)).recompose(bits)
+
+
 class TestDualBasis:
     def test_self_dual_fixed_point(self):
         for s in (1, 2, 3):

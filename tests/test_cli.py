@@ -217,6 +217,36 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and f"key {key!r}: row {row} has" in err
 
+    @pytest.mark.parametrize(
+        "argv,doc,key",
+        [
+            (["code", "params"], {"modulus": 11, "gx": [[1, 2, 3]], "gz": [[1, 1]]}, "gz"),
+            (
+                ["sim", "measure", "--pauli", "+|x:[1,1]|z:[0,0]"],
+                {"modulus": 7, "xrows": [[1, 1]], "zrows": [[1, 1, 0]], "xsyn": [0], "zsyn": [0]},
+                "zrows",
+            ),
+            (
+                ["code", "export"],
+                {"qudit_code": {"modulus": 3, "gx": [[1, 1]], "gz": []},
+                 "basis_assignment": [[1], [1]], "hx": [[1, 1, 0]], "hz": []},
+                "hx",
+            ),
+            (
+                ["code", "export"],
+                {"qudit_code": {"modulus": 3, "gx": [[1, 1]], "gz": []},
+                 "basis_assignment": [[1]], "hx": [[1, 1]], "hz": []},
+                "basis_assignment",
+            ),
+        ],
+    )
+    def test_document_width_mismatch_is_two(self, capsys, tmp_path, argv, doc, key):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + ["--in", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"key {key!r}:" in err
+
     @pytest.mark.parametrize("budget", ["-3", "0", "many"])
     def test_params_budget_below_one_is_two(self, capsys, tmp_path, budget):
         path = tmp_path / "doc.json"

@@ -282,6 +282,30 @@ class TestLogicalSpaces:
             assert not in_row_space(gf, code.gx, row)
 
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_greedy_rank_reference(self, s):
+        """One rref against the row-by-row rank loop it replaced."""
+
+        def extend(gf, stab, ambient):
+            reps, current = [], stab
+            for v in ambient:
+                cand = np.vstack([current, v[None, :]])
+                if linalg.rank(gf, cand) > linalg.rank(gf, current):
+                    reps.append(v)
+                    current = cand
+            return np.array(reps, dtype=np.int64).reshape(len(reps), stab.shape[1])
+
+        gf = make_field(s)
+        rng = np.random.default_rng(257 + s)
+        for _ in range(5):
+            n = int(rng.integers(2, min(gf.q, 10) + 1))
+            k1, k2 = sorted(int(k) for k in rng.integers(0, n + 1, 2))
+            code = make_qrs(gf, n, k1, k2, rng.permutation(gf.q)[:n].astype(np.int64)).css
+            z, x = logical_spaces(code)
+            assert np.array_equal(z, extend(gf, code.gz, dual_space(gf, code.gx)))
+            assert np.array_equal(x, extend(gf, code.gx, dual_space(gf, code.gz)))
+
+
 class TestOracleDimension:
     @pytest.mark.parametrize("s,n", [(1, 3), (2, 2)])
     def test_k_matches_codespace_dimension(self, s, n):

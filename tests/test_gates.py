@@ -218,7 +218,7 @@ class TestPauliDecompose:
         rng = np.random.default_rng(31)
         M = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         U = DenseOperator(gf, 2, M)
-        back = pauli_reconstruct(gf, 2, pauli_decompose(U, tol=0))
+        back = pauli_reconstruct(gf, 2, pauli_decompose(U))
         assert np.max(np.abs(back.mat - M)) < 1e-10
 
     def test_is_pauli_multiple(self):

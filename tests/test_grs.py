@@ -208,6 +208,34 @@ class TestMinWeightCodeword:
                 words.add(tuple(min_weight_codeword(code, roots, eta).tolist()))
         assert len(words) == (gf.q - 1) * math.comb(3, 1) == 9
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_polynomial_reference(self, s):
+        """The direct product against encode(eta * prod (x - r)), with the
+        product built by the scalar coefficient loop it replaced."""
+
+        def pmul(gf, a, b):
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                for j, cb in enumerate(b):
+                    out[i + j] ^= gf.mul(ca, cb)
+            return out
+
+        gf = make_field(s)
+        rng = np.random.default_rng(251 + s)
+        for _ in range(10):
+            n = int(rng.integers(2, gf.q + 1))
+            k1 = int(rng.integers(1, n + 1))
+            alpha = rng.permutation(gf.q)[:n].astype(np.int64)
+            v = rng.integers(1, gf.q, size=n, dtype=np.int64)
+            code = make_qrs(gf, n, k1, n, alpha, v).x_side_code()
+            roots = rng.choice(alpha, size=k1 - 1, replace=False).tolist()
+            eta = int(rng.integers(1, gf.q))
+            poly = [eta]
+            for r in roots:
+                poly = pmul(gf, poly, [r, 1])
+            want = encode(code, poly)
+            assert np.array_equal(min_weight_codeword(code, roots, eta), want)
+
     def test_invalid_roots(self):
         with pytest.raises(InvalidSupport):
             min_weight_codeword(f4_instance(), [3], 1)

@@ -151,6 +151,32 @@ class TestCodeValidation:
             linalg.rref_augmented(GF2, [[1, 0]], [[3]])
 
 
+class TestPivotFillAgainstLoop:
+    """kernel_basis and solve against their per-pivot fill loops."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_kernel_basis_and_solve(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(263 + s)
+        for m, n, _ in shapes(rng):
+            M = rng.integers(0, gf.q, size=(m, n))
+            R, pivots = linalg.rref(gf, M)
+            free = [c for c in range(n) if c not in pivots]
+            K = np.zeros((len(free), n), dtype=np.int64)
+            for i, f in enumerate(free):
+                K[i, f] = 1
+                for j, p in enumerate(pivots):
+                    K[i, p] = R[j, f]
+            assert np.array_equal(linalg.kernel_basis(gf, M), K)
+
+            b = gf.matvec(M, rng.integers(0, gf.q, size=n)) if m else np.zeros(0, dtype=np.int64)
+            _, carried, _ = linalg.rref_augmented(gf, M, b)
+            x = np.zeros(n, dtype=np.int64)
+            for j, p in enumerate(pivots):
+                x[p] = carried[j, 0]
+            assert np.array_equal(linalg.solve(gf, M, b), x)
+
+
 class TestEmptyShapes:
     @pytest.mark.parametrize(
         "M,ncols,shape",

@@ -54,7 +54,7 @@ class TestPauliMatrix:
     def test_dimension_cap(self):
         gf = make_field(3)
         with pytest.raises(TooLarge):
-            pauli_matrix(PauliWord.identity(gf, 2), cap=8)
+            pauli_matrix(PauliWord.identity(gf, 5))  # 8^5 > DIM_CAP
 
     def test_unitary(self):
         gf = make_field(3)

@@ -73,6 +73,37 @@ def reference_rows(gf, assignment, rows, elements, dualise):
     return np.array(out, dtype=np.int64).reshape(len(out), ns)
 
 
+def reference_recompose(basis, bits):
+    """The scalar bit fold that FieldBasis.recompose replaced."""
+    out = 0
+    for c, e in zip(bits, basis.elements):
+        if c & 1:
+            out ^= e
+    return out
+
+
+def reference_lift(assignment, bits):
+    """The per-qudit loop that lift_vector replaced, on one (n*s,) row."""
+    s = assignment.gf.s
+    blocks = [bits[i * s : (i + 1) * s] for i in range(assignment.n)]
+    return np.array([reference_recompose(B, b) for B, b in zip(assignment, blocks)], dtype=np.int64)
+
+
+def reference_syndrome(bits, basis):
+    """The per-check fold that reconstruct_syndrome replaced: sum bit_i b_i^*."""
+    return reference_recompose(basis.dual(), bits)
+
+
+def assignments(gf, n, rng):
+    """A shared basis, distinct per-qudit bases and (for s > 1, where a basis
+    can differ from its dual) a mixed pool with B != B*."""
+    out = [BasisAssignment.uniform(random_assignment(gf, 1, rng)[0], n)]
+    out.append(random_assignment(gf, n, rng))
+    if gf.s > 1:
+        out.append(mixed_assignment(gf, n, rng))
+    return out
+
+
 def reference_alist(M):
     """The per-column/per-row loop writer that export_alist replaced."""
     M = linalg.as_matrix(M)
@@ -190,6 +221,40 @@ class TestExpansion:
         with pytest.raises(InvalidFieldCode):
             lift_vector(A, [0, bad, 0, 0])
 
+    @pytest.mark.parametrize("lift", [lift_vector, lift_dual])
+    def test_matrix_lift_rejects_non_bits(self, lift):
+        A = default_assignment(make_field(2), 2)
+        with pytest.raises(InvalidFieldCode):
+            lift(A, [[0, 1, 0, 0], [0, 0, 2, 0]])
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_lift_matches_scalar_reference(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(211 + s)
+        for A in assignments(gf, 6, rng):
+            bits = rng.integers(0, 2, size=(4, 6 * s))
+            X, Z = lift_vector(A, bits), lift_dual(A, bits)
+            assert X.shape == Z.shape == (4, 6)
+            for row, x, z in zip(bits, X, Z):
+                assert np.array_equal(x, reference_lift(A, row))
+                assert np.array_equal(z, reference_lift(A.duals(), row))
+                assert np.array_equal(lift_vector(A, row), x)
+
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_matrix_lift_round_trip(self, m):
+        gf = make_field(3)
+        rng = np.random.default_rng(223 + m)
+        for A in assignments(gf, 7, rng):
+            V = rng.integers(0, gf.q, size=(m, 7))
+            assert np.array_equal(lift_vector(A, expand_vector(A, V)), V)
+            assert np.array_equal(lift_dual(A, expand_dual(A, V)), V)
+
+    @pytest.mark.parametrize("shape", [(4, 7), (2, 2, 8), ()])
+    def test_lift_shape_checked(self, shape):
+        A = default_assignment(make_field(2), 4)
+        with pytest.raises(DimensionMismatch):
+            lift_vector(A, np.zeros(shape, dtype=np.int64))
+
 
 class TestAgainstNestedLoops:
     """Conversion outputs against the row-by-row, element-by-element
@@ -223,13 +288,19 @@ class TestAgainstNestedLoops:
                     want = reference_rows(gf, A, [row], basis.elements, dualise)
                     assert np.array_equal(group, want)
 
-    def test_enumeration_basis_honoured(self):
+    def test_enumeration_basis_spans_the_same_space(self):
+        """b * row over any F_2-basis b spans F_q * row, so the polynomial
+        basis gives the row spaces of the self-dual enumeration."""
         gf = make_field(3)
+        gf2 = make_field(1)
         code = make_qrs(gf, 8, 2, 5).css
-        A = default_assignment(gf, 8)
-        enum = polynomial_basis(gf)
-        qubit = convert_code(code, A, enum)
-        assert np.array_equal(qubit.hx, reference_rows(gf, A, code.gx, enum.elements, False))
+        A = mixed_assignment(gf, 8, np.random.default_rng(197))
+        qubit = convert_code(code, A)
+        enum = polynomial_basis(gf).elements
+        for got, rows, dualise in ((qubit.hx, code.gx, False), (qubit.hz, code.gz, True)):
+            want = reference_rows(gf, A, rows, enum, dualise)
+            assert not np.array_equal(got, want)
+            assert np.array_equal(linalg.rref(gf2, got)[0], linalg.rref(gf2, want)[0])
 
     def test_assignment_length_checked(self):
         gf = make_field(2)
@@ -389,7 +460,7 @@ class TestWorkedExamples:
 class TestReconstructSyndrome:
     def test_zero_bits(self):
         gf = make_field(2)
-        assert reconstruct_syndrome(gf, [0, 0], find_self_dual(gf)) == 0
+        assert reconstruct_syndrome(gf, [[0, 0]], [find_self_dual(gf)]) == [0]
 
     def test_exhaustive_round_trip_q4(self):
         gf = make_field(2)
@@ -401,7 +472,28 @@ class TestReconstructSyndrome:
         for B in bases:
             for eta in gf.elements():
                 bits = [gf.trace(gf.mul(b, eta)) for b in B.elements]
-                assert reconstruct_syndrome(gf, bits, B) == eta
+                assert reconstruct_syndrome(gf, [bits], [B]) == [eta]
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_scalar_reference(self, s):
+        """Shared, distinct and (s > 1) non-self-dual expansion bases."""
+        gf = make_field(s)
+        rng = np.random.default_rng(227 + s)
+        for A in assignments(gf, 9, rng):
+            bits = rng.integers(0, 2, size=(9, s))
+            got = reconstruct_syndrome(gf, bits, A.bases)
+            assert got.shape == (9,)
+            assert got.tolist() == [reference_syndrome(b, B) for b, B in zip(bits, A.bases)]
+
+    def test_non_bits_rejected(self):
+        gf = make_field(3)
+        with pytest.raises(InvalidFieldCode):
+            reconstruct_syndrome(gf, [[1, 2, 0]], [polynomial_basis(gf)])
+
+    def test_one_row_per_basis(self):
+        gf = make_field(3)
+        with pytest.raises(DimensionMismatch):
+            reconstruct_syndrome(gf, [[1, 0, 0]], [polynomial_basis(gf)] * 2)
 
     def test_planted_component(self):
         gf = make_field(3)
@@ -413,7 +505,7 @@ class TestReconstructSyndrome:
             for j, v in enumerate(qrs.css.gx):
                 target = gf.dot(v, W)
                 bits = [gf.trace(gf.mul(b, target)) for b in B.elements]
-                assert reconstruct_syndrome(gf, bits, B) == target
+                assert reconstruct_syndrome(gf, [bits], [B]) == [target]
 
 
 @pytest.fixture(scope="module")
