@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int)
     p.add_argument("--l", type=int)
     p.add_argument("--power", type=int, help="the exponent n of u_n")
-    p.add_argument("--max-level", type=int, default=4)
+    p.add_argument("--max-level", type=_positive_int, default=4)
     p.set_defaults(fn=cmd_gates_level)
 
     ver = sub.add_parser("verify", help="acceptance criteria")

@@ -15,7 +15,7 @@ import numpy as np
 from .bases import BasisAssignment, FieldBasis
 from .errors import DimensionMismatch, InvalidGate, NonUnitary, TooLarge
 from .field import GF, make_field
-from .oracle import DenseOperator, StateVector, all_digits, pauli_matrix
+from .oracle import DenseOperator, StateVector, _chi_matrix, all_digits, index_of, pauli_matrix
 from .pauli import PauliWord
 
 HIERARCHY_DIM_CAP = 1 << 9
@@ -101,16 +101,6 @@ def embed_single(gf: GF, n: int, site: int, U: DenseOperator) -> DenseOperator:
 # -- Pauli decomposition ----------------------------------------------------------
 
 
-def _chi_matrix(gf: GF, n: int) -> np.ndarray:
-    """CHI[b, j] = (-1)^tr(b . j) over packed indices b, j."""
-    codes = np.arange(gf.q, dtype=np.int64)
-    chi1 = (1 - 2 * gf.trace_arr(gf.mul_arr(codes[:, None], codes[None, :]))).astype(np.int8)
-    out = np.ones((1, 1), dtype=np.int8)
-    for _ in range(n):
-        out = np.kron(out, chi1)
-    return out
-
-
 def pauli_coefficient_matrix(U: DenseOperator) -> np.ndarray:
     """C[a, b] with U = sum_{a,b} C[a, b] X^a Z^b over packed index vectors."""
     d = U.dim
@@ -119,8 +109,7 @@ def pauli_coefficient_matrix(U: DenseOperator) -> np.ndarray:
     cols = np.arange(d, dtype=np.int64)
     xoridx = cols[:, None] ^ cols[None, :]
     diagonals = U.mat[xoridx, cols[None, :]]  # row a holds U[j ^ a, j]
-    chi = _chi_matrix(U.gf, U.n).astype(np.float64)
-    return (diagonals @ chi.T) / d
+    return (diagonals @ _chi_matrix(U.gf, U.n).T) / d
 
 
 def pauli_decompose(U: DenseOperator) -> dict:
@@ -192,6 +181,26 @@ def _memo_key(mat: np.ndarray) -> bytes:
     return np.ascontiguousarray(np.round(mat, 8)).tobytes()
 
 
+def _in_level(
+    U: DenseOperator, gens: list, memo: dict, mat: np.ndarray, k: int
+) -> tuple[bool, PauliWord | None]:
+    """Whether mat is in level k, with the first generator whose conjugate
+    fails one level down; memo maps (rounded matrix, level) to the answer."""
+    key = (_memo_key(mat), k)
+    if key in memo:
+        return memo[key], None
+    ok, failing = True, None
+    if k == 1:
+        ok = is_pauli_multiple(DenseOperator(U.gf, U.n, mat))
+    else:
+        for word, g in gens:
+            if not _in_level(U, gens, memo, mat @ g @ mat.conj().T, k - 1)[0]:
+                ok, failing = False, word
+                break
+    memo[key] = ok
+    return ok, failing
+
+
 def hierarchy_level(
     U: DenseOperator, max_level: int = 4, gate_name: str = "gate"
 ) -> HierarchyReport:
@@ -201,38 +210,20 @@ def hierarchy_level(
     Pauli group; lower levels are memoised on the rounded matrix since the
     same conjugates recur heavily.
     """
+    if max_level < 1:
+        raise ValueError(f"max_level must be at least 1, got {max_level}")
     if U.dim > HIERARCHY_DIM_CAP:
         raise TooLarge(f"dimension {U.dim} exceeds cap {HIERARCHY_DIM_CAP}")
     gens = _hierarchy_generators(U.gf, U.n)
     memo: dict[tuple[bytes, int], bool] = {}
-
-    def in_level(mat: np.ndarray, k: int) -> tuple[bool, PauliWord | None]:
-        key = (_memo_key(mat), k)
-        if key in memo:
-            return memo[key], None
-        if k == 1:
-            ok = is_pauli_multiple(DenseOperator(U.gf, U.n, mat))
-            failing = None
-        else:
-            ok, failing = True, None
-            for word, g in gens:
-                conj = mat @ g @ mat.conj().T
-                inner, _ = in_level(conj, k - 1)
-                if not inner:
-                    ok, failing = False, word
-                    break
-        memo[key] = ok
-        return ok, failing
-
     witness_word: PauliWord | None = None
     level: int | None = None
     for k in range(1, max_level + 1):
-        ok, failing = in_level(U.mat, k)
+        ok, failing = _in_level(U, gens, memo, U.mat, k)
         if ok:
             level = k
             break
         witness_word = failing
-    memo.clear()  # in_level's closure refers to itself: free the memo now, not at a GC pass
     # witness explains non-membership one level below the reported level
     witness = witness_word.to_text() if witness_word is not None else None
     return HierarchyReport(gate_name, U.gf.q, max_level, level, witness)
@@ -255,18 +246,11 @@ def _as_assignment(bases, n: int) -> BasisAssignment:
 
 def qubit_permutation(assignment: BasisAssignment) -> np.ndarray:
     """perm[qudit index] = qubit index under the blockwise decomposition."""
-    gf = assignment.gf
-    n = assignment.n
-    digits = all_digits(gf, n)
-    d = digits.shape[0]
-    perm = np.zeros(d, dtype=np.int64)
-    for i in range(n):
-        bits = assignment[i].decompose_arr(digits[:, i])  # (d, s)
-        block = np.zeros(d, dtype=np.int64)
-        for b in range(gf.s):
-            block = (block << 1) | bits[:, b]
-        perm = (perm << gf.s) | block
-    return perm
+    digits = all_digits(assignment.gf, assignment.n)
+    bits = np.empty(digits.shape + (assignment.gf.s,), dtype=np.int64)
+    for basis, idx in assignment.groups:
+        bits[:, idx, :] = basis.decompose_arr(digits[:, idx])
+    return index_of(make_field(1), bits.reshape(digits.shape[0], -1))
 
 
 def phi_map(bases, psi: StateVector) -> StateVector:

@@ -9,6 +9,7 @@ plain XOR on packed indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -88,22 +89,34 @@ class DenseOperator:
 # -- index bookkeeping ---------------------------------------------------------
 
 
-def index_of(gf: GF, u) -> int:
-    """Packed index of a digit vector (leftmost digit most significant)."""
-    u = np.asarray(u, dtype=np.int64)
-    n = u.size
-    out = 0
-    for i in range(n):
-        out = (out << gf.s) | int(u[i])
-    return out
+def _shifts(gf: GF, n: int) -> np.ndarray:
+    """Bit offset of each of n digits in a packed index, leftmost first."""
+    return gf.s * np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def index_of(gf: GF, digits):
+    """Packed index of every (..., n) digit row (leftmost digit most
+    significant), by one shift and one OR-reduction; one (n,) row gives an
+    int.  Inverse of all_digits."""
+    digits = np.asarray(digits, dtype=np.int64)
+    idx = np.bitwise_or.reduce(digits << _shifts(gf, digits.shape[-1]), axis=-1)
+    return int(idx) if digits.ndim == 1 else idx
 
 
 def all_digits(gf: GF, n: int) -> np.ndarray:
     """(q^n, n) array of every digit vector in index order."""
     idx = np.arange(gf.q**n, dtype=np.int64)
-    mask = gf.q - 1
-    shifts = np.array([gf.s * (n - 1 - i) for i in range(n)], dtype=np.int64)
-    return (idx[:, None] >> shifts[None, :]) & mask
+    return (idx[:, None] >> _shifts(gf, n)) & (gf.q - 1)
+
+
+@lru_cache(maxsize=None)
+def _chi_matrix(gf: GF, n: int) -> np.ndarray:
+    """CHI[b, j] = (-1)^tr(b . j) over packed indices b, j, as a read-only
+    int8 array built once per (gf, n)."""
+    digits = all_digits(gf, n)
+    chi = (1 - 2 * gf.trace_arr(gf.matmul(digits, digits.T))).astype(np.int8)
+    chi.setflags(write=False)
+    return chi
 
 
 def _check_cap(gf: GF, n: int) -> int:
@@ -115,27 +128,28 @@ def _check_cap(gf: GF, n: int) -> int:
 
 def _trace_dot_with(gf: GF, codes: np.ndarray, digits: np.ndarray) -> np.ndarray:
     """tr(codes . u) for every digit row u; values in {0, 1}."""
-    t = np.zeros(digits.shape[0], dtype=np.int64)
-    for i, c in enumerate(codes):
-        if c:
-            t ^= gf.trace_arr(gf.mul_arr(int(c), digits[:, i]))
-    return t
+    return gf.trace_arr(gf.matvec(digits, codes))
 
 
 # -- Pauli matrices and projectors ------------------------------------------------
 
 
-def pauli_matrix(P: PauliWord) -> DenseOperator:
-    """Dense matrix of sign * X^x Z^z: maps |u> to sign*(-1)^tr(z.u) |u+x>."""
+def _pauli_action(P: PauliWord) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, phases) with P |u> = phases[u] |targets[u]> for every ket u:
+    targets = u + x and phases = sign * (-1)^tr(z . u)."""
     gf = P.gf
     d = _check_cap(gf, P.n)
-    cols = np.arange(d, dtype=np.int64)
-    rows = cols ^ index_of(gf, P.x_array)
-    digits = all_digits(gf, P.n)
-    phases = P.sign * (1 - 2 * _trace_dot_with(gf, P.z_array, digits))
-    mat = np.zeros((d, d), dtype=np.complex128)
-    mat[rows, cols] = phases
-    return DenseOperator(gf, P.n, mat)
+    targets = np.arange(d, dtype=np.int64) ^ index_of(gf, P.x_array)
+    phases = P.sign * (1 - 2 * _trace_dot_with(gf, P.z_array, all_digits(gf, P.n)))
+    return targets, phases
+
+
+def pauli_matrix(P: PauliWord) -> DenseOperator:
+    """Dense matrix of sign * X^x Z^z: maps |u> to sign*(-1)^tr(z.u) |u+x>."""
+    targets, phases = _pauli_action(P)
+    mat = np.zeros((targets.size, targets.size), dtype=np.complex128)
+    mat[targets, np.arange(targets.size)] = phases
+    return DenseOperator(P.gf, P.n, mat)
 
 
 def _require_measurable(P: PauliWord) -> None:
@@ -151,11 +165,8 @@ def power_matrices(P: PauliWord) -> list[np.ndarray]:
 
 def projectors(P: PauliWord) -> list[np.ndarray]:
     """The q syndrome projectors Pi_eta = q^-1 sum_mu (-1)^tr(mu eta) P^mu."""
-    gf = P.gf
     mats = np.array(power_matrices(P))
-    codes = np.arange(gf.q, dtype=np.int64)
-    chi = 1 - 2 * gf.trace_arr(gf.mul_arr(codes[:, None], codes[None, :]))  # chi[eta, mu]
-    return list(np.tensordot(chi, mats, axes=1) / gf.q)
+    return list(np.tensordot(_chi_matrix(P.gf, 1), mats, axes=1) / P.gf.q)
 
 
 # -- stabiliser states --------------------------------------------------------------
@@ -181,12 +192,9 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
         raise RuntimeError("inconsistent constraints in a validated tableau")
 
     msgs = all_digits(gf, t.m_x) if t.m_x else np.zeros((1, 0), dtype=np.int64)
-    shifts = np.array([gf.s * (t.n - 1 - i) for i in range(t.n)], dtype=np.int64)
     words = gf.matmul(msgs, t.xrows) if t.m_x else np.zeros((1, t.n), dtype=np.int64)
-    signs = 1 - 2 * _trace_dot_with(gf, t0, words)
-    idx = ((words ^ x0[None, :]) << shifts[None, :]).sum(axis=1)
     amps = np.zeros(d, dtype=np.int64)
-    amps[idx] = signs
+    amps[index_of(gf, words ^ x0)] = 1 - 2 * _trace_dot_with(gf, t0, words)
 
     _verify_eigen_equations(t, amps)
     vec = amps.astype(np.complex128)
@@ -194,24 +202,29 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
 
 
 def _verify_eigen_equations(t: "CssTableau", amps: np.ndarray) -> None:
-    """Exact +-1 check of every defining relation of the tableau."""
+    """Exact +-1 check of every defining relation of the tableau.
+
+    One pass over mu in F_q checks P^mu for all X rows and all Z rows at
+    once; each temporary is (rows, q^n), never (q, q^n).  A Z row's phase
+    times its syndrome sign is (-1)^tr(mu (row . u + syn)), as the trace is
+    additive.
+    """
     gf = t.gf
-    digits = all_digits(gf, t.n)
-    for j in range(t.m_x):
-        row, syn = t.xrows[j], int(t.xsyn[j])
-        for mu in gf.elements():
-            shift = index_of(gf, gf.mul_arr(mu, row))
-            sign = 1 - 2 * gf.trace(gf.mul(mu, syn))
-            src = np.arange(amps.size, dtype=np.int64) ^ shift
-            if not np.array_equal(amps[src] * sign, amps):
-                raise RuntimeError("constructed state violates an X eigen-equation")
-    for j in range(t.m_z):
-        row, syn = t.zrows[j], int(t.zsyn[j])
-        for mu in gf.elements():
-            phase = 1 - 2 * _trace_dot_with(gf, gf.mul_arr(mu, row), digits)
-            sign = 1 - 2 * gf.trace(gf.mul(mu, syn))
-            if not np.array_equal(phase * amps * sign, amps):
-                raise RuntimeError("constructed state violates a Z eigen-equation")
+    mus = np.arange(gf.q, dtype=np.int64)[:, None]
+    xsigns = 1 - 2 * gf.trace_arr(gf.mul_arr(mus, t.xsyn))  # (q, m_x)
+    xshifts = index_of(gf, gf.mul_arr(mus[:, :, None], t.xrows))  # (q, m_x): mu * row
+    zvals = gf.matmul(t.zrows, all_digits(gf, t.n).T) ^ t.zsyn[:, None]  # (m_z, q^n)
+    kets = np.arange(amps.size, dtype=np.int64)
+    x_ok = z_ok = True
+    for mu in gf.elements():
+        moved = amps[kets ^ xshifts[mu][:, None]] * xsigns[mu][:, None]
+        x_ok = x_ok and bool(np.all(moved == amps))
+        phases = 1 - 2 * gf.trace_arr(gf.mul_arr(mu, zvals))
+        z_ok = z_ok and bool(np.all(phases * amps == amps))
+    if not x_ok:
+        raise RuntimeError("constructed state violates an X eigen-equation")
+    if not z_ok:
+        raise RuntimeError("constructed state violates a Z eigen-equation")
 
 
 # -- syndrome extraction -----------------------------------------------------------
@@ -228,21 +241,18 @@ def syndrome_component(psi: StateVector, P: PauliWord):
     _require_measurable(P)
     if P.n != psi.n or P.gf != gf:
         raise DimensionMismatch("word and state live on different systems")
-    poly = _bases.polynomial_basis(gf)
-    dual = poly.dual()
-    eta = 0
+    bits = []
     for i in range(gf.s):
-        mat = pauli_matrix(P.power(1 << i)).mat
-        moved = mat @ psi.amps
+        targets, phases = _pauli_action(P.power(1 << i))
+        moved = np.empty_like(psi.amps)
+        moved[targets] = phases * psi.amps
         if np.max(np.abs(moved - psi.amps)) <= ATOL:
-            bit = 0
+            bits.append(0)
         elif np.max(np.abs(moved + psi.amps)) <= ATOL:
-            bit = 1
+            bits.append(1)
         else:
             return NOT_EIGENSTATE
-        if bit:
-            eta ^= dual.elements[i]
-    return eta
+    return _bases.polynomial_basis(gf).dual().recompose(bits)
 
 
 def born_probabilities(psi: StateVector, P: PauliWord) -> np.ndarray:

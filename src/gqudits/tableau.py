@@ -9,8 +9,9 @@ unique state and supports pure-type Pauli measurement.
 On a full tableau span(X rows) = span(Z rows)^perp, so measuring a word w
 needs no elimination: it is deterministic iff w is orthogonal to every
 opposite-type row, with outcome w . t0 where rows . t0 = syndromes.
-``new_tableau`` checks ranks and orthogonality at the input boundaries
-(user calls, ``from_json``, ``cat_block_tableau``); the updates keep both.
+``new_tableau`` checks ranks and orthogonality with ``css.new_css`` at the
+input boundaries (user calls, ``from_json``, ``cat_block_tableau``); the
+updates keep both.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .css import new_css
 from .errors import (
     DimensionMismatch,
     FullTableauRequired,
     InvalidScale,
-    NotCommuting,
     NotCssPreserving,
     PureTypeRequired,
-    RankDeficient,
     json_int_fields,
     json_matrix,
 )
@@ -101,12 +101,7 @@ def new_tableau(gf: GF, n: int, xrows, zrows, xsyn, zsyn) -> CssTableau:
     t = CssTableau(gf, n, xrows, zrows, xsyn, zsyn)
     gf.check_codes(t.xsyn)
     gf.check_codes(t.zsyn)
-    if linalg.rank(gf, t.xrows) != t.m_x or linalg.rank(gf, t.zrows) != t.m_z:
-        raise RankDeficient("generator rows are linearly dependent")
-    if t.m_x and t.m_z:
-        prods = gf.matmul(t.xrows, t.zrows.T)
-        if np.any(prods):
-            raise NotCommuting("an X row has non-zero F_q dot with a Z row")
+    new_css(gf, n, t.xrows, t.zrows)
     return t
 
 

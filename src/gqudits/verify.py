@@ -40,10 +40,8 @@ class CriterionResult:
 
 
 def _random_basis(gf, rng) -> FieldBasis:
-    gf2 = make_field(1)
-    M = linalg.random_invertible(gf2, rng, gf.s)
-    codes = [int(sum((int(b) & 1) << i for i, b in enumerate(row))) for row in M]
-    return FieldBasis(gf, codes)
+    M = linalg.random_invertible(make_field(1), rng, gf.s)
+    return FieldBasis(gf, polynomial_basis(gf).recompose(M))
 
 
 def _fail(detail: str) -> tuple[bool, str]:
@@ -419,15 +417,8 @@ def criterion_isomorphism(seed: int = 0) -> tuple[bool, str]:
 
 
 def _enumerate_weights(code: grs_mod.GrsCode) -> np.ndarray:
-    gf = code.gf
-    G = grs_mod.generator_matrix(code)
-    hist = np.zeros(code.n + 1, dtype=np.int64)
-    shifts = np.array([gf.s * (code.k - 1 - i) for i in range(code.k)], dtype=np.int64)
-    for idx in range(gf.q**code.k):
-        msg = (idx >> shifts) & (gf.q - 1)
-        word = gf.matvec(G.T, msg)
-        hist[int((word != 0).sum())] += 1
-    return hist
+    words = code.gf.matmul(oracle_mod.all_digits(code.gf, code.k), grs_mod.generator_matrix(code))
+    return np.bincount((words != 0).sum(axis=1), minlength=code.n + 1)
 
 
 def criterion_grs(seed: int = 0) -> tuple[bool, str]:

@@ -111,6 +111,14 @@ class TestGates:
                         "--power", "7", "--beta", str(beta))
         assert json.loads(out)["level"] == 1  # the identity is a Pauli multiple
 
+    @pytest.mark.parametrize("level", ["0", "-3"])
+    def test_max_level_below_one_is_two(self, capsys, level):
+        with pytest.raises(SystemExit) as exc:
+            main(["gates", "level", "--gate", "ccz", "--q", "4", "--gamma", "1",
+                  "--max-level", level])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestExitCodes:
     def test_usage_error_is_two(self):

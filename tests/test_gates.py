@@ -1,10 +1,12 @@
 """Gate zoo construction, Pauli decomposition, hierarchy, and the
 qudit-to-qubit operator isomorphism."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from gqudits import linalg
+from gqudits import linalg, oracle
 from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomial_basis
 from gqudits.errors import InvalidGate, NonUnitary, TooLarge
 from gqudits.field import make_field
@@ -19,6 +21,7 @@ from gqudits.gates import (
     phi_inverse,
     phi_map,
     pi_map,
+    qubit_permutation,
 )
 from gqudits.oracle import DenseOperator, StateVector, all_digits, pauli_matrix
 from gqudits.pauli import PauliWord
@@ -183,6 +186,14 @@ class TestTraceFormTables:
         chi, ref = _chi_matrix(gf, n), reference_chi(gf, n)
         assert chi.dtype == ref.dtype and np.array_equal(chi, ref)
 
+    def test_chi_cached_read_only(self):
+        gf = make_field(2)
+        chi = _chi_matrix(gf, 2)
+        assert _chi_matrix is oracle._chi_matrix and _chi_matrix(gf, 2) is chi
+        assert not chi.flags.writeable
+        with pytest.raises(ValueError):
+            chi[0, 0] = 0
+
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_every_gate_matches_scalar_build(self, s):
         gf = make_field(s)
@@ -271,6 +282,51 @@ class TestHierarchy:
         U = DenseOperator(gf, 5, np.eye(4**5))
         with pytest.raises(TooLarge):
             hierarchy_level(U, 2)
+
+    @pytest.mark.parametrize("max_level", [0, -3])
+    def test_max_level_below_one_rejected(self, max_level):
+        with pytest.raises(ValueError):
+            hierarchy_level(build_gate(make_field(2), "ccz", gamma=1), max_level)
+
+    def test_no_reference_cycles_left(self):
+        U = build_gate(make_field(2), "ccz", gamma=1)
+        gc.collect()
+        gc.disable()
+        try:
+            assert hierarchy_level(U, 4).level == 3
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def reference_qubit_permutation(assignment):
+    """perm[qudit index] = qubit index, one qudit and one bit at a time."""
+    gf, n = assignment.gf, assignment.n
+    digits = all_digits(gf, n)
+    perm = np.zeros(digits.shape[0], dtype=np.int64)
+    for i in range(n):
+        bits = assignment[i].decompose(digits[:, i])
+        block = np.zeros(digits.shape[0], dtype=np.int64)
+        for b in range(gf.s):
+            block = (block << 1) | bits[:, b]
+        perm = (perm << gf.s) | block
+    return perm
+
+
+class TestQubitPermutation:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_nested_loops_mixed_bases(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(79 + s)
+        pool = [polynomial_basis(gf), find_self_dual(gf)]
+        pool += [FieldBasis(gf, polynomial_basis(gf).recompose(
+            linalg.random_invertible(make_field(1), rng, s))) for _ in range(2)]
+        for n in (1, 2, 3):
+            for _ in range(3):
+                A = BasisAssignment([pool[i] for i in rng.integers(len(pool), size=n)])
+                perm = qubit_permutation(A)
+                assert np.array_equal(perm, reference_qubit_permutation(A))
+                assert np.array_equal(np.sort(perm), np.arange(gf.q**n))
 
 
 class TestPhiMap:

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
+from gqudits import linalg
 from gqudits.errors import FullTableauRequired, PureTypeRequired, TooLarge
 from gqudits.field import make_field
 from gqudits.oracle import (
     NOT_EIGENSTATE,
     StateVector,
+    _trace_dot_with,
+    _verify_eigen_equations,
+    all_digits,
+    index_of,
     born_probabilities,
     collapse,
     measure_projective,
@@ -25,6 +30,55 @@ from gqudits.tableau import new_tableau
 def uniform_state(gf, n):
     d = gf.q**n
     return StateVector(gf, n, np.full(d, 1 / np.sqrt(d), dtype=np.complex128))
+
+
+def reference_index_of(gf, u):
+    """Packed index of one digit row, one digit at a time."""
+    out = 0
+    for c in u:
+        out = (out << gf.s) | int(c)
+    return out
+
+
+def reference_trace_dot_with(gf, codes, digits):
+    """tr(codes . u) for every digit row u, one site at a time."""
+    t = np.zeros(digits.shape[0], dtype=np.int64)
+    for i, c in enumerate(codes):
+        if c:
+            t ^= gf.trace_arr(gf.mul_arr(int(c), digits[:, i]))
+    return t
+
+
+class TestKetLayout:
+    def test_index_of_matches_digit_loop(self):
+        rng = np.random.default_rng(61)
+        for s in (1, 2, 3, 5):
+            gf = make_field(s)
+            for n in (1, 2, 4):
+                digits = rng.integers(0, gf.q, size=(7, n))
+                want = [reference_index_of(gf, u) for u in digits]
+                assert index_of(gf, digits).tolist() == want
+                got = index_of(gf, digits[0])
+                assert type(got) is int and got == want[0]
+
+    def test_index_of_inverts_all_digits(self):
+        for s in range(1, 13):
+            gf = make_field(s)
+            for n in range(1, 12 // s + 1):
+                digits = all_digits(gf, n)
+                assert digits.shape == (gf.q**n, n)
+                assert np.array_equal(index_of(gf, digits), np.arange(gf.q**n))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_trace_dot_matches_site_loop(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(67 + s)
+        for n in (1, 2, 3):
+            digits = all_digits(gf, n)
+            for _ in range(4):
+                codes = rng.integers(0, gf.q, n)
+                got = _trace_dot_with(gf, codes, digits)
+                assert np.array_equal(got, reference_trace_dot_with(gf, codes, digits))
 
 
 class TestPauliMatrix:
@@ -119,6 +173,54 @@ class TestStabiliserState:
         t = new_tableau(gf, 2, [[1, 1]], np.zeros((0, 2)), [0], [])
         with pytest.raises(FullTableauRequired):
             stabiliser_state(t)
+
+
+class TestEigenEquationCheck:
+    """The exact check behind stabiliser_state rejects broken states."""
+
+    @staticmethod
+    def pure_tableau(gf, block, rng, n=2):
+        rows = linalg.random_invertible(gf, rng, n)
+        syn = rng.integers(1, gf.q, n)  # non-zero: the X-type signs are not all equal
+        empty = np.zeros((0, n), dtype=np.int64)
+        if block == "x":
+            return new_tableau(gf, n, rows, empty, syn, [])
+        return new_tableau(gf, n, empty, rows, [], syn)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_x_only_sign_flip_and_swap(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(71 + s)
+        for _ in range(3):
+            t = self.pure_tableau(gf, "x", rng)
+            amps = np.sign(stabiliser_state(t).amps.real).astype(np.int64)
+            _verify_eigen_equations(t, amps)
+            flipped = amps.copy()
+            flipped[rng.integers(amps.size)] *= -1
+            with pytest.raises(RuntimeError, match="an X eigen-equation"):
+                _verify_eigen_equations(t, flipped)
+            i = int(rng.integers(amps.size))
+            j = int(rng.choice(np.flatnonzero(amps != amps[i])))
+            swapped = amps.copy()
+            swapped[[i, j]] = swapped[[j, i]]
+            with pytest.raises(RuntimeError, match="an X eigen-equation"):
+                _verify_eigen_equations(t, swapped)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_z_only_swap(self, s):
+        # a Z-only state is one ket; a sign flip keeps it an eigenstate
+        gf = make_field(s)
+        rng = np.random.default_rng(73 + s)
+        for _ in range(3):
+            t = self.pure_tableau(gf, "z", rng)
+            amps = np.sign(stabiliser_state(t).amps.real).astype(np.int64)
+            _verify_eigen_equations(t, amps)
+            i = int(np.flatnonzero(amps)[0])
+            j = int(rng.choice(np.flatnonzero(amps == 0)))
+            swapped = amps.copy()
+            swapped[[i, j]] = swapped[[j, i]]
+            with pytest.raises(RuntimeError, match="a Z eigen-equation"):
+                _verify_eigen_equations(t, swapped)
 
 
 class TestSyndromeComponent:
