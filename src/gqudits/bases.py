@@ -99,8 +99,10 @@ class FieldBasis:
         return self.gf.trace(self.gf.mul(eta, self.elements[i]))
 
 
+@lru_cache(maxsize=None)
 def polynomial_basis(gf: GF) -> FieldBasis:
-    """(1, alpha, alpha^2, ...): the packing basis of the element codes."""
+    """(1, alpha, alpha^2, ...): the packing basis of the element codes, one
+    cached instance per field (its dual is cached on it)."""
     return FieldBasis(gf, [1 << i for i in range(gf.s)])
 
 

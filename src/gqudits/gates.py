@@ -2,13 +2,17 @@
 
 Gate matrices are dense and tiny.  Hierarchy membership is the operational
 recursion: level 1 is "proportional to a Pauli", level k+1 conjugates the
-single-site X/Z generators over a fixed F_2-basis into level k.
+single-site X/Z generators over a fixed F_2-basis into level k.  Monomial
+gates (one unit-modulus non-zero per row and column: every Pauli, X, Z,
+mult, CNOT, CCZ, multi_cz, U_n, S, T and their pi_map images) run the
+recursion on (perm, phase) pairs; any other gate (Hadamard, a general
+unitary) runs it on dense matrices, the reference for the monomial path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -107,9 +111,11 @@ def pauli_coefficient_matrix(U: DenseOperator) -> np.ndarray:
     if d > HIERARCHY_DIM_CAP:
         raise TooLarge(f"dimension {d} exceeds cap {HIERARCHY_DIM_CAP}")
     cols = np.arange(d, dtype=np.int64)
-    xoridx = cols[:, None] ^ cols[None, :]
-    diagonals = U.mat[xoridx, cols[None, :]]  # row a holds U[j ^ a, j]
-    return (diagonals @ _chi_matrix(U.gf, U.n).T) / d
+    diagonals = U.mat[cols[:, None] ^ cols, cols[:, None]]  # column a holds U[j ^ a, j]
+    # one real product on the float view reaches BLAS with the int8 table
+    C = _chi_matrix(U.gf, U.n) @ diagonals.view(np.float64)
+    C /= d
+    return C.view(np.complex128).T
 
 
 def pauli_decompose(U: DenseOperator) -> dict:
@@ -163,40 +169,103 @@ class HierarchyReport:
         }
 
 
-def _hierarchy_generators(gf: GF, n: int) -> list[tuple[PauliWord, np.ndarray]]:
-    gens = []
+def _monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(perm, phase) with mat|j> = phase[j] |perm[j]>, when every row and
+    column of mat has exactly one non-zero and every |phase[j]| = 1 within
+    _PAULI_ATOL; None otherwise."""
+    nonzero = mat != 0
+    if not (np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)):
+        return None
+    perm = np.argmax(nonzero, axis=0)
+    phase = mat[perm, np.arange(perm.size)]
+    if np.max(np.abs(np.abs(phase) - 1.0)) > _PAULI_ATOL:
+        return None
+    return perm, phase
+
+
+@lru_cache(maxsize=None)
+def _generator_actions(gf: GF, n: int) -> tuple[tuple[PauliWord, ...], np.ndarray, np.ndarray]:
+    """The 2*n*s single-site X/Z generators over the polynomial basis, in
+    test order, with read-only (G, d) targets and phases: generator g maps
+    |j> to phases[g, j] |targets[g, j]>.  Built once per (gf, n)."""
+    words = []
     for site in range(n):
         for i in range(gf.s):
-            b = 1 << i
-            xcodes = [0] * n
-            xcodes[site] = b
-            zcodes = [0] * n
-            zcodes[site] = b
-            for word in (PauliWord.x_word(gf, xcodes), PauliWord.z_word(gf, zcodes)):
-                gens.append((word, pauli_matrix(word).mat))
-    return gens
+            codes = [0] * n
+            codes[site] = 1 << i
+            words += [PauliWord.x_word(gf, codes), PauliWord.z_word(gf, codes)]
+    actions = [_monomial(pauli_matrix(word).mat) for word in words]
+    targets = np.array([perm for perm, _ in actions])
+    phases = np.array([phase for _, phase in actions])
+    targets.setflags(write=False)
+    phases.setflags(write=False)
+    return tuple(words), targets, phases
 
 
-def _memo_key(mat: np.ndarray) -> bytes:
-    return np.ascontiguousarray(np.round(mat, 8)).tobytes()
-
-
-def _in_level(
-    U: DenseOperator, gens: list, memo: dict, mat: np.ndarray, k: int
-) -> tuple[bool, PauliWord | None]:
-    """Whether mat is in level k, with the first generator whose conjugate
-    fails one level down; memo maps (rounded matrix, level) to the answer."""
-    key = (_memo_key(mat), k)
+def _in_level(gens: tuple, memo: dict, U: DenseOperator, k: int) -> tuple[bool, PauliWord | None]:
+    """Dense recursion for non-monomial U: whether U is in level k, with the
+    first generator whose conjugate fails one level down; memo maps
+    (rounded matrix, level) to the answer."""
+    mat = U.mat
+    key = (np.ascontiguousarray(np.round(mat, 8)).tobytes(), k)
     if key in memo:
         return memo[key], None
-    ok, failing = True, None
+    failing = None
     if k == 1:
-        ok = is_pauli_multiple(DenseOperator(U.gf, U.n, mat))
+        ok = is_pauli_multiple(U)
     else:
-        for word, g in gens:
-            if not _in_level(U, gens, memo, mat @ g @ mat.conj().T, k - 1)[0]:
+        ok, adjoint = True, mat.conj().T
+        for word, targets, phases in zip(*gens):
+            conj = DenseOperator(U.gf, U.n, (mat[:, targets] * phases) @ adjoint)
+            if not _in_level(gens, memo, conj, k - 1)[0]:
                 ok, failing = False, word
                 break
+    memo[key] = ok
+    return ok, failing
+
+
+def _monomial_paulis(chi: np.ndarray, perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The level-1 rule on (m, d) monomial rows: row i is a Pauli multiple
+    when perms[i] is a translation j -> j ^ a and its one non-zero row of
+    the coefficient matrix, phases[i] @ chi.T / d, has a single entry above
+    _PAULI_ATOL (the dense rule of is_pauli_multiple)."""
+    m, d = perms.shape
+    translation = np.all(perms == (np.arange(d) ^ perms[:, :1]), axis=1)
+    rows = np.ascontiguousarray(phases.T).view(np.float64)  # (d, 2m) for BLAS
+    C = np.abs((chi @ rows).view(np.complex128) / d)  # column i: coefficients of row i
+    C[np.argmax(C, axis=0), np.arange(m)] = 0.0
+    return translation & (np.max(C, axis=0) <= _PAULI_ATOL)
+
+
+def _monomial_in_level(
+    gens: tuple, chi: np.ndarray, memo: dict, perm: np.ndarray, phase: np.ndarray, k: int
+) -> tuple[bool, PauliWord | None]:
+    """Monomial recursion: the dense one on (perm, phase) pairs.  Each node
+    conjugates by every generator at once, M g M^dag |perm[j]> =
+    phase[t] g_phase[j] conj(phase[j]) |perm[t]> with t = g_target[j], and
+    tests all the level-1 conjugates in one product; memo keys are the perm
+    bytes and the rounded phases."""
+    key = (perm.tobytes(), np.round(phase, 8).tobytes(), k)
+    if key in memo:
+        return memo[key], None
+    failing = None
+    if k == 1:
+        ok = bool(_monomial_paulis(chi, perm[None], phase[None])[0])
+    else:
+        words, targets, phases = gens
+        perms = np.empty_like(targets)
+        perms[:, perm] = perm[targets]
+        conj = np.empty(phases.shape, dtype=np.complex128)
+        conj[:, perm] = phase[targets] * phases * phase.conj()
+        if k == 2:
+            fails = np.flatnonzero(~_monomial_paulis(chi, perms, conj))
+            failing = words[fails[0]] if fails.size else None
+        else:
+            for word, p, ph in zip(words, perms, conj):
+                if not _monomial_in_level(gens, chi, memo, p, ph, k - 1)[0]:
+                    failing = word
+                    break
+        ok = failing is None
     memo[key] = ok
     return ok, failing
 
@@ -207,19 +276,29 @@ def hierarchy_level(
     """Least hierarchy level of U up to max_level, with a failure witness.
 
     Conjugation is tested over the 2*n*s single-site X/Z generators of the
-    Pauli group; lower levels are memoised on the rounded matrix since the
-    same conjugates recur heavily.
+    Pauli group, in a fixed order; lower levels are memoised since the same
+    conjugates recur heavily.  A monomial U (one unit-modulus non-zero per
+    row and column: Paulis, diagonal and permutation gates, and their
+    pi_map images) is held as a (perm, phase) pair, and so is every
+    conjugate, so a conjugation is O(d) gathers.  Any other U (Hadamard, a
+    general unitary) takes the dense recursion on d x d matrices, the
+    reference for the monomial one.
     """
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
     if U.dim > HIERARCHY_DIM_CAP:
         raise TooLarge(f"dimension {U.dim} exceeds cap {HIERARCHY_DIM_CAP}")
-    gens = _hierarchy_generators(U.gf, U.n)
-    memo: dict[tuple[bytes, int], bool] = {}
+    gens = _generator_actions(U.gf, U.n)
+    monomial = _monomial(U.mat)
+    chi = _chi_matrix(U.gf, U.n)
+    memo: dict[tuple, bool] = {}
     witness_word: PauliWord | None = None
     level: int | None = None
     for k in range(1, max_level + 1):
-        ok, failing = _in_level(U, gens, memo, U.mat, k)
+        if monomial is None:
+            ok, failing = _in_level(gens, memo, U, k)
+        else:
+            ok, failing = _monomial_in_level(gens, chi, memo, *monomial, k)
         if ok:
             level = k
             break

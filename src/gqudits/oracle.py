@@ -136,10 +136,13 @@ def _trace_dot_with(gf: GF, codes: np.ndarray, digits: np.ndarray) -> np.ndarray
 
 def _pauli_action(P: PauliWord) -> tuple[np.ndarray, np.ndarray]:
     """(targets, phases) with P |u> = phases[u] |targets[u]> for every ket u:
-    targets = u + x and phases = sign * (-1)^tr(z . u)."""
+    targets = u + x and phases = sign * (-1)^tr(z . u), the constant sign
+    for a word with no Z part."""
     gf = P.gf
     d = _check_cap(gf, P.n)
     targets = np.arange(d, dtype=np.int64) ^ index_of(gf, P.x_array)
+    if not any(P.zvec):
+        return targets, np.full(d, P.sign, dtype=np.int64)
     phases = P.sign * (1 - 2 * _trace_dot_with(gf, P.z_array, all_digits(gf, P.n)))
     return targets, phases
 

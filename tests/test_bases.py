@@ -153,6 +153,13 @@ class TestDualBasis:
             for j, b in enumerate(D.elements):
                 assert gf.trace(gf.mul(a, b)) == (1 if i == j else 0)
 
+    def test_polynomial_basis_cached_per_field(self):
+        for s in (1, 3, 6):
+            gf = make_field(s)
+            B = polynomial_basis(gf)
+            assert polynomial_basis(gf) is B and B.dual() is B.dual()
+            assert B.elements == tuple(1 << i for i in range(s))
+
     def test_double_dual(self):
         rng = np.random.default_rng(5)
         for s in (2, 3, 4):

@@ -11,11 +11,16 @@ from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomia
 from gqudits.errors import InvalidGate, NonUnitary, TooLarge
 from gqudits.field import make_field
 from gqudits.gates import (
+    _PAULI_ATOL,
     _chi_matrix,
+    _generator_actions,
+    _monomial,
+    _monomial_paulis,
     build_gate,
     embed_single,
     hierarchy_level,
     is_pauli_multiple,
+    pauli_coefficient_matrix,
     pauli_decompose,
     pauli_reconstruct,
     phi_inverse,
@@ -289,7 +294,7 @@ class TestHierarchy:
             hierarchy_level(build_gate(make_field(2), "ccz", gamma=1), max_level)
 
     def test_no_reference_cycles_left(self):
-        U = build_gate(make_field(2), "ccz", gamma=1)
+        U = build_gate(make_field(2), "ccz", gamma=1)  # monomial path
         gc.collect()
         gc.disable()
         try:
@@ -297,6 +302,206 @@ class TestHierarchy:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_no_reference_cycles_left_on_dense_path(self):
+        U = build_gate(make_field(2), "hadamard")
+        gc.collect()
+        gc.disable()
+        try:
+            assert hierarchy_level(U, 4).level == 2
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def reference_is_pauli_multiple(U):
+    """The dense level-1 rule on the complex coefficient product."""
+    d = U.dim
+    cols = np.arange(d)
+    diagonals = U.mat[cols[:, None] ^ cols[None, :], cols[None, :]]  # row a holds U[j ^ a, j]
+    C = np.abs(diagonals @ _chi_matrix(U.gf, U.n).astype(np.complex128).T / d)
+    top = np.unravel_index(int(np.argmax(C)), C.shape)
+    C[top] = 0.0
+    return bool(np.max(C) <= _PAULI_ATOL)
+
+
+def reference_levels(U, max_level=4):
+    """[(in level k, first failing generator)] for k = 1, 2, ... up to the
+    first member or max_level, by the dense recursion: d x d matrix
+    conjugation and a memo on the rounded matrix."""
+    gf, n = U.gf, U.n
+    gens = []
+    for site in range(n):
+        for i in range(gf.s):
+            codes = [0] * n
+            codes[site] = 1 << i
+            for word in (PauliWord.x_word(gf, codes), PauliWord.z_word(gf, codes)):
+                gens.append((word, pauli_matrix(word).mat))
+    memo = {}
+
+    def in_level(mat, k):
+        key = (np.round(mat, 8).tobytes(), k)
+        if key in memo:
+            return memo[key], None
+        ok, failing = True, None
+        if k == 1:
+            ok = reference_is_pauli_multiple(DenseOperator(gf, n, mat))
+        else:
+            for word, g in gens:
+                if not in_level(mat @ g @ mat.conj().T, k - 1)[0]:
+                    ok, failing = False, word
+                    break
+        memo[key] = ok
+        return ok, failing
+
+    out = []
+    for k in range(1, max_level + 1):
+        out.append(in_level(U.mat, k))
+        if out[-1][0]:
+            break
+    return out
+
+
+def assert_matches_reference(U, name="gate"):
+    """Level and witness for every max_level 1..4 equal the dense recursion's."""
+    steps = reference_levels(U)
+    for max_level in range(1, 5):
+        seen = steps[:max_level]
+        level = len(seen) if seen[-1][0] else None
+        failed = [w for ok, w in seen if not ok]  # the last failed level names the witness
+        witness = failed[-1].to_text() if failed and failed[-1] else None
+        rep = hierarchy_level(U, max_level, name)
+        assert (rep.level, rep.witness) == (level, witness), (name, max_level)
+
+
+def random_monomial(rng, d, phases):
+    mat = np.zeros((d, d), dtype=np.complex128)
+    mat[rng.permutation(d), np.arange(d)] = phases
+    return mat
+
+
+def seeded_unitary(rng, d):
+    Q, R = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+class TestMonomialEngine:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_every_gate_matches_dense_reference(self, s):
+        gf = make_field(s)
+        for kind, params in gate_cases(gf):
+            U = build_gate(gf, kind, **params)
+            assert (_monomial(U.mat) is None) == (kind == "hadamard"), kind
+            if U.dim >= 256 and params["gamma"]:
+                # ccz at q = 8, multi_cz(l = 4) at q = 4: the dense reference takes
+                # 10-20 s a gate; they are pinned to its answers, CCZ_l at level l
+                # with X on the first qudit as the witness from level 2 up
+                x = PauliWord.x_word(gf, [1] + [0] * (U.n - 1)).to_text()
+                for max_level in range(1, 5):
+                    rep = hierarchy_level(U, max_level, kind)
+                    level = U.n if max_level >= U.n else None
+                    assert (rep.level, rep.witness) == (level, x if max_level > 1 else None)
+            else:
+                assert_matches_reference(U, kind)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_pi_map_images_match_dense_reference(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(83 + s)
+
+        def random_assignment(n):
+            return BasisAssignment([FieldBasis(gf, polynomial_basis(gf).recompose(
+                linalg.random_invertible(make_field(1), rng, s))) for _ in range(n)])
+
+        zoo = [build_gate(gf, "cnot"), build_gate(gf, "mult", delta=gf.q - 1),
+               build_gate(gf, "t", gamma=1), build_gate(gf, "u_n", n=3, beta=1)]
+        if gf.q <= 4:
+            zoo.append(build_gate(gf, "ccz", gamma=gf.q - 1))
+        for U in zoo:
+            image = pi_map(random_assignment(U.n), U)
+            assert _monomial(image.mat) is not None
+            assert_matches_reference(image)
+
+    @pytest.mark.parametrize("s, n", [(1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
+    def test_random_monomials_match_dense_reference(self, s, n):
+        gf = make_field(s)
+        d = gf.q**n
+        rng = np.random.default_rng(89 + 10 * s + n)
+        roots = np.array([1, -1, 1j, -1j, np.exp(1j * np.pi / 4)])
+        for _ in range(6):
+            diagonal = np.diag(rng.choice(roots, size=d))
+            discrete = random_monomial(rng, d, rng.choice(roots, size=d))
+            circle = random_monomial(rng, d, np.exp(2j * np.pi * rng.random(d)))
+            for mat in (diagonal, discrete, circle):
+                assert _monomial(mat) is not None
+                assert_matches_reference(DenseOperator(gf, n, mat))
+
+    @pytest.mark.parametrize("s, n", [(1, 2), (2, 1), (3, 1)])
+    def test_non_monomial_take_dense_path(self, s, n):
+        gf = make_field(s)
+        rng = np.random.default_rng(97 + s)
+        H = build_gate(gf, "hadamard") if n == 1 else embed_single(gf, n, 0, build_gate(gf, "hadamard"))
+        near = random_monomial(rng, gf.q**n, 1.0)
+        near[0, 0] += 1e-3  # one extra non-zero
+        scaled = random_monomial(rng, gf.q**n, 2.0)  # non-unit phases
+        for mat in (H.mat, seeded_unitary(rng, gf.q**n), near, scaled):
+            assert _monomial(mat) is None
+            assert_matches_reference(DenseOperator(gf, n, mat))
+
+    @pytest.mark.parametrize("s, n", [(1, 3), (2, 1), (2, 2), (3, 1)])
+    def test_level_one_rule_matches_is_pauli_multiple(self, s, n):
+        gf = make_field(s)
+        d = gf.q**n
+        rng = np.random.default_rng(101 + 10 * s + n)
+        chi, kets = _chi_matrix(gf, n), np.arange(d)
+        cases = []
+        for _ in range(8):
+            x, z = rng.integers(0, gf.q, n), rng.integers(0, gf.q, n)
+            P = pauli_matrix(PauliWord.from_vectors(gf, x, z)).mat
+            cases.append(np.exp(2j * np.pi * rng.random()) * P)  # global-phase Pauli
+            cases.append(random_monomial(rng, d, 1.0))  # usually not a translation
+            translation = np.zeros((d, d), dtype=np.complex128)
+            translation[kets ^ int(rng.integers(d)), kets] = np.exp(2j * np.pi * rng.random(d))
+            cases.append(translation)  # non-character phases
+            for eps in (1e-9, 1e-5):  # one phase of a Pauli nudged under / over the tolerance
+                nudged = P.copy()
+                nudged[:, 0] *= np.exp(1j * eps)
+                cases.append(nudged)
+        for mat in cases:
+            perm, phase = _monomial(mat)
+            got = bool(_monomial_paulis(chi, perm[None], phase[None])[0])
+            U = DenseOperator(gf, n, mat)
+            assert got == is_pauli_multiple(U) == reference_is_pauli_multiple(U)
+        perms = np.array([_monomial(m)[0] for m in cases])
+        phases = np.array([_monomial(m)[1] for m in cases])
+        batch = _monomial_paulis(chi, perms, phases)
+        assert list(batch) == [is_pauli_multiple(DenseOperator(gf, n, m)) for m in cases]
+
+    @pytest.mark.parametrize("s, n", [(1, 3), (2, 2), (3, 1)])
+    def test_generator_actions_cached_read_only(self, s, n):
+        gf = make_field(s)
+        words, targets, phases = _generator_actions(gf, n)
+        assert _generator_actions(gf, n)[1] is targets and len(words) == 2 * n * gf.s
+        assert not targets.flags.writeable and not phases.flags.writeable
+        with pytest.raises(ValueError):
+            targets[0, 0] = 0
+        with pytest.raises(ValueError):
+            phases[0, 0] = 0
+        for word, t, ph in zip(words, targets, phases):
+            mat = np.zeros((gf.q**n,) * 2, dtype=np.complex128)
+            mat[t, np.arange(t.size)] = ph
+            assert np.array_equal(mat, pauli_matrix(word).mat)
+
+    @pytest.mark.parametrize("s, n", [(1, 2), (2, 2), (3, 1), (6, 1)])
+    def test_coefficient_matrix_matches_complex_product(self, s, n):
+        gf = make_field(s)
+        d = gf.q**n
+        rng = np.random.default_rng(107 + s)
+        U = DenseOperator(gf, n, rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        cols = np.arange(d)
+        diagonals = U.mat[cols[:, None] ^ cols[None, :], cols[None, :]]
+        want = diagonals @ _chi_matrix(gf, n).astype(np.complex128).T / d
+        assert np.allclose(pauli_coefficient_matrix(U), want, rtol=0, atol=1e-12)
 
 
 def reference_qubit_permutation(assignment):

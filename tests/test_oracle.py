@@ -9,6 +9,7 @@ from gqudits.field import make_field
 from gqudits.oracle import (
     NOT_EIGENSTATE,
     StateVector,
+    _pauli_action,
     _trace_dot_with,
     _verify_eigen_equations,
     all_digits,
@@ -116,6 +117,18 @@ class TestPauliMatrix:
         for _ in range(10):
             P = PauliWord.from_vectors(gf, rng.integers(0, 8, 2), rng.integers(0, 8, 2))
             assert pauli_matrix(P).is_unitary()
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_pure_x_phases_are_the_sign(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(61 + s)
+        for sign in (1, -1):
+            for _ in range(5):
+                P = PauliWord.x_word(gf, rng.integers(0, gf.q, 2), sign=sign)
+                targets, phases = _pauli_action(P)
+                want = sign * (1 - 2 * _trace_dot_with(gf, P.z_array, all_digits(gf, 2)))
+                assert phases.dtype == want.dtype and np.array_equal(phases, want)
+                assert np.array_equal(targets, np.arange(gf.q**2) ^ index_of(gf, P.x_array))
 
 
 class TestStabiliserState:
