@@ -35,17 +35,6 @@ def poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two packed polynomials over F_2."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
-    return out
-
-
 def poly_mod(a: int, m: int) -> int:
     """Remainder of a packed polynomial modulo m."""
     if m == 0:

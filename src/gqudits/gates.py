@@ -39,63 +39,60 @@ def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
     """Dense matrix for a named gate.
 
     Kinds: x(beta), z(gamma), hadamard, mult(delta), cnot, ccz(gamma),
-    multi_cz(l, gamma), u_n(n, beta), s(gamma), t(gamma).
+    multi_cz(l, gamma), u_n(n, beta), s(gamma), t(gamma).  Every kind but
+    hadamard is monomial and is scattered from its (perm, phase) action.
     """
+    if kind == "hadamard":
+        op = DenseOperator(gf, 1, _chi_matrix(gf, 1) / np.sqrt(gf.q))
+    else:
+        op = DenseOperator.from_action(gf, *_monomial_action(gf, kind, params))
+    if params:
+        raise InvalidGate(f"unused parameters for {kind!r}: {sorted(params)}")
+    return op
+
+
+def _monomial_action(gf: GF, kind: str, params: dict) -> tuple[int, np.ndarray, np.ndarray | int]:
+    """(sites, perm, phase) of a named monomial gate, which maps |j> to
+    phase[j] |perm[j]> (a scalar phase for every j); params are consumed."""
     q = gf.q
     codes = np.arange(q, dtype=np.int64)
     if kind == "x":
-        beta = gf.check_code(_take(params, kind, "beta"))
-        op = pauli_matrix(PauliWord.x_word(gf, [beta]))
-    elif kind == "z":
+        return 1, codes ^ gf.check_code(_take(params, kind, "beta")), 1
+    if kind in ("z", "s", "t"):
+        # Z, S and T put root^tr(gamma j) on |j>, root = -1, i and e^(i pi/4)
         gamma = gf.check_code(_take(params, kind, "gamma"))
-        op = pauli_matrix(PauliWord.z_word(gf, [gamma]))
-    elif kind == "hadamard":
-        op = DenseOperator(gf, 1, _chi_matrix(gf, 1) / np.sqrt(q))
-    elif kind == "mult":
+        root = {"z": -1, "s": 1j, "t": np.exp(1j * np.pi / 4)}[kind]
+        return 1, codes, np.array([1, root])[gf.trace_arr(gf.mul_arr(gamma, codes))]
+    if kind == "mult":
         delta = gf.check_code(_take(params, kind, "delta"))
         if delta == 0:
             raise NonUnitary("multiplication by 0 is not unitary")
-        mat = np.zeros((q, q), dtype=np.complex128)
-        mat[gf.mul_arr(delta, codes), codes] = 1.0
-        op = DenseOperator(gf, 1, mat)
-    elif kind == "cnot":
-        mat = np.zeros((q * q, q * q), dtype=np.complex128)
+        return 1, gf.mul_arr(delta, codes), 1
+    if kind == "cnot":
         kets = np.arange(q * q, dtype=np.int64)  # e1 * q + e2 -> e1 * q + (e2 ^ e1)
-        mat[kets ^ (kets >> gf.s), kets] = 1.0
-        op = DenseOperator(gf, 2, mat)
-    elif kind in ("ccz", "multi_cz"):
-        if kind == "ccz":
-            l = 3
-        else:
-            l = int(_take(params, kind, "l"))
-            if not 2 <= l <= 4 or q > 4:
-                raise TooLarge("multi_cz supported for l <= 4 and q <= 4 only")
+        return 2, kets ^ (kets >> gf.s), 1
+    if kind in ("ccz", "multi_cz"):
+        l = 3 if kind == "ccz" else int(_take(params, kind, "l"))
+        if kind == "multi_cz" and (not 2 <= l <= 4 or q > 4):
+            raise TooLarge("multi_cz supported for l <= 4 and q <= 4 only")
         gamma = gf.check_code(_take(params, kind, "gamma"))
         prod = reduce(gf.mul_arr, all_digits(gf, l).T)
-        op = DenseOperator(gf, l, np.diag(1 - 2 * gf.trace_arr(gf.mul_arr(gamma, prod))))
-    elif kind == "u_n":
+        return l, np.arange(q**l, dtype=np.int64), 1 - 2 * gf.trace_arr(gf.mul_arr(gamma, prod))
+    if kind == "u_n":
         npow = int(_take(params, kind, "n"))
         beta = gf.check_code(_take(params, kind, "beta"))
         if npow < 1:
             raise InvalidGate("u_n needs a power n >= 1")
-        tr = gf.trace_arr(gf.mul_arr(beta, gf.pow(codes, npow)))
-        op = DenseOperator(gf, 1, np.diag(1 - 2 * tr))
-    elif kind in ("s", "t"):
-        gamma = gf.check_code(_take(params, kind, "gamma"))
-        root = 1j if kind == "s" else np.exp(1j * np.pi / 4)
-        phases = np.array([1, root])[gf.trace_arr(gf.mul_arr(gamma, codes))]
-        op = DenseOperator(gf, 1, np.diag(phases))
-    else:
-        raise InvalidGate(f"unknown gate kind {kind!r}")
-    if params:
-        raise InvalidGate(f"unused parameters for {kind!r}: {sorted(params)}")
-    return op
+        return 1, codes, 1 - 2 * gf.trace_arr(gf.mul_arr(beta, gf.pow(codes, npow)))
+    raise InvalidGate(f"unknown gate kind {kind!r}")
 
 
 def embed_single(gf: GF, n: int, site: int, U: DenseOperator) -> DenseOperator:
     """Tensor a single-qudit operator into an n-qudit identity background."""
     if U.n != 1:
         raise DimensionMismatch("embed_single takes a 1-qudit operator")
+    if not 0 <= site < n:
+        raise DimensionMismatch(f"site {site} outside [0, {n})")
     mat = np.eye(1, dtype=np.complex128)
     for i in range(n):
         mat = np.kron(mat, U.mat if i == site else np.eye(gf.q))
@@ -130,14 +127,6 @@ def pauli_decompose(U: DenseOperator) -> dict:
             if abs(c) > 1e-12:
                 out[(tuple(digits[a]), tuple(digits[b]))] = complex(c)
     return out
-
-
-def pauli_reconstruct(gf: GF, n: int, coeffs: dict) -> DenseOperator:
-    d = gf.q**n
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for (x, z), c in coeffs.items():
-        mat += c * pauli_matrix(PauliWord.from_vectors(gf, x, z)).mat
-    return DenseOperator(gf, n, mat)
 
 
 def is_pauli_multiple(U: DenseOperator) -> bool:

@@ -4,6 +4,10 @@ Ground truth for the tableau, gate, and code modules at tiny n.  Basis
 kets are indexed by tuples in F_q^n, row-major with the leftmost qudit as
 the most significant digit; since q = 2^s, vector addition over F_q^n is
 plain XOR on packed indices.
+
+Pauli powers act through one table, _power_actions: P^mu |u> =
+phases[u] |targets[u]>.  Pauli matrices, projectors, syndrome read-out and
+the eigen-check read it; DenseOperator.from_action scatters it to a matrix.
 """
 
 from __future__ import annotations
@@ -72,6 +76,11 @@ class DenseOperator:
         if self.mat.shape != (d, d):
             raise DimensionMismatch(f"expected {d} x {d} matrix, got {self.mat.shape}")
 
+    @classmethod
+    def from_action(cls, gf: GF, n: int, targets: np.ndarray, phases) -> "DenseOperator":
+        """The monomial operator mapping |u> to phases[u] |targets[u]>."""
+        return cls(gf, n, _scatter(targets, phases))
+
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
@@ -126,49 +135,49 @@ def _check_cap(gf: GF, n: int) -> int:
     return d
 
 
-def _trace_dot_with(gf: GF, codes: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """tr(codes . u) for every digit row u; values in {0, 1}."""
-    return gf.trace_arr(gf.matvec(digits, codes))
+def _scatter(targets: np.ndarray, phases) -> np.ndarray:
+    """(..., d, d) matrices with phases[..., u] at [..., targets[..., u], u]."""
+    d = targets.shape[-1]
+    mats = np.zeros(targets.shape + (d,), dtype=np.complex128)
+    rows = targets + d * np.arange(targets.size // d).reshape(targets.shape[:-1] + (1,))
+    mats.reshape(-1, d)[rows, np.arange(d)] = phases
+    return mats
 
 
-# -- Pauli matrices and projectors ------------------------------------------------
+# -- Pauli actions, matrices and projectors -------------------------------------------
 
 
-def _pauli_action(P: PauliWord) -> tuple[np.ndarray, np.ndarray]:
-    """(targets, phases) with P |u> = phases[u] |targets[u]> for every ket u:
-    targets = u + x and phases = sign * (-1)^tr(z . u), the constant sign
-    for a word with no Z part."""
+def _power_actions(P: PauliWord, mus) -> tuple[np.ndarray, np.ndarray]:
+    """(targets, phases), each (len(mus), q^n), with P^mu |u> = phases[i, u]
+    |targets[i, u]> for mu = mus[i]: u + mu x and sign * (-1)^tr(mu (z . u)),
+    the constant sign with no Z part.  mu != 1 needs a pure-type word."""
     gf = P.gf
     d = _check_cap(gf, P.n)
-    targets = np.arange(d, dtype=np.int64) ^ index_of(gf, P.x_array)
+    mus = np.asarray(mus, dtype=np.int64)[:, None]
+    targets = np.arange(d, dtype=np.int64) ^ index_of(gf, gf.mul_arr(mus, P.x_array))[:, None]
     if not any(P.zvec):
-        return targets, np.full(d, P.sign, dtype=np.int64)
-    phases = P.sign * (1 - 2 * _trace_dot_with(gf, P.z_array, all_digits(gf, P.n)))
-    return targets, phases
+        return targets, np.full(targets.shape, P.sign, dtype=np.int64)
+    zu = gf.matvec(all_digits(gf, P.n), P.z_array)
+    return targets, P.sign * (1 - 2 * gf.trace_arr(gf.mul_arr(mus, zu)))
 
 
 def pauli_matrix(P: PauliWord) -> DenseOperator:
     """Dense matrix of sign * X^x Z^z: maps |u> to sign*(-1)^tr(z.u) |u+x>."""
-    targets, phases = _pauli_action(P)
-    mat = np.zeros((targets.size, targets.size), dtype=np.complex128)
-    mat[targets, np.arange(targets.size)] = phases
-    return DenseOperator(P.gf, P.n, mat)
+    (targets,), (phases,) = _power_actions(P, [1])
+    return DenseOperator.from_action(P.gf, P.n, targets, phases)
 
 
-def _require_measurable(P: PauliWord) -> None:
+def _require_measurable(P: PauliWord, psi: StateVector | None = None) -> None:
     if not P.is_pure() or P.sign != 1:
         raise PureTypeRequired("measurement semantics need an unsigned pure-type word")
-
-
-def power_matrices(P: PauliWord) -> list[np.ndarray]:
-    """Matrices of P^mu for every mu in F_q."""
-    _require_measurable(P)
-    return [pauli_matrix(P.power(mu)).mat for mu in P.gf.elements()]
+    if psi is not None and (P.n != psi.n or P.gf != psi.gf):
+        raise DimensionMismatch("word and state live on different systems")
 
 
 def projectors(P: PauliWord) -> list[np.ndarray]:
     """The q syndrome projectors Pi_eta = q^-1 sum_mu (-1)^tr(mu eta) P^mu."""
-    mats = np.array(power_matrices(P))
+    _require_measurable(P)
+    mats = _scatter(*_power_actions(P, P.gf.elements()))
     return list(np.tensordot(_chi_matrix(P.gf, 1), mats, axes=1) / P.gf.q)
 
 
@@ -197,7 +206,7 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
     msgs = all_digits(gf, t.m_x) if t.m_x else np.zeros((1, 0), dtype=np.int64)
     words = gf.matmul(msgs, t.xrows) if t.m_x else np.zeros((1, t.n), dtype=np.int64)
     amps = np.zeros(d, dtype=np.int64)
-    amps[index_of(gf, words ^ x0)] = 1 - 2 * _trace_dot_with(gf, t0, words)
+    amps[index_of(gf, words ^ x0)] = 1 - 2 * gf.trace_arr(gf.matvec(words, t0))
 
     _verify_eigen_equations(t, amps)
     vec = amps.astype(np.complex128)
@@ -205,29 +214,21 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
 
 
 def _verify_eigen_equations(t: "CssTableau", amps: np.ndarray) -> None:
-    """Exact +-1 check of every defining relation of the tableau.
-
-    One pass over mu in F_q checks P^mu for all X rows and all Z rows at
-    once; each temporary is (rows, q^n), never (q, q^n).  A Z row's phase
-    times its syndrome sign is (-1)^tr(mu (row . u + syn)), as the trace is
-    additive.
-    """
+    """Exact check that P^mu amps = (-1)^tr(mu syn) amps for each row word P
+    with syndrome syn and every mu in F_q, X rows first, compared at the
+    targets: (phases * amps)[u] == sign * amps[targets[u]].  The mus are cut
+    into chunks to keep each temporary near 2^20 entries."""
     gf = t.gf
-    mus = np.arange(gf.q, dtype=np.int64)[:, None]
-    xsigns = 1 - 2 * gf.trace_arr(gf.mul_arr(mus, t.xsyn))  # (q, m_x)
-    xshifts = index_of(gf, gf.mul_arr(mus[:, :, None], t.xrows))  # (q, m_x): mu * row
-    zvals = gf.matmul(t.zrows, all_digits(gf, t.n).T) ^ t.zsyn[:, None]  # (m_z, q^n)
-    kets = np.arange(amps.size, dtype=np.int64)
-    x_ok = z_ok = True
-    for mu in gf.elements():
-        moved = amps[kets ^ xshifts[mu][:, None]] * xsigns[mu][:, None]
-        x_ok = x_ok and bool(np.all(moved == amps))
-        phases = 1 - 2 * gf.trace_arr(gf.mul_arr(mu, zvals))
-        z_ok = z_ok and bool(np.all(phases * amps == amps))
-    if not x_ok:
-        raise RuntimeError("constructed state violates an X eigen-equation")
-    if not z_ok:
-        raise RuntimeError("constructed state violates a Z eigen-equation")
+    chunks = np.array_split(gf.elements(), max(1, (gf.q * amps.size) >> 20))
+    for word, rows, syns, name in (
+        (PauliWord.x_word, t.xrows, t.xsyn, "an X"), (PauliWord.z_word, t.zrows, t.zsyn, "a Z")
+    ):
+        for row, syn in zip(rows, syns):
+            for mus in chunks:
+                targets, phases = _power_actions(word(gf, row), mus)
+                signs = 1 - 2 * gf.trace_arr(gf.mul_arr(mus, syn))
+                if not np.array_equal(phases * amps, signs[:, None] * amps[targets]):
+                    raise RuntimeError(f"constructed state violates {name} eigen-equation")
 
 
 # -- syndrome extraction -----------------------------------------------------------
@@ -241,34 +242,32 @@ def syndrome_component(psi: StateVector, P: PauliWord):
     pure-type words, so the basis relations extend exactly.
     """
     gf = psi.gf
-    _require_measurable(P)
-    if P.n != psi.n or P.gf != gf:
-        raise DimensionMismatch("word and state live on different systems")
-    bits = []
-    for i in range(gf.s):
-        targets, phases = _pauli_action(P.power(1 << i))
-        moved = np.empty_like(psi.amps)
-        moved[targets] = phases * psi.amps
-        if np.max(np.abs(moved - psi.amps)) <= ATOL:
-            bits.append(0)
-        elif np.max(np.abs(moved + psi.amps)) <= ATOL:
-            bits.append(1)
-        else:
-            return NOT_EIGENSTATE
+    _require_measurable(P, psi)
+    targets, phases = _power_actions(P, 1 << np.arange(gf.s))
+    # (P^mu psi)[targets[u]] = phases[u] psi[u], so compare at the targets
+    moved = phases * psi.amps
+    plus = np.max(np.abs(moved - psi.amps[targets]), axis=1) <= ATOL
+    minus = np.max(np.abs(moved + psi.amps[targets]), axis=1) <= ATOL
+    if not np.all(plus | minus):
+        return NOT_EIGENSTATE
+    bits = (~plus).astype(np.int64)  # within ATOL both ways reads as bit 0
     return _bases.polynomial_basis(gf).dual().recompose(bits)
 
 
 def born_probabilities(psi: StateVector, P: PauliWord) -> np.ndarray:
     """Probability of each syndrome outcome eta in code order."""
-    projs = projectors(P)
-    probs = np.array([float(np.vdot(pr @ psi.amps, pr @ psi.amps).real) for pr in projs])
-    probs = np.clip(probs, 0.0, None)
+    _require_measurable(P, psi)
+    vecs = [pr @ psi.amps for pr in projectors(P)]
+    probs = np.clip([float(np.vdot(v, v).real) for v in vecs], 0.0, None)
+    if not probs.sum() > 0:
+        raise ValueError("a zero-norm state has no Born probabilities")
     return probs / probs.sum()
 
 
 def collapse(psi: StateVector, P: PauliWord, eta: int) -> StateVector:
     """Renormalised projection of psi onto the syndrome-eta sector."""
-    pr = projectors(P)[eta]
+    _require_measurable(P, psi)
+    pr = projectors(P)[psi.gf.check_code(eta)]
     vec = pr @ psi.amps
     nrm = np.linalg.norm(vec)
     if nrm < ATOL:

@@ -78,10 +78,6 @@ def lift_vector(assignment: BasisAssignment, bits) -> np.ndarray:
     return out
 
 
-def lift_dual(assignment: BasisAssignment, bits) -> np.ndarray:
-    return lift_vector(assignment.duals(), bits)
-
-
 # -- code conversion ---------------------------------------------------------------
 
 

@@ -158,6 +158,8 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
     weight>1 row touching site i, which would no longer be pure-type.
     """
     gf = t.gf
+    if not all(0 <= i < t.n for i in sites):
+        raise DimensionMismatch(f"sites {sites} outside [0, {t.n})")
     if kind == "hadamard":
         (i,) = sites
         rows = np.vstack([t.xrows, t.zrows])
@@ -183,7 +185,7 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
             out.zrows[:, i] ^= out.zrows[:, j]
     elif kind == "mult":
         (i,) = sites
-        if delta is None or delta == 0:
+        if delta is None or gf.check_code(delta) == 0:
             raise InvalidScale("mult update needs a non-zero delta")
         if out.m_x:
             out.xrows[:, i] = gf.mul_arr(out.xrows[:, i], delta)

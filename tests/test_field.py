@@ -16,7 +16,6 @@ from gqudits.field import (
     make_field,
     poly_degree,
     poly_mod,
-    poly_mul,
     poly_str,
 )
 
@@ -26,6 +25,17 @@ PRIMITIVES = {
     11: 2, 12: 3, 13: 2, 14: 7, 15: 2, 16: 3, 17: 2, 18: 10, 19: 2, 20: 2,
 }
 TABLE_FREE = [17, 20, 31]
+
+
+def poly_mul(a: int, b: int) -> int:
+    """Carry-less product of two packed polynomials over F_2."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
 
 
 class TestConstruction:

@@ -2,13 +2,14 @@
 qudit-to-qubit operator isomorphism."""
 
 import gc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from gqudits import linalg, oracle
 from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomial_basis
-from gqudits.errors import InvalidGate, NonUnitary, TooLarge
+from gqudits.errors import DimensionMismatch, InvalidGate, NonUnitary, TooLarge
 from gqudits.field import make_field
 from gqudits.gates import (
     _PAULI_ATOL,
@@ -22,7 +23,6 @@ from gqudits.gates import (
     is_pauli_multiple,
     pauli_coefficient_matrix,
     pauli_decompose,
-    pauli_reconstruct,
     phi_inverse,
     phi_map,
     pi_map,
@@ -30,6 +30,15 @@ from gqudits.gates import (
 )
 from gqudits.oracle import DenseOperator, StateVector, all_digits, pauli_matrix
 from gqudits.pauli import PauliWord
+
+
+def pauli_reconstruct(gf, n, coeffs):
+    """Inverse of pauli_decompose: the sum of coefficient times Pauli matrix."""
+    d = gf.q**n
+    mat = np.zeros((d, d), dtype=np.complex128)
+    for (x, z), c in coeffs.items():
+        mat += c * pauli_matrix(PauliWord.from_vectors(gf, x, z)).mat
+    return DenseOperator(gf, n, mat)
 
 
 class TestBuildGate:
@@ -62,6 +71,14 @@ class TestBuildGate:
             Mg = embed_single(gf, 3, 0, build_gate(gf, "mult", delta=gamma)).mat
             Mi = embed_single(gf, 3, 0, build_gate(gf, "mult", delta=gf.inv(gamma))).mat
             assert np.allclose(lhs, Mi @ ccz1 @ Mg, atol=1e-12)
+
+    def test_embed_single_site_checked(self):
+        gf = make_field(2)
+        U = build_gate(gf, "x", beta=1)
+        assert embed_single(gf, 2, 1, U).mat.tobytes() == np.kron(np.eye(4), U.mat).tobytes()
+        for site in (2, 5, -1):
+            with pytest.raises(DimensionMismatch):
+                embed_single(gf, 2, site, U)
 
     def test_mult_zero_rejected(self):
         with pytest.raises(NonUnitary):
@@ -181,6 +198,65 @@ def gate_cases(gf):
     if q <= 4:
         cases += [("multi_cz", {"l": l, "gamma": c}) for l in (2, 3, 4) for c in codes]
     return cases
+
+
+def reference_build_gate(gf, kind, **params):
+    """Each named gate's matrix by its own construction: a zeros-scatter for
+    the permutations, np.diag for the diagonal gates, the chi table for H."""
+    q = gf.q
+    codes = np.arange(q, dtype=np.int64)
+
+    def scatter(targets, d):
+        mat = np.zeros((d, d), dtype=np.complex128)
+        mat[targets, np.arange(d)] = 1
+        return mat
+
+    if kind == "x":
+        return scatter(codes ^ params["beta"], q)
+    if kind == "z":
+        return np.diag(1 - 2 * gf.trace_arr(gf.mul_arr(params["gamma"], codes)))
+    if kind == "hadamard":
+        return _chi_matrix(gf, 1) / np.sqrt(q)
+    if kind == "mult":
+        return scatter(gf.mul_arr(params["delta"], codes), q)
+    if kind == "cnot":
+        kets = np.arange(q * q, dtype=np.int64)
+        return scatter(kets ^ (kets >> gf.s), q * q)
+    if kind in ("ccz", "multi_cz"):
+        prod = reduce(gf.mul_arr, all_digits(gf, params.get("l", 3)).T)
+        return np.diag(1 - 2 * gf.trace_arr(gf.mul_arr(params["gamma"], prod)))
+    if kind == "u_n":
+        return np.diag(1 - 2 * gf.trace_arr(gf.mul_arr(params["beta"], gf.pow(codes, params["n"]))))
+    root = 1j if kind == "s" else np.exp(1j * np.pi / 4)
+    return np.diag(np.array([1, root])[gf.trace_arr(gf.mul_arr(params["gamma"], codes))])
+
+
+class TestGateBytes:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_per_kind_construction(self, s):
+        # ccz at q = 16 is a 4096 x 4096 matrix (256 MiB) and is left out
+        gf = make_field(s)
+        cases = gate_cases(gf) + [("u_n", {"n": 100, "beta": c}) for c in gf.elements()]
+        for kind, params in cases:
+            if kind == "ccz" and gf.q == 16:
+                continue
+            got = build_gate(gf, kind, **params).mat
+            want = np.asarray(reference_build_gate(gf, kind, **params), dtype=np.complex128)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (kind, params)
+
+    def test_from_action_round_trips_monomial(self):
+        rng = np.random.default_rng(109)
+        for s, n in ((1, 3), (2, 2), (3, 1), (4, 1)):
+            gf = make_field(s)
+            d = gf.q**n
+            circle = np.exp(2j * np.pi * rng.random(d))
+            for phases in (rng.choice([1, -1, 1j, -1j], size=d), circle):
+                mat = random_monomial(rng, d, phases)
+                perm, phase = _monomial(mat)
+                op = DenseOperator.from_action(gf, n, perm, phase)
+                assert op.mat.tobytes() == mat.tobytes()
+                back = _monomial(op.mat)
+                assert np.array_equal(back[0], perm) and np.array_equal(back[1], phase)
 
 
 class TestTraceFormTables:

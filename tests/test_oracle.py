@@ -4,13 +4,20 @@ import numpy as np
 import pytest
 
 from gqudits import linalg
-from gqudits.errors import FullTableauRequired, PureTypeRequired, TooLarge
+from gqudits.bases import polynomial_basis
+from gqudits.errors import (
+    DimensionMismatch,
+    FullTableauRequired,
+    InvalidFieldCode,
+    PureTypeRequired,
+    TooLarge,
+)
 from gqudits.field import make_field
 from gqudits.oracle import (
+    ATOL,
     NOT_EIGENSTATE,
     StateVector,
-    _pauli_action,
-    _trace_dot_with,
+    _power_actions,
     _verify_eigen_equations,
     all_digits,
     index_of,
@@ -18,7 +25,6 @@ from gqudits.oracle import (
     collapse,
     measure_projective,
     pauli_matrix,
-    power_matrices,
     projectors,
     states_equal_up_to_phase,
     stabiliser_state,
@@ -50,6 +56,34 @@ def reference_trace_dot_with(gf, codes, digits):
     return t
 
 
+def reference_pauli_action(P):
+    """(targets, phases) of one word: P |u> = phases[u] |targets[u]>, with
+    targets = u + x and phases = sign * (-1)^tr(z . u)."""
+    gf = P.gf
+    d = gf.q**P.n
+    targets = np.arange(d, dtype=np.int64) ^ reference_index_of(gf, P.xvec)
+    phases = P.sign * (1 - 2 * reference_trace_dot_with(gf, P.z_array, all_digits(gf, P.n)))
+    return targets, phases
+
+
+def reference_syndrome_component(psi, P):
+    """One power P^(2^i) at a time: bit i is 0 when P^(2^i) fixes psi within
+    ATOL, else 1 when it negates psi within ATOL."""
+    gf = psi.gf
+    bits = []
+    for i in range(gf.s):
+        targets, phases = reference_pauli_action(P.power(1 << i))
+        moved = np.empty_like(psi.amps)
+        moved[targets] = phases * psi.amps
+        if np.max(np.abs(moved - psi.amps)) <= ATOL:
+            bits.append(0)
+        elif np.max(np.abs(moved + psi.amps)) <= ATOL:
+            bits.append(1)
+        else:
+            return NOT_EIGENSTATE
+    return polynomial_basis(gf).dual().recompose(bits)
+
+
 class TestKetLayout:
     def test_index_of_matches_digit_loop(self):
         rng = np.random.default_rng(61)
@@ -72,14 +106,15 @@ class TestKetLayout:
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_trace_dot_matches_site_loop(self, s):
+        # a Z word's phases are (-1)^tr(z . u)
         gf = make_field(s)
         rng = np.random.default_rng(67 + s)
         for n in (1, 2, 3):
             digits = all_digits(gf, n)
             for _ in range(4):
                 codes = rng.integers(0, gf.q, n)
-                got = _trace_dot_with(gf, codes, digits)
-                assert np.array_equal(got, reference_trace_dot_with(gf, codes, digits))
+                _, (phases,) = _power_actions(PauliWord.z_word(gf, codes), [1])
+                assert np.array_equal(phases, 1 - 2 * reference_trace_dot_with(gf, codes, digits))
 
 
 class TestPauliMatrix:
@@ -125,10 +160,43 @@ class TestPauliMatrix:
         for sign in (1, -1):
             for _ in range(5):
                 P = PauliWord.x_word(gf, rng.integers(0, gf.q, 2), sign=sign)
-                targets, phases = _pauli_action(P)
-                want = sign * (1 - 2 * _trace_dot_with(gf, P.z_array, all_digits(gf, 2)))
+                (targets,), (phases,) = _power_actions(P, [1])
+                want = sign * (1 - 2 * reference_trace_dot_with(gf, P.z_array, all_digits(gf, 2)))
                 assert phases.dtype == want.dtype and np.array_equal(phases, want)
                 assert np.array_equal(targets, np.arange(gf.q**2) ^ index_of(gf, P.x_array))
+
+
+class TestPowerActions:
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_per_power_action(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(101 + s)
+        for n in (1, 2, 3):
+            for _ in range(2):
+                codes = rng.integers(0, gf.q, n)
+                for P in (PauliWord.x_word(gf, codes), PauliWord.z_word(gf, codes)):
+                    targets, phases = _power_actions(P, gf.elements())
+                    assert targets.shape == phases.shape == (gf.q, gf.q**n)
+                    for mu in gf.elements():
+                        want_targets, want_phases = reference_pauli_action(P.power(mu))
+                        assert np.array_equal(targets[mu], want_targets)
+                        assert phases.dtype == want_phases.dtype
+                        assert np.array_equal(phases[mu], want_phases)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_signed_and_mixed_words_at_mu_one(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(103 + s)
+        for n in (1, 2, 3):
+            for sign in (1, -1):
+                x, z = rng.integers(0, gf.q, n), rng.integers(0, gf.q, n)
+                for P in (PauliWord.from_vectors(gf, x, z, sign), PauliWord.x_word(gf, x, sign),
+                          PauliWord.z_word(gf, z, sign)):
+                    (targets,), (phases,) = _power_actions(P, [1])
+                    want_targets, want_phases = reference_pauli_action(P)
+                    assert np.array_equal(targets, want_targets)
+                    assert phases.dtype == want_phases.dtype
+                    assert np.array_equal(phases, want_phases)
 
 
 class TestStabiliserState:
@@ -235,6 +303,52 @@ class TestEigenEquationCheck:
             with pytest.raises(RuntimeError, match="a Z eigen-equation"):
                 _verify_eigen_equations(t, swapped)
 
+    @staticmethod
+    def mixed_tableau(gf, rng, n=3):
+        # X rows from an invertible M and Z rows from (M^-1)^T: row i of M
+        # dotted with row j of (M^-1)^T is delta_ij, so the blocks commute
+        M = linalg.random_invertible(gf, rng, n)
+        inv = np.array([linalg.solve(gf, M, e) for e in np.eye(n, dtype=np.int64)])
+        m_x = int(rng.integers(1, n))
+        return new_tableau(
+            gf, n, M[:m_x], inv[m_x:], rng.integers(0, gf.q, m_x), rng.integers(0, gf.q, n - m_x)
+        )
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_mixed_planted_violations(self, s):
+        # X^a commutes with the X rows and flips a Z row's syndrome when a
+        # meets it; Z^c does the same the other way round
+        gf = make_field(s)
+        rng = np.random.default_rng(79 + s)
+        digits = all_digits(gf, 3)
+        for _ in range(4):
+            t = self.mixed_tableau(gf, rng)
+            assert t.m_x and t.m_z
+            amps = np.rint(stabiliser_state(t).amps.real * np.sqrt(gf.q**t.m_x)).astype(np.int64)
+            _verify_eigen_equations(t, amps)
+            while True:
+                a, c = rng.integers(0, gf.q, 3), rng.integers(0, gf.q, 3)
+                if gf.matvec(t.zrows, a).any() and gf.matvec(t.xrows, c).any():
+                    break
+            shifted = np.empty_like(amps)
+            shifted[np.arange(amps.size) ^ index_of(gf, a)] = amps
+            with pytest.raises(RuntimeError, match="a Z eigen-equation"):
+                _verify_eigen_equations(t, shifted)
+            both = shifted * (1 - 2 * gf.trace_arr(gf.matvec(digits, c)))
+            with pytest.raises(RuntimeError, match="an X eigen-equation"):
+                _verify_eigen_equations(t, both)
+
+    def test_every_power_checked_past_the_first_chunk(self):
+        # q * q^n = 2^22 splits the powers into four chunks; the uniform state
+        # on codes below 512 is fixed by X^mu for mu < 512 only
+        gf = make_field(11)
+        t = new_tableau(gf, 1, [[1]], np.zeros((0, 1), dtype=np.int64), [0], [])
+        amps = np.ones(gf.q, dtype=np.int64)
+        _verify_eigen_equations(t, amps)
+        amps[512:] = 0
+        with pytest.raises(RuntimeError, match="an X eigen-equation"):
+            _verify_eigen_equations(t, amps)
+
 
 class TestSyndromeComponent:
     def test_zero_state_under_pure_z(self):
@@ -276,6 +390,38 @@ class TestSyndromeComponent:
         with pytest.raises(PureTypeRequired):
             syndrome_component(psi, PauliWord.from_vectors(gf, [1], [1]))
 
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_matches_per_power_loop(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(107 + s)
+        n = 2 if s < 4 else 1
+        d = gf.q**n
+        for _ in range(6):
+            codes = rng.integers(0, gf.q, n)
+            P = PauliWord.x_word(gf, codes) if rng.integers(2) else PauliWord.z_word(gf, codes)
+            # eigenstates: the collapse of a random state onto each sector
+            amps = rng.normal(size=d) + 1j * rng.normal(size=d)
+            states = [StateVector(gf, n, amps / np.linalg.norm(amps))]
+            for eta in gf.elements():
+                pr = projectors(P)[eta]
+                if np.linalg.norm(pr @ amps) > 1e-6:
+                    states.append(collapse(states[0], P, eta))
+            # perturbations just inside and just outside ATOL
+            for psi in list(states[1:]):
+                for scale in (0.5, 0.9, 1.1, 2.0):
+                    bump = np.zeros(d, dtype=np.complex128)
+                    bump[rng.integers(d)] = scale * ATOL
+                    states.append(StateVector(gf, n, psi.amps + bump))
+            states.append(StateVector(gf, n, np.full(d, ATOL / 4)))  # within ATOL both ways
+            for psi in states:
+                assert syndrome_component(psi, P) == reference_syndrome_component(psi, P)
+        assert syndrome_component(states[-1], P) == 0
+
+    def test_mismatched_system_rejected(self):
+        gf = make_field(2)
+        with pytest.raises(DimensionMismatch):
+            syndrome_component(uniform_state(gf, 2), PauliWord.z_word(gf, [1]))
+
 
 class TestProjectors:
     @pytest.mark.parametrize("s,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -306,7 +452,7 @@ class TestProjectors:
             codes = rng.integers(0, gf.q, n)
             words += [PauliWord.x_word(gf, codes), PauliWord.z_word(gf, codes)]
         for P in words:
-            mats = power_matrices(P)
+            mats = [pauli_matrix(P.power(mu)).mat for mu in gf.elements()]
             for eta, pr in enumerate(projectors(P)):
                 ref = np.zeros_like(mats[0])
                 for mu, m in enumerate(mats):
@@ -343,6 +489,32 @@ class TestMeasureProjective:
             counts[eta] += 1
         stat = float(((counts - 500.0) ** 2 / 500.0).sum())
         assert stat < 16.266  # chi-squared 0.999 quantile, df=3
+
+    def test_collapse_checks_eta(self):
+        gf = make_field(2)
+        psi = uniform_state(gf, 1)
+        w = PauliWord.z_word(gf, [1])
+        for eta in (-1, gf.q):
+            with pytest.raises(InvalidFieldCode):
+                collapse(psi, w, eta)
+
+    def test_zero_state_rejected(self):
+        gf = make_field(2)
+        zero = StateVector(gf, 1, np.zeros(4))
+        w = PauliWord.x_word(gf, [1])
+        with pytest.raises(ValueError, match="zero-norm"):
+            born_probabilities(zero, w)
+        with pytest.raises(ValueError, match="zero-norm"):
+            measure_projective(zero, w, np.random.default_rng(0))
+
+    def test_mismatched_systems_rejected(self):
+        gf = make_field(2)
+        psi = uniform_state(gf, 2)
+        for w in (PauliWord.z_word(gf, [1]), PauliWord.z_word(make_field(1), [1, 1, 1, 1])):
+            with pytest.raises(DimensionMismatch):
+                born_probabilities(psi, w)
+            with pytest.raises(DimensionMismatch):
+                collapse(psi, w, 0)
 
     def test_collapse_is_eigenstate(self):
         gf = make_field(2)

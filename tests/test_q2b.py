@@ -32,11 +32,15 @@ from gqudits.q2b import (
     export_alist,
     export_dense,
     import_alist,
-    lift_dual,
     lift_vector,
     make_plan,
     reconstruct_syndrome,
 )
+
+
+def lift_dual(assignment, bits):
+    """Inverse of expand_dual."""
+    return lift_vector(assignment.duals(), bits)
 
 
 def in_row_space(gf, M, w):

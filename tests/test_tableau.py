@@ -6,6 +6,7 @@ import pytest
 
 from gqudits import linalg, oracle
 from gqudits.errors import (
+    DimensionMismatch,
     FullTableauRequired,
     GquditError,
     InvalidDocument,
@@ -300,6 +301,23 @@ class TestApplyGate:
         lhs = oracle.stabiliser_state(t2)
         rhs = oracle.StateVector(gf, 2, gate.mat @ oracle.stabiliser_state(t).amps)
         assert oracle.states_equal_up_to_phase(lhs, rhs)
+
+    def test_delta_checked(self):
+        # with no Z rows only the code check rejects -1, which the table multiply reads as q - 1
+        gf = make_field(2)
+        t = new_tableau(gf, 2, [[1, 0], [0, 1]], np.zeros((0, 2), dtype=np.int64), [0, 0], [])
+        for delta in (-1, gf.q):
+            with pytest.raises(InvalidFieldCode):
+                apply_gate(t, "mult", 0, delta=delta)
+
+    def test_sites_checked(self):
+        gf = make_field(2)
+        t = new_tableau(gf, 2, [[1, 0]], [[0, 1]], [0], [0])
+        for kind, sites, extra in (("cnot", (0, 5), {}), ("cnot", (-1, 0), {}),
+                                   ("hadamard", (-1,), {}), ("hadamard", (2,), {}),
+                                   ("mult", (2,), {"delta": 1})):
+            with pytest.raises(DimensionMismatch):
+                apply_gate(t, kind, *sites, **extra)
 
     def test_hadamard_mixing_rejected(self):
         gf = make_field(2)
