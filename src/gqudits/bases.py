@@ -141,8 +141,6 @@ def _find_self_dual_cached(modulus: int) -> tuple[int, ...]:
         for a in candidates:
             if a < start:
                 continue
-            if tr_mul[a, a] != 1:
-                continue
             if any(tr_mul[a, b] for b in chosen):
                 continue
             chosen.append(a)

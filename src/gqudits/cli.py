@@ -180,17 +180,8 @@ def cmd_sim_cat_demo(args) -> int:
 
 def cmd_gates_level(args) -> int:
     gf = _field_from_args(args)
-    params = {}
-    if args.gamma is not None:
-        params["gamma"] = args.gamma
-    if args.beta is not None:
-        params["beta"] = args.beta
-    if args.delta is not None:
-        params["delta"] = args.delta
-    if args.l is not None:
-        params["l"] = args.l
-    if args.power is not None:
-        params["n"] = args.power
+    flags = (("gamma", "gamma"), ("beta", "beta"), ("delta", "delta"), ("l", "l"), ("power", "n"))
+    params = {key: getattr(args, flag) for flag, key in flags if getattr(args, flag) is not None}
     U = gates_mod.build_gate(gf, args.gate, **params)
     report = gates_mod.hierarchy_level(U, args.max_level, args.gate)
     _emit(report.to_json())

@@ -117,16 +117,10 @@ def pauli_coefficient_matrix(U: DenseOperator) -> np.ndarray:
 
 def pauli_decompose(U: DenseOperator) -> dict:
     """Map (x codes, z codes) -> coefficient, dropping entries up to 1e-12."""
-    gf = U.gf
     C = pauli_coefficient_matrix(U)
-    digits = all_digits(gf, U.n)
-    out = {}
-    for a in range(C.shape[0]):
-        for b in range(C.shape[1]):
-            c = C[a, b]
-            if abs(c) > 1e-12:
-                out[(tuple(digits[a]), tuple(digits[b]))] = complex(c)
-    return out
+    digits = all_digits(U.gf, U.n)
+    rows, cols = np.nonzero(np.abs(C) > 1e-12)  # row-major: keys in (x, z) index order
+    return {(tuple(digits[a]), tuple(digits[b])): complex(C[a, b]) for a, b in zip(rows, cols)}
 
 
 def is_pauli_multiple(U: DenseOperator) -> bool:

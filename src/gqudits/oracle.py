@@ -6,8 +6,9 @@ the most significant digit; since q = 2^s, vector addition over F_q^n is
 plain XOR on packed indices.
 
 Pauli powers act through one table, _power_actions: P^mu |u> =
-phases[u] |targets[u]>.  Pauli matrices, projectors, syndrome read-out and
-the eigen-check read it; DenseOperator.from_action scatters it to a matrix.
+phases[u] |targets[u]>.  DenseOperator.from_action scatters it to a matrix;
+_apply_powers gathers it onto states, so every measurement reads q d
+amplitudes (the sectors Pi_eta psi), never a (q, d, d) stack.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import bases as _bases
-from .errors import DimensionMismatch, FullTableauRequired, PureTypeRequired, TooLarge
+from .errors import DimensionMismatch, FullTableauRequired, TooLarge
 from .field import GF
 from .pauli import PauliWord
 
@@ -79,7 +80,9 @@ class DenseOperator:
     @classmethod
     def from_action(cls, gf: GF, n: int, targets: np.ndarray, phases) -> "DenseOperator":
         """The monomial operator mapping |u> to phases[u] |targets[u]>."""
-        return cls(gf, n, _scatter(targets, phases))
+        mat = np.zeros((targets.size, targets.size), dtype=np.complex128)
+        mat[targets, np.arange(targets.size)] = phases
+        return cls(gf, n, mat)
 
     @property
     def dim(self) -> int:
@@ -135,16 +138,7 @@ def _check_cap(gf: GF, n: int) -> int:
     return d
 
 
-def _scatter(targets: np.ndarray, phases) -> np.ndarray:
-    """(..., d, d) matrices with phases[..., u] at [..., targets[..., u], u]."""
-    d = targets.shape[-1]
-    mats = np.zeros(targets.shape + (d,), dtype=np.complex128)
-    rows = targets + d * np.arange(targets.size // d).reshape(targets.shape[:-1] + (1,))
-    mats.reshape(-1, d)[rows, np.arange(d)] = phases
-    return mats
-
-
-# -- Pauli actions, matrices and projectors -------------------------------------------
+# -- Pauli actions, matrices and sectors ----------------------------------------------
 
 
 def _power_actions(P: PauliWord, mus) -> tuple[np.ndarray, np.ndarray]:
@@ -167,18 +161,31 @@ def pauli_matrix(P: PauliWord) -> DenseOperator:
     return DenseOperator.from_action(P.gf, P.n, targets, phases)
 
 
-def _require_measurable(P: PauliWord, psi: StateVector | None = None) -> None:
-    if not P.is_pure() or P.sign != 1:
-        raise PureTypeRequired("measurement semantics need an unsigned pure-type word")
-    if psi is not None and (P.n != psi.n or P.gf != psi.gf):
+def _apply_powers(P: PauliWord, mus, amps: np.ndarray) -> np.ndarray:
+    """(len(mus), d, ...) stack of P^mu amps by one gather: P^mu is a translation
+    u -> u ^ c, its own inverse, so (P^mu amps)[v] = phases[t] amps[t] at t = targets[v]."""
+    targets, phases = _power_actions(P, mus)
+    moved = phases.reshape(phases.shape + (1,) * (amps.ndim - 1)) * amps
+    return moved[np.arange(len(targets))[:, None], targets]
+
+
+def _sectors(P: PauliWord, amps: np.ndarray) -> np.ndarray:
+    """(q, d, ...) stack of Pi_eta amps, Pi_eta = q^-1 sum_mu (-1)^tr(mu eta)
+    P^mu; the callers check that P is measurable."""
+    gf = P.gf
+    return np.tensordot(_chi_matrix(gf, 1), _apply_powers(P, gf.elements(), amps), axes=1) / gf.q
+
+
+def _require_measurable(P: PauliWord, psi: StateVector) -> None:
+    P.require_pure()
+    if P.n != psi.n or P.gf != psi.gf:
         raise DimensionMismatch("word and state live on different systems")
 
 
 def projectors(P: PauliWord) -> list[np.ndarray]:
-    """The q syndrome projectors Pi_eta = q^-1 sum_mu (-1)^tr(mu eta) P^mu."""
-    _require_measurable(P)
-    mats = _scatter(*_power_actions(P, P.gf.elements()))
-    return list(np.tensordot(_chi_matrix(P.gf, 1), mats, axes=1) / P.gf.q)
+    """The q syndrome projectors Pi_eta, the sectors of the identity."""
+    P.require_pure()
+    return list(_sectors(P, np.eye(_check_cap(P.gf, P.n), dtype=np.complex128)))
 
 
 # -- stabiliser states --------------------------------------------------------------
@@ -215,8 +222,7 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
 
 def _verify_eigen_equations(t: "CssTableau", amps: np.ndarray) -> None:
     """Exact check that P^mu amps = (-1)^tr(mu syn) amps for each row word P
-    with syndrome syn and every mu in F_q, X rows first, compared at the
-    targets: (phases * amps)[u] == sign * amps[targets[u]].  The mus are cut
+    with syndrome syn and every mu in F_q, X rows first.  The mus are cut
     into chunks to keep each temporary near 2^20 entries."""
     gf = t.gf
     chunks = np.array_split(gf.elements(), max(1, (gf.q * amps.size) >> 20))
@@ -225,9 +231,8 @@ def _verify_eigen_equations(t: "CssTableau", amps: np.ndarray) -> None:
     ):
         for row, syn in zip(rows, syns):
             for mus in chunks:
-                targets, phases = _power_actions(word(gf, row), mus)
-                signs = 1 - 2 * gf.trace_arr(gf.mul_arr(mus, syn))
-                if not np.array_equal(phases * amps, signs[:, None] * amps[targets]):
+                signs = (1 - 2 * gf.trace_arr(gf.mul_arr(mus, syn)))[:, None]
+                if not np.array_equal(_apply_powers(word(gf, row), mus, amps), signs * amps):
                     raise RuntimeError(f"constructed state violates {name} eigen-equation")
 
 
@@ -241,24 +246,20 @@ def syndrome_component(psi: StateVector, P: PauliWord):
     Testing mu over an F_2-basis suffices: P^mu is multiplicative in mu for
     pure-type words, so the basis relations extend exactly.
     """
-    gf = psi.gf
     _require_measurable(P, psi)
-    targets, phases = _power_actions(P, 1 << np.arange(gf.s))
-    # (P^mu psi)[targets[u]] = phases[u] psi[u], so compare at the targets
-    moved = phases * psi.amps
-    plus = np.max(np.abs(moved - psi.amps[targets]), axis=1) <= ATOL
-    minus = np.max(np.abs(moved + psi.amps[targets]), axis=1) <= ATOL
+    moved = _apply_powers(P, 1 << np.arange(psi.gf.s), psi.amps)
+    plus = np.max(np.abs(moved - psi.amps), axis=1) <= ATOL
+    minus = np.max(np.abs(moved + psi.amps), axis=1) <= ATOL
     if not np.all(plus | minus):
         return NOT_EIGENSTATE
     bits = (~plus).astype(np.int64)  # within ATOL both ways reads as bit 0
-    return _bases.polynomial_basis(gf).dual().recompose(bits)
+    return _bases.polynomial_basis(psi.gf).dual().recompose(bits)
 
 
 def born_probabilities(psi: StateVector, P: PauliWord) -> np.ndarray:
     """Probability of each syndrome outcome eta in code order."""
     _require_measurable(P, psi)
-    vecs = [pr @ psi.amps for pr in projectors(P)]
-    probs = np.clip([float(np.vdot(v, v).real) for v in vecs], 0.0, None)
+    probs = np.sum(np.abs(_sectors(P, psi.amps)) ** 2, axis=1)
     if not probs.sum() > 0:
         raise ValueError("a zero-norm state has no Born probabilities")
     return probs / probs.sum()
@@ -267,8 +268,7 @@ def born_probabilities(psi: StateVector, P: PauliWord) -> np.ndarray:
 def collapse(psi: StateVector, P: PauliWord, eta: int) -> StateVector:
     """Renormalised projection of psi onto the syndrome-eta sector."""
     _require_measurable(P, psi)
-    pr = projectors(P)[psi.gf.check_code(eta)]
-    vec = pr @ psi.amps
+    vec = _sectors(P, psi.amps)[psi.gf.check_code(eta)]
     nrm = np.linalg.norm(vec)
     if nrm < ATOL:
         raise ValueError(f"outcome {eta} has zero probability")

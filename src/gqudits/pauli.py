@@ -74,6 +74,12 @@ class PauliWord:
     def is_pure(self) -> bool:
         return self.is_pure_x() or self.is_pure_z()
 
+    def require_pure(self) -> None:
+        """PureTypeRequired unless the word is unsigned and pure-type, the
+        words that field powers and measurement are defined on."""
+        if not self.is_pure() or self.sign != 1:
+            raise PureTypeRequired(f"need an unsigned pure-type word, got {self.to_text()}")
+
     def weight(self) -> int:
         return sum(1 for x, z in zip(self.xvec, self.zvec) if x or z)
 
@@ -106,8 +112,7 @@ class PauliWord:
 
     def power(self, mu: int) -> "PauliWord":
         """Every exponent scaled by mu; defined for unsigned pure-type words."""
-        if not self.is_pure() or self.sign != 1:
-            raise PureTypeRequired("field powers need a pure-type word with sign +1")
+        self.require_pure()
         gf = self.gf
         gf.check_code(mu)
         if self.is_pure_x() and any(self.xvec):

@@ -27,7 +27,6 @@ from .errors import (
     FullTableauRequired,
     InvalidScale,
     NotCssPreserving,
-    PureTypeRequired,
     json_int_fields,
     json_matrix,
 )
@@ -203,8 +202,7 @@ def _measured(t: CssTableau, P: PauliWord) -> tuple[str, np.ndarray, np.ndarray]
     """P's block and vector w, and w's F_q dot with every opposite-type row."""
     if not t.is_full:
         raise FullTableauRequired("measurement is defined on full tableaux")
-    if not P.is_pure() or P.sign != 1:
-        raise PureTypeRequired("measurement needs an unsigned pure-type word")
+    P.require_pure()
     if P.gf != t.gf or P.n != t.n:
         raise DimensionMismatch("word and tableau live on different systems")
     if any(P.zvec):

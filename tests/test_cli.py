@@ -8,6 +8,7 @@ import pytest
 
 from gqudits.cli import main
 from gqudits.field import make_field
+from gqudits.gates import build_gate, hierarchy_level
 from gqudits.q2b import import_alist
 from gqudits.tableau import new_tableau
 
@@ -110,6 +111,12 @@ class TestGates:
         code, out = run(capsys, "gates", "level", "--gate", "u_n", "--q", "8",
                         "--power", "7", "--beta", str(beta))
         assert json.loads(out)["level"] == 1  # the identity is a Pauli multiple
+
+    def test_multi_cz_site_count(self, capsys):
+        code, out = run(capsys, "gates", "level", "--gate", "multi_cz", "--q", "4",
+                        "--l", "2", "--gamma", "1")
+        want = hierarchy_level(build_gate(make_field(2), "multi_cz", l=2, gamma=1), 4, "multi_cz")
+        assert code == 0 and json.loads(out) == want.to_json()
 
     @pytest.mark.parametrize("level", ["0", "-3"])
     def test_max_level_below_one_is_two(self, capsys, level):

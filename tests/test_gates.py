@@ -313,6 +313,33 @@ class TestPauliDecompose:
         back = pauli_reconstruct(gf, 2, pauli_decompose(U))
         assert np.max(np.abs(back.mat - M)) < 1e-10
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_double_loop(self, s):
+        """Same dict, same key order, as a scan of every (x, z) coefficient."""
+        gf = make_field(s)
+        rng = np.random.default_rng(40 + s)
+        n = 2 if s < 3 else 1
+        d = gf.q**n
+
+        def double_loop(U):
+            C = pauli_coefficient_matrix(U)
+            digits = all_digits(gf, n)
+            out = {}
+            for a in range(d):
+                for b in range(d):
+                    if abs(C[a, b]) > 1e-12:
+                        out[(tuple(digits[a]), tuple(digits[b]))] = complex(C[a, b])
+            return out
+
+        P = PauliWord.from_vectors(gf, rng.integers(0, gf.q, n), rng.integers(0, gf.q, n))
+        ops = [DenseOperator(gf, n, np.eye(d)), pauli_matrix(P),
+               DenseOperator(gf, n, seeded_unitary(rng, d))]
+        if n == 1:
+            ops.append(build_gate(gf, "hadamard"))
+        for U in ops:
+            got, want = pauli_decompose(U), double_loop(U)
+            assert got == want and list(got) == list(want)
+
     def test_is_pauli_multiple(self):
         gf = make_field(2)
         P = pauli_matrix(PauliWord.from_vectors(gf, [2], [1]))

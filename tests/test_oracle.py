@@ -1,5 +1,7 @@
 """Dense statevector oracle: matrices, stabiliser states, measurement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from gqudits.oracle import (
     NOT_EIGENSTATE,
     StateVector,
     _power_actions,
+    _sectors,
     _verify_eigen_equations,
     all_digits,
     index_of,
@@ -523,3 +526,68 @@ class TestMeasureProjective:
         for eta in gf.elements():
             post = collapse(psi, w, eta)
             assert syndrome_component(post, w) == eta
+
+
+def random_state(gf, n, rng):
+    d = gf.q**n
+    return StateVector(gf, n, rng.normal(size=d) + 1j * rng.normal(size=d)).normalised()
+
+
+def textbook_sectors(psi, P):
+    """Pi_eta psi = q^-1 sum_mu (-1)^tr(mu eta) P^mu psi, one dense P^mu at a time."""
+    gf = psi.gf
+    moved = [pauli_matrix(P.power(mu)).mat @ psi.amps for mu in gf.elements()]
+    return [
+        sum((1 - 2 * gf.trace(gf.mul(mu, eta))) * v for mu, v in enumerate(moved)) / gf.q
+        for eta in gf.elements()
+    ]
+
+
+class TestSectors:
+    @pytest.mark.parametrize("s,n", [(1, 1), (1, 4), (1, 9), (2, 2), (2, 4), (3, 2), (3, 3),
+                                     (4, 1), (4, 2)])
+    def test_measurement_matches_textbook_sum(self, s, n):
+        gf = make_field(s)
+        rng = np.random.default_rng(200 + 10 * s + n)
+        for _ in range(2):
+            codes = rng.integers(0, gf.q, n)
+            psi = random_state(gf, n, rng)
+            for P in (PauliWord.x_word(gf, codes), PauliWord.z_word(gf, codes)):
+                ref = textbook_sectors(psi, P)
+                ref_probs = np.array([np.vdot(v, v).real for v in ref])
+                assert np.allclose(born_probabilities(psi, P), ref_probs, rtol=0, atol=1e-12)
+                for eta in np.flatnonzero(ref_probs > 1e-12):
+                    want = ref[eta] / np.linalg.norm(ref[eta])
+                    assert np.allclose(collapse(psi, P, eta).amps, want, rtol=0, atol=1e-12)
+                eta, post = measure_projective(psi, P, rng)
+                assert ref_probs[eta] > 1e-12
+                assert np.allclose(post.amps, ref[eta] / np.linalg.norm(ref[eta]), atol=1e-12)
+
+    @pytest.mark.parametrize("s,n", [(1, 3), (2, 2), (3, 2), (4, 1)])
+    def test_sectors_resolve_the_state(self, s, n):
+        gf = make_field(s)
+        rng = np.random.default_rng(300 + s)
+        psi = random_state(gf, n, rng)
+        P = PauliWord.z_word(gf, rng.integers(1, gf.q, n))
+        sectors = _sectors(P, psi.amps)
+        assert sectors.shape == (gf.q, psi.dim)
+        assert np.allclose(sectors.sum(axis=0), psi.amps, atol=1e-12)
+        gram = sectors.conj() @ sectors.T
+        assert np.allclose(gram - np.diag(np.diag(gram)), 0, atol=1e-12)
+
+    def test_q64_pair_measures_without_a_matrix_stack(self):
+        """d = 4096: a (q, d, d) stack would be 16 GiB; the sectors are 4 MiB."""
+        gf = make_field(6)
+        rng = np.random.default_rng(64)
+        psi = random_state(gf, 2, rng)
+        P = PauliWord.x_word(gf, [5, 33])
+        tracemalloc.start()
+        try:
+            probs = born_probabilities(psi, P)
+            eta = int(np.argmax(probs))
+            post = collapse(psi, P, eta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert syndrome_component(post, P) == eta
+        assert peak < 64 << 20
