@@ -31,9 +31,9 @@ class FieldBasis:
         # columns are the polynomial-basis bits of each basis element
         cols = (self._codes >> np.arange(gf.s)[:, None]) & 1
         gf2 = make_field(1)
-        if not linalg.is_invertible(gf2, cols):
+        _, inv, pivots = linalg.rref_augmented(gf2, cols, np.eye(gf.s, dtype=np.int64))
+        if len(pivots) != gf.s:
             raise DimensionMismatch(f"elements {self.elements} are F_2-dependent")
-        R, inv, _ = linalg.rref_augmented(gf2, cols, np.eye(gf.s, dtype=np.int64))
         # coordinate j of eta is the parity of eta & _masks[j] (row j of inv)
         self._masks = inv @ (1 << np.arange(gf.s, dtype=np.int64))
         self._folds = [1 << j for j in reversed(range((gf.s - 1).bit_length()))]

@@ -2,8 +2,9 @@
 
 Codewords are evaluations of degree-<k polynomials at distinct points,
 scaled by non-zero column multipliers.  Message coefficients are in the
-monomial basis, low degree first.  Decoding is syndrome (Berlekamp-Massey)
-unique decoding up to floor((n-k)/2) errors: Berlekamp-Massey finds the
+monomial basis, low degree first.  Decoding takes the syndrome S = H . e
+(a QRS code's check rows are its decoders' H, so S is what its checks
+report) and corrects up to floor((n-k)/2) errors: Berlekamp-Massey finds the
 error locator, a Chien search over the evaluation points finds the error
 positions and Forney's formula gives the error values.
 """
@@ -16,7 +17,6 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from . import linalg
 from .css import CssCode, new_css
 from .errors import (
     DecodeFailure,
@@ -168,12 +168,10 @@ def _berlekamp_massey(gf: GF, S: np.ndarray) -> tuple[np.ndarray, int]:
     return lam[: L + 1], L
 
 
-def decode(c: GrsCode, received) -> tuple[np.ndarray, np.ndarray]:
-    """Syndrome decoding of codeword + error up to the radius floor((n-k)/2).
-
-    Returns (codeword, error).  Never unsound: an error is returned only if
-    it has at most radius non-zero entries and the received word's syndrome
-    S_j = sum_i w_i r_i alpha_i^j (j < n-k); otherwise DecodeFailure.
+def decode(c: GrsCode, syndrome) -> np.ndarray:
+    """The error e with at most radius floor((n-k)/2) non-zero entries and
+    syndrome S = H . e, S_j = sum_i w_i e_i alpha_i^j (j < n-k), with
+    H = c.parity_check; DecodeFailure if there is none, so never unsound.
 
     An error at the point alpha_i = 0 adds to S_0 only: it lengthens the
     Berlekamp-Massey register L but adds no factor to the locator Lambda, so
@@ -181,14 +179,13 @@ def decode(c: GrsCode, received) -> tuple[np.ndarray, np.ndarray]:
     what S_0 holds beyond the other values.
     """
     gf = c.gf
-    received = gf.check_codes(np.asarray(received, dtype=np.int64).reshape(-1))
-    if received.size != c.n:
-        raise DimensionMismatch(f"received word needs length {c.n}")
+    syndrome = gf.check_codes(np.asarray(syndrome, dtype=np.int64).reshape(-1))
+    if syndrome.size != c.n - c.k:
+        raise DimensionMismatch(f"syndrome needs length n - k = {c.n - c.k}, got {syndrome.size}")
     H = c.parity_check
-    syndrome = gf.matvec(H, received)
     error = np.zeros(c.n, dtype=np.int64)
     if not syndrome.any():
-        return received.copy(), error
+        return error
 
     lam, L = _berlekamp_massey(gf, syndrome)
     if L > c.radius:
@@ -212,7 +209,7 @@ def decode(c: GrsCode, received) -> tuple[np.ndarray, np.ndarray]:
 
     if not np.array_equal(gf.matvec(H, error), syndrome):
         raise DecodeFailure("no error within the radius has this syndrome")
-    return received ^ error, error
+    return error
 
 
 # -- quantum Reed-Solomon --------------------------------------------------------
@@ -244,29 +241,15 @@ class QrsCode:
     def d_z_formula(self) -> int:
         return self.k1 + 1
 
-    def x_side_code(self) -> GrsCode:
-        """L_X = GRS_{k1}(alpha, v)."""
-        return GrsCode(self.gf, self.k1, self.alpha, self.v)
-
-    def z_side_code(self) -> GrsCode:
-        """L_Z = GRS_{n-k2}(alpha, u)."""
-        return GrsCode(self.gf, self.n - self.k2, self.alpha, self.u)
-
     @cached_property
-    def syndrome_lift(self) -> dict[str, tuple[np.ndarray, GrsCode]]:
-        """Per error kind, (R, shift code): R . syndrome is an F_q error with
-        that syndrome (rows . R = I for the full-rank check rows: gx for "Z"
-        errors, gz for "X"), and the shift code decodes it."""
-        out = {}
-        for kind, rows, checks in (
-            ("Z", self.css.gx, self.x_side_code()),
-            ("X", self.css.gz, self.z_side_code()),
-        ):
-            _, E, pivots = linalg.rref_augmented(self.gf, rows, np.eye(len(rows), dtype=np.int64))
-            R = np.zeros((self.n, len(rows)), dtype=np.int64)
-            R[pivots] = E
-            out[kind] = (R, dual(checks))
-        return out
+    def decoders(self) -> dict[str, GrsCode]:
+        """Per error kind, the GRS code whose parity check is that kind's check
+        rows: gx generates GRS_{k1}(alpha, v), the dual of GRS_{n-k1}(alpha, u)
+        ("Z"), and gz generates GRS_{n-k2}(alpha, u), that of GRS_{k2}(alpha, v)."""
+        return {
+            "Z": GrsCode(self.gf, self.n - self.k1, self.alpha, self.u),
+            "X": GrsCode(self.gf, self.k2, self.alpha, self.v),
+        }
 
     def to_json(self) -> dict:
         data = self.css.to_json()

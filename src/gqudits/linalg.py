@@ -140,11 +140,6 @@ def solve(gf: GF, M, b) -> np.ndarray | None:
     return x
 
 
-def is_invertible(gf: GF, M) -> bool:
-    M = as_matrix(M)
-    return M.shape[0] == M.shape[1] and rank(gf, M) == M.shape[0]
-
-
 def random_matrix(gf: GF, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return rng.integers(0, gf.q, size=(m, n), dtype=np.int64)
 

@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 
 ATOL = 1e-8
 DIM_CAP = 1 << 14
+SECTOR_CAP = 1 << 22  # entries of one (q, d, ...) sector stack: 64 MiB of complex128
 
 
 class NotEigenstate:
@@ -171,8 +172,11 @@ def _apply_powers(P: PauliWord, mus, amps: np.ndarray) -> np.ndarray:
 
 def _sectors(P: PauliWord, amps: np.ndarray) -> np.ndarray:
     """(q, d, ...) stack of Pi_eta amps, Pi_eta = q^-1 sum_mu (-1)^tr(mu eta)
-    P^mu; the callers check that P is measurable."""
+    P^mu; the callers check that P is measurable.  TooLarge, before anything
+    is built, for a stack of more than SECTOR_CAP entries."""
     gf = P.gf
+    if gf.q * amps.size > SECTOR_CAP:
+        raise TooLarge(f"{gf.q * amps.size} sector entries exceed cap {SECTOR_CAP}")
     return np.tensordot(_chi_matrix(gf, 1), _apply_powers(P, gf.elements(), amps), axes=1) / gf.q
 
 
@@ -256,32 +260,42 @@ def syndrome_component(psi: StateVector, P: PauliWord):
     return _bases.polynomial_basis(psi.gf).dual().recompose(bits)
 
 
-def born_probabilities(psi: StateVector, P: PauliWord) -> np.ndarray:
-    """Probability of each syndrome outcome eta in code order."""
+def _born(psi: StateVector, P: PauliWord) -> tuple[np.ndarray, np.ndarray]:
+    """The sectors of psi and the probability of each, in code order."""
     _require_measurable(P, psi)
-    probs = np.sum(np.abs(_sectors(P, psi.amps)) ** 2, axis=1)
+    sectors = _sectors(P, psi.amps)
+    probs = np.sum(np.abs(sectors) ** 2, axis=1)
     if not probs.sum() > 0:
         raise ValueError("a zero-norm state has no Born probabilities")
-    return probs / probs.sum()
+    return sectors, probs / probs.sum()
 
 
-def collapse(psi: StateVector, P: PauliWord, eta: int) -> StateVector:
-    """Renormalised projection of psi onto the syndrome-eta sector."""
-    _require_measurable(P, psi)
-    vec = _sectors(P, psi.amps)[psi.gf.check_code(eta)]
+def _normalised_sector(psi: StateVector, sectors: np.ndarray, eta: int) -> StateVector:
+    vec = sectors[psi.gf.check_code(eta)]
     nrm = np.linalg.norm(vec)
     if nrm < ATOL:
         raise ValueError(f"outcome {eta} has zero probability")
     return StateVector(psi.gf, psi.n, vec / nrm)
 
 
+def born_probabilities(psi: StateVector, P: PauliWord) -> np.ndarray:
+    """Probability of each syndrome outcome eta in code order."""
+    return _born(psi, P)[1]
+
+
+def collapse(psi: StateVector, P: PauliWord, eta: int) -> StateVector:
+    """Renormalised projection of psi onto the syndrome-eta sector."""
+    _require_measurable(P, psi)
+    return _normalised_sector(psi, _sectors(P, psi.amps), eta)
+
+
 def measure_projective(
     psi: StateVector, P: PauliWord, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Sample a syndrome component with Born probabilities and collapse."""
-    probs = born_probabilities(psi, P)
+    sectors, probs = _born(psi, P)
     eta = int(rng.choice(psi.gf.q, p=probs))
-    return eta, collapse(psi, P, eta)
+    return eta, _normalised_sector(psi, sectors, eta)
 
 
 def states_equal_up_to_phase(a: StateVector, b: StateVector) -> bool:

@@ -3,7 +3,8 @@
 Everything X-type travels through the per-qudit bases; everything Z-type
 travels through their duals.  A qudit check measured as s qubit checks
 reports s bits tr(b_i * component), which reconstruct the F_q syndrome
-component; a classical GRS decoder then recovers the error.
+component; that is the GRS decoder's syndrome (the QRS check rows are the
+decoders' parity checks), from which it recovers the error.
 """
 
 from __future__ import annotations
@@ -177,8 +178,8 @@ def convert_logicals(
 
 @dataclass
 class MeasurementPlan:
-    x_bases: list[FieldBasis]  # expansion basis per X check
-    z_bases: list[FieldBasis]
+    x_duals: np.ndarray  # (m_x, s): dual of the expansion basis per X check
+    z_duals: np.ndarray
     x_checks: np.ndarray  # (m_x, s, n*s): s binary check vectors per X check
     z_checks: np.ndarray
 
@@ -214,19 +215,22 @@ def make_plan(
             raise DimensionMismatch("expanded qubit checks are dependent")
         return groups
 
+    def duals(bases: list[FieldBasis]) -> np.ndarray:
+        return np.array([b.dual().elements for b in bases], dtype=np.int64).reshape(-1, gf.s)
+
     x_checks = checks(code.gx, x_bases, False)
     z_checks = checks(code.gz, z_bases, True)
-    return MeasurementPlan(list(x_bases), list(z_bases), x_checks, z_checks)
+    return MeasurementPlan(duals(x_bases), duals(z_bases), x_checks, z_checks)
 
 
-def reconstruct_syndrome(gf: GF, bits, bases) -> np.ndarray:
+def reconstruct_syndrome(gf: GF, bits, duals) -> np.ndarray:
     """The syndrome components of m checks from their (m, s) measured bits
-    and m expansion bases: eta_j, the unique element with
-    tr(b_ji * eta_j) = bits[j, i], is sum_i bits[j, i] b*_ji."""
+    and the (m, s) dual elements of their expansion bases: eta_j, the unique
+    element with tr(b_ji * eta_j) = bits[j, i], is sum_i bits[j, i] b*_ji."""
     bits = make_field(1).check_codes(np.asarray(bits, dtype=np.int64))
-    duals = np.array([b.dual().elements for b in bases], dtype=np.int64).reshape(-1, gf.s)
+    duals = gf.check_codes(np.asarray(duals, dtype=np.int64))
     if bits.shape != duals.shape:
-        raise DimensionMismatch(f"bits of shape {bits.shape}, need {duals.shape} for the bases")
+        raise DimensionMismatch(f"bits of shape {bits.shape}, duals of shape {duals.shape}")
     return np.bitwise_xor.reduce(bits * duals, axis=-1)
 
 
@@ -245,20 +249,19 @@ def end_to_end_decode(
     kind "Z": a Z-type error D_{B*}(W) diagnosed by the X checks; the F_q
     syndrome (v_j . W) is decoded against GRS_{n-k1}(alpha, u).
     kind "X": an X-type error D_B(A) diagnosed by the Z checks; decoded
-    against GRS_{k2}(alpha, v).
+    against GRS_{k2}(alpha, v).  Each decoder's parity check is its checks' rows.
     """
     gf = qrs.gf
     error_bits = np.asarray(error_bits, dtype=np.int64).reshape(-1)
     if error_bits.size != qrs.n * gf.s:
         raise DimensionMismatch(f"expected {qrs.n * gf.s} error bits, got {error_bits.size}")
     make_field(1).check_codes(error_bits)
-    sides = {"Z": (plan.x_checks, plan.x_bases), "X": (plan.z_checks, plan.z_bases)}
+    sides = {"Z": (plan.x_checks, plan.x_duals), "X": (plan.z_checks, plan.z_duals)}
     if kind not in sides:
         raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
-    checks, bases = sides[kind]
-    syndrome = reconstruct_syndrome(gf, checks @ error_bits % 2, bases)
-    lift, shift_code = qrs.syndrome_lift[kind]
-    _, err = decode(shift_code, gf.matvec(lift, syndrome))
+    checks, duals = sides[kind]
+    syndrome = reconstruct_syndrome(gf, checks @ error_bits % 2, duals)
+    err = decode(qrs.decoders[kind], syndrome)
     if kind == "Z":
         return expand_dual(assignment, err)
     return expand_vector(assignment, err)

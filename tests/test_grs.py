@@ -39,6 +39,13 @@ def f4_instance():
     return GrsCode(gf, 2, np.array([0, 1, 2]), np.ones(3, dtype=np.int64))
 
 
+def decode_word(code, received):
+    """(codeword, error) of a received word: decode takes its syndrome H . r."""
+    received = np.asarray(received, dtype=np.int64)
+    err = decode(code, code.gf.matvec(code.parity_check, received))
+    return received ^ err, err
+
+
 def enumerate_codewords(code):
     gf = code.gf
     G = generator_matrix(code)
@@ -227,7 +234,7 @@ class TestMinWeightCodeword:
             k1 = int(rng.integers(1, n + 1))
             alpha = rng.permutation(gf.q)[:n].astype(np.int64)
             v = rng.integers(1, gf.q, size=n, dtype=np.int64)
-            code = make_qrs(gf, n, k1, n, alpha, v).x_side_code()
+            code = GrsCode(gf, k1, alpha, v)
             roots = rng.choice(alpha, size=k1 - 1, replace=False).tolist()
             eta = int(rng.integers(1, gf.q))
             poly = [eta]
@@ -251,7 +258,7 @@ class TestDecode:
         for _ in range(50):
             msg = rng.integers(0, 8, 3)
             cw = encode(code, msg)
-            got, err = decode(code, cw)
+            got, err = decode_word(code, cw)
             assert np.array_equal(got, cw) and not err.any()
 
     def test_corrects_within_radius(self):
@@ -264,7 +271,7 @@ class TestDecode:
             err = np.zeros(7, dtype=np.int64)
             pos = rng.choice(7, size=2, replace=False)
             err[pos] = rng.integers(1, 8, 2)
-            got, got_err = decode(code, cw ^ err)
+            got, got_err = decode_word(code, cw ^ err)
             assert np.array_equal(got, cw) and np.array_equal(got_err, err)
 
     def test_beyond_radius_never_unsound(self):
@@ -282,7 +289,7 @@ class TestDecode:
             err[pos] = rng.integers(1, 8, 3)
             received = cw ^ err
             try:
-                got, got_err = decode(code, received)
+                got, got_err = decode_word(code, received)
             except DecodeFailure:
                 failures += 1
                 continue
@@ -298,16 +305,16 @@ class TestDecode:
         cw = encode(code, [3, 5])
         err = np.zeros(6, dtype=np.int64)
         err[4] = 7
-        got, got_err = decode(code, cw ^ err)
+        got, got_err = decode_word(code, cw ^ err)
         assert np.array_equal(got, cw) and np.array_equal(got_err, err)
 
     def test_zero_dimensional_code(self):
         gf = make_field(2)
         code = GrsCode(gf, 0, np.arange(4), np.ones(4, dtype=np.int64))
-        cw, err = decode(code, np.array([0, 1, 0, 0]))
+        cw, err = decode_word(code, np.array([0, 1, 0, 0]))
         assert not cw.any() and err[1] == 1
         with pytest.raises(DecodeFailure):
-            decode(code, np.array([1, 1, 1, 0]))
+            decode_word(code, np.array([1, 1, 1, 0]))
 
 
 def nearest_codewords(words: np.ndarray, received: np.ndarray) -> tuple[int, np.ndarray]:
@@ -327,12 +334,12 @@ class TestDecodeAgainstBruteForce:
         best, nearest = nearest_codewords(words, received)
         if best <= code.radius:
             assert nearest.shape[0] == 1
-            got, err = decode(code, received)
+            got, err = decode_word(code, received)
             assert np.array_equal(got, nearest[0])
             assert np.array_equal(got ^ err, received)
         else:
             with pytest.raises(DecodeFailure):
-                decode(code, received)
+                decode_word(code, received)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_f4_every_received_word(self, k):
@@ -365,7 +372,7 @@ class TestDecodeAgainstBruteForce:
             for value in gf.nonzero_elements():
                 err = np.zeros(8, dtype=np.int64)
                 err[i] = value
-                got, got_err = decode(code, cw ^ err)
+                got, got_err = decode_word(code, cw ^ err)
                 assert np.array_equal(got, cw) and np.array_equal(got_err, err)
 
     def test_f8_error_pairs_through_zero_point(self):
@@ -375,7 +382,7 @@ class TestDecodeAgainstBruteForce:
         for j in range(1, code.n):
             err = np.zeros(8, dtype=np.int64)
             err[[0, j]] = [7, j]
-            got, got_err = decode(code, cw ^ err)
+            got, got_err = decode_word(code, cw ^ err)
             assert np.array_equal(got, cw) and np.array_equal(got_err, err)
 
 
@@ -387,7 +394,7 @@ class TestDecodeEdgeCases:
         assert code.radius == 0
         for _ in range(20):
             received = rng.integers(0, 8, 8)
-            got, err = decode(code, received)
+            got, err = decode_word(code, received)
             assert np.array_equal(got, received) and not err.any()
 
     def test_zero_dimension_code_up_to_the_radius(self):
@@ -400,11 +407,11 @@ class TestDecodeEdgeCases:
             pos = rng.choice(8, size=weight, replace=False)
             received[pos] = rng.integers(1, 8, weight)
             if weight <= code.radius:
-                got, err = decode(code, received)
+                got, err = decode_word(code, received)
                 assert not got.any() and np.array_equal(err, received)
             else:
                 with pytest.raises(DecodeFailure):
-                    decode(code, received)
+                    decode_word(code, received)
 
     def test_n255_full_radius(self):
         gf = make_field(8)
@@ -415,7 +422,7 @@ class TestDecodeEdgeCases:
         err = np.zeros(255, dtype=np.int64)
         pos = np.concatenate([[0], 1 + rng.choice(254, size=63, replace=False)])
         err[pos] = rng.integers(1, 256, 64)
-        got, got_err = decode(code, cw ^ err)
+        got, got_err = decode_word(code, cw ^ err)
         assert np.array_equal(got, cw) and np.array_equal(got_err, err)
 
 
@@ -423,13 +430,19 @@ class TestFieldCodes:
     """Out-of-range element codes are refused, not wrapped or indexed."""
 
     @pytest.mark.parametrize("bad", [-1, 8])
-    def test_received_word_outside_field(self, bad):
+    def test_syndrome_outside_field(self, bad):
         gf = make_field(3)
         code = GrsCode(gf, 3, np.arange(7), np.ones(7, dtype=np.int64))
-        received = encode(code, [1, 2, 3])
-        received[2] = bad
+        syndrome = np.array([1, 2, 3, 4])
+        syndrome[2] = bad
         with pytest.raises(InvalidFieldCode):
-            decode(code, received)
+            decode(code, syndrome)
+
+    @pytest.mark.parametrize("length", [0, 3, 5, 7])
+    def test_syndrome_length_is_n_minus_k(self, length):
+        code = GrsCode(make_field(3), 3, np.arange(7), np.ones(7, dtype=np.int64))
+        with pytest.raises(DimensionMismatch):
+            decode(code, np.ones(length, dtype=np.int64))
 
     def test_multiplier_outside_field(self):
         with pytest.raises(InvalidFieldCode):
@@ -489,3 +502,22 @@ class TestMakeQrs:
         for k in (1, 3, 6):
             d = dual(GrsCode(gf, k, alpha, v))
             assert np.array_equal(d.v, u) and d.k == 8 - k
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 6, 8])
+    def test_decoder_parity_checks_are_the_check_rows(self, s):
+        """H of the "Z" decoder is gx and H of the "X" decoder is gz, exactly,
+        so a measured F_q syndrome is the decoder's syndrome as it stands."""
+        gf = make_field(s)
+        rng = np.random.default_rng(263 + s)
+        for j in range(8):
+            n = int(rng.integers(2, gf.q + 1))
+            alpha = rng.permutation(gf.q)[:n].astype(np.int64)
+            if j % 2 and 0 not in alpha:
+                alpha[rng.integers(n)] = 0
+            v = rng.integers(1, gf.q, size=n, dtype=np.int64)
+            k1, k2 = sorted(rng.integers(0, n + 1, size=2).tolist())
+            if j == 0:
+                k1, k2 = 0, n
+            qrs = make_qrs(gf, n, k1, k2, alpha, v)
+            assert np.array_equal(qrs.decoders["Z"].parity_check, qrs.css.gx)
+            assert np.array_equal(qrs.decoders["X"].parity_check, qrs.css.gz)

@@ -591,3 +591,35 @@ class TestSectors:
             tracemalloc.stop()
         assert syndrome_component(post, P) == eta
         assert peak < 64 << 20
+
+    def test_oversized_stack_refused_before_it_is_built(self):
+        """q = 2^14 on one qudit: q d = 2^28 sector entries (4 GiB) exceed
+        SECTOR_CAP, so the Born rule raises TooLarge without allocating."""
+        gf = make_field(14)
+        amps = np.zeros(gf.q)
+        amps[3] = 1
+        psi = StateVector(gf, 1, amps)
+        P = PauliWord.z_word(gf, [1])
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                born_probabilities(psi, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("s,n", [(1, 3), (2, 2), (4, 1), (4, 2)])
+    def test_measure_projective_is_born_then_collapse(self, s, n):
+        """One sector stack gives the same bytes as the Born rule, a draw
+        and a separate collapse."""
+        gf = make_field(s)
+        rng = np.random.default_rng(400 + 10 * s + n)
+        for _ in range(3):
+            psi = random_state(gf, n, rng)
+            P = PauliWord.x_word(gf, rng.integers(0, gf.q, n))
+            seed = int(rng.integers(1 << 30))
+            eta, post = measure_projective(psi, P, np.random.default_rng(seed))
+            want = int(np.random.default_rng(seed).choice(gf.q, p=born_probabilities(psi, P)))
+            assert eta == want
+            assert post.amps.tobytes() == collapse(psi, P, eta).amps.tobytes()

@@ -19,7 +19,7 @@ from gqudits.errors import (
 )
 from gqudits.field import make_field
 from gqudits.gates import pi_map
-from gqudits.grs import make_qrs
+from gqudits.grs import GrsCode, decode, dual, make_qrs
 from gqudits.pauli import PauliWord
 from gqudits.q2b import (
     QubitCssCode,
@@ -96,6 +96,11 @@ def reference_lift(assignment, bits):
 def reference_syndrome(bits, basis):
     """The per-check fold that reconstruct_syndrome replaced: sum bit_i b_i^*."""
     return reference_recompose(basis.dual(), bits)
+
+
+def dual_rows(bases):
+    """(m, s) dual elements of m expansion bases, as a plan holds them."""
+    return np.array([b.dual().elements for b in bases], dtype=np.int64)
 
 
 def assignments(gf, n, rng):
@@ -283,6 +288,8 @@ class TestAgainstNestedLoops:
             x_bases = [pool[int(i)] for i in rng.integers(0, 3, code.m_x)]
             z_bases = [pool[int(i)] for i in rng.integers(0, 3, code.m_z)]
             plan = make_plan(code, A, x_bases, z_bases)
+            assert np.array_equal(plan.x_duals, dual_rows(x_bases))
+            assert np.array_equal(plan.z_duals, dual_rows(z_bases))
             for rows, bases, checks, dualise in (
                 (code.gx, x_bases, plan.x_checks, False),
                 (code.gz, z_bases, plan.z_checks, True),
@@ -464,7 +471,7 @@ class TestWorkedExamples:
 class TestReconstructSyndrome:
     def test_zero_bits(self):
         gf = make_field(2)
-        assert reconstruct_syndrome(gf, [[0, 0]], [find_self_dual(gf)]) == [0]
+        assert reconstruct_syndrome(gf, [[0, 0]], dual_rows([find_self_dual(gf)])) == [0]
 
     def test_exhaustive_round_trip_q4(self):
         gf = make_field(2)
@@ -476,7 +483,7 @@ class TestReconstructSyndrome:
         for B in bases:
             for eta in gf.elements():
                 bits = [gf.trace(gf.mul(b, eta)) for b in B.elements]
-                assert reconstruct_syndrome(gf, [bits], [B]) == [eta]
+                assert reconstruct_syndrome(gf, [bits], dual_rows([B])) == [eta]
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_matches_scalar_reference(self, s):
@@ -485,19 +492,27 @@ class TestReconstructSyndrome:
         rng = np.random.default_rng(227 + s)
         for A in assignments(gf, 9, rng):
             bits = rng.integers(0, 2, size=(9, s))
-            got = reconstruct_syndrome(gf, bits, A.bases)
+            got = reconstruct_syndrome(gf, bits, dual_rows(A.bases))
             assert got.shape == (9,)
             assert got.tolist() == [reference_syndrome(b, B) for b, B in zip(bits, A.bases)]
 
     def test_non_bits_rejected(self):
         gf = make_field(3)
         with pytest.raises(InvalidFieldCode):
-            reconstruct_syndrome(gf, [[1, 2, 0]], [polynomial_basis(gf)])
+            reconstruct_syndrome(gf, [[1, 2, 0]], dual_rows([polynomial_basis(gf)]))
 
     def test_one_row_per_basis(self):
         gf = make_field(3)
         with pytest.raises(DimensionMismatch):
-            reconstruct_syndrome(gf, [[1, 0, 0]], [polynomial_basis(gf)] * 2)
+            reconstruct_syndrome(gf, [[1, 0, 0]], dual_rows([polynomial_basis(gf)] * 2))
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_dual_codes_checked(self, bad):
+        gf = make_field(3)
+        duals = dual_rows([polynomial_basis(gf)])
+        duals[0, 1] = bad
+        with pytest.raises(InvalidFieldCode):
+            reconstruct_syndrome(gf, [[1, 0, 0]], duals)
 
     def test_planted_component(self):
         gf = make_field(3)
@@ -509,7 +524,7 @@ class TestReconstructSyndrome:
             for j, v in enumerate(qrs.css.gx):
                 target = gf.dot(v, W)
                 bits = [gf.trace(gf.mul(b, target)) for b in B.elements]
-                assert reconstruct_syndrome(gf, [bits], [B]) == [target]
+                assert reconstruct_syndrome(gf, [bits], dual_rows([B])) == [target]
 
 
 @pytest.fixture(scope="module")
@@ -598,6 +613,67 @@ class TestEndToEndF64:
         bits[0] = bad
         with pytest.raises(GquditError):
             end_to_end_decode(qrs, A, plan, bits, "X")
+
+
+def lift_path_decode(qrs, assignment, plan, bits, kind):
+    """The decode path that the direct syndrome replaced: lift the F_q
+    syndrome to a received word r through a right inverse R of the check
+    rows (rows . R = I), recompute S = H . r for the dual of the side code,
+    decode S and expand the error."""
+    gf = qrs.gf
+    if kind == "Z":
+        rows, checks, duals = qrs.css.gx, plan.x_checks, plan.x_duals
+        side = GrsCode(gf, qrs.k1, qrs.alpha, qrs.v)
+    else:
+        rows, checks, duals = qrs.css.gz, plan.z_checks, plan.z_duals
+        side = GrsCode(gf, qrs.n - qrs.k2, qrs.alpha, qrs.u)
+    syndrome = reconstruct_syndrome(gf, checks @ bits % 2, duals)
+    _, E, pivots = linalg.rref_augmented(gf, rows, np.eye(len(rows), dtype=np.int64))
+    R = np.zeros((qrs.n, len(rows)), dtype=np.int64)
+    R[pivots] = E
+    code = dual(side)
+    err = decode(code, gf.matvec(code.parity_check, gf.matvec(R, syndrome)))
+    return expand_dual(assignment, err) if kind == "Z" else expand_vector(assignment, err)
+
+
+class TestDirectSyndromeDecode:
+    """end_to_end_decode against the lift path it replaced, with random
+    points, multipliers, qudit bases and expansion bases: the same error
+    bits or the same DecodeFailure at every qudit weight from 0 to 3 beyond
+    the radius."""
+
+    @pytest.mark.parametrize("s,n,k1,k2", [(3, 8, 2, 5), (4, 16, 4, 10), (6, 64, 16, 48)])
+    @pytest.mark.parametrize("kind", ["Z", "X"])
+    def test_matches_the_lift_path(self, s, n, k1, k2, kind):
+        gf = make_field(s)
+        rng = np.random.default_rng(269 + s + (kind == "X"))
+        alpha = rng.permutation(gf.q)[:n].astype(np.int64)
+        v = rng.integers(1, gf.q, size=n, dtype=np.int64)
+        qrs = make_qrs(gf, n, k1, k2, alpha, v)
+        A = mixed_assignment(gf, n, rng)
+        pool = list(random_assignment(gf, 2, rng).bases) + [polynomial_basis(gf)]
+        x_bases = [pool[int(i)] for i in rng.integers(0, 3, qrs.css.m_x)]
+        z_bases = [pool[int(i)] for i in rng.integers(0, 3, qrs.css.m_z)]
+        plan = make_plan(qrs.css, A, x_bases, z_bases)
+        radius = qrs.decoders[kind].radius
+        refused = 0
+        for weight in range(radius + 4):
+            for _ in range(4):
+                W = np.zeros(n, dtype=np.int64)
+                pos = rng.choice(n, size=weight, replace=False)
+                W[pos] = rng.integers(1, gf.q, size=weight)
+                bits = expand_dual(A, W) if kind == "Z" else expand_vector(A, W)
+                outcomes = []
+                for path in (end_to_end_decode, lift_path_decode):
+                    try:
+                        outcomes.append(path(qrs, A, plan, bits, kind).tolist())
+                    except DecodeFailure as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
+                if weight <= radius:
+                    assert outcomes[0] == bits.tolist()
+                refused += isinstance(outcomes[0], str)
+        assert refused > 0
 
 
 class TestQubitParams:
