@@ -8,7 +8,8 @@ e.g. 0b1011 = x^3 + x + 1 for F_8.
 
 Addition is XOR.  Multiplication is one carry-less kernel, ``GF._mul``, the
 same code for ints and int64 arrays; powers, inverses and the trace are built
-on it.  For s <= 16 its exp/log and trace tables are cached as lookups.
+on it.  For s <= 16 its exp/log and trace tables are cached as lookups; zero
+has a log too (see _build_tables), so every product is one checked lookup.
 """
 
 from __future__ import annotations
@@ -166,15 +167,18 @@ class GF:
         raise RuntimeError("no primitive element found; multiplicative group not cyclic?")
 
     def _build_tables(self) -> None:
+        """exp[:2 order + 1] holds g^k; log[0] = 2 order + 1 lies past every
+        sum of two non-zero logs, so a product with a zero reads the zero tail."""
         order = self.q - 1
-        exp = np.ones(2 * order + 1, dtype=np.int64)
+        exp = np.zeros(4 * order + 3, dtype=np.int64)
+        exp[: 2 * order + 1] = 1
         k = 1
         while k < order:  # doubling: exp[k:2k] = exp[:k] * g^k
             n = min(k, order - k)
             exp[k : k + n] = self._mul(exp[:n], self._mul(int(exp[k - 1]), self.primitive))
             k += n
         exp[order : 2 * order] = exp[:order]
-        self._exp, self._log = exp, np.zeros(self.q, dtype=np.int64)
+        self._exp, self._log = exp, np.full(self.q, 2 * order + 1, dtype=np.int64)
         self._log[exp[:order]] = np.arange(order)
         self._tr = self._trace(np.arange(self.q, dtype=np.int64))
 
@@ -217,8 +221,6 @@ class GF:
         if (a | b) >> self.s:  # a or b is negative or >= q
             self.check_code(a)
             self.check_code(b)
-        if a == 0 or b == 0:
-            return 0
         if self._exp is not None:
             return int(self._exp[self._log[a] + self._log[b]])
         return self._mul(a, b)
@@ -272,21 +274,14 @@ class GF:
     # -- vectorised arithmetic -------------------------------------------------
 
     def mul_arr(self, a, b) -> np.ndarray:
-        """Elementwise product.  A code >= q raises InvalidFieldCode; for
-        s <= 16 a negative code is not checked (check_codes would add ~2.7 us
-        per operand, ~0.3 ms to a 0.6 ms decode shot) and wraps in the table."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        """Elementwise product, broadcast.  Any code outside [0, q) raises
+        InvalidFieldCode; then one kernel call, or for s <= 16 one lookup
+        (zero included, see _build_tables)."""
+        a = self.check_codes(np.asarray(a, dtype=np.int64))
+        b = self.check_codes(np.asarray(b, dtype=np.int64))
         if self._exp is None:
-            return self._mul(self.check_codes(a), self.check_codes(b))
-        try:
-            idx = self._log[a] + self._log[b]
-        except IndexError:
-            self.check_codes(a)
-            self.check_codes(b)
-            raise
-        # log[0] is 0; the mask keeps those lanes at result 0
-        return np.where((a != 0) & (b != 0), self._exp[idx], 0)
+            return self._mul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv_arr(self, a) -> np.ndarray:
         a = self.check_codes(np.asarray(a, dtype=np.int64))
@@ -308,15 +303,11 @@ class GF:
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape:
             raise FieldMismatch(f"dot of shapes {u.shape} and {v.shape}")
-        if u.size == 0:
-            return 0
         return int(np.bitwise_xor.reduce(self.mul_arr(u, v)))
 
     def matvec(self, M, v) -> np.ndarray:
         M = np.asarray(M, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
-        if M.shape[0] == 0 or M.shape[1] == 0:
-            return np.zeros(M.shape[0], dtype=np.int64)
         return np.bitwise_xor.reduce(self.mul_arr(M, v[None, :]), axis=1)
 
     def matmul(self, A, B) -> np.ndarray:

@@ -170,13 +170,18 @@ def _apply_powers(P: PauliWord, mus, amps: np.ndarray) -> np.ndarray:
     return moved[np.arange(len(targets))[:, None], targets]
 
 
+def _check_sector_cap(gf: GF, size: int) -> None:
+    """TooLarge for a stack of q sectors of size entries each beyond SECTOR_CAP."""
+    if gf.q * size > SECTOR_CAP:
+        raise TooLarge(f"{gf.q * size} sector entries exceed cap {SECTOR_CAP}")
+
+
 def _sectors(P: PauliWord, amps: np.ndarray) -> np.ndarray:
     """(q, d, ...) stack of Pi_eta amps, Pi_eta = q^-1 sum_mu (-1)^tr(mu eta)
     P^mu; the callers check that P is measurable.  TooLarge, before anything
     is built, for a stack of more than SECTOR_CAP entries."""
     gf = P.gf
-    if gf.q * amps.size > SECTOR_CAP:
-        raise TooLarge(f"{gf.q * amps.size} sector entries exceed cap {SECTOR_CAP}")
+    _check_sector_cap(gf, amps.size)
     return np.tensordot(_chi_matrix(gf, 1), _apply_powers(P, gf.elements(), amps), axes=1) / gf.q
 
 
@@ -189,7 +194,9 @@ def _require_measurable(P: PauliWord, psi: StateVector) -> None:
 def projectors(P: PauliWord) -> list[np.ndarray]:
     """The q syndrome projectors Pi_eta, the sectors of the identity."""
     P.require_pure()
-    return list(_sectors(P, np.eye(_check_cap(P.gf, P.n), dtype=np.complex128)))
+    d = _check_cap(P.gf, P.n)
+    _check_sector_cap(P.gf, d * d)  # before the identity is built
+    return list(_sectors(P, np.eye(d, dtype=np.complex128)))
 
 
 # -- stabiliser states --------------------------------------------------------------
@@ -225,19 +232,17 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
 
 
 def _verify_eigen_equations(t: "CssTableau", amps: np.ndarray) -> None:
-    """Exact check that P^mu amps = (-1)^tr(mu syn) amps for each row word P
-    with syndrome syn and every mu in F_q, X rows first.  The mus are cut
-    into chunks to keep each temporary near 2^20 entries."""
+    """Check that P^mu amps = (-1)^tr(mu syn) amps for each row word P with
+    syndrome syn and every mu in F_q, X rows first: the syndrome component
+    of amps under P is syn.  Exact, as amps and every phase are integers."""
     gf = t.gf
-    chunks = np.array_split(gf.elements(), max(1, (gf.q * amps.size) >> 20))
+    psi = StateVector(gf, t.n, amps)
     for word, rows, syns, name in (
         (PauliWord.x_word, t.xrows, t.xsyn, "an X"), (PauliWord.z_word, t.zrows, t.zsyn, "a Z")
     ):
         for row, syn in zip(rows, syns):
-            for mus in chunks:
-                signs = (1 - 2 * gf.trace_arr(gf.mul_arr(mus, syn)))[:, None]
-                if not np.array_equal(_apply_powers(word(gf, row), mus, amps), signs * amps):
-                    raise RuntimeError(f"constructed state violates {name} eigen-equation")
+            if syndrome_component(psi, word(gf, row)) != syn:
+                raise RuntimeError(f"constructed state violates {name} eigen-equation")
 
 
 # -- syndrome extraction -----------------------------------------------------------

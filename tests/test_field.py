@@ -289,10 +289,20 @@ class TestVectorisedCodeValidation:
             with pytest.raises(InvalidFieldCode):
                 gf.mul_arr(a, b)
 
-    def test_table_free_mul_arr_rejects_negative_codes(self):
-        gf = make_field(17)
-        with pytest.raises(InvalidFieldCode):
-            gf.mul_arr([1, -1], 3)
+    @pytest.mark.parametrize("s", [1, 2, 8, 16, 17])  # table fields and a table-free one
+    def test_mul_arr_rejects_negative_codes(self, s):
+        gf = make_field(s)
+        for bad in (-1, -gf.q, -(1 << 40)):
+            for a, b in [([1, bad], 1), (1, [0, bad]), ([[0], [bad]], [1, 0])]:
+                with pytest.raises(InvalidFieldCode):
+                    gf.mul_arr(a, b)
+            for call in (
+                lambda: gf.dot([1, bad], [1, 1]),
+                lambda: gf.matvec([[1, 0], [0, 1]], [bad, 1]),
+                lambda: gf.matmul([[1, bad]], [[1], [0]]),
+            ):
+                with pytest.raises(InvalidFieldCode):
+                    call()
 
     @pytest.mark.parametrize("s", [2, 17])
     @pytest.mark.parametrize("bad", [-1, -(1 << 40), 1 << 17])
@@ -332,6 +342,20 @@ class TestKernel:
         table = gf.mul_arr(codes[:, None], codes[None, :])
         assert np.array_equal(table, gf._mul(codes[:, None], codes[None, :]))
         assert np.array_equal(gf.inv_arr(codes[1:]), gf.pow(codes[1:], gf.q - 2))
+
+    @pytest.mark.parametrize("s", [1, 2, 8, 16])
+    def test_scalar_mul_by_zero_matches_kernel(self, s):
+        gf = make_field(s)
+        for x in (0, 1, gf.primitive, gf.q - 1):
+            assert gf.mul(0, x) == gf.mul(x, 0) == gf._mul(0, x) == gf._mul(x, 0) == 0
+
+    @pytest.mark.parametrize("s", [2, 17])
+    def test_products_of_empty_inputs(self, s):
+        gf = make_field(s)
+        assert gf.dot([], []) == 0
+        assert np.array_equal(gf.matvec(np.zeros((3, 0), dtype=np.int64), []), np.zeros(3))
+        assert gf.matvec(np.zeros((0, 4), dtype=np.int64), [1, 2, 3, 0]).shape == (0,)
+        assert gf.matmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 5))).shape == (2, 5)
 
     def test_tables_sampled_at_s16(self):
         gf = make_field(16)

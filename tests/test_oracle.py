@@ -609,6 +609,19 @@ class TestSectors:
             tracemalloc.stop()
         assert peak < 4 << 20
 
+    def test_oversized_projectors_refused_before_the_identity(self):
+        """A Z word at q = 4, n = 7: d = 2^14 passes DIM_CAP, but q d^2 = 2^30
+        projector entries exceed SECTOR_CAP, so no 4 GiB identity is built."""
+        P = PauliWord.z_word(make_field(2), [1] * 7)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                projectors(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
     @pytest.mark.parametrize("s,n", [(1, 3), (2, 2), (4, 1), (4, 2)])
     def test_measure_projective_is_born_then_collapse(self, s, n):
         """One sector stack gives the same bytes as the Born rule, a draw
