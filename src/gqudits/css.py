@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotCommuting, RankDeficient, json_int_fields, json_matrix
-from .field import GF, make_field
+from .field import GF, field_from_json
 
 DEFAULT_DISTANCE_BUDGET = 1 << 20
 _LOW_BITS = 14
@@ -56,8 +56,8 @@ class CssCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "CssCode":
-        modulus, gx, gz = json_int_fields(data, modulus=0, gx=2, gz=2)
-        gf = make_field(modulus=modulus)
+        gf = field_from_json(data)
+        gx, gz = json_int_fields(data, gx=2, gz=2)
         n = len((gx + gz)[0]) if gx + gz else 0
         return new_css(gf, n, json_matrix("gx", gx, n), json_matrix("gz", gz, n))
 
@@ -87,9 +87,8 @@ def new_css(gf: GF, n: int, gx, gz) -> CssCode:
     code = CssCode(gf, n, gx, gz)
     if linalg.rank(gf, code.gx) != code.m_x or linalg.rank(gf, code.gz) != code.m_z:
         raise RankDeficient("generator rows are linearly dependent")
-    if code.m_x and code.m_z:
-        if np.any(gf.matmul(code.gx, code.gz.T)):
-            raise NotCommuting("L_X is not orthogonal to L_Z")
+    if np.any(gf.matmul(code.gx, code.gz.T)):
+        raise NotCommuting("L_X is not orthogonal to L_Z")
     return code
 
 

@@ -21,10 +21,12 @@ import numpy as np
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    InvalidDocument,
     InvalidFieldCode,
     InvalidPolynomial,
     IrreducibleRequired,
     UnsupportedDegree,
+    json_int_fields,
 )
 
 MAX_DEGREE = 31
@@ -337,3 +339,13 @@ def make_field(s: int | None = None, modulus: int | None = None) -> GF:
     elif s is not None and poly_degree(modulus) != s:
         raise ValueError(f"modulus 0b{modulus:b} has degree {poly_degree(modulus)}, not {s}")
     return _field_for_modulus(modulus)
+
+
+def field_from_json(data) -> GF:
+    """The field of a JSON document, from its 'modulus'; InvalidDocument
+    names 'q' when the document also gives a q other than 2^deg(modulus)."""
+    (modulus,) = json_int_fields(data, modulus=0)
+    gf = make_field(modulus=modulus)
+    if "q" in data and json_int_fields(data, q=0)[0] != gf.q:
+        raise InvalidDocument(f"key 'q' is {data['q']}, but modulus {modulus} gives q = {gf.q}")
+    return gf

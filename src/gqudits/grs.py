@@ -99,8 +99,6 @@ def encode(c: GrsCode, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1)
     if coeffs.size != c.k:
         raise DimensionMismatch(f"message needs {c.k} coefficients, got {coeffs.size}")
-    if c.k == 0:
-        return np.zeros(c.n, dtype=np.int64)
     return c.gf.matvec(generator_matrix(c).T, coeffs)
 
 
@@ -276,10 +274,14 @@ def make_qrs(gf: GF, n: int, k1: int, k2: int, alpha=None, v=None) -> QrsCode:
         alpha = np.arange(n, dtype=np.int64)  # all of F_q in code order when n = q
     if v is None:
         v = np.ones(n, dtype=np.int64)
+    if np.size(alpha) != n or np.size(v) != n:
+        raise DimensionMismatch(
+            f"n = {n}, but alpha has {np.size(alpha)} entries and v has {np.size(v)}"
+        )
     cx = GrsCode(gf, k1, alpha, v)
-    if k2 > cx.n:
-        raise InvalidNesting(f"k2 = {k2} exceeds n = {cx.n}")
+    if k2 > n:
+        raise InvalidNesting(f"k2 = {k2} exceeds n = {n}")
     u = dual_multipliers(gf, cx.alpha, cx.v)
-    cz = GrsCode(gf, cx.n - k2, cx.alpha, u)
-    css = new_css(gf, cx.n, generator_matrix(cx), generator_matrix(cz))
+    cz = GrsCode(gf, n - k2, cx.alpha, u)
+    css = new_css(gf, n, generator_matrix(cx), generator_matrix(cz))
     return QrsCode(gf, k1, k2, cx.alpha, cx.v, u, css)

@@ -216,13 +216,12 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
         raise FullTableauRequired(f"m_X + m_Z = {t.m_x + t.m_z} != n = {t.n}")
     d = _check_cap(gf, t.n)
 
-    x0 = linalg.solve(gf, t.zrows, t.zsyn) if t.m_z else np.zeros(t.n, dtype=np.int64)
-    t0 = linalg.solve(gf, t.xrows, t.xsyn) if t.m_x else np.zeros(t.n, dtype=np.int64)
+    x0 = linalg.solve(gf, t.zrows, t.zsyn)
+    t0 = linalg.solve(gf, t.xrows, t.xsyn)
     if x0 is None or t0 is None:
         raise RuntimeError("inconsistent constraints in a validated tableau")
 
-    msgs = all_digits(gf, t.m_x) if t.m_x else np.zeros((1, 0), dtype=np.int64)
-    words = gf.matmul(msgs, t.xrows) if t.m_x else np.zeros((1, t.n), dtype=np.int64)
+    words = gf.matmul(all_digits(gf, t.m_x), t.xrows)
     amps = np.zeros(d, dtype=np.int64)
     amps[index_of(gf, words ^ x0)] = 1 - 2 * gf.trace_arr(gf.matvec(words, t0))
 

@@ -143,6 +143,15 @@ def default_assignment(gf: GF, n: int) -> BasisAssignment:
     return BasisAssignment.default_self_dual(gf, n)
 
 
+def _assignment_for(code: CssCode, assignment: BasisAssignment | None) -> BasisAssignment:
+    """assignment, or the default one when None; FieldMismatch if it is over
+    another field than code."""
+    if assignment is None:
+        return default_assignment(code.gf, code.n)
+    code.gf.check_same(assignment.gf)
+    return assignment
+
+
 def convert_code(code: CssCode, assignment: BasisAssignment | None = None) -> QubitCssCode:
     """Map stabiliser spaces through the decomposition maps.
 
@@ -151,8 +160,7 @@ def convert_code(code: CssCode, assignment: BasisAssignment | None = None) -> Qu
     s*k logical qubits.
     """
     gf = code.gf
-    if assignment is None:
-        assignment = default_assignment(gf, code.n)
+    assignment = _assignment_for(code, assignment)
     enum = find_self_dual(gf).elements
     hx = _expand_rows(assignment, code.gx, enum, dualise=False)
     hz = _expand_rows(assignment, code.gz, enum, dualise=True)
@@ -165,8 +173,7 @@ def convert_logicals(
     """Binary generators of the logical-operator-carrying spaces:
     D_{B*}(L_X^perp) for Z-type and D_B(L_Z^perp) for X-type."""
     gf = code.gf
-    if assignment is None:
-        assignment = default_assignment(gf, code.n)
+    assignment = _assignment_for(code, assignment)
     enum = find_self_dual(gf).elements
     z_space = _expand_rows(assignment, dual_space(gf, code.gx), enum, dualise=True)
     x_space = _expand_rows(assignment, dual_space(gf, code.gz), enum, dualise=False)
@@ -196,8 +203,7 @@ def make_plan(
 ) -> MeasurementPlan:
     """Expand every qudit check into s binary checks via its expansion basis."""
     gf = code.gf
-    if assignment is None:
-        assignment = default_assignment(gf, code.n)
+    assignment = _assignment_for(code, assignment)
     sd = find_self_dual(gf)
     if x_bases is None:
         x_bases = [sd] * code.m_x
@@ -205,6 +211,8 @@ def make_plan(
         z_bases = [sd] * code.m_z
     if len(x_bases) != code.m_x or len(z_bases) != code.m_z:
         raise DimensionMismatch("one expansion basis per qudit check required")
+    for basis in (*x_bases, *z_bases):
+        gf.check_same(basis.gf)
     gf2 = make_field(1)
 
     def checks(rows: np.ndarray, bases: list[FieldBasis], dualise: bool) -> np.ndarray:
@@ -252,6 +260,7 @@ def end_to_end_decode(
     against GRS_{k2}(alpha, v).  Each decoder's parity check is its checks' rows.
     """
     gf = qrs.gf
+    gf.check_same(assignment.gf)
     error_bits = np.asarray(error_bits, dtype=np.int64).reshape(-1)
     if error_bits.size != qrs.n * gf.s:
         raise DimensionMismatch(f"expected {qrs.n * gf.s} error bits, got {error_bits.size}")

@@ -1,9 +1,10 @@
 """CSS stabiliser tableaux over F_q with field-valued syndromes.
 
-A tableau lists independent X-type and Z-type generator rows plus one
-syndrome component per row.  Row operations transform syndromes
-covariantly (scale: sigma -> mu sigma; add: sigma_j -> sigma_j + sigma_i),
-so the defined state is unchanged.  A "full" tableau (m_X + m_Z = n) pins a
+A tableau lists independent X-type and Z-type generator rows, each with one
+syndrome component, as (m, n + 1) blocks [rows | syndromes].  Row
+operations transform syndromes covariantly (scale: sigma -> mu sigma; add:
+sigma_j -> sigma_j + sigma_i), so they act on whole block rows and the
+defined state is unchanged.  A "full" tableau (m_X + m_Z = n) pins a
 unique state and supports pure-type Pauli measurement.
 
 On a full tableau span(X rows) = span(Z rows)^perp, so measuring a word w
@@ -30,47 +31,55 @@ from .errors import (
     json_int_fields,
     json_matrix,
 )
-from .field import GF, make_field
+from .field import GF, field_from_json
 from .pauli import PauliWord
 
 
 @dataclass
 class CssTableau:
+    """Blocks x, z: (m, n + 1) int64 [rows | syndromes], checked by new_tableau."""
+
     gf: GF
     n: int
-    xrows: np.ndarray
-    zrows: np.ndarray
-    xsyn: np.ndarray
-    zsyn: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.xrows = linalg.as_matrix(self.xrows, self.n)
-        self.zrows = linalg.as_matrix(self.zrows, self.n)
-        self.xsyn = np.asarray(self.xsyn, dtype=np.int64).reshape(-1)
-        self.zsyn = np.asarray(self.zsyn, dtype=np.int64).reshape(-1)
-        if self.xrows.shape[1] != self.n or self.zrows.shape[1] != self.n:
-            raise DimensionMismatch("generator rows must have n columns")
-        if self.xsyn.shape[0] != self.xrows.shape[0]:
-            raise DimensionMismatch("one X syndrome per X row required")
-        if self.zsyn.shape[0] != self.zrows.shape[0]:
-            raise DimensionMismatch("one Z syndrome per Z row required")
+    @property
+    def xrows(self) -> np.ndarray:
+        return self.x[:, :-1]
+
+    @property
+    def zrows(self) -> np.ndarray:
+        return self.z[:, :-1]
+
+    @property
+    def xsyn(self) -> np.ndarray:
+        return self.x[:, -1]
+
+    @property
+    def zsyn(self) -> np.ndarray:
+        return self.z[:, -1]
 
     @property
     def m_x(self) -> int:
-        return self.xrows.shape[0]
+        return self.x.shape[0]
 
     @property
     def m_z(self) -> int:
-        return self.zrows.shape[0]
+        return self.z.shape[0]
 
     @property
     def is_full(self) -> bool:
         return self.m_x + self.m_z == self.n
 
+    def block(self, name: str) -> np.ndarray:
+        """The "x" or "z" block; ValueError for any other name."""
+        if name not in ("x", "z"):
+            raise ValueError(f"block must be 'x' or 'z', got {name!r}")
+        return self.x if name == "x" else self.z
+
     def copy(self) -> "CssTableau":
-        return CssTableau(
-            self.gf, self.n, self.xrows.copy(), self.zrows.copy(), self.xsyn.copy(), self.zsyn.copy()
-        )
+        return CssTableau(self.gf, self.n, self.x.copy(), self.z.copy())
 
     # -- serialisation ------------------------------------------------------
 
@@ -86,10 +95,8 @@ class CssTableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "CssTableau":
-        modulus, xrows, zrows, xsyn, zsyn = json_int_fields(
-            data, modulus=0, xrows=2, zrows=2, xsyn=1, zsyn=1
-        )
-        gf = make_field(modulus=modulus)
+        gf = field_from_json(data)
+        xrows, zrows, xsyn, zsyn = json_int_fields(data, xrows=2, zrows=2, xsyn=1, zsyn=1)
         n = len((xrows + zrows)[0]) if xrows + zrows else 0
         xrows, zrows = json_matrix("xrows", xrows, n), json_matrix("zrows", zrows, n)
         return new_tableau(gf, n, xrows, zrows, xsyn, zsyn)
@@ -97,22 +104,22 @@ class CssTableau:
 
 def new_tableau(gf: GF, n: int, xrows, zrows, xsyn, zsyn) -> CssTableau:
     """Validated tableau: F_q syndromes, independent rows, orthogonal blocks."""
-    t = CssTableau(gf, n, xrows, zrows, xsyn, zsyn)
-    gf.check_codes(t.xsyn)
-    gf.check_codes(t.zsyn)
-    new_css(gf, n, t.xrows, t.zrows)
-    return t
+    xrows, zrows = linalg.as_matrix(xrows, n), linalg.as_matrix(zrows, n)
+    xsyn = np.asarray(xsyn, dtype=np.int64).reshape(-1)
+    zsyn = np.asarray(zsyn, dtype=np.int64).reshape(-1)
+    if xrows.shape[1] != n or zrows.shape[1] != n:
+        raise DimensionMismatch("generator rows must have n columns")
+    if xsyn.shape[0] != xrows.shape[0]:
+        raise DimensionMismatch("one X syndrome per X row required")
+    if zsyn.shape[0] != zrows.shape[0]:
+        raise DimensionMismatch("one Z syndrome per Z row required")
+    gf.check_codes(xsyn)
+    gf.check_codes(zsyn)
+    new_css(gf, n, xrows, zrows)
+    return CssTableau(gf, n, np.column_stack([xrows, xsyn]), np.column_stack([zrows, zsyn]))
 
 
 # -- row operations ----------------------------------------------------------
-
-
-def _block(t: CssTableau, block: str) -> tuple[np.ndarray, np.ndarray]:
-    if block == "x":
-        return t.xrows, t.xsyn
-    if block == "z":
-        return t.zrows, t.zsyn
-    raise ValueError(f"block must be 'x' or 'z', got {block!r}")
 
 
 def scale_row(t: CssTableau, block: str, j: int, mu: int) -> CssTableau:
@@ -120,9 +127,8 @@ def scale_row(t: CssTableau, block: str, j: int, mu: int) -> CssTableau:
     if mu == 0:
         raise InvalidScale("row scaling must be by a non-zero field element")
     out = t.copy()
-    rows, syn = _block(out, block)
+    rows = out.block(block)
     rows[j] = t.gf.mul_arr(rows[j], mu)
-    syn[j] = t.gf.mul(int(syn[j]), mu)
     return out
 
 
@@ -131,18 +137,19 @@ def add_row(t: CssTableau, block: str, i: int, j: int) -> CssTableau:
     if i == j:
         raise InvalidScale("cannot add a row into itself")
     out = t.copy()
-    rows, syn = _block(out, block)
+    rows = out.block(block)
     rows[j] ^= rows[i]
-    syn[j] ^= syn[i]
     return out
 
 
 def canonical_form(t: CssTableau) -> CssTableau:
     """Unique representative: RREF per block with syndromes carried along."""
-    gf = t.gf
-    rx, sx, _ = linalg.rref_augmented(gf, t.xrows, t.xsyn)
-    rz, sz, _ = linalg.rref_augmented(gf, t.zrows, t.zsyn)
-    return CssTableau(gf, t.n, rx, rz, sx.reshape(-1), sz.reshape(-1))
+
+    def reduce(block: np.ndarray) -> np.ndarray:
+        rows, syn, _ = linalg.rref_augmented(t.gf, block[:, :-1], block[:, -1:])
+        return np.hstack([rows, syn])
+
+    return CssTableau(t.gf, t.n, reduce(t.x), reduce(t.z))
 
 
 # -- Clifford updates ---------------------------------------------------------
@@ -164,32 +171,24 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
         rows = np.vstack([t.xrows, t.zrows])
         if np.any((rows[:, i] != 0) & (np.count_nonzero(rows, axis=1) > 1)):
             raise NotCssPreserving(f"hadamard on site {i} would mix types in a weight>1 row")
-        xmove = t.xrows[:, i] != 0
-        zmove = t.zrows[:, i] != 0
-        return CssTableau(
-            gf, t.n,
-            np.vstack([t.xrows[~xmove], t.zrows[zmove]]),
-            np.vstack([t.zrows[~zmove], t.xrows[xmove]]),
-            np.concatenate([t.xsyn[~xmove], t.zsyn[zmove]]),
-            np.concatenate([t.zsyn[~zmove], t.xsyn[xmove]]),
-        )
+        xmove = t.x[:, i] != 0
+        zmove = t.z[:, i] != 0
+        x = np.vstack([t.x[~xmove], t.z[zmove]])
+        z = np.vstack([t.z[~zmove], t.x[xmove]])
+        return CssTableau(gf, t.n, x, z)
     out = t.copy()
     if kind == "cnot":
         i, j = sites
         if i == j:
             raise DimensionMismatch("cnot needs two distinct sites")
-        if out.m_x:
-            out.xrows[:, j] ^= out.xrows[:, i]
-        if out.m_z:
-            out.zrows[:, i] ^= out.zrows[:, j]
+        out.x[:, j] ^= out.x[:, i]
+        out.z[:, i] ^= out.z[:, j]
     elif kind == "mult":
         (i,) = sites
         if delta is None or gf.check_code(delta) == 0:
             raise InvalidScale("mult update needs a non-zero delta")
-        if out.m_x:
-            out.xrows[:, i] = gf.mul_arr(out.xrows[:, i], delta)
-        if out.m_z:
-            out.zrows[:, i] = gf.mul_arr(out.zrows[:, i], gf.inv(delta))
+        out.x[:, i] = gf.mul_arr(out.x[:, i], delta)
+        out.z[:, i] = gf.mul_arr(out.z[:, i], gf.inv(delta))
     else:
         raise ValueError(f"unsupported tableau gate {kind!r}")
     return out
@@ -217,8 +216,8 @@ def deterministic_outcome(t: CssTableau, P: PauliWord) -> int | None:
     block, w, dots = _measured(t, P)
     if np.any(dots):
         return None
-    rows, syn = _block(t, block)
-    return t.gf.dot(w, linalg.solve(t.gf, rows, syn))
+    same = t.block(block)
+    return t.gf.dot(w, linalg.solve(t.gf, same[:, :-1], same[:, -1]))
 
 
 def measure_postselect(t: CssTableau, P: PauliWord, eta: int) -> CssTableau:
@@ -226,7 +225,7 @@ def measure_postselect(t: CssTableau, P: PauliWord, eta: int) -> CssTableau:
 
     The first opposite-type row with non-zero dot against P's vector w is
     the pivot: dots[k] / dots[pivot] times it is added to every other
-    opposite row (syndromes too), then it is dropped and (w, eta) joins the
+    opposite row (syndromes too), then it is dropped and [w | eta] joins the
     same-type block.  Every outcome has probability 1/q, so any eta in F_q
     is legal.  The result keeps fullness, rank and orthogonality.
     """
@@ -238,14 +237,11 @@ def measure_postselect(t: CssTableau, P: PauliWord, eta: int) -> CssTableau:
     gf.check_code(eta)
     pivot = hits[0]
     keep = np.arange(dots.size) != pivot
-    opp = np.column_stack(_block(t, "z" if block == "x" else "x"))  # [rows | syn]
+    opp = t.z if block == "x" else t.x
     f = gf.mul_arr(dots[keep], gf.inv(int(dots[pivot])))
     opp = opp[keep] ^ gf.mul_arr(f[:, None], opp[pivot])
-    rows, syn = _block(t, block)
-    same_rows, same_syn = np.vstack([rows, w]), np.append(syn, eta)
-    if block == "x":
-        return CssTableau(gf, t.n, same_rows, opp[:, :-1], same_syn, opp[:, -1])
-    return CssTableau(gf, t.n, opp[:, :-1], same_rows, opp[:, -1], same_syn)
+    same = np.vstack([t.block(block), np.append(w, eta)])
+    return CssTableau(gf, t.n, same, opp) if block == "x" else CssTableau(gf, t.n, opp, same)
 
 
 def measure(t: CssTableau, P: PauliWord, rng: np.random.Generator) -> tuple[int, CssTableau]:

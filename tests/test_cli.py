@@ -272,6 +272,29 @@ class TestExitCodes:
         assert exc.value.code == 2 and out == ""
         assert "argument --budget: expected a positive integer" in err
 
+    def test_qrs_alpha_of_another_length_than_n_is_two(self, capsys):
+        argv = ["code", "qrs", "--q", "8", "--n", "8", "--k1", "1", "--k2", "2"]
+        assert main(argv + ["--alpha", "0,1,2", "--v", "1,1,1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "n = 8, but alpha has 3 entries and v has 3" in err
+
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (
+                ["sim", "measure", "--pauli", "+|x:[1]|z:[0]"],
+                {"q": 4, "modulus": 11, "xrows": [[1]], "zrows": [], "xsyn": [5], "zsyn": []},
+            ),
+            (["code", "params"], {"q": 16, "modulus": 11, "gx": [[1, 1]], "gz": []}),
+        ],
+    )
+    def test_document_q_other_than_modulus_is_two(self, capsys, tmp_path, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(argv + ["--in", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "key 'q'" in err
+
 
 class TestGolden:
     """CLI outputs that must stay byte-identical, stored in tests/data/."""

@@ -77,6 +77,13 @@ class TestNewCss:
         code = new_css(gf, 3, np.zeros((0, 3)), np.zeros((0, 3)))
         assert code.k == 3
 
+    @pytest.mark.parametrize("x_empty", [True, False])
+    def test_one_empty_block(self, x_empty):
+        gf = make_field(2)
+        rows, empty = [[1, 2, 3], [0, 1, 1]], np.zeros((0, 3))
+        code = new_css(gf, 3, empty, rows) if x_empty else new_css(gf, 3, rows, empty)
+        assert code.k == 1 and (code.m_x, code.m_z) == ((0, 2) if x_empty else (2, 0))
+
     def test_repetition_style(self):
         gf = make_field(2)
         gx = np.array([[1, 1, 1]])
@@ -113,6 +120,17 @@ class TestNewCss:
             CssCode.from_json(data)
         with pytest.raises(InvalidDocument, match="got str"):
             CssCode.from_json("gx")
+
+    def test_json_q_must_match_the_modulus(self):
+        data = make_qrs(make_field(3), 8, 2, 5).css.to_json()
+        data["q"] = 16
+        with pytest.raises(InvalidDocument, match="key 'q' is 16, but modulus 11 gives q = 8"):
+            CssCode.from_json(data)
+        data["q"] = "8"
+        with pytest.raises(InvalidDocument, match="key 'q' must be an integer"):
+            CssCode.from_json(data)
+        del data["q"]
+        assert CssCode.from_json(data).gf == make_field(3)
 
 
 class TestDualSpace:

@@ -108,6 +108,11 @@ class TestEncode:
         with pytest.raises(DimensionMismatch):
             encode(f4_instance(), [1])
 
+    def test_dimension_zero_encodes_the_zero_word(self):
+        code = GrsCode(make_field(2), 0, [0, 1, 2], [1, 2, 3])
+        word = encode(code, [])
+        assert word.dtype == np.int64 and np.array_equal(word, [0, 0, 0])
+
     def test_linear(self):
         gf = make_field(2)
         code = f4_instance()
@@ -478,6 +483,16 @@ class TestMakeQrs:
     def test_invalid_nesting(self):
         with pytest.raises(InvalidNesting):
             make_qrs(make_field(3), 8, 5, 2)
+
+    @pytest.mark.parametrize(
+        "alpha,v,sizes",
+        [([0, 1, 2], [1, 1, 1], (3, 3)), ([0, 1, 2], None, (3, 8)), (None, [1, 1, 1], (8, 3))],
+    )
+    def test_alpha_and_v_need_n_entries(self, alpha, v, sizes):
+        with pytest.raises(DimensionMismatch) as exc:
+            make_qrs(make_field(3), 8, 1, 2, alpha, v)
+        msg = f"n = 8, but alpha has {sizes[0]} entries and v has {sizes[1]}"
+        assert str(exc.value) == msg
 
     def test_dual_multipliers_match_scalar_products(self):
         gf = make_field(4)

@@ -12,6 +12,7 @@ from gqudits.css import dual_space
 from gqudits.errors import (
     DecodeFailure,
     DimensionMismatch,
+    FieldMismatch,
     GquditError,
     InvalidAlist,
     InvalidDocument,
@@ -813,3 +814,40 @@ class TestValidation:
         code = new_css(gf2, 2, [[1, 1]], [[1, 1]])
         with pytest.raises(DimensionMismatch):
             QubitCssCode(2, [[1, 1, 0]], [[1, 1, 0]], code, default_assignment(gf2, 2))
+
+    def test_bundle_q_must_match_the_modulus(self):
+        data = convert_code(make_qrs(make_field(2), 4, 1, 2).css).to_json()
+        data["qudit_code"]["q"] = 8
+        with pytest.raises(InvalidDocument, match="'q'"):
+            QubitCssCode.from_json(data)
+
+
+class TestForeignField:
+    """Bases over another modulus of the same order are refused, not
+    multiplied with the wrong field's arithmetic."""
+
+    @staticmethod
+    def instance():
+        qrs = make_qrs(make_field(modulus=19), 8, 2, 5)  # x^4 + x + 1
+        other = make_field(modulus=25)  # x^4 + x^3 + 1
+        return qrs, BasisAssignment.default_self_dual(other, 8), find_self_dual(other)
+
+    @pytest.mark.parametrize("convert", [convert_code, convert_logicals, make_plan])
+    def test_assignment_over_another_field(self, convert):
+        qrs, foreign, _ = self.instance()
+        with pytest.raises(FieldMismatch):
+            convert(qrs.css, foreign)
+
+    def test_expansion_bases_over_another_field(self):
+        qrs, _, basis = self.instance()
+        with pytest.raises(FieldMismatch):
+            make_plan(qrs.css, x_bases=[basis] * qrs.css.m_x)
+        with pytest.raises(FieldMismatch):
+            make_plan(qrs.css, z_bases=[basis] * qrs.css.m_z)
+
+    def test_decode_with_assignment_over_another_field(self):
+        qrs, foreign, _ = self.instance()
+        plan = make_plan(qrs.css)
+        for kind in ("Z", "X"):
+            with pytest.raises(FieldMismatch):
+                end_to_end_decode(qrs, foreign, plan, np.zeros(8 * 4, dtype=np.int64), kind)

@@ -200,7 +200,9 @@ class TestRowOperations:
         etas = (4, 1, 6)
         eta = 3
         first, second, third, fourth = walkthrough_tableaux(gf, gammas, etas, eta)
-        t = CssTableau(gf, 8, np.array(first[0]), np.zeros((0, 8)), np.array(first[1]), [])
+        t = CssTableau(
+            gf, 8, np.column_stack([first[0], first[1]]), np.zeros((0, 9), dtype=np.int64)
+        )
         for j, g in enumerate(gammas[:3], start=1):
             t = scale_row(t, "x", j, g)
         assert np.array_equal(t.xrows, np.array(second[0]))
@@ -218,7 +220,7 @@ class TestRowOperations:
         forms = walkthrough_tableaux(gf, (2, 7, 3, 5), (4, 1, 6), 3)
         canon = []
         for rows, syn in forms:
-            t = CssTableau(gf, 8, np.array(rows), np.zeros((0, 8)), np.array(syn), [])
+            t = CssTableau(gf, 8, np.column_stack([rows, syn]), np.zeros((0, 9), dtype=np.int64))
             canon.append(canonical_form(t))
         for c in canon[1:]:
             assert np.array_equal(c.xrows, canon[0].xrows)
@@ -631,8 +633,10 @@ class TestCatGadget:
             out, t = measure(t, PauliWord.x_word(gf, codes), rng)
             etas.append(out)
         first, *_ = walkthrough_tableaux(gf, gammas, tuple(etas), eta)
-        displayed = CssTableau(gf, 8, np.array(first[0]), np.zeros((0, 8)), np.array(first[1]), [])
-        got = canonical_form(CssTableau(gf, 8, t.xrows, np.zeros((0, 8)), t.xsyn, []))
+        displayed = CssTableau(
+            gf, 8, np.column_stack([first[0], first[1]]), np.zeros((0, 9), dtype=np.int64)
+        )
+        got = canonical_form(CssTableau(gf, 8, t.x, np.zeros((0, 9), dtype=np.int64)))
         want = canonical_form(displayed)
         assert np.array_equal(got.xrows, want.xrows)
         assert np.array_equal(got.xsyn, want.xsyn)
@@ -662,3 +666,199 @@ class TestDimensionCut:
         assert dim1 == 4  # q^(n-1)
         p12 = p1 @ oracle.projectors(w2)[0]
         assert round(np.trace(p12).real) == 1  # q^(n-2)
+
+
+# -- one array per block against separate-syndrome reference code -------------------
+#
+# The ref_* functions keep a tableau as four arrays (xrows, zrows, xsyn, zsyn)
+# and update the syndromes apart from the rows.  The tests require the same
+# four arrays from the (m, n + 1) block code, and the same amplitudes from
+# stabiliser_state.
+
+
+def parts_of(t):
+    return t.xrows.copy(), t.zrows.copy(), t.xsyn.copy(), t.zsyn.copy()
+
+
+def ref_scale_row(gf, parts, block, j, mu):
+    xr, zr, xs, zs = (a.copy() for a in parts)
+    rows, syn = (xr, xs) if block == "x" else (zr, zs)
+    rows[j] = gf.mul_arr(rows[j], mu)
+    syn[j] = gf.mul(int(syn[j]), mu)
+    return xr, zr, xs, zs
+
+
+def ref_add_row(parts, block, i, j):
+    xr, zr, xs, zs = (a.copy() for a in parts)
+    rows, syn = (xr, xs) if block == "x" else (zr, zs)
+    rows[j] ^= rows[i]
+    syn[j] ^= syn[i]
+    return xr, zr, xs, zs
+
+
+def ref_canonical_form(gf, parts):
+    xr, zr, xs, zs = parts
+    rx, sx, _ = linalg.rref_augmented(gf, xr, xs)
+    rz, sz, _ = linalg.rref_augmented(gf, zr, zs)
+    return rx, rz, sx.reshape(-1), sz.reshape(-1)
+
+
+def ref_hadamard_legal(parts, i):
+    rows = np.vstack(parts[:2])
+    return not np.any((rows[:, i] != 0) & (np.count_nonzero(rows, axis=1) > 1))
+
+
+def ref_apply_gate(gf, parts, kind, *sites, delta=None):
+    xr, zr, xs, zs = (a.copy() for a in parts)
+    if kind == "hadamard":
+        (i,) = sites
+        xmove, zmove = xr[:, i] != 0, zr[:, i] != 0
+        return (
+            np.vstack([xr[~xmove], zr[zmove]]),
+            np.vstack([zr[~zmove], xr[xmove]]),
+            np.concatenate([xs[~xmove], zs[zmove]]),
+            np.concatenate([zs[~zmove], xs[xmove]]),
+        )
+    if kind == "cnot":
+        i, j = sites
+        if len(xr):
+            xr[:, j] ^= xr[:, i]
+        if len(zr):
+            zr[:, i] ^= zr[:, j]
+    else:
+        (i,) = sites
+        if len(xr):
+            xr[:, i] = gf.mul_arr(xr[:, i], delta)
+        if len(zr):
+            zr[:, i] = gf.mul_arr(zr[:, i], gf.inv(delta))
+    return xr, zr, xs, zs
+
+
+def ref_measured(gf, parts, P):
+    xr, zr, _, _ = parts
+    if any(P.zvec):
+        return "z", P.z_array, gf.matvec(xr, P.z_array)
+    return "x", P.x_array, gf.matvec(zr, P.x_array)
+
+
+def ref_deterministic_outcome(gf, parts, P):
+    block, w, dots = ref_measured(gf, parts, P)
+    if np.any(dots):
+        return None
+    xr, zr, xs, zs = parts
+    rows, syn = (xr, xs) if block == "x" else (zr, zs)
+    return gf.dot(w, linalg.solve(gf, rows, syn))
+
+
+def ref_measure_postselect(gf, parts, P, eta):
+    block, w, dots = ref_measured(gf, parts, P)
+    xr, zr, xs, zs = parts
+    pivot = np.flatnonzero(dots)[0]
+    keep = np.arange(dots.size) != pivot
+    opp = np.column_stack((zr, zs) if block == "x" else (xr, xs))
+    f = gf.mul_arr(dots[keep], gf.inv(int(dots[pivot])))
+    opp = opp[keep] ^ gf.mul_arr(f[:, None], opp[pivot])
+    rows, syn = (xr, xs) if block == "x" else (zr, zs)
+    same_rows, same_syn = np.vstack([rows, w]), np.append(syn, eta)
+    if block == "x":
+        return same_rows, opp[:, :-1], same_syn, opp[:, -1]
+    return opp[:, :-1], same_rows, opp[:, -1], same_syn
+
+
+def ref_stabiliser_amps(gf, n, parts):
+    xr, zr, xs, zs = parts
+    x0 = linalg.solve(gf, zr, zs) if len(zr) else np.zeros(n, dtype=np.int64)
+    t0 = linalg.solve(gf, xr, xs) if len(xr) else np.zeros(n, dtype=np.int64)
+    msgs = oracle.all_digits(gf, len(xr)) if len(xr) else np.zeros((1, 0), dtype=np.int64)
+    words = gf.matmul(msgs, xr) if len(xr) else np.zeros((1, n), dtype=np.int64)
+    amps = np.zeros(gf.q**n, dtype=np.int64)
+    amps[oracle.index_of(gf, words ^ x0)] = 1 - 2 * gf.trace_arr(gf.matvec(words, t0))
+    vec = amps.astype(np.complex128)
+    return vec / np.linalg.norm(vec)
+
+
+def assert_parts(t, parts):
+    assert t.x.shape == (t.m_x, t.n + 1) and t.z.shape == (t.m_z, t.n + 1)
+    assert t.x.dtype == t.z.dtype == np.int64
+    for got, want in zip((t.xrows, t.zrows, t.xsyn, t.zsyn), parts):
+        assert got.shape == np.shape(want) and np.array_equal(got, want)
+
+
+class TestOneArrayBlocks:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_updates_match_separate_syndrome_code(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(811 + s)
+        branches = {"deterministic": 0, "random": 0, "hadamard": 0}
+        for n in range(1, 5):
+            for m_x in range(n + 1):  # m_x = 0 and m_z = 0 included
+                for _ in range(3):
+                    t = random_full_tableau(gf, n, rng, m_x)
+                    parts = parts_of(t)
+                    assert_parts(t, parts)
+                    assert_parts(canonical_form(t), ref_canonical_form(gf, parts))
+                    for block, m in (("x", t.m_x), ("z", t.m_z)):
+                        if m == 0:
+                            continue
+                        j, mu = int(rng.integers(m)), int(rng.integers(1, gf.q))
+                        want = ref_scale_row(gf, parts, block, j, mu)
+                        assert_parts(scale_row(t, block, j, mu), want)
+                        if m >= 2:
+                            i, j = (int(a) for a in rng.choice(m, size=2, replace=False))
+                            assert_parts(add_row(t, block, i, j), ref_add_row(parts, block, i, j))
+                    i = int(rng.integers(n))
+                    delta = int(rng.integers(1, gf.q))
+                    want = ref_apply_gate(gf, parts, "mult", i, delta=delta)
+                    assert_parts(apply_gate(t, "mult", i, delta=delta), want)
+                    if n >= 2:
+                        i, j = (int(a) for a in rng.choice(n, size=2, replace=False))
+                        want = ref_apply_gate(gf, parts, "cnot", i, j)
+                        assert_parts(apply_gate(t, "cnot", i, j), want)
+                    for i in range(n):
+                        if ref_hadamard_legal(parts, i):
+                            branches["hadamard"] += 1
+                            want = ref_apply_gate(gf, parts, "hadamard", i)
+                            assert_parts(apply_gate(t, "hadamard", i), want)
+                        else:
+                            with pytest.raises(NotCssPreserving):
+                                apply_gate(t, "hadamard", i)
+                    P = random_pure_word(gf, n, rng)
+                    det = deterministic_outcome(t, P)
+                    assert det == ref_deterministic_outcome(gf, parts, P)
+                    if det is None:
+                        branches["random"] += 1
+                        eta = int(rng.integers(gf.q))
+                        want = ref_measure_postselect(gf, parts, P, eta)
+                        assert_parts(measure_postselect(t, P, eta), want)
+                    else:
+                        branches["deterministic"] += 1
+                    amps = oracle.stabiliser_state(t).amps
+                    assert np.array_equal(amps, ref_stabiliser_amps(gf, n, parts))
+        assert all(branches.values()), branches
+
+    def test_row_and_syndrome_fields_are_views_of_the_blocks(self):
+        t = random_full_tableau(make_field(2), 3, np.random.default_rng(823), 1)
+        for block, rows, syn in ((t.x, t.xrows, t.xsyn), (t.z, t.zrows, t.zsyn)):
+            assert np.shares_memory(rows, block) and np.shares_memory(syn, block)
+
+    @pytest.mark.parametrize("block", ["y", "n", "gf", "X", ""])
+    def test_unknown_block_name_rejected(self, block):
+        t = random_full_tableau(make_field(2), 2, np.random.default_rng(827), 1)
+        with pytest.raises(ValueError, match="block must be 'x' or 'z'"):
+            scale_row(t, block, 0, 1)
+        with pytest.raises(ValueError, match="block must be 'x' or 'z'"):
+            add_row(t, block, 0, 1)
+
+
+class TestJsonFieldSize:
+    def test_q_must_match_the_modulus(self):
+        data = new_tableau(make_field(3), 1, [[1]], [], [5], []).to_json()
+        data["q"] = 4
+        with pytest.raises(InvalidDocument, match="'q'"):
+            CssTableau.from_json(data)
+
+    def test_document_without_q_loads(self):
+        t = new_tableau(make_field(3), 1, [[1]], [], [5], [])
+        data = t.to_json()
+        del data["q"]
+        assert tableaux_equal(CssTableau.from_json(data), t)
