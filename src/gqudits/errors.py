@@ -141,6 +141,10 @@ class InvalidNesting(GquditError):
     """Quantum Reed-Solomon construction needs k1 <= k2."""
 
 
+class PlanMismatch(GquditError):
+    """A measurement plan is used with another code or assignment than its own."""
+
+
 class DecodeFailure(GquditError):
     """Decoding refused: the error locator is longer than the decoding
     radius, the locator does not split over the evaluation points, or the

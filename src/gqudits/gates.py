@@ -5,8 +5,8 @@ recursion: level 1 is "proportional to a Pauli", level k+1 conjugates the
 single-site X/Z generators over a fixed F_2-basis into level k.  Monomial
 gates (one unit-modulus non-zero per row and column: every Pauli, X, Z,
 mult, CNOT, CCZ, multi_cz, U_n, S, T and their pi_map images) run the
-recursion on (perm, phase) pairs; any other gate (Hadamard, a general
-unitary) runs it on dense matrices, the reference for the monomial path.
+recursion on (perm, phase) pairs down to level 1; any other gate (Hadamard,
+a general unitary) runs it on dense matrices, the reference for the monomial path.
 """
 
 from __future__ import annotations
@@ -207,33 +207,37 @@ def _in_level(gens: tuple, memo: dict, U: DenseOperator, k: int) -> tuple[bool, 
     return ok, failing
 
 
-def _monomial_paulis(chi: np.ndarray, perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """The level-1 rule on (m, d) monomial rows: row i is a Pauli multiple
-    when perms[i] is a translation j -> j ^ a and its one non-zero row of
-    the coefficient matrix, phases[i] @ chi.T / d, has a single entry above
-    _PAULI_ATOL (the dense rule of is_pauli_multiple)."""
-    m, d = perms.shape
-    translation = np.all(perms == (np.arange(d) ^ perms[:, :1]), axis=1)
-    rows = np.ascontiguousarray(phases.T).view(np.float64)  # (d, 2m) for BLAS
-    C = np.abs((chi @ rows).view(np.complex128) / d)  # column i: coefficients of row i
-    C[np.argmax(C, axis=0), np.arange(m)] = 0.0
-    return translation & (np.max(C, axis=0) <= _PAULI_ATOL)
+def _monomial_paulis(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """The level-1 rule on (m, d) monomial rows, in O(m*d): row i is a Pauli
+    multiple when perms[i] is a translation j -> j ^ a and phases[i] /
+    phases[i, 0] is within _PAULI_ATOL of the ±1 character with its signs at
+    the kets j = 2^t.  Every other Pauli coefficient is then within _PAULI_ATOL,
+    so this is at least as strict as is_pauli_multiple; they differ only on a
+    ratio off by _PAULI_ATOL to d*_PAULI_ATOL, which can only raise a level."""
+    d = perms.shape[1]
+    translation = (perms == (np.arange(d) ^ perms[:, :1])).all(axis=1)
+    ratio = phases.T / phases[:, 0]  # (d, m): ket j of every row
+    char, w = np.copysign(1.0, ratio.real), 2  # the signs; char[0] = 1, so ket 1 is done
+    while w < d:  # kets w..2w-1 are kets 0..w-1 with bit w set: times the sign at w
+        char[w : 2 * w] = char[:w] * char[w]
+        w *= 2
+    return translation & (np.abs(ratio - char) <= _PAULI_ATOL).all(axis=0)
 
 
 def _monomial_in_level(
-    gens: tuple, chi: np.ndarray, memo: dict, perm: np.ndarray, phase: np.ndarray, k: int
+    gens: tuple, memo: dict, perm: np.ndarray, phase: np.ndarray, k: int
 ) -> tuple[bool, PauliWord | None]:
     """Monomial recursion: the dense one on (perm, phase) pairs.  Each node
     conjugates by every generator at once, M g M^dag |perm[j]> =
     phase[t] g_phase[j] conj(phase[j]) |perm[t]> with t = g_target[j], and
-    tests all the level-1 conjugates in one product; memo keys are the perm
-    bytes and the rounded phases."""
+    reads level 1 off the conjugates' perms and phases (_monomial_paulis);
+    memo keys are the perm bytes and the rounded phases."""
     key = (perm.tobytes(), np.round(phase, 8).tobytes(), k)
     if key in memo:
         return memo[key], None
     failing = None
     if k == 1:
-        ok = bool(_monomial_paulis(chi, perm[None], phase[None])[0])
+        ok = bool(_monomial_paulis(perm[None], phase[None])[0])
     else:
         words, targets, phases = gens
         perms = np.empty_like(targets)
@@ -241,11 +245,11 @@ def _monomial_in_level(
         conj = np.empty(phases.shape, dtype=np.complex128)
         conj[:, perm] = phase[targets] * phases * phase.conj()
         if k == 2:
-            fails = np.flatnonzero(~_monomial_paulis(chi, perms, conj))
+            fails = np.flatnonzero(~_monomial_paulis(perms, conj))
             failing = words[fails[0]] if fails.size else None
         else:
             for word, p, ph in zip(words, perms, conj):
-                if not _monomial_in_level(gens, chi, memo, p, ph, k - 1)[0]:
+                if not _monomial_in_level(gens, memo, p, ph, k - 1)[0]:
                     failing = word
                     break
         ok = failing is None
@@ -263,9 +267,9 @@ def hierarchy_level(
     conjugates recur heavily.  A monomial U (one unit-modulus non-zero per
     row and column: Paulis, diagonal and permutation gates, and their
     pi_map images) is held as a (perm, phase) pair, and so is every
-    conjugate, so a conjugation is O(d) gathers.  Any other U (Hadamard, a
-    general unitary) takes the dense recursion on d x d matrices, the
-    reference for the monomial one.
+    conjugate, so a conjugation is O(d) gathers and so is a level-1 test.
+    Any other U (Hadamard, a general unitary) takes the dense recursion on
+    d x d matrices, the reference for the monomial one.
     """
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
@@ -273,22 +277,17 @@ def hierarchy_level(
         raise TooLarge(f"dimension {U.dim} exceeds cap {HIERARCHY_DIM_CAP}")
     gens = _generator_actions(U.gf, U.n)
     monomial = _monomial(U.mat)
-    chi = _chi_matrix(U.gf, U.n)
     memo: dict[tuple, bool] = {}
-    witness_word: PauliWord | None = None
-    level: int | None = None
+    witness = None  # explains non-membership one level below the reported level
     for k in range(1, max_level + 1):
         if monomial is None:
             ok, failing = _in_level(gens, memo, U, k)
         else:
-            ok, failing = _monomial_in_level(gens, chi, memo, *monomial, k)
+            ok, failing = _monomial_in_level(gens, memo, *monomial, k)
         if ok:
-            level = k
-            break
-        witness_word = failing
-    # witness explains non-membership one level below the reported level
-    witness = witness_word.to_text() if witness_word is not None else None
-    return HierarchyReport(gate_name, U.gf.q, max_level, level, witness)
+            return HierarchyReport(gate_name, U.gf.q, max_level, k, witness)
+        witness = None if failing is None else failing.to_text()
+    return HierarchyReport(gate_name, U.gf.q, max_level, None, witness)
 
 
 # -- qudit-to-qubit maps ----------------------------------------------------------

@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     InvalidAlist,
     InvalidDocument,
+    PlanMismatch,
     json_fields,
     json_int_fields,
     json_matrix,
@@ -62,21 +63,6 @@ def _expand_rows(assignment: BasisAssignment, rows, scales, dualise: bool) -> np
     scales = np.broadcast_to(np.asarray(scales, dtype=np.int64), (rows.shape[0], gf.s))
     scaled = gf.mul_arr(rows[:, None, :], scales[:, :, None]).reshape(-1, rows.shape[1])
     return expand_dual(assignment, scaled) if dualise else expand_vector(assignment, scaled)
-
-
-def lift_vector(assignment: BasisAssignment, bits) -> np.ndarray:
-    """Inverse of expand_vector: (n*s,) bits give (n,) codes and (m, n*s)
-    bits give (m, n).  The qudits of each distinct basis are recomposed in
-    one call."""
-    bits = np.asarray(bits, dtype=np.int64)
-    n, s = assignment.n, assignment.gf.s
-    if bits.ndim > 2 or bits.shape[-1:] != (n * s,):
-        raise DimensionMismatch(f"bits of shape {bits.shape}, assignment needs {n * s} per row")
-    blocks = bits.reshape(bits.shape[:-1] + (n, s))
-    out = np.empty(blocks.shape[:-1], dtype=np.int64)
-    for basis, idx in assignment.groups:
-        out[..., idx] = basis.recompose(blocks[..., idx, :])
-    return out
 
 
 # -- code conversion ---------------------------------------------------------------
@@ -189,6 +175,8 @@ class MeasurementPlan:
     z_duals: np.ndarray
     x_checks: np.ndarray  # (m_x, s, n*s): s binary check vectors per X check
     z_checks: np.ndarray
+    code: CssCode  # the code and assignment expanded: end_to_end_decode refuses others
+    assignment: BasisAssignment
 
     @property
     def total_checks(self) -> int:
@@ -213,22 +201,23 @@ def make_plan(
         raise DimensionMismatch("one expansion basis per qudit check required")
     for basis in (*x_bases, *z_bases):
         gf.check_same(basis.gf)
-    gf2 = make_field(1)
 
     def checks(rows: np.ndarray, bases: list[FieldBasis], dualise: bool) -> np.ndarray:
+        # beta -> D(beta * r) is F_2-linear and injective exactly when r != 0
+        zero = np.flatnonzero(~rows.any(axis=1))
+        if zero.size:
+            name = "gz" if dualise else "gx"
+            raise DimensionMismatch(f"row {zero[0]} of {name} is zero: dependent qubit checks")
         scales = np.array([b.elements for b in bases], dtype=np.int64).reshape(-1, gf.s)
         bits = _expand_rows(assignment, rows, scales, dualise)
-        groups = bits.reshape(len(bases), gf.s, code.n * gf.s)
-        if any(linalg.rank(gf2, g) != gf.s for g in groups):
-            raise DimensionMismatch("expanded qubit checks are dependent")
-        return groups
+        return bits.reshape(len(bases), gf.s, code.n * gf.s)
 
     def duals(bases: list[FieldBasis]) -> np.ndarray:
         return np.array([b.dual().elements for b in bases], dtype=np.int64).reshape(-1, gf.s)
 
     x_checks = checks(code.gx, x_bases, False)
     z_checks = checks(code.gz, z_bases, True)
-    return MeasurementPlan(duals(x_bases), duals(z_bases), x_checks, z_checks)
+    return MeasurementPlan(duals(x_bases), duals(z_bases), x_checks, z_checks, code, assignment)
 
 
 def reconstruct_syndrome(gf: GF, bits, duals) -> np.ndarray:
@@ -258,9 +247,16 @@ def end_to_end_decode(
     syndrome (v_j . W) is decoded against GRS_{n-k1}(alpha, u).
     kind "X": an X-type error D_B(A) diagnosed by the Z checks; decoded
     against GRS_{k2}(alpha, v).  Each decoder's parity check is its checks' rows.
+    PlanMismatch unless plan was made for qrs.css and assignment.
     """
     gf = qrs.gf
     gf.check_same(assignment.gf)
+    if plan.code is not qrs.css and not (
+        np.array_equal(plan.code.gx, qrs.css.gx) and np.array_equal(plan.code.gz, qrs.css.gz)
+    ):
+        raise PlanMismatch("the plan was made for other check rows")
+    if plan.assignment is not assignment and plan.assignment.bases != assignment.bases:
+        raise PlanMismatch("the plan was made for another assignment")
     error_bits = np.asarray(error_bits, dtype=np.int64).reshape(-1)
     if error_bits.size != qrs.n * gf.s:
         raise DimensionMismatch(f"expected {qrs.n * gf.s} error bits, got {error_bits.size}")

@@ -556,8 +556,8 @@ class TestMonomialEngine:
         gf = make_field(s)
         d = gf.q**n
         rng = np.random.default_rng(101 + 10 * s + n)
-        chi, kets = _chi_matrix(gf, n), np.arange(d)
-        cases = []
+        kets = np.arange(d)
+        cases, band = [], []
         for _ in range(8):
             x, z = rng.integers(0, gf.q, n), rng.integers(0, gf.q, n)
             P = pauli_matrix(PauliWord.from_vectors(gf, x, z)).mat
@@ -570,14 +570,23 @@ class TestMonomialEngine:
                 nudged = P.copy()
                 nudged[:, 0] *= np.exp(1j * eps)
                 cases.append(nudged)
+            # nudged by 2 * _PAULI_ATOL, inside the band (_PAULI_ATOL, d * _PAULI_ATOL):
+            # the other coefficients stay within _PAULI_ATOL, the phase rule refuses
+            nudged = P.copy()
+            nudged[:, 0] *= np.exp(2j * _PAULI_ATOL)
+            band.append(nudged)
         for mat in cases:
             perm, phase = _monomial(mat)
-            got = bool(_monomial_paulis(chi, perm[None], phase[None])[0])
+            got = bool(_monomial_paulis(perm[None], phase[None])[0])
             U = DenseOperator(gf, n, mat)
             assert got == is_pauli_multiple(U) == reference_is_pauli_multiple(U)
+        for mat in band:
+            perm, phase = _monomial(mat)
+            assert not _monomial_paulis(perm[None], phase[None])[0]
+            assert is_pauli_multiple(DenseOperator(gf, n, mat))
         perms = np.array([_monomial(m)[0] for m in cases])
         phases = np.array([_monomial(m)[1] for m in cases])
-        batch = _monomial_paulis(chi, perms, phases)
+        batch = _monomial_paulis(perms, phases)
         assert list(batch) == [is_pauli_multiple(DenseOperator(gf, n, m)) for m in cases]
 
     @pytest.mark.parametrize("s, n", [(1, 3), (2, 2), (3, 1)])
@@ -605,6 +614,67 @@ class TestMonomialEngine:
         diagonals = U.mat[cols[:, None] ^ cols[None, :], cols[None, :]]
         want = diagonals @ _chi_matrix(gf, n).astype(np.complex128).T / d
         assert np.allclose(pauli_coefficient_matrix(U), want, rtol=0, atol=1e-12)
+
+
+def algebraic_degree(f):
+    """Degree of a Boolean function given by its 0/1 truth table over the
+    packed ket index: the largest bit weight of a monomial in its algebraic
+    normal form, from one Moebius transform (0 for f = 0)."""
+    anf = np.array(f, dtype=np.uint8)
+    w = 1
+    while w < anf.size:
+        blocks = anf.reshape(-1, 2, w)
+        blocks[:, 1] ^= blocks[:, 0]
+        w *= 2
+    return max((bin(int(j)).count("1") for j in np.flatnonzero(anf)), default=0)
+
+
+class TestClosedFormLevels:
+    """Hierarchy levels of diagonal gates from closed forms that need no
+    dense reference.  A diagonal gate diag((-1)^f) is at level max(1, deg f)
+    (Cui, Gottesman & Krishna, PRA 95, 012329, 2017), and the degree of
+    f(x) = tr(beta x^r) is the binary weight w_2(r) unless f = 0 (Carlet,
+    Boolean Functions for Cryptography and Coding Theory, CUP 2021).  Each
+    query runs with max_level at the predicted level, so a level above or
+    below it fails."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_degree_rule(self, s):
+        """z, ccz and u_n (n < 2q) at q <= 8 and multi_cz at q <= 4, every
+        parameter code."""
+        gf = make_field(s)
+        codes = range(gf.q)
+        cases = [(kind, {"gamma": c}) for kind in ("z", "ccz") for c in codes]
+        cases += [("u_n", {"n": n, "beta": c}) for n in range(1, 2 * gf.q) for c in codes]
+        if gf.q <= 4:
+            cases += [("multi_cz", {"l": l, "gamma": c}) for l in (2, 3, 4) for c in codes]
+        for kind, params in cases:
+            U = build_gate(gf, kind, **params)
+            diagonal = U.mat.diagonal()
+            assert np.array_equal(U.mat, np.diag(diagonal)) and set(diagonal) <= {1, -1}
+            level = max(1, algebraic_degree(diagonal.real < 0))
+            assert hierarchy_level(U, level).level == level, (kind, params)
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_u_n_level_is_the_binary_weight(self, s):
+        """U_n^beta at level max(1, w_2(r)), r = ((n - 1) mod (q - 1)) + 1,
+        or level 1 when it is the identity; n < 2q and beta != 0."""
+        gf = make_field(s)
+        for npow in range(1, 2 * gf.q):
+            r = (npow - 1) % (gf.q - 1) + 1
+            for beta in range(1, gf.q):
+                U = build_gate(gf, "u_n", n=npow, beta=beta)
+                identity = np.array_equal(U.mat, np.eye(gf.q))
+                level = 1 if identity else max(1, bin(r).count("1"))
+                assert hierarchy_level(U, level).level == level, (npow, beta)
+
+    def test_algebraic_degree(self):
+        kets = np.arange(16)
+        assert algebraic_degree(np.zeros(16)) == 0
+        assert algebraic_degree(np.ones(16)) == 0
+        assert algebraic_degree((kets >> 2) & 1) == 1
+        assert algebraic_degree(((kets & 3) == 3) ^ ((kets >> 3) & 1)) == 2
+        assert algebraic_degree(kets == 15) == 4
 
 
 def reference_qubit_permutation(assignment):

@@ -7,8 +7,7 @@ import pytest
 
 from gqudits import linalg, oracle
 from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomial_basis
-from gqudits.css import new_css
-from gqudits.css import dual_space
+from gqudits.css import CssCode, dual_space, new_css
 from gqudits.errors import (
     DecodeFailure,
     DimensionMismatch,
@@ -17,6 +16,7 @@ from gqudits.errors import (
     InvalidAlist,
     InvalidDocument,
     InvalidFieldCode,
+    PlanMismatch,
 )
 from gqudits.field import make_field
 from gqudits.gates import pi_map
@@ -33,10 +33,24 @@ from gqudits.q2b import (
     export_alist,
     export_dense,
     import_alist,
-    lift_vector,
     make_plan,
     reconstruct_syndrome,
 )
+
+
+def lift_vector(assignment, bits):
+    """Inverse of expand_vector: (n*s,) bits give (n,) codes and (m, n*s)
+    bits give (m, n).  The qudits of each distinct basis are recomposed in
+    one call."""
+    bits = np.asarray(bits, dtype=np.int64)
+    n, s = assignment.n, assignment.gf.s
+    if bits.ndim > 2 or bits.shape[-1:] != (n * s,):
+        raise DimensionMismatch(f"bits of shape {bits.shape}, assignment needs {n * s} per row")
+    blocks = bits.reshape(bits.shape[:-1] + (n, s))
+    out = np.empty(blocks.shape[:-1], dtype=np.int64)
+    for basis, idx in assignment.groups:
+        out[..., idx] = basis.recompose(blocks[..., idx, :])
+    return out
 
 
 def lift_dual(assignment, bits):
@@ -469,6 +483,30 @@ class TestWorkedExamples:
             assert linalg.rank(gf2, left) == 3
 
 
+class TestZeroCheckRow:
+    """A zero check row is the one row whose s expanded checks are
+    dependent; new_css refuses it, so the code is built directly."""
+
+    @pytest.mark.parametrize("side", ["gx", "gz"])
+    def test_zero_row_named(self, side):
+        gf = make_field(3)
+        rows = np.array([[1, 2, 0], [0, 0, 0]], dtype=np.int64)
+        empty = np.zeros((0, 3), dtype=np.int64)
+        code = CssCode(gf, 3, rows, empty) if side == "gx" else CssCode(gf, 3, empty, rows)
+        with pytest.raises(DimensionMismatch, match=f"row 1 of {side} is zero"):
+            make_plan(code, default_assignment(gf, 3))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_non_zero_rows_expand_to_independent_checks(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(251 + s)
+        rows = rng.integers(0, gf.q, size=(6, 4))
+        rows[np.arange(6), rng.integers(0, 4, 6)] = rng.integers(1, gf.q, 6)  # no zero row
+        for A in assignments(gf, 4, rng):
+            plan = make_plan(CssCode(gf, 4, rows, np.zeros((0, 4), dtype=np.int64)), A)
+            assert all(linalg.rank(make_field(1), g) == s for g in plan.x_checks)
+
+
 class TestReconstructSyndrome:
     def test_zero_bits(self):
         gf = make_field(2)
@@ -675,6 +713,45 @@ class TestDirectSyndromeDecode:
                     assert outcomes[0] == bits.tolist()
                 refused += isinstance(outcomes[0], str)
         assert refused > 0
+
+
+class TestPlanBinding:
+    """A plan decodes only the code and assignment it was made for."""
+
+    def test_plan_of_another_code_refused(self):
+        gf = make_field(3)
+        qrs = make_qrs(gf, 8, 2, 5)
+        A = default_assignment(gf, 8)
+        plan = make_plan(make_qrs(gf, 8, 2, 5, v=[3] + [1] * 7).css, A)
+        for pos in range(8):
+            for e in range(1, 8):
+                W = np.zeros(8, dtype=np.int64)
+                W[pos] = e
+                with pytest.raises(PlanMismatch, match="check rows"):
+                    end_to_end_decode(qrs, A, plan, expand_dual(A, W), "Z")
+        with pytest.raises(PlanMismatch, match="check rows"):
+            end_to_end_decode(qrs, A, plan, np.zeros(24, dtype=np.int64), "X")
+
+    def test_plan_of_another_assignment_refused(self):
+        gf = make_field(3)
+        qrs = make_qrs(gf, 8, 2, 5)
+        A = default_assignment(gf, 8)
+        plan = make_plan(qrs.css, BasisAssignment.uniform(polynomial_basis(gf), 8))
+        for kind in ("Z", "X"):
+            with pytest.raises(PlanMismatch, match="assignment"):
+                end_to_end_decode(qrs, A, plan, np.zeros(24, dtype=np.int64), kind)
+
+    def test_equal_code_and_assignment_accepted(self):
+        """Equal check rows and bases in other objects pass the check."""
+        gf = make_field(3)
+        qrs = make_qrs(gf, 8, 2, 5)
+        plan = make_plan(make_qrs(gf, 8, 2, 5).css)
+        A = default_assignment(gf, 8)
+        assert plan.code is not qrs.css and plan.assignment is not A
+        W = np.zeros(8, dtype=np.int64)
+        W[3] = 5
+        bits = expand_dual(A, W)
+        assert np.array_equal(end_to_end_decode(qrs, A, plan, bits, "Z"), bits)
 
 
 class TestQubitParams:
