@@ -34,6 +34,17 @@ class CssCode:
         self.gx = linalg.as_matrix(self.gx, self.n)
         self.gz = linalg.as_matrix(self.gz, self.n)
 
+    def __eq__(self, other: object) -> bool:
+        """Same field, length and generator rows; the same object at once."""
+        if not isinstance(other, CssCode):
+            return NotImplemented
+        return self is other or (
+            self.gf == other.gf
+            and self.n == other.n
+            and np.array_equal(self.gx, other.gx)
+            and np.array_equal(self.gz, other.gz)
+        )
+
     @property
     def m_x(self) -> int:
         return self.gx.shape[0]

@@ -207,7 +207,8 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
 
     Built directly as sum over u in L_X of (-1)^tr(u . t0) |x0 + u>, where
     x0 solves the Z-syndrome constraints and t0 the X-syndrome constraints;
-    the defining eigen-equations are then re-checked exactly.
+    the defining eigen-equations are then re-checked exactly, one gather for
+    the X block and one F_q product for the Z block.
     """
     from . import linalg
 
@@ -232,16 +233,24 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
 
 def _verify_eigen_equations(t: "CssTableau", amps: np.ndarray) -> None:
     """Check that P^mu amps = (-1)^tr(mu syn) amps for each row word P with
-    syndrome syn and every mu in F_q, X rows first: the syndrome component
-    of amps under P is syn.  Exact, as amps and every phase are integers."""
+    syndrome syn and every mu in F_q, one block at a time, X rows first.
+
+    mu over the F_2-basis 2^i suffices, as P^mu is multiplicative in mu.  X
+    block: (X^(mu row) amps)[u] = amps[u ^ index(mu row)], so one (s, m_x, d)
+    gather is compared with (1 - 2 tr(mu syn)) amps.  Z block: Z^(mu row)
+    multiplies amps[u] by (-1)^tr(mu (row . u)), so every u in the support
+    of amps must have row . u = syn, one F_q product.  Exact, as amps and
+    every phase are integers."""
     gf = t.gf
-    psi = StateVector(gf, t.n, amps)
-    for word, rows, syns, name in (
-        (PauliWord.x_word, t.xrows, t.xsyn, "an X"), (PauliWord.z_word, t.zrows, t.zsyn, "a Z")
-    ):
-        for row, syn in zip(rows, syns):
-            if syndrome_component(psi, word(gf, row)) != syn:
-                raise RuntimeError(f"constructed state violates {name} eigen-equation")
+    mus = 1 << np.arange(gf.s, dtype=np.int64)
+    shifts = index_of(gf, gf.mul_arr(mus[:, None, None], t.xrows))
+    signs = 1 - 2 * gf.trace_arr(gf.mul_arr(mus[:, None], t.xsyn))
+    moved = amps[np.arange(amps.size) ^ shifts[..., None]]
+    if np.any(moved != signs[..., None] * amps):
+        raise RuntimeError("constructed state violates an X eigen-equation")
+    support = all_digits(gf, t.n)[amps != 0]
+    if np.any(gf.matmul(support, t.zrows.T) != t.zsyn):
+        raise RuntimeError("constructed state violates a Z eigen-equation")
 
 
 # -- syndrome extraction -----------------------------------------------------------

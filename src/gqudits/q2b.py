@@ -87,6 +87,16 @@ class QubitCssCode:
         if np.any(overlap % 2):
             raise DimensionMismatch("hx . hz^T != 0 over F_2")
 
+    def __eq__(self, other: object) -> bool:
+        """Equal as binary CSS codes: same length and check matrices."""
+        if not isinstance(other, QubitCssCode):
+            return NotImplemented
+        return self is other or (
+            self.ns == other.ns
+            and np.array_equal(self.hx, other.hx)
+            and np.array_equal(self.hz, other.hz)
+        )
+
     @property
     def k(self) -> int:
         gf2 = make_field(1)
@@ -169,7 +179,7 @@ def convert_logicals(
 # -- measurement plans -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class MeasurementPlan:
     x_duals: np.ndarray  # (m_x, s): dual of the expansion basis per X check
     z_duals: np.ndarray
@@ -251,9 +261,7 @@ def end_to_end_decode(
     """
     gf = qrs.gf
     gf.check_same(assignment.gf)
-    if plan.code is not qrs.css and not (
-        np.array_equal(plan.code.gx, qrs.css.gx) and np.array_equal(plan.code.gz, qrs.css.gz)
-    ):
+    if plan.code != qrs.css:
         raise PlanMismatch("the plan was made for other check rows")
     if plan.assignment is not assignment and plan.assignment.bases != assignment.bases:
         raise PlanMismatch("the plan was made for another assignment")

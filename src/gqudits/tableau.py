@@ -10,9 +10,11 @@ unique state and supports pure-type Pauli measurement.
 On a full tableau span(X rows) = span(Z rows)^perp, so measuring a word w
 needs no elimination: it is deterministic iff w is orthogonal to every
 opposite-type row, with outcome w . t0 where rows . t0 = syndromes.
-``new_tableau`` checks ranks and orthogonality with ``css.new_css`` at the
-input boundaries (user calls, ``from_json``, ``cat_block_tableau``); the
-updates keep both.
+``sample`` is the one draw rule: ``measure`` takes its single shot from
+it, and any number of shots on one tableau is one draw.  ``new_tableau``
+checks ranks and orthogonality with ``css.new_css`` at the input
+boundaries (user calls, ``from_json``, ``cat_block_tableau``); the updates
+keep both.
 """
 
 from __future__ import annotations
@@ -244,16 +246,29 @@ def measure_postselect(t: CssTableau, P: PauliWord, eta: int) -> CssTableau:
     return CssTableau(gf, t.n, same, opp) if block == "x" else CssTableau(gf, t.n, opp, same)
 
 
+def sample(t: CssTableau, P: PauliWord, rng: np.random.Generator, shots: int) -> np.ndarray:
+    """(shots,) int64 outcomes of measuring P on t, each shot on t itself.
+
+    The deterministic outcome repeated, drawing nothing; otherwise one
+    uniform draw of shots codes, which gives the same values and leaves the
+    same generator state as shots single draws.
+    """
+    det = deterministic_outcome(t, P)
+    if det is not None:
+        return np.full(shots, det, dtype=np.int64)
+    return rng.integers(0, t.gf.q, size=shots, dtype=np.int64)
+
+
 def measure(t: CssTableau, P: PauliWord, rng: np.random.Generator) -> tuple[int, CssTableau]:
     """Measure a pure-type word on a full tableau.
 
     Deterministic when P's vector lies in the same-type row space; otherwise
-    the outcome is uniform over F_q and the tableau is updated.
+    the outcome is one uniform draw of sample and the tableau is updated.
     """
     det = deterministic_outcome(t, P)
     if det is not None:
         return det, t
-    eta = int(rng.integers(0, t.gf.q))
+    eta = int(sample(t, P, rng, 1)[0])
     return eta, measure_postselect(t, P, eta)
 
 

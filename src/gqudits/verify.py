@@ -108,23 +108,18 @@ def criterion_bases(seed: int = 0) -> tuple[bool, str]:
     for s in (1, 2, 3, 4):
         gf = make_field(s)
         bases = [polynomial_basis(gf), find_self_dual(gf), _random_basis(gf, rng), _random_basis(gf, rng)]
+        E = np.arange(gf.q, dtype=np.int64)
         for B in bases:
             Bd = dual_basis(B)
-            for beta in gf.elements():
-                db = B.decompose(beta)
-                for gamma in gf.elements():
-                    dg = Bd.decompose(gamma)
-                    if gf.trace(gf.mul(beta, gamma)) != int(db @ dg) % 2:
-                        return _fail(f"trace/inner-product identity fails at q={gf.q}")
-                    pairings += 1
-            # recovery: rho = sum tr(b_i rho) b_i*
-            for rho in gf.elements():
-                acc = 0
-                for b, bd in zip(B.elements, Bd.elements):
-                    if gf.trace(gf.mul(b, rho)):
-                        acc ^= bd
-                if acc != rho:
-                    return _fail(f"trace-value recovery fails at q={gf.q}")
+            # every pair (beta, gamma): tr(beta gamma) = B-bits(beta) . B*-bits(gamma) mod 2
+            bit_products = B.decompose(E) @ Bd.decompose(E).T % 2
+            if not np.array_equal(gf.trace_arr(gf.mul_arr(E[:, None], E[None])), bit_products):
+                return _fail(f"trace/inner-product identity fails at q={gf.q}")
+            pairings += gf.q * gf.q
+            # recovery: rho = sum tr(b_i rho) b_i*, the XOR of the b_i* with tr(b_i rho) = 1
+            traces = gf.trace_arr(gf.mul_arr(E[:, None], np.array(B.elements)))
+            if not np.array_equal(np.bitwise_xor.reduce(traces * np.array(Bd.elements), axis=1), E):
+                return _fail(f"trace-value recovery fails at q={gf.q}")
     gram_ok = []
     for s in range(1, 9):
         gf = make_field(s)
@@ -190,9 +185,7 @@ def criterion_tableau_oracle(seed: int = 0) -> tuple[bool, str]:
                 collapsed = oracle_mod.collapse(psi, P, eta)
                 if not oracle_mod.states_equal_up_to_phase(tab_state, collapsed):
                     return _fail("post-measurement state disagrees with oracle collapse")
-            for _ in range(25):
-                eta, _t3 = tab_mod.measure(t, P, rng)
-                counts[gf.q][eta] += 1
+            counts[gf.q] += np.bincount(tab_mod.sample(t, P, rng, 25), minlength=gf.q)
     stats = {}
     for q, cnt in counts.items():
         total = cnt.sum()

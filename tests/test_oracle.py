@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gqudits import linalg
+from gqudits import oracle as oracle_mod
 from gqudits.bases import polynomial_basis
 from gqudits.errors import (
     DimensionMismatch,
@@ -307,12 +308,13 @@ class TestEigenEquationCheck:
                 _verify_eigen_equations(t, swapped)
 
     @staticmethod
-    def mixed_tableau(gf, rng, n=3):
+    def mixed_tableau(gf, rng, n=3, m_x=None):
         # X rows from an invertible M and Z rows from (M^-1)^T: row i of M
         # dotted with row j of (M^-1)^T is delta_ij, so the blocks commute
         M = linalg.random_invertible(gf, rng, n)
         inv = np.array([linalg.solve(gf, M, e) for e in np.eye(n, dtype=np.int64)])
-        m_x = int(rng.integers(1, n))
+        if m_x is None:
+            m_x = int(rng.integers(1, n))
         return new_tableau(
             gf, n, M[:m_x], inv[m_x:], rng.integers(0, gf.q, m_x), rng.integers(0, gf.q, n - m_x)
         )
@@ -351,6 +353,64 @@ class TestEigenEquationCheck:
         amps[512:] = 0
         with pytest.raises(RuntimeError, match="an X eigen-equation"):
             _verify_eigen_equations(t, amps)
+
+
+def reference_eigen_check(t, amps):
+    """The per-row eigen-check: one syndrome_component per row, X rows first."""
+    psi = StateVector(t.gf, t.n, amps)
+    for word, rows, syns, name in (
+        (PauliWord.x_word, t.xrows, t.xsyn, "an X"), (PauliWord.z_word, t.zrows, t.zsyn, "a Z")
+    ):
+        for row, syn in zip(rows, syns):
+            if syndrome_component(psi, word(t.gf, row)) != syn:
+                raise RuntimeError(f"constructed state violates {name} eigen-equation")
+
+
+def eigen_verdict(check, t, amps):
+    """None when check accepts amps, else its RuntimeError message."""
+    try:
+        check(t, amps)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+class TestBlockEigenCheck:
+    """The block check accepts and refuses exactly what the per-row check does."""
+
+    def test_matches_per_row_check(self):
+        rng = np.random.default_rng(83)
+        tableaux = refused = 0
+        for s in (1, 2, 3):
+            gf = make_field(s)
+            for n in (1, 2, 3):
+                for m_x in range(n + 1):
+                    for _ in range(38):
+                        t = TestEigenEquationCheck.mixed_tableau(gf, rng, n, m_x)
+                        amps = np.rint(
+                            stabiliser_state(t).amps.real * np.sqrt(gf.q**m_x)
+                        ).astype(np.int64)
+                        flipped = amps.copy()
+                        flipped[rng.choice(np.flatnonzero(amps))] *= -1
+                        bumped = amps.copy()
+                        bumped[rng.integers(amps.size)] += 1
+                        for variant in (amps, flipped, np.roll(amps, 1), bumped):
+                            verdict = eigen_verdict(_verify_eigen_equations, t, variant)
+                            assert verdict == eigen_verdict(reference_eigen_check, t, variant)
+                            refused += verdict is not None
+                        tableaux += 1
+        assert tableaux >= 1000
+        assert refused > tableaux  # most corrupted variants are refused
+
+    def test_no_per_row_pauli_action(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-row Pauli action in the eigen-check")
+
+        gf = make_field(2)
+        t = TestEigenEquationCheck.mixed_tableau(gf, np.random.default_rng(89))
+        monkeypatch.setattr(oracle_mod, "syndrome_component", refuse)
+        monkeypatch.setattr(oracle_mod, "_power_actions", refuse)
+        assert stabiliser_state(t).norm() == pytest.approx(1.0)
 
 
 class TestSyndromeComponent:

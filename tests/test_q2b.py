@@ -754,6 +754,32 @@ class TestPlanBinding:
         assert np.array_equal(end_to_end_decode(qrs, A, plan, bits, "Z"), bits)
 
 
+class TestEquality:
+    """== answers on codes and plans instead of raising on their arrays."""
+
+    def test_equal_codes_in_other_objects(self):
+        gf = make_field(3)
+        qrs = make_qrs(gf, 8, 2, 5)
+        A = default_assignment(gf, 8)
+        assert qrs.css == make_qrs(gf, 8, 2, 5).css
+        assert convert_code(qrs.css, A) == convert_code(qrs.css, A)
+        plan = make_plan(qrs.css)
+        assert plan == plan and (make_plan(qrs.css) == make_plan(qrs.css)) is False
+
+    def test_different_codes_unequal(self):
+        gf = make_field(3)
+        qrs = make_qrs(gf, 8, 2, 5)
+        other = make_qrs(gf, 8, 2, 5, v=[3] + [1] * 7)
+        assert qrs.css != other.css and qrs.css != make_qrs(gf, 8, 3, 5).css
+        foreign = CssCode(make_field(modulus=0b1101), 8, qrs.css.gx, qrs.css.gz)
+        assert qrs.css != foreign
+        A = default_assignment(gf, 8)
+        P = BasisAssignment.uniform(polynomial_basis(gf), 8)
+        assert convert_code(qrs.css, A) != convert_code(qrs.css, P)
+        assert convert_code(qrs.css, A) != convert_code(other.css, A)
+        assert qrs.css != qrs.css.to_json() and convert_code(qrs.css, A) != qrs.css
+
+
 class TestQubitParams:
     def test_empirical_qubit_distance(self):
         """No closed form is asserted; the brute force just has to agree

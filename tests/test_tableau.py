@@ -31,6 +31,7 @@ from gqudits.tableau import (
     measure_postselect,
     new_tableau,
     run_cat_gadget,
+    sample,
     scale_row,
 )
 
@@ -387,6 +388,49 @@ class TestMeasure:
                     assert oracle.states_equal_up_to_phase(
                         oracle.stabiliser_state(t2), oracle.collapse(psi, P, eta)
                     )
+
+
+class TestSample:
+    """sample is measure's draw rule, shots at a time."""
+
+    @staticmethod
+    def case(gf, rng, random_branch):
+        while True:
+            t = random_full_tableau(gf, 3, rng)
+            P = random_pure_word(gf, 3, rng)
+            if (deterministic_outcome(t, P) is None) == random_branch:
+                return t, P
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 6])
+    def test_random_branch_is_scalar_measures(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(101 + s)
+        for shots in (1, 2, 25):
+            t, P = self.case(gf, rng, True)
+            scalar, batch = np.random.default_rng(shots), np.random.default_rng(shots)
+            expected = [measure(t, P, scalar)[0] for _ in range(shots)]
+            got = sample(t, P, batch, shots)
+            assert got.dtype == np.int64 and got.shape == (shots,)
+            assert got.tolist() == expected
+            assert batch.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_deterministic_branch_draws_nothing(self, s):
+        gf = make_field(s)
+        t, P = self.case(gf, np.random.default_rng(107 + s), False)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        got = sample(t, P, rng, 7)
+        assert got.dtype == np.int64
+        assert got.tolist() == [deterministic_outcome(t, P)] * 7
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("random_branch", [True, False])
+    def test_zero_shots(self, random_branch):
+        gf = make_field(2)
+        t, P = self.case(gf, np.random.default_rng(109), random_branch)
+        got = sample(t, P, np.random.default_rng(0), 0)
+        assert got.shape == (0,) and got.dtype == np.int64
 
 
 # -- elimination references for measurement by orthogonality -----------------
