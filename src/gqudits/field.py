@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
     InvalidDocument,
@@ -310,11 +311,15 @@ class GF:
     def matvec(self, M, v) -> np.ndarray:
         M = np.asarray(M, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
+        if M.ndim != 2 or M.shape[1:] != v.shape:
+            raise DimensionMismatch(f"matvec of shapes {M.shape} and {v.shape}")
         return np.bitwise_xor.reduce(self.mul_arr(M, v[None, :]), axis=1)
 
     def matmul(self, A, B) -> np.ndarray:
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise DimensionMismatch(f"matmul of shapes {A.shape} and {B.shape}")
         out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
         for k in range(A.shape[1]):
             out ^= self.mul_arr(A[:, k : k + 1], B[k : k + 1, :])

@@ -1,12 +1,12 @@
 """The qudit gate zoo, Clifford-hierarchy testing, and the qudit-to-qubit maps.
 
-Gate matrices are dense and tiny.  Hierarchy membership is the operational
-recursion: level 1 is "proportional to a Pauli", level k+1 conjugates the
-single-site X/Z generators over a fixed F_2-basis into level k.  Monomial
-gates (one unit-modulus non-zero per row and column: every Pauli, X, Z,
-mult, CNOT, CCZ, multi_cz, U_n, S, T and their pi_map images) run the
-recursion on (perm, phase) pairs down to level 1; any other gate (Hadamard,
-a general unitary) runs it on dense matrices, the reference for the monomial path.
+Gate matrices are dense and tiny.  Hierarchy levels come from one recursion:
+a Pauli multiple is at level 1, and any other gate is one level above the
+highest level among its conjugates of the single-site X/Z generators over a
+fixed F_2-basis.  Monomial gates (one unit-modulus non-zero per row and
+column: every Pauli, X, Z, mult, CNOT, CCZ, multi_cz, U_n, S, T and their
+pi_map images) run it on (perm, phase) pairs; any other gate (Hadamard, a
+general unitary) runs it on dense matrices, the reference for the monomial path.
 """
 
 from __future__ import annotations
@@ -185,26 +185,27 @@ def _generator_actions(gf: GF, n: int) -> tuple[tuple[PauliWord, ...], np.ndarra
     return tuple(words), targets, phases
 
 
-def _in_level(gens: tuple, memo: dict, U: DenseOperator, k: int) -> tuple[bool, PauliWord | None]:
-    """Dense recursion for non-monomial U: whether U is in level k, with the
-    first generator whose conjugate fails one level down; memo maps
-    (rounded matrix, level) to the answer."""
-    mat = U.mat
-    key = (np.ascontiguousarray(np.round(mat, 8)).tobytes(), k)
+def _dense_level(
+    gens: tuple, memo: dict, U: DenseOperator, cap: int
+) -> tuple[int, PauliWord | None]:
+    """Dense recursion for non-monomial U: its level, cap + 1 meaning above
+    cap, with the first generator whose conjugate sits one level below it;
+    memo maps (rounded matrix, cap) to the level."""
+    key = (np.round(U.mat, 8).tobytes(), cap)  # tobytes is C order for any layout
     if key in memo:
         return memo[key], None
-    failing = None
-    if k == 1:
-        ok = is_pauli_multiple(U)
-    else:
-        ok, adjoint = True, mat.conj().T
+    level, witness = 1, None
+    if not is_pauli_multiple(U):
+        level, adjoint = 2, U.mat.conj().T
         for word, targets, phases in zip(*gens):
-            conj = DenseOperator(U.gf, U.n, (mat[:, targets] * phases) @ adjoint)
-            if not _in_level(gens, memo, conj, k - 1)[0]:
-                ok, failing = False, word
+            if level > cap:
                 break
-    memo[key] = ok
-    return ok, failing
+            conj = DenseOperator(U.gf, U.n, (U.mat[:, targets] * phases) @ adjoint)
+            below = _dense_level(gens, memo, conj, cap - 1)[0]
+            if below >= level:
+                level, witness = below + 1, word
+    memo[key] = level
+    return level, witness
 
 
 def _monomial_paulis(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -224,37 +225,33 @@ def _monomial_paulis(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
     return translation & (np.abs(ratio - char) <= _PAULI_ATOL).all(axis=0)
 
 
-def _monomial_in_level(
-    gens: tuple, memo: dict, perm: np.ndarray, phase: np.ndarray, k: int
-) -> tuple[bool, PauliWord | None]:
-    """Monomial recursion: the dense one on (perm, phase) pairs.  Each node
-    conjugates by every generator at once, M g M^dag |perm[j]> =
-    phase[t] g_phase[j] conj(phase[j]) |perm[t]> with t = g_target[j], and
-    reads level 1 off the conjugates' perms and phases (_monomial_paulis);
-    memo keys are the perm bytes and the rounded phases."""
-    key = (perm.tobytes(), np.round(phase, 8).tobytes(), k)
+def _monomial_level(
+    gens: tuple, memo: dict, perm: np.ndarray, phase: np.ndarray, cap: int
+) -> tuple[int, PauliWord | None]:
+    """Monomial recursion: the dense one on (perm, phase) pairs of non-Pauli
+    nodes.  Each node conjugates by every generator at once, M g M^dag
+    |perm[j]> = phase[t] g_phase[j] conj(phase[j]) |perm[t]> with t =
+    g_target[j], tests them all for level 1 in one _monomial_paulis call and
+    recurses into the rest; memo keys are perm bytes, rounded phases and cap."""
+    if cap == 1:
+        return 2, None
+    key = (perm.tobytes(), np.round(phase, 8).tobytes(), cap)
     if key in memo:
         return memo[key], None
-    failing = None
-    if k == 1:
-        ok = bool(_monomial_paulis(perm[None], phase[None])[0])
-    else:
-        words, targets, phases = gens
-        perms = np.empty_like(targets)
-        perms[:, perm] = perm[targets]
-        conj = np.empty(phases.shape, dtype=np.complex128)
-        conj[:, perm] = phase[targets] * phases * phase.conj()
-        if k == 2:
-            fails = np.flatnonzero(~_monomial_paulis(perms, conj))
-            failing = words[fails[0]] if fails.size else None
-        else:
-            for word, p, ph in zip(words, perms, conj):
-                if not _monomial_in_level(gens, memo, p, ph, k - 1)[0]:
-                    failing = word
-                    break
-        ok = failing is None
-    memo[key] = ok
-    return ok, failing
+    words, targets, phases = gens
+    perms = np.empty_like(targets)
+    perms[:, perm] = perm[targets]
+    conj = np.empty(phases.shape, dtype=np.complex128)
+    conj[:, perm] = phase[targets] * phases * phase.conj()
+    level, witness = 2, None
+    for g in np.flatnonzero(~_monomial_paulis(perms, conj)):
+        below = _monomial_level(gens, memo, perms[g], conj[g], cap - 1)[0]
+        if below >= level:
+            level, witness = below + 1, words[g]
+            if level > cap:
+                break
+    memo[key] = level
+    return level, witness
 
 
 def hierarchy_level(
@@ -262,14 +259,14 @@ def hierarchy_level(
 ) -> HierarchyReport:
     """Least hierarchy level of U up to max_level, with a failure witness.
 
-    Conjugation is tested over the 2*n*s single-site X/Z generators of the
-    Pauli group, in a fixed order; lower levels are memoised since the same
-    conjugates recur heavily.  A monomial U (one unit-modulus non-zero per
-    row and column: Paulis, diagonal and permutation gates, and their
-    pi_map images) is held as a (perm, phase) pair, and so is every
-    conjugate, so a conjugation is O(d) gathers and so is a level-1 test.
-    Any other U (Hadamard, a general unitary) takes the dense recursion on
-    d x d matrices, the reference for the monomial one.
+    One pass: a Pauli multiple is at level 1, and any other U is one above
+    its highest conjugate U g U^dag by the 2*n*s single-site X/Z generators,
+    as the levels are nested.  The cap drops by one per step down and a node
+    above its cap stops there; levels are memoised per cap.  The witness is
+    the first generator, in a fixed order, whose conjugate sits one level
+    below U (None at levels 1 and 2).  A monomial U and its conjugates are
+    (perm, phase) pairs, so a conjugation and a level-1 test are O(d); any
+    other U (Hadamard, a general unitary) takes the dense reference recursion.
     """
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
@@ -277,17 +274,13 @@ def hierarchy_level(
         raise TooLarge(f"dimension {U.dim} exceeds cap {HIERARCHY_DIM_CAP}")
     gens = _generator_actions(U.gf, U.n)
     monomial = _monomial(U.mat)
-    memo: dict[tuple, bool] = {}
-    witness = None  # explains non-membership one level below the reported level
-    for k in range(1, max_level + 1):
-        if monomial is None:
-            ok, failing = _in_level(gens, memo, U, k)
-        else:
-            ok, failing = _monomial_in_level(gens, memo, *monomial, k)
-        if ok:
-            return HierarchyReport(gate_name, U.gf.q, max_level, k, witness)
-        witness = None if failing is None else failing.to_text()
-    return HierarchyReport(gate_name, U.gf.q, max_level, None, witness)
+    level, witness = 1, None
+    if monomial is None:
+        level, witness = _dense_level(gens, {}, U, max_level)
+    elif not _monomial_paulis(monomial[0][None], monomial[1][None])[0]:
+        level, witness = _monomial_level(gens, {}, *monomial, max_level)
+    text = None if witness is None else witness.to_text()
+    return HierarchyReport(gate_name, U.gf.q, max_level, None if level > max_level else level, text)
 
 
 # -- qudit-to-qubit maps ----------------------------------------------------------

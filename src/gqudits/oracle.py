@@ -205,10 +205,10 @@ def projectors(P: PauliWord) -> list[np.ndarray]:
 def stabiliser_state(t: "CssTableau") -> StateVector:
     """The unique state fixed by every P^mu of a full tableau's rows.
 
-    Built directly as sum over u in L_X of (-1)^tr(u . t0) |x0 + u>, where
-    x0 solves the Z-syndrome constraints and t0 the X-syndrome constraints;
-    the defining eigen-equations are then re-checked exactly, one gather for
-    the X block and one F_q product for the Z block.
+    Built directly as the sum over c in F_q^m_X of (-1)^tr(c . xsyn)
+    |x0 + c R_X>, x0 solving the Z-syndrome constraints: as R_X t0 = xsyn for
+    any t0 solving the X ones, that is sum over u in L_X of (-1)^tr(u . t0)
+    |x0 + u>.  The eigen-equations are then re-checked exactly, X block first.
     """
     from . import linalg
 
@@ -218,13 +218,13 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
     d = _check_cap(gf, t.n)
 
     x0 = linalg.solve(gf, t.zrows, t.zsyn)
-    t0 = linalg.solve(gf, t.xrows, t.xsyn)
-    if x0 is None or t0 is None:
+    if x0 is None:
         raise RuntimeError("inconsistent constraints in a validated tableau")
 
-    words = gf.matmul(all_digits(gf, t.m_x), t.xrows)
+    coeffs = all_digits(gf, t.m_x)
+    kets = index_of(gf, gf.matmul(coeffs, t.xrows) ^ x0)
     amps = np.zeros(d, dtype=np.int64)
-    amps[index_of(gf, words ^ x0)] = 1 - 2 * gf.trace_arr(gf.matvec(words, t0))
+    amps[kets] = 1 - 2 * gf.trace_arr(gf.matvec(coeffs, t.xsyn))
 
     _verify_eigen_equations(t, amps)
     vec = amps.astype(np.complex128)

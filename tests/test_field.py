@@ -1,9 +1,12 @@
 """Field construction, arithmetic laws, trace, and linear maps."""
 
+import re
+
 import numpy as np
 import pytest
 
 from gqudits.errors import (
+    DimensionMismatch,
     DivisionByZero,
     InvalidFieldCode,
     InvalidPolynomial,
@@ -356,6 +359,20 @@ class TestKernel:
         assert np.array_equal(gf.matvec(np.zeros((3, 0), dtype=np.int64), []), np.zeros(3))
         assert gf.matvec(np.zeros((0, 4), dtype=np.int64), [1, 2, 3, 0]).shape == (0,)
         assert gf.matmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 5))).shape == (2, 5)
+
+    @pytest.mark.parametrize("s", [2, 17])
+    @pytest.mark.parametrize(
+        "op, a, b",
+        [
+            ("matmul", (2, 2), (3, 2)),  # numpy alone ignores B's third row
+            ("matvec", (2, 3), (1,)),  # numpy alone broadcasts the one entry
+            ("matmul", (2, 3), (2, 2)),  # numpy alone raises a bare ValueError
+        ],
+    )
+    def test_products_refuse_mismatched_shapes(self, s, op, a, b):
+        gf = make_field(s)
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{a} and {b}")):
+            getattr(gf, op)(np.ones(a, dtype=np.int64), np.ones(b, dtype=np.int64))
 
     def test_tables_sampled_at_s16(self):
         gf = make_field(16)

@@ -466,9 +466,9 @@ def reference_levels(U, max_level=4):
 
 
 def assert_matches_reference(U, name="gate"):
-    """Level and witness for every max_level 1..4 equal the dense recursion's."""
-    steps = reference_levels(U)
-    for max_level in range(1, 5):
+    """Level and witness for every max_level 1..6 equal the dense recursion's."""
+    steps = reference_levels(U, 6)
+    for max_level in range(1, 7):
         seen = steps[:max_level]
         level = len(seen) if seen[-1][0] else None
         failed = [w for ok, w in seen if not ok]  # the last failed level names the witness
@@ -500,7 +500,7 @@ class TestMonomialEngine:
                 # 10-20 s a gate; they are pinned to its answers, CCZ_l at level l
                 # with X on the first qudit as the witness from level 2 up
                 x = PauliWord.x_word(gf, [1] + [0] * (U.n - 1)).to_text()
-                for max_level in range(1, 5):
+                for max_level in range(1, 7):
                     rep = hierarchy_level(U, max_level, kind)
                     level = U.n if max_level >= U.n else None
                     assert (rep.level, rep.witness) == (level, x if max_level > 1 else None)
@@ -655,18 +655,23 @@ class TestClosedFormLevels:
             level = max(1, algebraic_degree(diagonal.real < 0))
             assert hierarchy_level(U, level).level == level, (kind, params)
 
-    @pytest.mark.parametrize("s", [2, 3, 4])
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
     def test_u_n_level_is_the_binary_weight(self, s):
         """U_n^beta at level max(1, w_2(r)), r = ((n - 1) mod (q - 1)) + 1,
-        or level 1 when it is the identity; n < 2q and beta != 0."""
+        or level 1 when it is the identity: every n < 2q and beta != 0 at
+        q <= 16, and at q = 32 and 64 n = 2^w - 1 (w = 1..s, so up to level
+        6) with beta in {1, 2, q - 1}."""
         gf = make_field(s)
-        for npow in range(1, 2 * gf.q):
+        if gf.q <= 16:
+            cases = [(npow, beta) for npow in range(1, 2 * gf.q) for beta in range(1, gf.q)]
+        else:
+            cases = [((1 << w) - 1, beta) for w in range(1, s + 1) for beta in (1, 2, gf.q - 1)]
+        for npow, beta in cases:
             r = (npow - 1) % (gf.q - 1) + 1
-            for beta in range(1, gf.q):
-                U = build_gate(gf, "u_n", n=npow, beta=beta)
-                identity = np.array_equal(U.mat, np.eye(gf.q))
-                level = 1 if identity else max(1, bin(r).count("1"))
-                assert hierarchy_level(U, level).level == level, (npow, beta)
+            U = build_gate(gf, "u_n", n=npow, beta=beta)
+            identity = np.array_equal(U.mat, np.eye(gf.q))
+            level = 1 if identity else max(1, bin(r).count("1"))
+            assert hierarchy_level(U, level).level == level, (npow, beta)
 
     def test_algebraic_degree(self):
         kets = np.arange(16)

@@ -375,6 +375,46 @@ def eigen_verdict(check, t, amps):
     return None
 
 
+def two_solve_amplitudes(t):
+    """Integer amplitudes sum over u in L_X of (-1)^tr(u . t0) |x0 + u>, with
+    x0 and t0 each solved from its block's syndromes."""
+    gf = t.gf
+    x0 = linalg.solve(gf, t.zrows, t.zsyn)
+    t0 = linalg.solve(gf, t.xrows, t.xsyn)
+    words = gf.matmul(all_digits(gf, t.m_x), t.xrows)
+    amps = np.zeros(gf.q**t.n, dtype=np.int64)
+    amps[index_of(gf, words ^ x0)] = 1 - 2 * gf.trace_arr(gf.matvec(words, t0))
+    return amps
+
+
+class TestStabiliserStatePhases:
+    def test_matches_two_solve_construction(self, monkeypatch):
+        """Phases from the X syndromes equal phases from a solved t0, and one
+        solve is made per state."""
+        rng = np.random.default_rng(97)
+        solves, solve = [], linalg.solve
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(linalg, "solve", counted)
+        cases = 0
+        for s in (1, 2, 3):
+            gf = make_field(s)
+            for n in (1, 2, 3):
+                for m_x in range(n + 1):
+                    for _ in range(12):
+                        t = TestEigenEquationCheck.mixed_tableau(gf, rng, n, m_x)
+                        solves.clear()
+                        got = stabiliser_state(t).amps
+                        assert len(solves) == 1
+                        want = two_solve_amplitudes(t).astype(np.complex128)
+                        assert np.array_equal(got, want / np.linalg.norm(want))
+                        cases += 1
+        assert cases == 3 * 9 * 12
+
+
 class TestBlockEigenCheck:
     """The block check accepts and refuses exactly what the per-row check does."""
 
