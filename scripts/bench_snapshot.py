@@ -1,10 +1,11 @@
 """Record one benchmark snapshot: every workload at --trace 0 and --trace 1.
 
-    python3 scripts/bench_snapshot.py --out BENCH_<n>.json [--seed N]
+    python3 scripts/bench_snapshot.py --out BENCH_<n>.json
 
 Runs the benchmark command of ``BENCHMARK.json`` (``perfbench/run.py``,
-unmodified) once per workload and trace setting, each in its own process for
-the ``run_seconds`` that file declares.  The snapshot keeps the last JSON
+unmodified) once per workload and trace setting at seed SEED, each in its own
+process for the ``run_seconds`` that file declares; one fixed seed keeps every
+snapshot comparable with the one before it.  The snapshot keeps the last JSON
 line of each run with the speed factor from its ``# machine speed factor``
 line (null for a traced run, which prints none), and adds the HEAD SHA,
 whether tracked files differ from HEAD, and the ``wc -l`` total of
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 0
 SPEED = re.compile(r"^# machine speed factor ([0-9.]+)", re.MULTILINE)
 
 
@@ -37,7 +39,6 @@ def run(cmd: list) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--out", required=True, help="snapshot file to write, e.g. BENCH_<n>.json")
-    p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {}
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
         for trace in (0, 1):
             print(f"# {workload} --trace {trace}", file=sys.stderr, flush=True)
             runs.setdefault(workload, {})[f"trace{trace}"] = run(bench["command"] + [
-                "--workload", workload, "--seed", str(args.seed),
+                "--workload", workload, "--seed", str(SEED),
                 "--seconds", str(bench["run_seconds"]), "--trace", str(trace),
             ])
     snapshot = {
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
         "src_lines": sum(f.read_bytes().count(b"\n") for f in (ROOT / "src" / "gqudits").glob("*.py")),
         "command": bench["command"],
-        "seed": args.seed,
+        "seed": SEED,
         "run_seconds": bench["run_seconds"],
         "runs": runs,
     }

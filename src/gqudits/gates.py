@@ -194,16 +194,16 @@ def _dense_level(
     key = (np.round(U.mat, 8).tobytes(), cap)  # tobytes is C order for any layout
     if key in memo:
         return memo[key], None
-    level, witness = 1, None
-    if not is_pauli_multiple(U):
-        level, adjoint = 2, U.mat.conj().T
+    level, witness = 1 if is_pauli_multiple(U) else 2, None
+    if level == 2 and cap > 1:  # a non-Pauli node under a cap of 1 is above it
+        adjoint = U.mat.conj().T
         for word, targets, phases in zip(*gens):
-            if level > cap:
-                break
             conj = DenseOperator(U.gf, U.n, (U.mat[:, targets] * phases) @ adjoint)
             below = _dense_level(gens, memo, conj, cap - 1)[0]
             if below >= level:
                 level, witness = below + 1, word
+                if level > cap:
+                    break
     memo[key] = level
     return level, witness
 
