@@ -286,13 +286,16 @@ def hierarchy_level(
 # -- qudit-to-qubit maps ----------------------------------------------------------
 
 
-def _as_assignment(bases, n: int) -> BasisAssignment:
+def _as_assignment(bases, gf: GF, n: int) -> BasisAssignment:
+    """bases as an assignment of n qudits over gf; FieldMismatch if the
+    bases are over another field, DimensionMismatch for another length."""
     if isinstance(bases, BasisAssignment):
         assignment = bases
     elif isinstance(bases, FieldBasis):
         assignment = BasisAssignment.uniform(bases, n)
     else:
         assignment = BasisAssignment(bases)
+    gf.check_same(assignment.gf)
     if assignment.n != n:
         raise DimensionMismatch(f"assignment covers {assignment.n} qudits, state has {n}")
     return assignment
@@ -309,7 +312,7 @@ def qubit_permutation(assignment: BasisAssignment) -> np.ndarray:
 
 def phi_map(bases, psi: StateVector) -> StateVector:
     """Relabel qudit basis kets as qubit kets: |eta> -> |D_B(eta)> blockwise."""
-    assignment = _as_assignment(bases, psi.n)
+    assignment = _as_assignment(bases, psi.gf, psi.n)
     perm = qubit_permutation(assignment)
     out = np.zeros_like(psi.amps)
     out[perm] = psi.amps
@@ -317,15 +320,19 @@ def phi_map(bases, psi: StateVector) -> StateVector:
 
 
 def phi_inverse(bases, Psi: StateVector, gf: GF) -> StateVector:
-    n = Psi.n // gf.s
-    assignment = _as_assignment(bases, n)
+    """Inverse of phi_map: a state of n*s qubits back to n qudits over gf."""
+    make_field(1).check_same(Psi.gf)
+    n, extra = divmod(Psi.n, gf.s)
+    if extra:
+        raise DimensionMismatch(f"{Psi.n} qubits are not whole qudits of {gf.s} qubits")
+    assignment = _as_assignment(bases, gf, n)
     perm = qubit_permutation(assignment)
     return StateVector(gf, n, Psi.amps[perm])
 
 
 def pi_map(bases, U: DenseOperator) -> DenseOperator:
     """Conjugate by the basis relabelling: Pi(U) = phi U phi^-1."""
-    assignment = _as_assignment(bases, U.n)
+    assignment = _as_assignment(bases, U.gf, U.n)
     perm = qubit_permutation(assignment)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size, dtype=np.int64)

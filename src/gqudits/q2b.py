@@ -1,10 +1,11 @@
 """Qudit-to-qubit code conversion and the qubit-level decode pipeline.
 
 Everything X-type travels through the per-qudit bases; everything Z-type
-travels through their duals.  A qudit check measured as s qubit checks
-reports s bits tr(b_i * component), which reconstruct the F_q syndrome
-component; that is the GRS decoder's syndrome (the QRS check rows are the
-decoders' parity checks), from which it recovers the error.
+travels through their duals.  Every qudit check is read in the self-dual
+basis b: measured as s qubit checks it reports s bits tr(b_i * component),
+and one recompose per shot turns them into the F_q syndrome; that is the
+GRS decoder's syndrome (the QRS check rows are the decoders' parity
+checks), from which it recovers the error.
 """
 
 from __future__ import annotations
@@ -52,16 +53,13 @@ def expand_dual(assignment: BasisAssignment, W) -> np.ndarray:
     return expand_vector(assignment.duals(), W)
 
 
-def _expand_rows(assignment: BasisAssignment, rows, scales, dualise: bool) -> np.ndarray:
-    """(m*s, n*s) bits: D(scales[j, t] * rows[j]) for t = 0..s-1, row by row.
-
-    scales is (m, s), one expansion basis per row, or a shared (s,); Z-type
-    rows (dualise) expand through the dual bases.
-    """
+def _expand_rows(assignment: BasisAssignment, rows, dualise: bool) -> np.ndarray:
+    """(m*s, n*s) bits: D(b_t * rows[j]) for t = 0..s-1 over the self-dual
+    basis b, row by row; Z-type rows (dualise) expand through the dual bases."""
     gf = assignment.gf
     rows = linalg.as_matrix(rows, assignment.n)
-    scales = np.broadcast_to(np.asarray(scales, dtype=np.int64), (rows.shape[0], gf.s))
-    scaled = gf.mul_arr(rows[:, None, :], scales[:, :, None]).reshape(-1, rows.shape[1])
+    enum = np.array(find_self_dual(gf).elements, dtype=np.int64)
+    scaled = gf.mul_arr(rows[:, None, :], enum[:, None]).reshape(-1, rows.shape[1])
     return expand_dual(assignment, scaled) if dualise else expand_vector(assignment, scaled)
 
 
@@ -155,12 +153,10 @@ def convert_code(code: CssCode, assignment: BasisAssignment | None = None) -> Qu
     b (any F_2-basis spans the same space); the result has ns physical and
     s*k logical qubits.
     """
-    gf = code.gf
     assignment = _assignment_for(code, assignment)
-    enum = find_self_dual(gf).elements
-    hx = _expand_rows(assignment, code.gx, enum, dualise=False)
-    hz = _expand_rows(assignment, code.gz, enum, dualise=True)
-    return QubitCssCode(code.n * gf.s, hx, hz, code, assignment)
+    hx = _expand_rows(assignment, code.gx, dualise=False)
+    hz = _expand_rows(assignment, code.gz, dualise=True)
+    return QubitCssCode(code.n * code.gf.s, hx, hz, code, assignment)
 
 
 def convert_logicals(
@@ -170,9 +166,8 @@ def convert_logicals(
     D_{B*}(L_X^perp) for Z-type and D_B(L_Z^perp) for X-type."""
     gf = code.gf
     assignment = _assignment_for(code, assignment)
-    enum = find_self_dual(gf).elements
-    z_space = _expand_rows(assignment, dual_space(gf, code.gx), enum, dualise=True)
-    x_space = _expand_rows(assignment, dual_space(gf, code.gz), enum, dualise=False)
+    z_space = _expand_rows(assignment, dual_space(gf, code.gx), dualise=True)
+    x_space = _expand_rows(assignment, dual_space(gf, code.gz), dualise=False)
     return z_space, x_space
 
 
@@ -181,8 +176,7 @@ def convert_logicals(
 
 @dataclass(eq=False)
 class MeasurementPlan:
-    x_duals: np.ndarray  # (m_x, s): dual of the expansion basis per X check
-    z_duals: np.ndarray
+    basis: FieldBasis  # the self-dual basis every check is read in (its own dual)
     x_checks: np.ndarray  # (m_x, s, n*s): s binary check vectors per X check
     z_checks: np.ndarray
     code: CssCode  # the code and assignment expanded: end_to_end_decode refuses others
@@ -193,52 +187,29 @@ class MeasurementPlan:
         return (len(self.x_checks) + len(self.z_checks)) * self.x_checks.shape[1]
 
 
-def make_plan(
-    code: CssCode,
-    assignment: BasisAssignment | None = None,
-    x_bases: list[FieldBasis] | None = None,
-    z_bases: list[FieldBasis] | None = None,
-) -> MeasurementPlan:
-    """Expand every qudit check into s binary checks via its expansion basis."""
+def make_plan(code: CssCode, assignment: BasisAssignment | None = None) -> MeasurementPlan:
+    """Expand every qudit check into s binary checks over the self-dual
+    basis: the rows of convert_code's hx and hz, grouped by qudit check."""
     gf = code.gf
     assignment = _assignment_for(code, assignment)
-    sd = find_self_dual(gf)
-    if x_bases is None:
-        x_bases = [sd] * code.m_x
-    if z_bases is None:
-        z_bases = [sd] * code.m_z
-    if len(x_bases) != code.m_x or len(z_bases) != code.m_z:
-        raise DimensionMismatch("one expansion basis per qudit check required")
-    for basis in (*x_bases, *z_bases):
-        gf.check_same(basis.gf)
 
-    def checks(rows: np.ndarray, bases: list[FieldBasis], dualise: bool) -> np.ndarray:
+    def checks(rows: np.ndarray, dualise: bool) -> np.ndarray:
         # beta -> D(beta * r) is F_2-linear and injective exactly when r != 0
         zero = np.flatnonzero(~rows.any(axis=1))
         if zero.size:
             name = "gz" if dualise else "gx"
             raise DimensionMismatch(f"row {zero[0]} of {name} is zero: dependent qubit checks")
-        scales = np.array([b.elements for b in bases], dtype=np.int64).reshape(-1, gf.s)
-        bits = _expand_rows(assignment, rows, scales, dualise)
-        return bits.reshape(len(bases), gf.s, code.n * gf.s)
+        return _expand_rows(assignment, rows, dualise).reshape(len(rows), gf.s, code.n * gf.s)
 
-    def duals(bases: list[FieldBasis]) -> np.ndarray:
-        return np.array([b.dual().elements for b in bases], dtype=np.int64).reshape(-1, gf.s)
-
-    x_checks = checks(code.gx, x_bases, False)
-    z_checks = checks(code.gz, z_bases, True)
-    return MeasurementPlan(duals(x_bases), duals(z_bases), x_checks, z_checks, code, assignment)
+    x_checks, z_checks = checks(code.gx, False), checks(code.gz, True)
+    return MeasurementPlan(find_self_dual(gf), x_checks, z_checks, code, assignment)
 
 
-def reconstruct_syndrome(gf: GF, bits, duals) -> np.ndarray:
-    """The syndrome components of m checks from their (m, s) measured bits
-    and the (m, s) dual elements of their expansion bases: eta_j, the unique
-    element with tr(b_ji * eta_j) = bits[j, i], is sum_i bits[j, i] b*_ji."""
-    bits = make_field(1).check_codes(np.asarray(bits, dtype=np.int64))
-    duals = gf.check_codes(np.asarray(duals, dtype=np.int64))
-    if bits.shape != duals.shape:
-        raise DimensionMismatch(f"bits of shape {bits.shape}, duals of shape {duals.shape}")
-    return np.bitwise_xor.reduce(bits * duals, axis=-1)
+def reconstruct_syndrome(bits, basis: FieldBasis) -> int | np.ndarray:
+    """The syndrome components of checks read in basis from their (..., s)
+    measured bits: eta, the unique element with tr(b_i * eta) = bits[i], is
+    sum_i bits[i] b*_i."""
+    return basis.dual().recompose(bits)
 
 
 # -- end-to-end qubit decoding ------------------------------------------------------
@@ -269,11 +240,10 @@ def end_to_end_decode(
     if error_bits.size != qrs.n * gf.s:
         raise DimensionMismatch(f"expected {qrs.n * gf.s} error bits, got {error_bits.size}")
     make_field(1).check_codes(error_bits)
-    sides = {"Z": (plan.x_checks, plan.x_duals), "X": (plan.z_checks, plan.z_duals)}
+    sides = {"Z": plan.x_checks, "X": plan.z_checks}
     if kind not in sides:
         raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
-    checks, duals = sides[kind]
-    syndrome = reconstruct_syndrome(gf, checks @ error_bits % 2, duals)
+    syndrome = reconstruct_syndrome(sides[kind] @ error_bits % 2, plan.basis)
     err = decode(qrs.decoders[kind], syndrome)
     if kind == "Z":
         return expand_dual(assignment, err)

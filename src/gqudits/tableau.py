@@ -10,11 +10,11 @@ unique state and supports pure-type Pauli measurement.
 On a full tableau span(X rows) = span(Z rows)^perp, so measuring a word w
 needs no elimination: it is deterministic iff w is orthogonal to every
 opposite-type row, with outcome w . t0 where rows . t0 = syndromes.
-``sample`` is the one draw rule: ``measure`` takes its single shot from
-it, and any number of shots on one tableau is one draw.  ``new_tableau``
-checks ranks and orthogonality with ``css.new_css`` at the input
-boundaries (user calls, ``from_json``, ``cat_block_tableau``); the updates
-keep both.
+``sample`` is the one draw rule: ``measure`` takes its single shot by it,
+computing P's dots once, and any number of shots on one tableau is one
+draw.  ``new_tableau`` checks ranks and orthogonality with ``css.new_css``
+at the input boundaries (user calls, ``from_json``, ``cat_block_tableau``);
+the updates keep both.
 """
 
 from __future__ import annotations
@@ -74,11 +74,15 @@ class CssTableau:
     def is_full(self) -> bool:
         return self.m_x + self.m_z == self.n
 
-    def block(self, name: str) -> np.ndarray:
-        """The "x" or "z" block; ValueError for any other name."""
+    def block(self, name: str, *rows: int) -> np.ndarray:
+        """The "x" or "z" block; ValueError for any other name and
+        DimensionMismatch unless each index in rows is one of its rows."""
         if name not in ("x", "z"):
             raise ValueError(f"block must be 'x' or 'z', got {name!r}")
-        return self.x if name == "x" else self.z
+        out = self.x if name == "x" else self.z
+        if not all(0 <= i < len(out) for i in rows):
+            raise DimensionMismatch(f"rows {rows} outside [0, {len(out)})")
+        return out
 
     def copy(self) -> "CssTableau":
         return CssTableau(self.gf, self.n, self.x.copy(), self.z.copy())
@@ -129,17 +133,17 @@ def scale_row(t: CssTableau, block: str, j: int, mu: int) -> CssTableau:
     if mu == 0:
         raise InvalidScale("row scaling must be by a non-zero field element")
     out = t.copy()
-    rows = out.block(block)
+    rows = out.block(block, j)
     rows[j] = t.gf.mul_arr(rows[j], mu)
     return out
 
 
 def add_row(t: CssTableau, block: str, i: int, j: int) -> CssTableau:
     """Add row i into row j (syndromes add too); i != j."""
+    out = t.copy()
+    rows = out.block(block, i, j)
     if i == j:
         raise InvalidScale("cannot add a row into itself")
-    out = t.copy()
-    rows = out.block(block)
     rows[j] ^= rows[i]
     return out
 
@@ -199,27 +203,26 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
 # -- measurement -------------------------------------------------------------
 
 
-def _measured(t: CssTableau, P: PauliWord) -> tuple[str, np.ndarray, np.ndarray]:
-    """P's block and vector w, and w's F_q dot with every opposite-type row."""
+def _measured(t: CssTableau, P: PauliWord) -> tuple[str, np.ndarray, np.ndarray, int | None]:
+    """P's block and vector w, w's F_q dot with every opposite-type row, and
+    the deterministic outcome (None when a dot is non-zero)."""
     if not t.is_full:
         raise FullTableauRequired("measurement is defined on full tableaux")
     P.require_pure()
     if P.gf != t.gf or P.n != t.n:
         raise DimensionMismatch("word and tableau live on different systems")
-    if any(P.zvec):
-        return "z", P.z_array, t.gf.matvec(t.xrows, P.z_array)
-    return "x", P.x_array, t.gf.matvec(t.zrows, P.x_array)  # the identity word too
+    block, w = ("z", P.z_array) if any(P.zvec) else ("x", P.x_array)  # the identity word is "x"
+    same, opp = (t.z, t.x) if block == "z" else (t.x, t.z)
+    dots = t.gf.matvec(opp[:, :-1], w)
+    det = None if np.any(dots) else t.gf.dot(w, linalg.solve(t.gf, same[:, :-1], same[:, -1]))
+    return block, w, dots, det
 
 
 def deterministic_outcome(t: CssTableau, P: PauliWord) -> int | None:
     """P's outcome when P's vector w has zero dot with every opposite row
     (so w = c . rows), else None.  The outcome sum_j c_j sigma_j is w . t0
     for any t0 with rows . t0 = syn."""
-    block, w, dots = _measured(t, P)
-    if np.any(dots):
-        return None
-    same = t.block(block)
-    return t.gf.dot(w, linalg.solve(t.gf, same[:, :-1], same[:, -1]))
+    return _measured(t, P)[3]
 
 
 def measure_postselect(t: CssTableau, P: PauliWord, eta: int) -> CssTableau:
@@ -231,13 +234,15 @@ def measure_postselect(t: CssTableau, P: PauliWord, eta: int) -> CssTableau:
     same-type block.  Every outcome has probability 1/q, so any eta in F_q
     is legal.  The result keeps fullness, rank and orthogonality.
     """
+    return _postselect(t, *_measured(t, P), eta)
+
+
+def _postselect(t: CssTableau, block: str, w, dots, det: int | None, eta: int) -> CssTableau:
     gf = t.gf
-    block, w, dots = _measured(t, P)
-    hits = np.flatnonzero(dots)
-    if hits.size == 0:
+    if det is not None:
         raise InvalidScale("outcome is deterministic; cannot postselect freely")
     gf.check_code(eta)
-    pivot = hits[0]
+    pivot = np.flatnonzero(dots)[0]
     keep = np.arange(dots.size) != pivot
     opp = t.z if block == "x" else t.x
     f = gf.mul_arr(dots[keep], gf.inv(int(dots[pivot])))
@@ -253,7 +258,10 @@ def sample(t: CssTableau, P: PauliWord, rng: np.random.Generator, shots: int) ->
     uniform draw of shots codes, which gives the same values and leaves the
     same generator state as shots single draws.
     """
-    det = deterministic_outcome(t, P)
+    return _draw(t, _measured(t, P)[3], rng, shots)
+
+
+def _draw(t: CssTableau, det: int | None, rng: np.random.Generator, shots: int) -> np.ndarray:
     if det is not None:
         return np.full(shots, det, dtype=np.int64)
     return rng.integers(0, t.gf.q, size=shots, dtype=np.int64)
@@ -263,13 +271,11 @@ def measure(t: CssTableau, P: PauliWord, rng: np.random.Generator) -> tuple[int,
     """Measure a pure-type word on a full tableau.
 
     Deterministic when P's vector lies in the same-type row space; otherwise
-    the outcome is one uniform draw of sample and the tableau is updated.
+    the outcome is one draw by sample's rule and the tableau is updated.
     """
-    det = deterministic_outcome(t, P)
-    if det is not None:
-        return det, t
-    eta = int(sample(t, P, rng, 1)[0])
-    return eta, measure_postselect(t, P, eta)
+    block, w, dots, det = _measured(t, P)
+    eta = int(_draw(t, det, rng, 1)[0])
+    return eta, t if det is not None else _postselect(t, block, w, dots, det, eta)
 
 
 # -- the cat-state measurement gadget -----------------------------------------

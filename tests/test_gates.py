@@ -9,7 +9,7 @@ import pytest
 
 from gqudits import linalg, oracle
 from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomial_basis
-from gqudits.errors import DimensionMismatch, InvalidGate, NonUnitary, TooLarge
+from gqudits.errors import DimensionMismatch, FieldMismatch, InvalidGate, NonUnitary, TooLarge
 from gqudits.field import make_field
 from gqudits.gates import (
     _PAULI_ATOL,
@@ -752,6 +752,50 @@ class TestPhiMap:
                 back = phi_inverse(bases, phi_map(bases, psi), gf)
                 assert back.gf == gf and back.n == 2
                 assert np.array_equal(back.amps, psi.amps)
+
+
+class TestMapsRefuseForeignInput:
+    """The state and operator maps refuse bases over another field than
+    their input, and qubit states that are not whole qudits over gf."""
+
+    @staticmethod
+    def foreign():
+        """A state over x^4 + x + 1 and a basis over x^4 + x^3 + 1."""
+        gf = make_field(modulus=19)
+        psi = StateVector(gf, 1, np.eye(16)[3])
+        return gf, psi, find_self_dual(make_field(modulus=25))
+
+    def test_phi_map_basis_over_another_modulus(self):
+        _, psi, basis = self.foreign()
+        with pytest.raises(FieldMismatch):
+            phi_map(basis, psi)
+
+    def test_pi_map_basis_over_another_modulus(self):
+        gf, _, basis = self.foreign()
+        with pytest.raises(FieldMismatch):
+            pi_map(basis, DenseOperator(gf, 1, np.eye(16)))
+
+    def test_phi_map_of_a_qubit_state_with_a_qudit_basis(self):
+        gf = make_field(2)
+        with pytest.raises(FieldMismatch):
+            phi_map(find_self_dual(gf), StateVector(make_field(1), 2, np.eye(4)[1]))
+
+    def test_phi_inverse_of_a_qudit_state(self):
+        gf = make_field(2)
+        with pytest.raises(FieldMismatch):
+            phi_inverse(find_self_dual(gf), StateVector(gf, 2, np.eye(16)[5]), gf)
+
+    def test_phi_inverse_of_a_partial_qudit(self):
+        gf = make_field(2)
+        Psi = StateVector(make_field(1), 3, np.full(8, 8**-0.5))
+        with pytest.raises(DimensionMismatch):
+            phi_inverse(find_self_dual(gf), Psi, gf)
+
+    def test_phi_inverse_with_a_basis_over_another_field(self):
+        gf, _, basis = self.foreign()
+        Psi = StateVector(make_field(1), 4, np.eye(16)[3])
+        with pytest.raises(FieldMismatch):
+            phi_inverse(basis, Psi, gf)
 
 
 class TestPiMap:

@@ -113,9 +113,17 @@ def reference_syndrome(bits, basis):
     return reference_recompose(basis.dual(), bits)
 
 
-def dual_rows(bases):
-    """(m, s) dual elements of m expansion bases, as a plan holds them."""
-    return np.array([b.dual().elements for b in bases], dtype=np.int64)
+def per_check_basis_syndrome(assignment, rows, bases, dualise, bits):
+    """The F_q syndrome as plans with one expansion basis per check read it:
+    check j expands to D(b_jt * rows[j]) over its own basis bases[j], and its
+    s measured bits fold against the dual elements of that basis."""
+    gf, n = assignment.gf, assignment.n
+    scales = np.array([b.elements for b in bases], dtype=np.int64)
+    scaled = gf.mul_arr(rows[:, None, :], scales[:, :, None]).reshape(-1, n)
+    expand = expand_dual if dualise else expand_vector
+    checks = expand(assignment, scaled).reshape(len(rows), gf.s, n * gf.s)
+    duals = np.array([b.dual().elements for b in bases], dtype=np.int64)
+    return np.bitwise_xor.reduce((checks @ bits % 2) * duals, axis=-1)
 
 
 def assignments(gf, n, rng):
@@ -299,20 +307,15 @@ class TestAgainstNestedLoops:
             assert np.array_equal(z_space, reference_rows(gf, A, dual_space(gf, code.gx), enum, True))
             assert np.array_equal(x_space, reference_rows(gf, A, dual_space(gf, code.gz), enum, False))
 
-            pool = list(random_assignment(gf, 2, rng).bases) + [polynomial_basis(gf)]
-            x_bases = [pool[int(i)] for i in rng.integers(0, 3, code.m_x)]
-            z_bases = [pool[int(i)] for i in rng.integers(0, 3, code.m_z)]
-            plan = make_plan(code, A, x_bases, z_bases)
-            assert np.array_equal(plan.x_duals, dual_rows(x_bases))
-            assert np.array_equal(plan.z_duals, dual_rows(z_bases))
-            for rows, bases, checks, dualise in (
-                (code.gx, x_bases, plan.x_checks, False),
-                (code.gz, z_bases, plan.z_checks, True),
+            plan = make_plan(code, A)
+            assert plan.basis == find_self_dual(gf)
+            for rows, checks, dualise in (
+                (code.gx, plan.x_checks, False),
+                (code.gz, plan.z_checks, True),
             ):
                 assert len(checks) == len(rows)
-                for row, basis, group in zip(rows, bases, checks):
-                    want = reference_rows(gf, A, [row], basis.elements, dualise)
-                    assert np.array_equal(group, want)
+                for row, group in zip(rows, checks):
+                    assert np.array_equal(group, reference_rows(gf, A, [row], enum, dualise))
 
     def test_enumeration_basis_spans_the_same_space(self):
         """b * row over any F_2-basis b spans F_q * row, so the polynomial
@@ -327,6 +330,22 @@ class TestAgainstNestedLoops:
             want = reference_rows(gf, A, rows, enum, dualise)
             assert not np.array_equal(got, want)
             assert np.array_equal(linalg.rref(gf2, got)[0], linalg.rref(gf2, want)[0])
+
+    @pytest.mark.parametrize(
+        "s,n,k1,k2", [(1, 2, 1, 2), (3, 8, 2, 5), (6, 16, 4, 12), (8, 16, 5, 11)]
+    )
+    def test_plan_checks_are_the_converted_checks(self, s, n, k1, k2):
+        """A plan's checks are convert_code's hx and hz rows, s per qudit
+        check, for the default and for mixed per-qudit assignments."""
+        gf = make_field(s)
+        rng = np.random.default_rng(283 + s)
+        code = make_qrs(gf, n, k1, k2).css
+        for A in (default_assignment(gf, n), *assignments(gf, n, rng)):
+            qubit, plan = convert_code(code, A), make_plan(code, A)
+            assert plan.x_checks.shape == (code.m_x, s, n * s)
+            assert plan.z_checks.shape == (code.m_z, s, n * s)
+            assert np.array_equal(plan.x_checks.reshape(-1, n * s), qubit.hx)
+            assert np.array_equal(plan.z_checks.reshape(-1, n * s), qubit.hz)
 
     def test_assignment_length_checked(self):
         gf = make_field(2)
@@ -474,13 +493,10 @@ class TestWorkedExamples:
         B = find_self_dual(gf)
         A = BasisAssignment.uniform(B, 2)
         code = new_css(gf, 2, [[1, 1]], np.zeros((0, 2), dtype=np.int64))
-        gf2 = make_field(1)
-        for expansion in (find_self_dual(gf), polynomial_basis(gf)):
-            plan = make_plan(code, A, x_bases=[expansion])
-            (group,) = plan.x_checks
-            left, right = group[:, :3], group[:, 3:]
-            assert np.array_equal(left, right)
-            assert linalg.rank(gf2, left) == 3
+        (group,) = make_plan(code, A).x_checks
+        left, right = group[:, :3], group[:, 3:]
+        assert np.array_equal(left, right)
+        assert linalg.rank(make_field(1), left) == 3
 
 
 class TestZeroCheckRow:
@@ -510,7 +526,7 @@ class TestZeroCheckRow:
 class TestReconstructSyndrome:
     def test_zero_bits(self):
         gf = make_field(2)
-        assert reconstruct_syndrome(gf, [[0, 0]], dual_rows([find_self_dual(gf)])) == [0]
+        assert reconstruct_syndrome([[0, 0]], find_self_dual(gf)).tolist() == [0]
 
     def test_exhaustive_round_trip_q4(self):
         gf = make_field(2)
@@ -522,36 +538,33 @@ class TestReconstructSyndrome:
         for B in bases:
             for eta in gf.elements():
                 bits = [gf.trace(gf.mul(b, eta)) for b in B.elements]
-                assert reconstruct_syndrome(gf, [bits], dual_rows([B])) == [eta]
+                assert reconstruct_syndrome([bits], B).tolist() == [eta]
+                assert reconstruct_syndrome(bits, B) == eta
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_matches_scalar_reference(self, s):
-        """Shared, distinct and (s > 1) non-self-dual expansion bases."""
+        """Shared, distinct and (s > 1) non-self-dual bases, each reading
+        every row of bits at once."""
         gf = make_field(s)
         rng = np.random.default_rng(227 + s)
+        bits = rng.integers(0, 2, size=(9, s))
         for A in assignments(gf, 9, rng):
-            bits = rng.integers(0, 2, size=(9, s))
-            got = reconstruct_syndrome(gf, bits, dual_rows(A.bases))
-            assert got.shape == (9,)
-            assert got.tolist() == [reference_syndrome(b, B) for b, B in zip(bits, A.bases)]
+            for B in A.bases:
+                got = reconstruct_syndrome(bits, B)
+                assert got.shape == (9,)
+                assert got.tolist() == [reference_syndrome(b, B) for b in bits]
 
     def test_non_bits_rejected(self):
         gf = make_field(3)
         with pytest.raises(InvalidFieldCode):
-            reconstruct_syndrome(gf, [[1, 2, 0]], dual_rows([polynomial_basis(gf)]))
+            reconstruct_syndrome([[1, 2, 0]], polynomial_basis(gf))
 
     def test_one_row_per_basis(self):
+        """Each row of bits holds one bit per basis element."""
         gf = make_field(3)
-        with pytest.raises(DimensionMismatch):
-            reconstruct_syndrome(gf, [[1, 0, 0]], dual_rows([polynomial_basis(gf)] * 2))
-
-    @pytest.mark.parametrize("bad", [-1, 8])
-    def test_dual_codes_checked(self, bad):
-        gf = make_field(3)
-        duals = dual_rows([polynomial_basis(gf)])
-        duals[0, 1] = bad
-        with pytest.raises(InvalidFieldCode):
-            reconstruct_syndrome(gf, [[1, 0, 0]], duals)
+        for bad in ([[1, 0]], [[1, 0, 0, 1]], 1):
+            with pytest.raises(DimensionMismatch):
+                reconstruct_syndrome(bad, polynomial_basis(gf))
 
     def test_planted_component(self):
         gf = make_field(3)
@@ -563,7 +576,36 @@ class TestReconstructSyndrome:
             for j, v in enumerate(qrs.css.gx):
                 target = gf.dot(v, W)
                 bits = [gf.trace(gf.mul(b, target)) for b in B.elements]
-                assert reconstruct_syndrome(gf, [bits], dual_rows([B])) == [target]
+                assert reconstruct_syndrome([bits], B).tolist() == [target]
+
+
+class TestPerCheckBases:
+    """Reading each check in its own random expansion basis, as plans once
+    could, gives the F_q syndrome that the self-dual plan reconstructs."""
+
+    @pytest.mark.parametrize("s,n,k1,k2", [(2, 4, 1, 3), (3, 8, 2, 5), (6, 16, 4, 12)])
+    def test_same_syndrome_as_the_self_dual_plan(self, s, n, k1, k2):
+        gf = make_field(s)
+        rng = np.random.default_rng(293 + s)
+        alpha = rng.permutation(gf.q)[:n].astype(np.int64)
+        v = rng.integers(1, gf.q, size=n, dtype=np.int64)
+        code = make_qrs(gf, n, k1, k2, alpha, v).css
+        for A in (default_assignment(gf, n), mixed_assignment(gf, n, rng)):
+            plan = make_plan(code, A)
+            pool = list(random_assignment(gf, 2, rng).bases) + [polynomial_basis(gf)]
+            # X checks diagnose Z errors D_{B*}(W); Z checks, expanded
+            # through the duals, diagnose X errors D_B(W)
+            sides = ((code.gx, plan.x_checks, "Z"), (code.gz, plan.z_checks, "X"))
+            for rows, checks, kind in sides:
+                for _ in range(20):
+                    bases = [pool[int(i)] for i in rng.integers(0, 3, len(rows))]
+                    W = rng.integers(0, gf.q, size=n)
+                    W[rng.random(n) < 0.5] = 0
+                    bits = expand_dual(A, W) if kind == "Z" else expand_vector(A, W)
+                    want = per_check_basis_syndrome(A, rows, bases, kind == "X", bits)
+                    got = reconstruct_syndrome(checks @ bits % 2, plan.basis)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(got, gf.matvec(rows, W))
 
 
 @pytest.fixture(scope="module")
@@ -661,12 +703,12 @@ def lift_path_decode(qrs, assignment, plan, bits, kind):
     decode S and expand the error."""
     gf = qrs.gf
     if kind == "Z":
-        rows, checks, duals = qrs.css.gx, plan.x_checks, plan.x_duals
+        rows, checks = qrs.css.gx, plan.x_checks
         side = GrsCode(gf, qrs.k1, qrs.alpha, qrs.v)
     else:
-        rows, checks, duals = qrs.css.gz, plan.z_checks, plan.z_duals
+        rows, checks = qrs.css.gz, plan.z_checks
         side = GrsCode(gf, qrs.n - qrs.k2, qrs.alpha, qrs.u)
-    syndrome = reconstruct_syndrome(gf, checks @ bits % 2, duals)
+    syndrome = reconstruct_syndrome(checks @ bits % 2, plan.basis)
     _, E, pivots = linalg.rref_augmented(gf, rows, np.eye(len(rows), dtype=np.int64))
     R = np.zeros((qrs.n, len(rows)), dtype=np.int64)
     R[pivots] = E
@@ -677,7 +719,7 @@ def lift_path_decode(qrs, assignment, plan, bits, kind):
 
 class TestDirectSyndromeDecode:
     """end_to_end_decode against the lift path it replaced, with random
-    points, multipliers, qudit bases and expansion bases: the same error
+    points, multipliers and qudit bases: the same error
     bits or the same DecodeFailure at every qudit weight from 0 to 3 beyond
     the radius."""
 
@@ -690,14 +732,11 @@ class TestDirectSyndromeDecode:
         v = rng.integers(1, gf.q, size=n, dtype=np.int64)
         qrs = make_qrs(gf, n, k1, k2, alpha, v)
         A = mixed_assignment(gf, n, rng)
-        pool = list(random_assignment(gf, 2, rng).bases) + [polynomial_basis(gf)]
-        x_bases = [pool[int(i)] for i in rng.integers(0, 3, qrs.css.m_x)]
-        z_bases = [pool[int(i)] for i in rng.integers(0, 3, qrs.css.m_z)]
-        plan = make_plan(qrs.css, A, x_bases, z_bases)
+        plan = make_plan(qrs.css, A)
         radius = qrs.decoders[kind].radius
         refused = 0
         for weight in range(radius + 4):
-            for _ in range(4):
+            for _ in range(8):
                 W = np.zeros(n, dtype=np.int64)
                 pos = rng.choice(n, size=weight, replace=False)
                 W[pos] = rng.integers(1, gf.q, size=weight)
@@ -933,23 +972,16 @@ class TestForeignField:
     def instance():
         qrs = make_qrs(make_field(modulus=19), 8, 2, 5)  # x^4 + x + 1
         other = make_field(modulus=25)  # x^4 + x^3 + 1
-        return qrs, BasisAssignment.default_self_dual(other, 8), find_self_dual(other)
+        return qrs, BasisAssignment.default_self_dual(other, 8)
 
     @pytest.mark.parametrize("convert", [convert_code, convert_logicals, make_plan])
     def test_assignment_over_another_field(self, convert):
-        qrs, foreign, _ = self.instance()
+        qrs, foreign = self.instance()
         with pytest.raises(FieldMismatch):
             convert(qrs.css, foreign)
 
-    def test_expansion_bases_over_another_field(self):
-        qrs, _, basis = self.instance()
-        with pytest.raises(FieldMismatch):
-            make_plan(qrs.css, x_bases=[basis] * qrs.css.m_x)
-        with pytest.raises(FieldMismatch):
-            make_plan(qrs.css, z_bases=[basis] * qrs.css.m_z)
-
     def test_decode_with_assignment_over_another_field(self):
-        qrs, foreign, _ = self.instance()
+        qrs, foreign = self.instance()
         plan = make_plan(qrs.css)
         for kind in ("Z", "X"):
             with pytest.raises(FieldMismatch):

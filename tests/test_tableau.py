@@ -193,6 +193,22 @@ class TestRowOperations:
         with pytest.raises(InvalidScale):
             scale_row(t, "x", 0, 0)
 
+    def test_row_indices_checked(self):
+        """Negative indices, which would alias a row from the end, and
+        indices past the block are refused, not applied."""
+        gf = make_field(2)
+        t = new_tableau(gf, 3, [[1, 0, 0], [0, 1, 0]], [[0, 0, 1]], [2, 3], [1])
+        for i, j in ((0, -2), (-1, 0), (0, 2), (5, 1)):
+            with pytest.raises(DimensionMismatch):
+                add_row(t, "x", i, j)
+        for j in (-1, -2, 2):
+            with pytest.raises(DimensionMismatch):
+                scale_row(t, "x", j, 3)
+        with pytest.raises(DimensionMismatch):
+            scale_row(t, "z", 1, 3)
+        with pytest.raises(InvalidScale):
+            add_row(t, "x", 1, 1)
+
     def test_walkthrough_row_rewrites(self):
         """Scaling rows 2-4 by gamma_i, folding them plus the code row into
         row 1, then normalising row 1 reproduces the displayed sequence."""
@@ -424,6 +440,26 @@ class TestSample:
         assert got.dtype == np.int64
         assert got.tolist() == [deterministic_outcome(t, P)] * 7
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_measure_is_outcome_sample_and_postselect(self, s):
+        """measure gives the outcome, tableau and generator state of its
+        public steps: deterministic_outcome, else sample then postselect."""
+        gf = make_field(s)
+        rng = np.random.default_rng(113 + s)
+        for _ in range(60):
+            n = int(rng.integers(1, 5))
+            t, P = random_full_tableau(gf, n, rng), random_pure_word(gf, n, rng)
+            seed = int(rng.integers(1 << 30))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            eta, got = measure(t, P, got_rng)
+            want = deterministic_outcome(t, P)
+            if want is None:
+                want = int(sample(t, P, want_rng, 1)[0])
+                t = measure_postselect(t, P, want)
+            assert eta == want
+            assert np.array_equal(got.x, t.x) and np.array_equal(got.z, t.z)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("random_branch", [True, False])
     def test_zero_shots(self, random_branch):
