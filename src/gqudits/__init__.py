@@ -45,7 +45,6 @@ from .oracle import (
 )
 from .pauli import PauliWord
 from .q2b import (
-    MeasurementPlan,
     QubitCssCode,
     convert_code,
     convert_logicals,
@@ -78,7 +77,7 @@ __all__ = [
     "NOT_EIGENSTATE", "StateVector", "measure_projective", "pauli_matrix", "stabiliser_state",
     "syndrome_component",
     "PauliWord",
-    "MeasurementPlan", "QubitCssCode", "convert_code", "convert_logicals", "end_to_end_decode",
+    "QubitCssCode", "convert_code", "convert_logicals", "end_to_end_decode",
     "expand_dual", "expand_vector", "export_alist", "make_plan", "reconstruct_syndrome",
     "CssTableau", "add_row", "apply_gate", "canonical_form", "measure", "new_tableau",
     "run_cat_gadget", "scale_row",

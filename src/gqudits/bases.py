@@ -126,42 +126,30 @@ def dual_basis(basis: FieldBasis) -> FieldBasis:
 
 
 @lru_cache(maxsize=None)
-def _find_self_dual_cached(modulus: int) -> tuple[int, ...]:
-    gf = make_field(modulus=modulus)
-    s, q = gf.s, gf.q
-    codes = np.arange(q, dtype=np.int64)
-    tr_mul = gf.trace_arr(gf.mul_arr(codes[:, None], codes[None, :]))
-    candidates = [a for a in range(1, q) if tr_mul[a, a] == 1]
-
-    chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        if len(chosen) == s:
-            return True
-        for a in candidates:
-            if a < start:
-                continue
-            if any(tr_mul[a, b] for b in chosen):
-                continue
-            chosen.append(a)
-            if extend(a + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if not extend(0):
-        raise RuntimeError(f"no self-dual basis found for q={q}; should be impossible")
-    return tuple(chosen)
-
-
 def find_self_dual(gf: GF) -> FieldBasis:
-    """First basis, in lexicographic element order, whose Gram matrix is I.
+    """First basis, in lexicographic element order, whose Gram matrix is I;
+    one cached instance per field (its own dual).
 
     A depth-first search over elements with tr(eta^2) = 1, pruning on the
     pairwise trace constraints; existence is a classical fact for every
     F_{2^s} over F_2.
     """
-    basis = FieldBasis(gf, _find_self_dual_cached(gf.modulus))
+    chosen: list[int] = []
+
+    def extend(start: int) -> bool:
+        if len(chosen) == gf.s:
+            return True
+        for a in range(start, gf.q):
+            if gf.trace(gf.mul(a, a)) and not any(gf.trace(gf.mul(a, b)) for b in chosen):
+                chosen.append(a)
+                if extend(a + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(1):
+        raise RuntimeError(f"no self-dual basis found for q={gf.q}; should be impossible")
+    basis = FieldBasis(gf, chosen)
     basis._dual = basis
     return basis
 
@@ -185,10 +173,6 @@ class BasisAssignment:
     @classmethod
     def uniform(cls, basis: FieldBasis, n: int) -> "BasisAssignment":
         return cls([basis] * n)
-
-    @classmethod
-    def default_self_dual(cls, gf: GF, n: int) -> "BasisAssignment":
-        return cls.uniform(find_self_dual(gf), n)
 
     def duals(self) -> "BasisAssignment":
         if self._duals is None:

@@ -305,7 +305,7 @@ class GF:
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape:
-            raise FieldMismatch(f"dot of shapes {u.shape} and {v.shape}")
+            raise DimensionMismatch(f"dot of shapes {u.shape} and {v.shape}")
         return int(np.bitwise_xor.reduce(self.mul_arr(u, v)))
 
     def matvec(self, M, v) -> np.ndarray:

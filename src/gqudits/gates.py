@@ -267,13 +267,16 @@ def hierarchy_level(
     below U (None at levels 1 and 2).  A monomial U and its conjugates are
     (perm, phase) pairs, so a conjugation and a level-1 test are O(d); any
     other U (Hadamard, a general unitary) takes the dense reference recursion.
+    NonUnitary if U is not unitary.
     """
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
     if U.dim > HIERARCHY_DIM_CAP:
         raise TooLarge(f"dimension {U.dim} exceeds cap {HIERARCHY_DIM_CAP}")
+    monomial = _monomial(U.mat)  # one with unit phases is unitary
+    if monomial is None and not U.is_unitary():
+        raise NonUnitary(f"{gate_name} is not unitary: the hierarchy is defined on unitaries")
     gens = _generator_actions(U.gf, U.n)
-    monomial = _monomial(U.mat)
     level, witness = 1, None
     if monomial is None:
         level, witness = _dense_level(gens, {}, U, max_level)

@@ -1,5 +1,8 @@
 """Qudit-to-qubit code conversion and the qubit-level decode pipeline.
 
+A qubit code is derived once from its qudit code and basis assignment, and
+that object is also the measurement plan: one expansion, one binding of a
+qubit code to its qudit code, and a bundle document must be that expansion.
 Everything X-type travels through the per-qudit bases; everything Z-type
 travels through their duals.  Every qudit check is read in the self-dual
 basis b: measured as s qubit checks it reports s bits tr(b_i * component),
@@ -66,24 +69,31 @@ def _expand_rows(assignment: BasisAssignment, rows, dualise: bool) -> np.ndarray
 # -- code conversion ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class QubitCssCode:
-    ns: int
-    hx: np.ndarray
-    hz: np.ndarray
+    """The image of a qudit CSS code under the blockwise maps: hx is D_B and
+    hz is D_{B*} of b_t * row over the self-dual basis b, derived once from
+    source and assignment, so a qubit code cannot disagree with its qudit
+    code.  It is also the measurement plan: x_checks and z_checks view hx
+    and hz as (m, s, n*s), s qubit checks per qudit check."""
+
     source: CssCode
     assignment: BasisAssignment
 
     def __post_init__(self) -> None:
-        gf2 = make_field(1)
-        self.hx = gf2.check_codes(linalg.as_matrix(self.hx, self.ns))
-        self.hz = gf2.check_codes(linalg.as_matrix(self.hz, self.ns))
-        if self.hx.shape[1] != self.ns or self.hz.shape[1] != self.ns:
-            raise DimensionMismatch(f"check matrices need {self.ns} columns")
+        gf = self.source.gf
+        gf.check_same(self.assignment.gf)
+        if self.assignment.n != self.source.n:
+            raise DimensionMismatch(f"{self.assignment.n} bases for {self.source.n} qudits")
+        self.hx = _expand_rows(self.assignment, self.source.gx, False)
+        self.hz = _expand_rows(self.assignment, self.source.gz, True)
         # a float64 (BLAS) product is exact: its entries are at most ns < 2^53
         overlap = self.hx.astype(np.float64) @ self.hz.T.astype(np.float64)
         if np.any(overlap % 2):
             raise DimensionMismatch("hx . hz^T != 0 over F_2")
+        self.basis = find_self_dual(gf)  # every check is read in it (its own dual)
+        self.x_checks = self.hx.reshape(self.source.m_x, gf.s, self.ns)
+        self.z_checks = self.hz.reshape(self.source.m_z, gf.s, self.ns)
 
     def __eq__(self, other: object) -> bool:
         """Equal as binary CSS codes: same length and check matrices."""
@@ -96,9 +106,19 @@ class QubitCssCode:
         )
 
     @property
+    def ns(self) -> int:
+        return self.source.n * self.source.gf.s
+
+    @property
     def k(self) -> int:
-        gf2 = make_field(1)
-        return self.ns - linalg.rank(gf2, self.hx) - linalg.rank(gf2, self.hz)
+        """s * (n - rank gx - rank gz): D is F_2-linear and injective, so the
+        F_2 rank of the rows D(b_t * row) is s times the F_q rank of the rows."""
+        code = self.source
+        return code.gf.s * (code.n - linalg.rank(code.gf, code.gx) - linalg.rank(code.gf, code.gz))
+
+    @property
+    def total_checks(self) -> int:
+        return len(self.hx) + len(self.hz)
 
     def as_binary_css(self) -> CssCode:
         return new_css(make_field(1), self.ns, self.hx, self.hz)
@@ -121,20 +141,25 @@ class QubitCssCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "QubitCssCode":
+        """The code of qudit_code and basis_assignment; InvalidDocument names
+        hx or hz if the document's matrix is not that code's expansion."""
         (qudit_code,) = json_fields(data, "qudit_code")
         bases, hx, hz = json_int_fields(data, basis_assignment=2, hx=2, hz=2)
         source = CssCode.from_json(qudit_code)
         if len(bases) != source.n:
             raise InvalidDocument(f"key 'basis_assignment': {len(bases)} bases, {source.n} qudits")
         bases = json_matrix("basis_assignment", bases, source.gf.s)
-        assignment = BasisAssignment([FieldBasis(source.gf, els) for els in bases])
-        ns = source.n * source.gf.s
-        return cls(ns, json_matrix("hx", hx, ns), json_matrix("hz", hz, ns), source, assignment)
+        code = cls(source, BasisAssignment([FieldBasis(source.gf, els) for els in bases]))
+        gf2 = make_field(1)
+        for key, rows, derived in (("hx", hx, code.hx), ("hz", hz, code.hz)):
+            if not np.array_equal(gf2.check_codes(json_matrix(key, rows, code.ns)), derived):
+                raise InvalidDocument(f"key {key!r} is not the expansion of the qudit code")
+        return code
 
 
 def default_assignment(gf: GF, n: int) -> BasisAssignment:
     """The same self-dual basis on every qudit (collapses B* = B)."""
-    return BasisAssignment.default_self_dual(gf, n)
+    return BasisAssignment.uniform(find_self_dual(gf), n)
 
 
 def _assignment_for(code: CssCode, assignment: BasisAssignment | None) -> BasisAssignment:
@@ -153,10 +178,7 @@ def convert_code(code: CssCode, assignment: BasisAssignment | None = None) -> Qu
     b (any F_2-basis spans the same space); the result has ns physical and
     s*k logical qubits.
     """
-    assignment = _assignment_for(code, assignment)
-    hx = _expand_rows(assignment, code.gx, dualise=False)
-    hz = _expand_rows(assignment, code.gz, dualise=True)
-    return QubitCssCode(code.n * code.gf.s, hx, hz, code, assignment)
+    return QubitCssCode(code, _assignment_for(code, assignment))
 
 
 def convert_logicals(
@@ -174,35 +196,16 @@ def convert_logicals(
 # -- measurement plans -----------------------------------------------------------
 
 
-@dataclass(eq=False)
-class MeasurementPlan:
-    basis: FieldBasis  # the self-dual basis every check is read in (its own dual)
-    x_checks: np.ndarray  # (m_x, s, n*s): s binary check vectors per X check
-    z_checks: np.ndarray
-    code: CssCode  # the code and assignment expanded: end_to_end_decode refuses others
-    assignment: BasisAssignment
-
-    @property
-    def total_checks(self) -> int:
-        return (len(self.x_checks) + len(self.z_checks)) * self.x_checks.shape[1]
-
-
-def make_plan(code: CssCode, assignment: BasisAssignment | None = None) -> MeasurementPlan:
-    """Expand every qudit check into s binary checks over the self-dual
-    basis: the rows of convert_code's hx and hz, grouped by qudit check."""
-    gf = code.gf
-    assignment = _assignment_for(code, assignment)
-
-    def checks(rows: np.ndarray, dualise: bool) -> np.ndarray:
+def make_plan(code: CssCode, assignment: BasisAssignment | None = None) -> QubitCssCode:
+    """The converted code, whose x_checks and z_checks group its hx and hz
+    rows by qudit check; a zero check row, whose s checks would be
+    dependent, is refused."""
+    for name, rows in (("gx", code.gx), ("gz", code.gz)):
         # beta -> D(beta * r) is F_2-linear and injective exactly when r != 0
         zero = np.flatnonzero(~rows.any(axis=1))
         if zero.size:
-            name = "gz" if dualise else "gx"
             raise DimensionMismatch(f"row {zero[0]} of {name} is zero: dependent qubit checks")
-        return _expand_rows(assignment, rows, dualise).reshape(len(rows), gf.s, code.n * gf.s)
-
-    x_checks, z_checks = checks(code.gx, False), checks(code.gz, True)
-    return MeasurementPlan(find_self_dual(gf), x_checks, z_checks, code, assignment)
+    return convert_code(code, assignment)
 
 
 def reconstruct_syndrome(bits, basis: FieldBasis) -> int | np.ndarray:
@@ -218,7 +221,7 @@ def reconstruct_syndrome(bits, basis: FieldBasis) -> int | np.ndarray:
 def end_to_end_decode(
     qrs: QrsCode,
     assignment: BasisAssignment,
-    plan: MeasurementPlan,
+    plan: QubitCssCode,
     error_bits,
     kind: str,
 ) -> np.ndarray:
@@ -232,7 +235,7 @@ def end_to_end_decode(
     """
     gf = qrs.gf
     gf.check_same(assignment.gf)
-    if plan.code != qrs.css:
+    if plan.source != qrs.css:
         raise PlanMismatch("the plan was made for other check rows")
     if plan.assignment is not assignment and plan.assignment.bases != assignment.bases:
         raise PlanMismatch("the plan was made for another assignment")

@@ -215,12 +215,11 @@ def reference_gram(B):
 
 def reference_self_dual(gf):
     """Depth-first search for the lexicographically first self-dual basis on
-    a trace-form table filled by the scalar double loop."""
+    the q x q trace-form table, as find_self_dual searched before it became
+    table-free."""
     q = gf.q
-    tr = np.zeros((q, q), dtype=np.int64)
-    for a in range(q):
-        for b in range(q):
-            tr[a, b] = gf.trace(gf.mul(a, b))
+    codes = np.arange(q, dtype=np.int64)
+    tr = gf.trace_arr(gf.mul_arr(codes[:, None], codes[None, :]))
 
     def extend(chosen, start):
         if len(chosen) == gf.s:
@@ -246,10 +245,21 @@ class TestTraceFormTables:
             G, ref = B.gram(), reference_gram(B)
             assert G.dtype == ref.dtype and np.array_equal(G, ref)
 
-    @pytest.mark.parametrize("s", list(range(1, 9)))
+    @pytest.mark.parametrize("s", list(range(1, 11)))
     def test_find_self_dual_matches_scalar_search(self, s):
         gf = make_field(s)
         assert find_self_dual(gf).elements == reference_self_dual(gf)
+
+    @pytest.mark.parametrize("modulus", [19, 25, 0x11B])
+    def test_find_self_dual_matches_table_search_for_other_moduli(self, modulus):
+        gf = make_field(modulus=modulus)
+        assert find_self_dual(gf).elements == reference_self_dual(gf)
+
+    def test_find_self_dual_cached_per_field(self):
+        gf = make_field(6)
+        B = find_self_dual(gf)
+        assert find_self_dual(gf) is B and B.dual() is B
+        assert find_self_dual(make_field(modulus=0b1011011)) is not B
 
 
 class TestTraceInnerProduct:
@@ -287,7 +297,7 @@ class TestRecoveryClaim:
 class TestAssignment:
     def test_serialises_as_code_lists(self):
         gf = make_field(2)
-        A = BasisAssignment.default_self_dual(gf, 3)
+        A = BasisAssignment.uniform(find_self_dual(gf), 3)
         assert [list(b.elements) for b in A.bases] == [[2, 3]] * 3
 
     def test_duals(self):

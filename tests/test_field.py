@@ -367,6 +367,7 @@ class TestKernel:
             ("matmul", (2, 2), (3, 2)),  # numpy alone ignores B's third row
             ("matvec", (2, 3), (1,)),  # numpy alone broadcasts the one entry
             ("matmul", (2, 3), (2, 2)),  # numpy alone raises a bare ValueError
+            ("dot", (2,), (1,)),
         ],
     )
     def test_products_refuse_mismatched_shapes(self, s, op, a, b):

@@ -385,6 +385,14 @@ class TestHierarchy:
         rep = hierarchy_level(build_gate(gf, "ccz", gamma=1), 2, "ccz")
         assert rep.level is None and rep.to_json()["level"] == "above max"
 
+    @pytest.mark.parametrize("mat", [[[1, 0], [0, 0]], [[0, 2], [2, 0]], [[1, 1], [0, 1]]])
+    def test_non_unitary_refused(self, mat):
+        """A projector, a monomial with phases 2 and a shear: the hierarchy is
+        defined on unitaries only."""
+        U = DenseOperator(make_field(1), 1, np.array(mat, dtype=np.complex128))
+        with pytest.raises(NonUnitary, match="not unitary"):
+            hierarchy_level(U, 4)
+
     def test_dimension_cap(self):
         gf = make_field(2)
         U = DenseOperator(gf, 5, np.eye(4**5))
@@ -544,12 +552,17 @@ class TestMonomialEngine:
         gf = make_field(s)
         rng = np.random.default_rng(97 + s)
         H = build_gate(gf, "hadamard") if n == 1 else embed_single(gf, n, 0, build_gate(gf, "hadamard"))
-        near = random_monomial(rng, gf.q**n, 1.0)
-        near[0, 0] += 1e-3  # one extra non-zero
+        rotation = np.eye(gf.q**n, dtype=np.complex128)
+        c, t = np.cos(1e-3), np.sin(1e-3)
+        rotation[:2, :2] = [[c, -t], [t, c]]  # mixes kets 0 and 1
+        near = random_monomial(rng, gf.q**n, 1.0) @ rotation  # unitary, two extra non-zeros
         scaled = random_monomial(rng, gf.q**n, 2.0)  # non-unit phases
-        for mat in (H.mat, seeded_unitary(rng, gf.q**n), near, scaled):
+        for mat in (H.mat, seeded_unitary(rng, gf.q**n), near):
             assert _monomial(mat) is None
             assert_matches_reference(DenseOperator(gf, n, mat))
+        assert _monomial(scaled) is None
+        with pytest.raises(NonUnitary):
+            hierarchy_level(DenseOperator(gf, n, scaled), 4)
 
     @pytest.mark.parametrize("s, n", [(1, 3), (2, 1), (2, 2), (3, 1)])
     def test_level_one_rule_matches_is_pauli_multiple(self, s, n):

@@ -421,6 +421,7 @@ class TestConvertCode:
         qubit = convert_code(make_qrs(gf, 8, 2, 5).css)
         again = QubitCssCode.from_json(qubit.to_json())
         assert np.array_equal(again.hx, qubit.hx) and np.array_equal(again.hz, qubit.hz)
+        assert again == qubit and again.to_json() == qubit.to_json() and again.k == 9
 
     @pytest.mark.parametrize("key", ["qudit_code", "basis_assignment", "hx", "hz"])
     def test_bundle_missing_key_named(self, key):
@@ -434,6 +435,69 @@ class TestConvertCode:
         del data["qudit_code"]["gz"]
         with pytest.raises(InvalidDocument, match="missing key 'gz'"):
             QubitCssCode.from_json(data)
+
+
+class TestDerivedBundle:
+    """A bundle is its qudit code's expansion: a document whose hx or hz is
+    not that expansion is refused, naming the key."""
+
+    @staticmethod
+    def bundle():
+        return convert_code(make_qrs(make_field(3), 8, 2, 5).css).to_json()
+
+    @pytest.mark.parametrize("key", ["hx", "hz"])
+    def test_zeroed_matrix_refused(self, key):
+        data = self.bundle()
+        data[key] = [[0] * len(row) for row in data[key]]
+        with pytest.raises(InvalidDocument, match=f"'{key}' is not the expansion"):
+            QubitCssCode.from_json(data)
+
+    def test_cut_rows_refused(self):
+        data = self.bundle()
+        data["hx"] = data["hx"][:3]
+        with pytest.raises(InvalidDocument, match="'hx' is not the expansion"):
+            QubitCssCode.from_json(data)
+
+    def test_changed_basis_refused(self):
+        data = self.bundle()
+        data["basis_assignment"][0] = list(polynomial_basis(make_field(3)).elements)
+        with pytest.raises(InvalidDocument, match="'hx' is not the expansion"):
+            QubitCssCode.from_json(data)
+
+
+class TestDimension:
+    """k = s (n - rank gx - rank gz) against the F_2 count on the expansion,
+    ns - rank_2(hx) - rank_2(hz), which k used to eliminate."""
+
+    @staticmethod
+    def f2_k(qubit):
+        gf2 = make_field(1)
+        return qubit.ns - linalg.rank(gf2, qubit.hx) - linalg.rank(gf2, qubit.hz)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_k_matches_the_f2_ranks(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(307 + s)
+        n = min(gf.q, 8)
+        for _ in range(3):
+            k1, k2 = sorted(int(k) for k in rng.integers(0, n + 1, 2))
+            alpha = rng.permutation(gf.q)[:n]
+            v = rng.integers(1, gf.q, n)
+            code = make_qrs(gf, n, k1, k2, alpha, v).css
+            for A in (default_assignment(gf, n), *assignments(gf, n, rng)):
+                qubit = convert_code(code, A)
+                assert qubit.k == self.f2_k(qubit) == s * (k2 - k1)
+
+    def test_dependent_rows_counted_once(self):
+        """A CssCode built directly, past new_css, with a repeated gx row."""
+        gf = make_field(3)
+        qrs = make_qrs(gf, 8, 2, 5)
+        code = CssCode(gf, 8, np.vstack([qrs.css.gx, qrs.css.gx[:1]]), qrs.css.gz)
+        rng = np.random.default_rng(311)
+        for A in (default_assignment(gf, 8), *assignments(gf, 8, rng)):
+            qubit = convert_code(code, A)
+            assert qubit.k == self.f2_k(qubit) == 3 * qrs.css.k == 9
+            assert code.k == 2
 
 
 class TestConvertLogicals:
@@ -786,7 +850,7 @@ class TestPlanBinding:
         qrs = make_qrs(gf, 8, 2, 5)
         plan = make_plan(make_qrs(gf, 8, 2, 5).css)
         A = default_assignment(gf, 8)
-        assert plan.code is not qrs.css and plan.assignment is not A
+        assert plan.source is not qrs.css and plan.assignment is not A
         W = np.zeros(8, dtype=np.int64)
         W[3] = 5
         bits = expand_dual(A, W)
@@ -794,7 +858,8 @@ class TestPlanBinding:
 
 
 class TestEquality:
-    """== answers on codes and plans instead of raising on their arrays."""
+    """== answers on codes and plans instead of raising on their arrays; a
+    plan is the converted code, so it compares by its check matrices."""
 
     def test_equal_codes_in_other_objects(self):
         gf = make_field(3)
@@ -803,7 +868,7 @@ class TestEquality:
         assert qrs.css == make_qrs(gf, 8, 2, 5).css
         assert convert_code(qrs.css, A) == convert_code(qrs.css, A)
         plan = make_plan(qrs.css)
-        assert plan == plan and (make_plan(qrs.css) == make_plan(qrs.css)) is False
+        assert plan == plan and make_plan(qrs.css) == make_plan(qrs.css) == convert_code(qrs.css)
 
     def test_different_codes_unequal(self):
         gf = make_field(3)
@@ -934,28 +999,29 @@ class TestValidation:
             expand_vector(A, [1])
 
     def test_conflicting_check_matrices_rejected(self):
+        """A CssCode built directly, past new_css, with gx . gz^T != 0."""
         gf2 = make_field(1)
-        code = new_css(gf2, 2, [[1, 0]], [[0, 1]])
         with pytest.raises(DimensionMismatch):
-            QubitCssCode(2, [[1, 0]], [[1, 0]], code, default_assignment(make_field(1), 2))
+            QubitCssCode(CssCode(gf2, 2, [[1, 0]], [[1, 0]]), default_assignment(gf2, 2))
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_bundle_entries_must_be_bits(self, bad):
-        gf2 = make_field(1)
-        code = new_css(gf2, 2, [[1, 1]], [[1, 1]])
-        A = default_assignment(gf2, 2)
-        with pytest.raises(InvalidFieldCode):
-            QubitCssCode(2, [[bad, 0]], [[1, 1]], code, A)
-        data = QubitCssCode(2, [[1, 1]], [[1, 1]], code, A).to_json()
+        data = convert_code(new_css(make_field(1), 2, [[1, 1]], [[1, 1]])).to_json()
         data["hz"] = [[1, bad]]
         with pytest.raises(InvalidFieldCode):
             QubitCssCode.from_json(data)
 
     def test_bundle_column_count_checked(self):
-        gf2 = make_field(1)
-        code = new_css(gf2, 2, [[1, 1]], [[1, 1]])
-        with pytest.raises(DimensionMismatch):
-            QubitCssCode(2, [[1, 1, 0]], [[1, 1, 0]], code, default_assignment(gf2, 2))
+        data = convert_code(new_css(make_field(1), 2, [[1, 1]], [[1, 1]])).to_json()
+        data["hx"] = [[1, 1, 0]]
+        with pytest.raises(InvalidDocument, match="'hx'"):
+            QubitCssCode.from_json(data)
+
+    def test_assignment_length_checked(self):
+        gf = make_field(2)
+        code = new_css(gf, 4, np.zeros((0, 4)), np.zeros((0, 4)))
+        with pytest.raises(DimensionMismatch, match="2 bases for 4 qudits"):
+            QubitCssCode(code, default_assignment(gf, 2))
 
     def test_bundle_q_must_match_the_modulus(self):
         data = convert_code(make_qrs(make_field(2), 4, 1, 2).css).to_json()
@@ -972,7 +1038,7 @@ class TestForeignField:
     def instance():
         qrs = make_qrs(make_field(modulus=19), 8, 2, 5)  # x^4 + x + 1
         other = make_field(modulus=25)  # x^4 + x^3 + 1
-        return qrs, BasisAssignment.default_self_dual(other, 8)
+        return qrs, BasisAssignment.uniform(find_self_dual(other), 8)
 
     @pytest.mark.parametrize("convert", [convert_code, convert_logicals, make_plan])
     def test_assignment_over_another_field(self, convert):
