@@ -1,0 +1,72 @@
+"""Compare the end-to-end metrics of two benchmark snapshots.
+
+    python3 scripts/bench_diff.py BENCH_20.json BENCH_21.json
+
+For each workload in both files, prints every end-to-end metric of the
+untraced run (``trace0``, the run that times end to end), the value in A and
+in B, the ratio B/A and whether B is better or worse by the direction that
+``BENCHMARK.json`` declares, followed by the failed ops and both runs' machine
+speed factors.  The harness has already scaled each time by its run's speed
+factor (its calibration of the machine's load); factors far apart say the
+machine was loaded differently, and a ratio near 1 is then within noise.
+Standard library only; run from anywhere in a checkout.
+"""
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load(path: str) -> dict:
+    return json.loads(Path(path).read_text())
+
+
+def directions() -> dict:
+    """metric name -> "higher" or "lower", from BENCHMARK.json's end_to_end."""
+    bench = load(ROOT / "BENCHMARK.json")
+    return {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+
+def verdict(a: float, b: float, better: str | None) -> str:
+    if better is None or a == b:
+        return ""
+    return "better" if (b > a) == (better == "higher") else "worse"
+
+
+def rows(a: dict, b: dict, better: dict) -> list[list[str]]:
+    out = []
+    for workload in (w for w in a["runs"] if w in b["runs"]):
+        ra, rb = a["runs"][workload]["trace0"], b["runs"][workload]["trace0"]
+        for name in (m for m in ra["metrics"] if m in rb["metrics"]):
+            va, vb = ra["metrics"][name]["value"], rb["metrics"][name]["value"]
+            ratio = f"{vb / va:.3f}" if va else "-"
+            unit = ra["metrics"][name]["unit"]
+            out.append([workload, name, unit, f"{va:.4g}", f"{vb:.4g}", ratio,
+                        verdict(va, vb, better.get(name))])
+        failed = [f"{r['failed']}/{r['attempted']}" for r in (ra, rb)]
+        out.append([workload, "failed", "ops", *failed, "", ""])
+        speeds = [str(r.get("speed_factor")) for r in (ra, rb)]
+        out.append([workload, "speed_factor", "", *speeds, "", ""])
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("a", help="the earlier snapshot, e.g. BENCH_20.json")
+    p.add_argument("b", help="the later snapshot, e.g. BENCH_21.json")
+    args = p.parse_args(argv)
+    a, b = load(args.a), load(args.b)
+    print(f"# A {args.a}: {a['git_sha'][:7]}, src {a['src_lines']} lines")
+    print(f"# B {args.b}: {b['git_sha'][:7]}, src {b['src_lines']} lines")
+    table = [["workload", "metric", "unit", "A", "B", "B/A", "B vs A"]] + rows(a, b, directions())
+    widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
+    for r in table:
+        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

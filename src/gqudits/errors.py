@@ -146,6 +146,13 @@ class PlanMismatch(GquditError):
 
 
 class DecodeFailure(GquditError):
-    """Decoding refused: the error locator is longer than the decoding
-    radius, the locator does not split over the evaluation points, or the
-    error found fails the final syndrome check."""
+    """Decoding refused at stage "radius" (error locator longer than the
+    radius), "split" (locator does not split over the evaluation points) or
+    "syndrome" (the error found fails the final syndrome check)."""
+
+    def __init__(self, message: str, stage: str, weight: int, radius: int):
+        super().__init__(message, stage, weight, radius)  # all in args, so it pickles
+        self.stage, self.weight, self.radius = stage, weight, radius
+
+    def __str__(self) -> str:
+        return self.args[0]

@@ -9,7 +9,10 @@ e.g. 0b1011 = x^3 + x + 1 for F_8.
 Addition is XOR.  Multiplication is one carry-less kernel, ``GF._mul``, the
 same code for ints and int64 arrays; powers, inverses and the trace are built
 on it.  For s <= 16 its exp/log and trace tables are cached as lookups; zero
-has a log too (see _build_tables), so every product is one checked lookup.
+has a log too (see _build_tables), so every product is one lookup.  Every
+public operation checks its codes; the kernels ``GF._prod`` and ``GF._inv``
+behind ``mul_arr`` and ``inv_arr`` take codes already checked, for callers
+that check once at their boundary (``grs.decode``).
 """
 
 from __future__ import annotations
@@ -278,16 +281,24 @@ class GF:
 
     def mul_arr(self, a, b) -> np.ndarray:
         """Elementwise product, broadcast.  Any code outside [0, q) raises
-        InvalidFieldCode; then one kernel call, or for s <= 16 one lookup
-        (zero included, see _build_tables)."""
+        InvalidFieldCode; then the unchecked kernel _prod."""
         a = self.check_codes(np.asarray(a, dtype=np.int64))
         b = self.check_codes(np.asarray(b, dtype=np.int64))
+        return self._prod(a, b)
+
+    def inv_arr(self, a) -> np.ndarray:
+        return self._inv(self.check_codes(np.asarray(a, dtype=np.int64)))
+
+    def _prod(self, a, b) -> np.ndarray:
+        """mul_arr of int64 codes already checked: one kernel call, or for
+        s <= 16 one lookup (zero included, see _build_tables)."""
         if self._exp is None:
             return self._mul(a, b)
         return self._exp[self._log[a] + self._log[b]]
 
-    def inv_arr(self, a) -> np.ndarray:
-        a = self.check_codes(np.asarray(a, dtype=np.int64))
+    def _inv(self, a) -> np.ndarray:
+        """inv_arr of int64 codes already checked.  The zero test stays: the
+        lookup of a 0 would read the zero tail of exp, a silent wrong answer."""
         if np.any(a == 0):
             raise DivisionByZero("0 has no multiplicative inverse")
         if self._exp is None:

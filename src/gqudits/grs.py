@@ -6,7 +6,10 @@ monomial basis, low degree first.  Decoding takes the syndrome S = H . e
 (a QRS code's check rows are its decoders' H, so S is what its checks
 report) and corrects up to floor((n-k)/2) errors: Berlekamp-Massey finds the
 error locator, a Chien search over the evaluation points finds the error
-positions and Forney's formula gives the error values.
+positions and Forney's formula gives the error values.  The Chien search
+and both of Forney's evaluations are each one gather from a cached table of
+point powers, one product and one XOR-reduction.  decode checks the syndrome
+once, then runs the field's unchecked kernels.
 """
 
 from __future__ import annotations
@@ -26,17 +29,6 @@ from .errors import (
     WeightBelowDistance,
 )
 from .field import GF
-
-
-# -- polynomial evaluation ---------------------------------------------------------
-
-
-def _horner(gf: GF, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the polynomial with coefficients high degree first at every x."""
-    out = np.zeros_like(x)
-    for c in coeffs:
-        out = gf.mul_arr(out, x) ^ c
-    return out
 
 
 # -- classical GRS -------------------------------------------------------------
@@ -82,6 +74,12 @@ class GrsCode:
         """H[j, i] = w_i alpha_i^j (j < n-k), w = dual_multipliers(alpha, v):
         the dual code's generator matrix, so H . r is the syndrome of r."""
         return generator_matrix(dual(self))
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """P[i, m] = alpha_i^m for m = 0..radius, with 0^0 = 1: the table
+        that the Chien search and Forney's formula gather from."""
+        return np.stack([self.gf.pow(self.alpha, m) for m in range(self.radius + 1)], axis=1)
 
 
 def generator_matrix(c: GrsCode) -> np.ndarray:
@@ -148,18 +146,18 @@ def min_weight_codeword(c: GrsCode, roots, eta: int) -> np.ndarray:
 
 
 def _berlekamp_massey(gf: GF, S: np.ndarray) -> tuple[np.ndarray, int]:
-    """Shortest register (Lambda, L) with Lambda_0 = 1 and
-    sum_l Lambda_l S_{j-l} = 0 for L <= j < len(S) (Massey 1969)."""
+    """Shortest register (Lambda, L) with Lambda_0 = 1 and sum_l Lambda_l
+    S_{j-l} = 0 for L <= j < len(S) (Massey 1969); S's codes are checked."""
     N = S.size
     lam = np.zeros(N + 1, dtype=np.int64)
     lam[0] = 1
     prev = lam.copy()
     L, shift, prev_d = 0, 1, 1
     for j in range(N):
-        d = int(S[j] ^ np.bitwise_xor.reduce(gf.mul_arr(lam[1 : L + 1], S[j - L : j][::-1])))
+        d = int(S[j] ^ np.bitwise_xor.reduce(gf._prod(lam[1 : L + 1], S[j - L : j][::-1])))
         if d:
             old = lam.copy()
-            lam[shift:] ^= gf.mul_arr(prev[: N + 1 - shift], gf.div(d, prev_d))
+            lam[shift:] ^= gf._prod(prev[: N + 1 - shift], gf.div(d, prev_d))
             if 2 * L <= j:
                 L, prev, prev_d, shift = j + 1 - L, old, d, 0
         shift += 1
@@ -186,27 +184,35 @@ def decode(c: GrsCode, syndrome) -> np.ndarray:
         return error
 
     lam, L = _berlekamp_massey(gf, syndrome)
-    if L > c.radius:
-        raise DecodeFailure(f"error locator length {L} exceeds the radius {c.radius}")
-    pos = np.flatnonzero(_horner(gf, lam, c.alpha) == 0)  # Chien search on sigma
-    if pos.size != L:
-        raise DecodeFailure("error locator does not split over the evaluation points")
 
-    # Forney: Y_i = X_i Omega(1/X_i) / Lambda'(1/X_i) with Omega = S Lambda mod x^L
+    def refusal(stage: str, message: str) -> DecodeFailure:
+        return DecodeFailure(message, stage=stage, weight=L, radius=c.radius)
+
+    if L > c.radius:
+        raise refusal("radius", f"error locator length {L} exceeds the radius {c.radius}")
+    # Chien search: sigma(alpha_i) = sum_l Lambda_l alpha_i^(L-l)
+    pos = np.flatnonzero(np.bitwise_xor.reduce(gf._prod(c.powers[:, L::-1], lam), axis=1) == 0)
+    if pos.size != L:
+        raise refusal("split", "error locator does not split over the evaluation points")
+
+    # Forney: Y_i = X_i Omega(1/X_i) / Lambda'(1/X_i) with Omega = S Lambda mod x^L, each
+    # read as X^(L-1) f(1/X) = sum_j f_j X^(L-1-j): the X^(L-1) cancel in the ratio.
     X = c.alpha[pos]
     nz = X != 0
-    x_inv = gf.inv_arr(X[nz])
     lags = np.arange(L)[:, None] - np.arange(L + 1)[None, :]
-    omega = gf.matvec(np.where(lags >= 0, syndrome[np.maximum(lags, 0)], 0), lam)
+    toeplitz = np.where(lags >= 0, syndrome[np.maximum(lags, 0)], 0)
+    omega = np.bitwise_xor.reduce(gf._prod(toeplitz, lam), axis=1)
     deriv = np.where(np.arange(L) % 2, 0, lam[1:])  # characteristic 2: odd terms only
+    num, den = np.bitwise_xor.reduce(
+        gf._prod(c.powers[pos[nz], None, L - 1 :: -1], np.stack([omega, deriv])), axis=2
+    ).T
     values = np.zeros(L, dtype=np.int64)
-    num = gf.mul_arr(X[nz], _horner(gf, omega[::-1], x_inv))
-    values[nz] = gf.mul_arr(num, gf.inv_arr(_horner(gf, deriv[::-1], x_inv)))
+    values[nz] = gf._prod(X[nz], gf._prod(num, gf._inv(den)))
     values[~nz] = syndrome[0] ^ np.bitwise_xor.reduce(values)
-    error[pos] = gf.mul_arr(values, gf.inv_arr(H[0, pos]))  # H[0] = w
+    error[pos] = gf._prod(values, gf._inv(H[0, pos]))  # H[0] = w
 
     if not np.array_equal(gf.matvec(H, error), syndrome):
-        raise DecodeFailure("no error within the radius has this syndrome")
+        raise refusal("syndrome", "no error within the radius has this syndrome")
     return error
 
 

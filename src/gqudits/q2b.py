@@ -246,7 +246,8 @@ def end_to_end_decode(
     sides = {"Z": plan.x_checks, "X": plan.z_checks}
     if kind not in sides:
         raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
-    syndrome = reconstruct_syndrome(sides[kind] @ error_bits % 2, plan.basis)
+    # the parity of the check columns on the error's support: exact, no product
+    syndrome = reconstruct_syndrome(sides[kind][..., error_bits != 0].sum(-1) & 1, plan.basis)
     err = decode(qrs.decoders[kind], syndrome)
     if kind == "Z":
         return expand_dual(assignment, err)

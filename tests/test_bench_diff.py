@@ -1,0 +1,40 @@
+"""scripts/bench_diff.py: end-to-end metrics of two benchmark snapshots."""
+
+import json
+import runpy
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+bench_diff = runpy.run_path(str(ROOT / "scripts" / "bench_diff.py"))
+
+
+def snapshot(sha, ops_per_s, p50_ms, speed, failed=0):
+    metrics = {
+        "ops_per_s": {"unit": "ops/s", "value": ops_per_s},
+        "op_p50_ms": {"unit": "ms", "value": p50_ms},
+    }
+    run = {"attempted": 100, "failed": failed, "metrics": metrics, "speed_factor": speed}
+    return {"git_sha": sha, "src_lines": 10, "runs": {"decode": {"trace0": run, "trace1": {}}}}
+
+
+def test_ratio_direction_failures_and_speed_factors(tmp_path, capsys):
+    a, b = tmp_path / "BENCH_1.json", tmp_path / "BENCH_2.json"
+    a.write_text(json.dumps(snapshot("a" * 40, 2000.0, 0.4, 1.25)))
+    b.write_text(json.dumps(snapshot("b" * 40, 4000.0, 0.5, 1.5, failed=3)))
+    assert bench_diff["main"]([str(a), str(b)]) == 0
+    lines = {tuple(line.split()[:2]): line.split() for line in capsys.readouterr().out.splitlines()}
+    assert lines[("decode", "ops_per_s")][3:] == ["2000", "4000", "2.000", "better"]
+    assert lines[("decode", "op_p50_ms")][3:] == ["0.4", "0.5", "1.250", "worse"]
+    assert lines[("decode", "failed")][3:] == ["0/100", "3/100"]
+    assert lines[("decode", "speed_factor")][2:] == ["1.25", "1.5"]
+
+
+def test_committed_snapshots_compare(capsys):
+    """Every end-to-end metric that BENCHMARK.json declares appears for every
+    workload of the two newest committed snapshots."""
+    newest = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))[-2:]
+    assert bench_diff["main"]([str(p) for p in newest]) == 0
+    out = capsys.readouterr().out.split()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for metric in declared["end_to_end"]:
+        assert out.count(metric["name"]) == len(declared["workloads"])

@@ -320,6 +320,15 @@ class TestVectorisedCodeValidation:
 class TestKernel:
     """GF._mul, the one carry-less multiply, and everything built on it."""
 
+    @pytest.mark.parametrize("s", [1, 3, 16, 17])  # table fields and a table-free one
+    def test_unchecked_inverse_refuses_zero(self, s):
+        """_inv takes checked codes but keeps its zero test: the lookup of a
+        0 would read the zero tail of exp, a silent wrong answer."""
+        gf = make_field(s)
+        for codes in ([0], [1, 0], [[gf.q - 1], [0]]):
+            with pytest.raises(DivisionByZero):
+                gf._inv(np.array(codes, dtype=np.int64))
+
     @pytest.mark.parametrize("s", list(range(1, 9)) + [12, 16, 17, 20, 31])
     def test_mul_matches_polynomial_product(self, s):
         gf = make_field(s)

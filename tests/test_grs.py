@@ -1,11 +1,12 @@
 """Classical GRS machinery, MDS weight counts, decoding, and the QRS build."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from gqudits import linalg
+from gqudits import grs, linalg
 from gqudits.errors import (
     DecodeFailure,
     DimensionMismatch,
@@ -429,6 +430,93 @@ class TestDecodeEdgeCases:
         err[pos] = rng.integers(1, 256, 64)
         got, got_err = decode_word(code, cw ^ err)
         assert np.array_equal(got, cw) and np.array_equal(got_err, err)
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize("s,n,k", [(3, 8, 2), (3, 8, 8), (6, 64, 16), (17, 16, 6)])
+    def test_powers_of_the_points_up_to_the_radius(self, s, n, k):
+        gf = make_field(s)
+        rng = np.random.default_rng(301 + s)
+        alpha = np.concatenate([[0], 1 + rng.choice(gf.q - 1, size=n - 1, replace=False)])
+        code = GrsCode(gf, k, alpha, np.ones(n, dtype=np.int64))
+        P = code.powers
+        assert P.shape == (n, code.radius + 1) and P.size <= code.parity_check.size // 2 + n
+        for m in range(code.radius + 1):  # 0^0 = 1, so the point 0 needs no special row
+            assert np.array_equal(P[:, m], [gf.pow(int(a), m) for a in alpha])
+
+
+class TestDecodeRefusals:
+    """DecodeFailure names the stage that refused, the locator length L as
+    its weight and the radius; the messages are unchanged."""
+
+    def refusal(self, code, syndrome):
+        with pytest.raises(DecodeFailure) as info:
+            decode(code, syndrome)
+        exc = info.value
+        got = str(exc), exc.stage, exc.weight, exc.radius
+        copied = pickle.loads(pickle.dumps(exc))
+        assert (str(copied), copied.stage, copied.weight, copied.radius) == got
+        return got
+
+    def test_locator_longer_than_the_radius(self):
+        code = GrsCode(make_field(2), 0, np.arange(4), np.ones(4, dtype=np.int64))
+        assert self.refusal(code, [0, 0, 0, 1]) == (
+            "error locator length 4 exceeds the radius 2", "radius", 4, 2
+        )
+
+    def test_locator_that_does_not_split(self):
+        code = GrsCode(make_field(2), 0, np.arange(4), np.ones(4, dtype=np.int64))
+        assert self.refusal(code, [0, 1, 0, 0]) == (
+            "error locator does not split over the evaluation points", "split", 2, 2
+        )
+
+    def test_final_syndrome_check(self, monkeypatch):
+        """A locator that splits but does not generate the syndrome reaches
+        the final check under the other two stages (Berlekamp-Massey's own
+        locators never do: its shortest register fixes the values)."""
+        gf = make_field(3)
+        code = GrsCode(gf, 3, np.arange(1, 8), np.ones(7, dtype=np.int64))
+        err = np.zeros(7, dtype=np.int64)
+        err[[1, 4]] = [3, 5]
+        root = int(code.alpha[2])  # sigma(z) = z + root
+        monkeypatch.setattr(grs, "_berlekamp_massey", lambda gf, S: (np.array([1, root]), 1))
+        assert self.refusal(code, gf.matvec(code.parity_check, err)) == (
+            "no error within the radius has this syndrome", "syndrome", 1, 2
+        )
+
+
+class TestDecodeTableFree:
+    """decode over F_2^17, a field without exp/log tables, so the kernel
+    branch of _prod and the pow branch of _inv run inside it."""
+
+    def test_every_weight_through_the_zero_point(self):
+        gf = make_field(17)
+        assert gf._exp is None
+        rng = np.random.default_rng(307)
+        alpha = np.concatenate([[0], 1 + rng.choice(gf.q - 1, size=15, replace=False)])
+        code = GrsCode(gf, 6, alpha, rng.integers(1, gf.q, size=16, dtype=np.int64))
+        H = code.parity_check
+        assert code.radius == 5
+        refused = 0
+        for weight in range(code.n + 1):
+            for trial in range(4):
+                err = np.zeros(code.n, dtype=np.int64)
+                pos = rng.choice(code.n, size=weight, replace=False)
+                if trial < 2 and weight and 0 not in pos:
+                    pos[0] = 0  # an error at the point alpha = 0
+                err[pos] = rng.integers(1, gf.q, size=weight)
+                syndrome = gf.matvec(H, err)
+                if weight <= code.radius:
+                    assert np.array_equal(decode(code, syndrome), err)
+                    continue
+                try:
+                    got = decode(code, syndrome)
+                except DecodeFailure:
+                    refused += 1
+                    continue
+                assert np.array_equal(gf.matvec(H, got), syndrome)
+                assert int((got != 0).sum()) <= code.radius
+        assert refused > 0
 
 
 class TestFieldCodes:

@@ -5,7 +5,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from gqudits import linalg, oracle
+from gqudits import linalg, oracle, q2b
 from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomial_basis
 from gqudits.css import CssCode, dual_space, new_css
 from gqudits.errors import (
@@ -758,6 +758,52 @@ class TestEndToEndF64:
         bits[0] = bad
         with pytest.raises(GquditError):
             end_to_end_decode(qrs, A, plan, bits, "X")
+
+
+    @pytest.mark.parametrize("kind", ["Z", "X"])
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_error_bits_outside_f2_are_invalid_codes(self, setup64, kind, bad):
+        """The syndrome is the parity of the checks on the error's support,
+        which would count a 2 or a -1 as a 1: the bits are checked first."""
+        gf, qrs, A, plan = setup64
+        bits = np.zeros(64 * 6, dtype=np.int64)
+        bits[[0, 100]] = [1, bad]
+        with pytest.raises(InvalidFieldCode):
+            end_to_end_decode(qrs, A, plan, bits, kind)
+
+
+class TestSupportParitySyndrome:
+    """The shot's syndrome bits, the parity of the check columns on the
+    error's support, against the product checks @ bits % 2 they replaced,
+    under the default assignment and random ones that are not self-dual."""
+
+    @pytest.mark.parametrize("s,n,k1,k2", [(3, 8, 2, 5), (4, 16, 4, 10), (6, 32, 8, 24)])
+    def test_matches_the_product(self, s, n, k1, k2, monkeypatch):
+        gf = make_field(s)
+        rng = np.random.default_rng(311 + s)
+        qrs = make_qrs(gf, n, k1, k2)
+        seen = []
+        read = q2b.reconstruct_syndrome
+        monkeypatch.setattr(q2b, "reconstruct_syndrome", lambda b, B: seen.append(b) or read(b, B))
+        random = random_assignment(gf, n, rng)
+        assert not any(b.is_self_dual() for b in random.bases)
+        for A in (default_assignment(gf, n), random, mixed_assignment(gf, n, rng)):
+            plan = make_plan(qrs.css, A)
+            for kind, checks in (("Z", plan.x_checks), ("X", plan.z_checks)):
+                radius = qrs.decoders[kind].radius
+                for weight in range(radius + 3):
+                    W = np.zeros(n, dtype=np.int64)
+                    W[rng.choice(n, size=weight, replace=False)] = rng.integers(1, gf.q, weight)
+                    errors = expand_dual(A, W) if kind == "Z" else expand_vector(A, W)
+                    for bits in (errors, rng.integers(0, 2, n * s)):  # and any bit string
+                        seen.clear()
+                        try:
+                            out = end_to_end_decode(qrs, A, plan, bits, kind)
+                        except DecodeFailure:
+                            out = None
+                        assert len(seen) == 1 and np.array_equal(seen[0], checks @ bits % 2)
+                        if weight <= radius and bits is errors:
+                            assert np.array_equal(out, bits)
 
 
 def lift_path_decode(qrs, assignment, plan, bits, kind):
