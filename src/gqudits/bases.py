@@ -188,6 +188,27 @@ class BasisAssignment:
             sites.setdefault(b, []).append(i)
         return tuple((b, np.array(idx, dtype=np.int64)) for b, idx in sites.items())
 
+    @cached_property
+    def maps(self) -> np.ndarray:
+        """float32 (n, s, s): row i of map j is D_{B_j}(x^i), so the
+        polynomial-basis bits of an element times map j are its B_j bits."""
+        powers = 1 << np.arange(self.gf.s, dtype=np.int64)
+        return self._stack(lambda basis: basis.decompose(powers))
+
+    @cached_property
+    def scalings(self) -> np.ndarray:
+        """float32 (n, s, s*s): row i of map j is D_{B_j}(eta_{j,i} * b_t) for
+        t = 0..s-1 over the self-dual basis b, so the B_j bits of an element
+        times map j are the B_j bits of b_t times it, for every t."""
+        gf, b = self.gf, find_self_dual(self.gf)._codes
+        return self._stack(lambda B: B.decompose(gf.mul_arr(B._codes[:, None], b)).reshape(gf.s, -1))
+
+    def _stack(self, matrix_of) -> np.ndarray:
+        """float32 (n, ...): matrix_of(basis) for each qudit's basis, built
+        once per distinct basis."""
+        built = {basis: matrix_of(basis) for basis, _ in self.groups}
+        return np.stack([built[basis] for basis in self.bases], dtype=np.float32)
+
     def __getitem__(self, i: int) -> FieldBasis:
         return self.bases[i]
 

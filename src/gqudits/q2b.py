@@ -40,15 +40,19 @@ def expand_vector(assignment: BasisAssignment, V) -> np.ndarray:
     """D_B(V): expand component i in basis B_i; bits concatenated.
 
     V is an F_q vector (n,) or matrix (m, n); the result is (n*s,) or
-    (m, n*s).  The qudits of each distinct basis are decomposed in one call.
+    (m, n*s).  D_{B_i} is F_2-linear, so every qudit is one batched product
+    of its components' polynomial-basis bits with its map in assignment.maps.
     """
     V = np.asarray(V, dtype=np.int64)
     if V.ndim > 2 or V.shape[-1:] != (assignment.n,):
         raise DimensionMismatch(f"sites of shape {V.shape}, assignment has {assignment.n}")
-    out = np.empty(V.shape + (assignment.gf.s,), dtype=np.int64)
-    for basis, idx in assignment.groups:
-        out[..., idx, :] = basis.decompose(V[..., idx])
-    return out.reshape(V.shape[:-1] + (assignment.n * assignment.gf.s,))
+    n, s = assignment.n, assignment.gf.s
+    codes = assignment.gf.check_codes(V).reshape(-1, n).T
+    bits = ((codes[..., None] >> np.arange(s)) & 1).astype(np.float32)
+    # float32 is exact: each entry sums at most s <= 31 bit products
+    out = (bits @ assignment.maps).transpose(1, 0, 2).astype(np.int64, order="C")
+    out &= 1
+    return out.reshape(V.shape[:-1] + (n * s,))
 
 
 def expand_dual(assignment: BasisAssignment, W) -> np.ndarray:
@@ -58,12 +62,20 @@ def expand_dual(assignment: BasisAssignment, W) -> np.ndarray:
 
 def _expand_rows(assignment: BasisAssignment, rows, dualise: bool) -> np.ndarray:
     """(m*s, n*s) bits: D(b_t * rows[j]) for t = 0..s-1 over the self-dual
-    basis b, row by row; Z-type rows (dualise) expand through the dual bases."""
-    gf = assignment.gf
+    basis b, row by row; Z-type rows (dualise) expand through the dual bases.
+    D(b_t * eta) is F_2-linear in D(eta), so the rows are expanded once and
+    then scaled by one batched product with the assignment's scalings."""
     rows = linalg.as_matrix(rows, assignment.n)
-    enum = np.array(find_self_dual(gf).elements, dtype=np.int64)
-    scaled = gf.mul_arr(rows[:, None, :], enum[:, None]).reshape(-1, rows.shape[1])
-    return expand_dual(assignment, scaled) if dualise else expand_vector(assignment, scaled)
+    (m, n), s = rows.shape, assignment.gf.s
+    if dualise:
+        assignment = assignment.duals()
+    bits = expand_vector(assignment, rows).reshape(m, n, s).transpose(1, 0, 2).astype(np.float32)
+    # exact in float32 as in expand_vector; the parity is taken in int8 (the
+    # sums are at most 31) so the one int64 copy is the (m, t, n, s) result
+    out = (bits @ assignment.scalings).astype(np.int8)
+    out &= 1
+    out = out.reshape(n, m, s, s).transpose(1, 2, 0, 3).astype(np.int64, order="C")
+    return out.reshape(m * s, n * s)
 
 
 # -- code conversion ---------------------------------------------------------------

@@ -320,3 +320,42 @@ class TestAssignment:
         groups = [(b, idx.tolist()) for b, idx in A.groups]
         assert groups == [(B1, [0, 2, 4]), (B2, [1, 3])]
         assert A.groups is A.groups
+
+    @pytest.mark.parametrize("s", [1, 2, 4, 8])
+    def test_maps_and_scalings_are_the_linear_identities(self, s):
+        """D_B(eta) = bits(eta) C_B and D_B(b_t * eta) = D_B(eta) S_{B,b_t}
+        over F_2 on every qudit, for every element at s <= 4 and for random
+        ones at s = 8, with C_B = maps[j] and S_{B,b_t} the t-th block of
+        scalings[j]."""
+        gf = make_field(s)
+        rng = np.random.default_rng(29 + s)
+        pool = [random_basis(gf, rng) for _ in range(3)]
+        A = BasisAssignment([pool[int(i)] for i in rng.integers(0, 3, 7)])
+        assert A.maps.shape == (7, s, s) and A.scalings.shape == (7, s, s * s)
+        assert A.maps.dtype == A.scalings.dtype == np.float32
+        assert A.maps is A.maps and A.scalings is A.scalings
+        eta = np.arange(gf.q) if s <= 4 else rng.integers(0, gf.q, 64)
+        bits = (eta[:, None] >> np.arange(s)) & 1
+        for B, C, S in zip(A.bases, A.maps.astype(np.int64), A.scalings.astype(np.int64)):
+            coords = B.decompose(eta)
+            assert np.array_equal(bits @ C % 2, coords)
+            scaled = (coords @ S % 2).reshape(len(eta), s, s)
+            for t, b in enumerate(find_self_dual(gf).elements):
+                assert np.array_equal(scaled[:, t], B.decompose(gf.mul_arr(eta, b)))
+
+    def test_maps_built_once_per_distinct_basis(self, monkeypatch):
+        gf = make_field(3)
+        rng = np.random.default_rng(31)
+        B1, B2 = random_basis(gf, rng), polynomial_basis(gf)
+        A = BasisAssignment([B1, B2, B1, FieldBasis(gf, B2.elements), B1])
+        calls = []
+        decompose = FieldBasis.decompose
+
+        def counted(self, codes):
+            calls.append(self)
+            return decompose(self, codes)
+
+        monkeypatch.setattr(FieldBasis, "decompose", counted)
+        for _ in range(2):  # the second reading is cached
+            _ = A.maps, A.scalings
+            assert calls == [B1, B2, B1, B2]

@@ -1,5 +1,6 @@
 """Qudit-to-qubit conversion, measurement plans, and the decode pipeline."""
 
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -76,10 +77,39 @@ def coordinate_table(basis):
     return table
 
 
+def reduce_by(pivots, v, c=0):
+    """v reduced by (vector, combination) pivots with distinct leading bits,
+    highest first: v ^ pv < v exactly when v has the leading bit of pv."""
+    for pv, pc in pivots:
+        if v ^ pv < v:
+            v, c = v ^ pv, c ^ pc
+    return v, c
+
+
+@lru_cache(maxsize=None)
+def elimination_pivots(basis):
+    """The elements of basis reduced to distinct leading bits, each with the
+    set of elements (bit i for element i) XORed into it."""
+    pivots = []
+    for i, e in enumerate(basis.elements):
+        v, c = reduce_by(pivots, e, 1 << i)
+        assert v, "dependent basis"
+        pivots = sorted(pivots + [(v, c)], reverse=True)
+    return pivots
+
+
+def scalar_coordinates(basis, eta):
+    """Coordinates of eta in basis by scalar F_2 elimination on Python ints,
+    at any s (the subset table of coordinate_table stops at small s)."""
+    v, c = reduce_by(elimination_pivots(basis), int(eta))
+    assert v == 0
+    return [(c >> i) & 1 for i in range(len(basis.elements))]
+
+
 def reference_expand(bases, row):
     """Per-qudit scalar expansion of one F_q row through the given bases."""
     return np.array(
-        [bit for basis, eta in zip(bases, row) for bit in coordinate_table(basis)[int(eta)]],
+        [bit for basis, eta in zip(bases, row) for bit in scalar_coordinates(basis, eta)],
         dtype=np.int64,
     )
 
@@ -221,19 +251,59 @@ class TestExpansion:
             )
 
 
-    @pytest.mark.parametrize("s", [2, 3, 4])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_scalar_coordinates_match_the_subset_table(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(173 + s)
+        for B in (polynomial_basis(gf), *random_assignment(gf, 3, rng).bases):
+            for eta in gf.elements():
+                assert scalar_coordinates(B, eta) == coordinate_table(B)[eta]
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 8, 16, 31])
     def test_matrix_expansion_matches_scalar_reference(self, s):
         gf = make_field(s)
         rng = np.random.default_rng(181 + s)
-        for n in (1, 5, 9):
-            for A in (mixed_assignment(gf, n, rng), random_assignment(gf, n, rng)):
+        pools = [random_assignment(gf, 9, rng)]
+        if s > 1:  # F_2 has one basis, its own dual
+            pools.insert(0, mixed_assignment(gf, 9, rng))
+        # a dual basis at s = 31 costs ~0.2 s (scalar traces), so fewer there
+        for n in (1, 5, 9) if s < 31 else (1, 5):
+            for A in (BasisAssignment(pool.bases[:n]) for pool in pools):
                 V = rng.integers(0, gf.q, size=(6, n))
+                V = np.vstack([V, np.zeros(n, dtype=np.int64), np.full(n, gf.q - 1)])
                 X, Z = expand_vector(A, V), expand_dual(A, V)
-                assert X.shape == Z.shape == (6, n * s)
+                assert X.shape == Z.shape == (8, n * s)
                 for row, x, z in zip(V, X, Z):
                     assert np.array_equal(x, reference_expand(A.bases, row))
                     assert np.array_equal(z, reference_expand(A.duals().bases, row))
                     assert np.array_equal(expand_vector(A, row), x)
+                    assert np.array_equal(expand_dual(A, row), z)
+                assert expand_vector(A, V[:0]).shape == expand_dual(A, V[:0]).shape == (0, n * s)
+
+    @pytest.mark.parametrize("s", [1, 8, 16, 31])
+    @pytest.mark.parametrize("expand", [expand_vector, expand_dual])
+    def test_codes_outside_the_field_rejected(self, s, expand):
+        gf = make_field(s)
+        A = BasisAssignment.uniform(polynomial_basis(gf), 3)
+        for bad in (-1, gf.q):
+            with pytest.raises(InvalidFieldCode):
+                expand(A, [0, bad, 1])
+            with pytest.raises(InvalidFieldCode):
+                expand(A, [[0, 0, 0], [1, 0, bad]])
+
+    def test_scaled_rows_match_the_nested_loops_at_s8(self):
+        """_expand_rows, the expansion of every b_t * row, against the
+        row/element loop under a mixed assignment, zero and q-1 rows included."""
+        gf = make_field(8)
+        rng = np.random.default_rng(233)
+        A = mixed_assignment(gf, 10, rng)
+        rows = rng.integers(0, gf.q, size=(5, 10))
+        rows[0], rows[1] = 0, gf.q - 1
+        enum = find_self_dual(gf).elements
+        for dualise in (False, True):
+            got = q2b._expand_rows(A, rows, dualise)
+            assert np.array_equal(got, reference_rows(gf, A, rows, enum, dualise))
+            assert q2b._expand_rows(A, rows[:0], dualise).shape == (0, 80)
 
     def test_empty_matrix(self):
         gf = make_field(3)
@@ -292,7 +362,9 @@ class TestAgainstNestedLoops:
     """Conversion outputs against the row-by-row, element-by-element
     construction with a per-qudit scalar expansion."""
 
-    @pytest.mark.parametrize("s,n,k1,k2", [(2, 4, 1, 3), (3, 8, 2, 5), (4, 12, 3, 8)])
+    @pytest.mark.parametrize(
+        "s,n,k1,k2", [(2, 4, 1, 3), (3, 8, 2, 5), (4, 12, 3, 8), (8, 16, 5, 11)]
+    )
     def test_convert_plan_and_logicals(self, s, n, k1, k2):
         gf = make_field(s)
         rng = np.random.default_rng(191 + s)
@@ -316,6 +388,22 @@ class TestAgainstNestedLoops:
                 assert len(checks) == len(rows)
                 for row, group in zip(rows, checks):
                     assert np.array_equal(group, reference_rows(gf, A, [row], enum, dualise))
+
+    def test_mixed_assignment_golden(self):
+        """The alist bytes of a conversion under a mixed assignment, pinned
+        from the per-basis decompose loop that the batched maps replaced."""
+        gf = make_field(4)
+        code = make_qrs(gf, 16, 4, 11).css
+        A = mixed_assignment(gf, 16, np.random.default_rng(2022))
+        qubit = convert_code(code, A)
+        outputs = (qubit.hx, qubit.hz, *convert_logicals(code, A))
+        digests = [hashlib.sha256(export_alist(M).encode()).hexdigest() for M in outputs]
+        assert digests == [
+            "bb7cc5b85396c67980cb803613bc0d3105ed022067b942dc33c094c39876e791",  # hx
+            "f0f7394990a1e9a38302c46fd81f62580c4bb399b6b7b5668c98a12984e001e6",  # hz
+            "2b088e1a8c926b09c1c10ad86f649adee27b3deb0ee0077f4ab17b0ef6bc620d",  # z_space
+            "aa8a17d5cb8a5bd8271f60663a895128b607570ca670511c52982760126a3796",  # x_space
+        ]
 
     def test_enumeration_basis_spans_the_same_space(self):
         """b * row over any F_2-basis b spans F_q * row, so the polynomial
