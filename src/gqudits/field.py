@@ -9,10 +9,14 @@ e.g. 0b1011 = x^3 + x + 1 for F_8.
 Addition is XOR.  Multiplication is one carry-less kernel, ``GF._mul``, the
 same code for ints and int64 arrays; powers, inverses and the trace are built
 on it.  For s <= 16 its exp/log and trace tables are cached as lookups; zero
-has a log too (see _build_tables), so every product is one lookup.  Every
-public operation checks its codes; the kernels ``GF._prod`` and ``GF._inv``
-behind ``mul_arr`` and ``inv_arr`` take codes already checked, for callers
-that check once at their boundary (``grs.decode``).
+has a log too (see _build_tables), so every product is one lookup.  The
+scalar operations read Python-list copies of those tables, so a scalar
+product costs three list reads, not numpy scalar reads; at s = 16 the lists
+add ~9 MiB (the field holds ~12 MiB in all), at s <= 8 next to nothing.
+Every public operation checks its codes, the scalar ones before any list
+read (a negative index would wrap silently); the kernels ``GF._prod`` and ``GF._inv`` behind ``mul_arr`` and
+``inv_arr`` take codes already checked, for callers that check once at their
+boundary (the Chien search of ``grs.decode``).
 """
 
 from __future__ import annotations
@@ -138,6 +142,7 @@ class GF:
         self.q = 1 << s
         self.primitive = self._find_primitive()
         self._exp = self._log = self._tr = None  # the kernel's tables, s <= 16
+        self._exp_list = self._log_list = self._tr_list = None  # their list copies
         if s <= _TABLE_CAP:
             self._build_tables()
 
@@ -187,6 +192,8 @@ class GF:
         self._exp, self._log = exp, np.full(self.q, 2 * order + 1, dtype=np.int64)
         self._log[exp[:order]] = np.arange(order)
         self._tr = self._trace(np.arange(self.q, dtype=np.int64))
+        self._exp_list, self._log_list = exp.tolist(), self._log.tolist()
+        self._tr_list = self._tr.tolist()
 
     # -- identity ----------------------------------------------------------
 
@@ -227,8 +234,9 @@ class GF:
         if (a | b) >> self.s:  # a or b is negative or >= q
             self.check_code(a)
             self.check_code(b)
-        if self._exp is not None:
-            return int(self._exp[self._log[a] + self._log[b]])
+        if self._exp_list is not None:
+            log = self._log_list
+            return self._exp_list[log[a] + log[b]]
         return self._mul(a, b)
 
     def inv(self, a: int) -> int:
@@ -236,8 +244,8 @@ class GF:
             self.check_code(a)
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return int(self._exp[(self.q - 1) - self._log[a]])
+        if self._exp_list is not None:
+            return self._exp_list[(self.q - 1) - self._log_list[a]]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -265,8 +273,8 @@ class GF:
     def trace(self, a: int) -> int:
         if a >> self.s:
             self.check_code(a)
-        if self._tr is not None:
-            return int(self._tr[a])
+        if self._tr_list is not None:
+            return self._tr_list[a]
         return self._trace(a)
 
     # -- element iteration ---------------------------------------------------

@@ -6,10 +6,12 @@ monomial basis, low degree first.  Decoding takes the syndrome S = H . e
 (a QRS code's check rows are its decoders' H, so S is what its checks
 report) and corrects up to floor((n-k)/2) errors: Berlekamp-Massey finds the
 error locator, a Chien search over the evaluation points finds the error
-positions and Forney's formula gives the error values.  The Chien search
-and both of Forney's evaluations are each one gather from a cached table of
-point powers, one product and one XOR-reduction.  decode checks the syndrome
-once, then runs the field's unchecked kernels.
+positions and Forney's formula gives the error values.  decode checks the
+syndrome once.  Berlekamp-Massey and Forney's step work on a handful of
+elements (at most n - k syndromes, at most radius positions), so they run on
+Python ints through the scalar field ops; the Chien search stays vectorised,
+one gather from a cached table of point powers, one product and one
+XOR-reduction over all n points.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import xor
 
 import numpy as np
 
@@ -78,7 +81,7 @@ class GrsCode:
     @cached_property
     def powers(self) -> np.ndarray:
         """P[i, m] = alpha_i^m for m = 0..radius, with 0^0 = 1: the table
-        that the Chien search and Forney's formula gather from."""
+        that the Chien search gathers from."""
         return np.stack([self.gf.pow(self.alpha, m) for m in range(self.radius + 1)], axis=1)
 
 
@@ -145,23 +148,29 @@ def min_weight_codeword(c: GrsCode, roots, eta: int) -> np.ndarray:
     return reduce(c.gf.mul_arr, factors, c.gf.mul_arr(c.v, eta))
 
 
-def _berlekamp_massey(gf: GF, S: np.ndarray) -> tuple[np.ndarray, int]:
+def _berlekamp_massey(gf: GF, S: list[int]) -> tuple[list[int], int]:
     """Shortest register (Lambda, L) with Lambda_0 = 1 and sum_l Lambda_l
-    S_{j-l} = 0 for L <= j < len(S) (Massey 1969); S's codes are checked."""
-    N = S.size
-    lam = np.zeros(N + 1, dtype=np.int64)
-    lam[0] = 1
-    prev = lam.copy()
+    S_{j-l} = 0 for L <= j < len(S) (Massey 1969), on Python ints; S's codes
+    are checked.  Lambda has exactly L + 1 entries (its degree may be less)."""
+    mul = gf.mul
+    lam, prev = [1], [1]
     L, shift, prev_d = 0, 1, 1
-    for j in range(N):
-        d = int(S[j] ^ np.bitwise_xor.reduce(gf._prod(lam[1 : L + 1], S[j - L : j][::-1])))
+    for j, d in enumerate(S):
+        for l in range(1, L + 1):
+            d ^= mul(lam[l], S[j - l])
         if d:
-            old = lam.copy()
-            lam[shift:] ^= gf._prod(prev[: N + 1 - shift], gf.div(d, prev_d))
+            # lam - (d / prev_d) x^shift prev; x^shift prev has L + 1 entries at most,
+            # or exactly the new L + 1 when the register grows
+            scale = gf.div(d, prev_d)
+            new = lam + [0] * (shift + len(prev) - len(lam))
+            for i, p in enumerate(prev, shift):
+                if p:
+                    new[i] ^= mul(p, scale)
             if 2 * L <= j:
-                L, prev, prev_d, shift = j + 1 - L, old, d, 0
+                L, prev, prev_d, shift = j + 1 - L, lam, d, 0
+            lam = new
         shift += 1
-    return lam[: L + 1], L
+    return lam, L
 
 
 def decode(c: GrsCode, syndrome) -> np.ndarray:
@@ -183,7 +192,8 @@ def decode(c: GrsCode, syndrome) -> np.ndarray:
     if not syndrome.any():
         return error
 
-    lam, L = _berlekamp_massey(gf, syndrome)
+    S = syndrome.tolist()
+    lam, L = _berlekamp_massey(gf, S)
 
     def refusal(stage: str, message: str) -> DecodeFailure:
         return DecodeFailure(message, stage=stage, weight=L, radius=c.radius)
@@ -191,27 +201,34 @@ def decode(c: GrsCode, syndrome) -> np.ndarray:
     if L > c.radius:
         raise refusal("radius", f"error locator length {L} exceeds the radius {c.radius}")
     # Chien search: sigma(alpha_i) = sum_l Lambda_l alpha_i^(L-l)
-    pos = np.flatnonzero(np.bitwise_xor.reduce(gf._prod(c.powers[:, L::-1], lam), axis=1) == 0)
+    sigma = np.bitwise_xor.reduce(gf._prod(c.powers[:, L::-1], np.array(lam)), axis=1)
+    pos = np.flatnonzero(sigma == 0)
     if pos.size != L:
         raise refusal("split", "error locator does not split over the evaluation points")
 
     # Forney: Y_i = X_i Omega(1/X_i) / Lambda'(1/X_i) with Omega = S Lambda mod x^L, each
-    # read as X^(L-1) f(1/X) = sum_j f_j X^(L-1-j): the X^(L-1) cancel in the ratio.
-    X = c.alpha[pos]
-    nz = X != 0
-    lags = np.arange(L)[:, None] - np.arange(L + 1)[None, :]
-    toeplitz = np.where(lags >= 0, syndrome[np.maximum(lags, 0)], 0)
-    omega = np.bitwise_xor.reduce(gf._prod(toeplitz, lam), axis=1)
-    deriv = np.where(np.arange(L) % 2, 0, lam[1:])  # characteristic 2: odd terms only
-    num, den = np.bitwise_xor.reduce(
-        gf._prod(c.powers[pos[nz], None, L - 1 :: -1], np.stack([omega, deriv])), axis=2
-    ).T
-    values = np.zeros(L, dtype=np.int64)
-    values[nz] = gf._prod(X[nz], gf._prod(num, gf._inv(den)))
-    values[~nz] = syndrome[0] ^ np.bitwise_xor.reduce(values)
-    error[pos] = gf._prod(values, gf._inv(H[0, pos]))  # H[0] = w
+    # read as X^(L-1) f(1/X) = sum_j f_j X^(L-1-j) (Horner): the X^(L-1) cancel in the ratio.
+    mul = gf.mul
+    omega = [0] * L
+    for i in range(L):
+        for l in range(i + 1):
+            omega[i] ^= mul(S[i - l], lam[l])
+    deriv = [0 if i % 2 else lam[i + 1] for i in range(L)]  # characteristic 2: odd terms only
+    X = c.alpha[pos].tolist()
+    values = [0] * L
+    for i, x in enumerate(X):
+        if x:
+            num = den = 0
+            for w, dw in zip(omega, deriv):
+                num, den = mul(num, x) ^ w, mul(den, x) ^ dw
+            values[i] = mul(x, gf.div(num, den))
+    if 0 in X:
+        values[X.index(0)] = reduce(xor, values, S[0])
+    e = [gf.div(y, w) for y, w in zip(values, H[0, pos].tolist())]  # H[0] = w
+    error[pos] = e
 
-    if not np.array_equal(gf.matvec(H, error), syndrome):
+    # H . e == S, read on the support columns alone
+    if not np.array_equal(np.bitwise_xor.reduce(gf.mul_arr(H[:, pos], e), axis=1), syndrome):
         raise refusal("syndrome", "no error within the radius has this syndrome")
     return error
 

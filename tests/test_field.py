@@ -284,6 +284,57 @@ class TestScalarCodeValidation:
             gf.trace(np.int64(8))
 
 
+class TestListBackedScalars:
+    """mul, inv and trace read Python-list copies of the tables (s <= 16).
+    A list wraps a negative index silently, so the code guard must come first."""
+
+    @pytest.mark.parametrize("s", [1, 2, 8, 16, 17])  # table fields and a table-free one
+    def test_no_silent_wrap(self, s):
+        gf = make_field(s)
+        for bad in (-1, -gf.q, gf.q, 1 << 40):
+            calls = [
+                lambda: gf.mul(bad, 1),
+                lambda: gf.mul(1, bad),
+                lambda: gf.div(bad, 1),
+                lambda: gf.div(1, bad),
+                lambda: gf.inv(bad),
+                lambda: gf.trace(bad),
+                lambda: gf.frobenius(bad),
+            ]
+            for call in calls:
+                with pytest.raises(InvalidFieldCode):
+                    call()
+        with pytest.raises(DivisionByZero):
+            gf.inv(0)
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_match_the_kernel_on_every_pair(self, s):
+        gf = make_field(s)
+        codes = np.arange(gf.q, dtype=np.int64)
+        products = gf._mul(codes[:, None], codes[None, :]).tolist()
+        got = [[gf.mul(a, b) for b in range(gf.q)] for a in range(gf.q)]
+        assert got == products
+        assert all(type(x) is int for row in got for x in row)
+        inverses = [gf.inv(a) for a in range(1, gf.q)]
+        assert inverses == gf.pow(codes[1:], gf.q - 2).tolist()
+        traces = [gf.trace(a) for a in range(gf.q)]
+        assert traces == gf._trace(codes).tolist()
+        assert all(type(x) is int for x in inverses + traces)
+
+    def test_match_the_kernel_sampled_at_s16(self):
+        gf = make_field(16)
+        rng = np.random.default_rng(67)
+        a, b = rng.integers(0, gf.q, size=(2, 10_000))
+        got = [gf.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert got == gf._mul(a, b).tolist()
+        nz = a[a != 0]
+        inverses = [gf.inv(x) for x in nz.tolist()]
+        assert inverses == gf.pow(nz, gf.q - 2).tolist()
+        traces = [gf.trace(x) for x in a.tolist()]
+        assert traces == gf._trace(a).tolist()
+        assert all(type(x) is int for x in got + inverses + traces)
+
+
 class TestVectorisedCodeValidation:
     @pytest.mark.parametrize("s", [2, 17])  # a table field and a table-free one
     def test_mul_arr_rejects_codes_at_or_above_q(self, s):

@@ -519,6 +519,115 @@ class TestDecodeTableFree:
         assert refused > 0
 
 
+def reference_berlekamp_massey(gf, S):
+    """The vectorised register update that the scalar one replaced: every
+    step updates all N + 1 - shift entries with one array product."""
+    N = S.size
+    lam = np.zeros(N + 1, dtype=np.int64)
+    lam[0] = 1
+    prev = lam.copy()
+    L, shift, prev_d = 0, 1, 1
+    for j in range(N):
+        d = int(S[j] ^ np.bitwise_xor.reduce(gf._prod(lam[1 : L + 1], S[j - L : j][::-1])))
+        if d:
+            old = lam.copy()
+            lam[shift:] ^= gf._prod(prev[: N + 1 - shift], gf.div(d, prev_d))
+            if 2 * L <= j:
+                L, prev, prev_d, shift = j + 1 - L, old, d, 0
+        shift += 1
+    return lam[: L + 1], L
+
+
+def reference_decode(c, syndrome):
+    """decode with the vectorised Berlekamp-Massey and the vectorised Forney
+    step (a Toeplitz product for Omega, one gather from c.powers for both
+    evaluations), and the final check over all n columns."""
+    gf = c.gf
+    syndrome = np.asarray(syndrome, dtype=np.int64)
+    H = c.parity_check
+    error = np.zeros(c.n, dtype=np.int64)
+    if not syndrome.any():
+        return error
+    lam, L = reference_berlekamp_massey(gf, syndrome)
+    if L > c.radius:
+        raise DecodeFailure("radius", stage="radius", weight=L, radius=c.radius)
+    pos = np.flatnonzero(np.bitwise_xor.reduce(gf._prod(c.powers[:, L::-1], lam), axis=1) == 0)
+    if pos.size != L:
+        raise DecodeFailure("split", stage="split", weight=L, radius=c.radius)
+    X = c.alpha[pos]
+    nz = X != 0
+    lags = np.arange(L)[:, None] - np.arange(L + 1)[None, :]
+    toeplitz = np.where(lags >= 0, syndrome[np.maximum(lags, 0)], 0)
+    omega = np.bitwise_xor.reduce(gf._prod(toeplitz, lam), axis=1)
+    deriv = np.where(np.arange(L) % 2, 0, lam[1:])
+    num, den = np.bitwise_xor.reduce(
+        gf._prod(c.powers[pos[nz], None, L - 1 :: -1], np.stack([omega, deriv])), axis=2
+    ).T
+    values = np.zeros(L, dtype=np.int64)
+    values[nz] = gf._prod(X[nz], gf._prod(num, gf._inv(den)))
+    values[~nz] = syndrome[0] ^ np.bitwise_xor.reduce(values)
+    error[pos] = gf._prod(values, gf._inv(H[0, pos]))
+    if not np.array_equal(gf.matvec(H, error), syndrome):
+        raise DecodeFailure("syndrome", stage="syndrome", weight=L, radius=c.radius)
+    return error
+
+
+def outcome(decoder, code, syndrome):
+    """The decoded error as a list, or the stage of the refusal."""
+    try:
+        return decoder(code, syndrome).tolist()
+    except DecodeFailure as exc:
+        return exc.stage
+
+
+class TestScalarDecoderAgainstVectorised:
+    """The scalar Berlekamp-Massey and Forney step against the vectorised
+    ones they replaced, kept above as the reference: the same register
+    (Lambda, L), and the same error or the same refusal stage."""
+
+    @pytest.mark.parametrize(
+        "s,n,k", [(2, 4, 1), (3, 8, 2), (6, 40, 16), (8, 48, 20), (16, 24, 10), (20, 16, 6)]
+    )
+    def test_same_register_and_outcome(self, s, n, k):
+        gf = make_field(s)
+        rng = np.random.default_rng(311 + s)
+        alpha = np.concatenate([[0], 1 + rng.choice(gf.q - 1, size=n - 1, replace=False)])
+        code = GrsCode(gf, k, alpha, rng.integers(1, gf.q, size=n, dtype=np.int64))
+        H = code.parity_check
+        syndromes = [rng.integers(0, gf.q, size=n - k) for _ in range(12)]
+        for weight in range(min(code.radius + 3, n) + 1):
+            for trial in range(6):
+                err = np.zeros(n, dtype=np.int64)
+                pos = rng.choice(n, size=weight, replace=False)
+                if trial % 2 and weight and 0 not in pos:
+                    pos[0] = 0  # an error at the point alpha = 0
+                err[pos] = rng.integers(1, gf.q, size=weight)
+                syndromes.append(gf.matvec(H, err))
+        stages = set()
+        for S in syndromes:
+            lam, L = grs._berlekamp_massey(gf, S.tolist())
+            want_lam, want_L = reference_berlekamp_massey(gf, S)
+            assert (lam, L) == (want_lam.tolist(), want_L)
+            got = outcome(decode, code, S)
+            assert got == outcome(reference_decode, code, S)
+            stages.add(got if isinstance(got, str) else "decoded")
+        assert "decoded" in stages and stages & {"radius", "split"}
+
+    def test_table_free_decodes_finish(self):
+        """Over F_2^20 every scalar op runs the kernel on ints and every
+        inverse is a power: decodes up to the radius still come back exact."""
+        gf = make_field(20)
+        assert gf._exp is None
+        rng = np.random.default_rng(331)
+        alpha = np.concatenate([[0], 1 + rng.choice(gf.q - 1, size=15, replace=False)])
+        code = GrsCode(gf, 6, alpha, rng.integers(1, gf.q, size=16, dtype=np.int64))
+        for weight in range(code.radius + 1):
+            err = np.zeros(code.n, dtype=np.int64)
+            pos = rng.choice(code.n, size=weight, replace=False)
+            err[pos] = rng.integers(1, gf.q, size=weight)
+            assert np.array_equal(decode(code, gf.matvec(code.parity_check, err)), err)
+
+
 class TestFieldCodes:
     """Out-of-range element codes are refused, not wrapped or indexed."""
 
