@@ -111,10 +111,7 @@ def dual_basis(basis: FieldBasis) -> FieldBasis:
     gf = basis.gf
     s = gf.s
     # tr(eta_i * mu) is F_2-linear in the polynomial-basis bits of mu
-    T = np.zeros((s, s), dtype=np.int64)
-    for i, e in enumerate(basis.elements):
-        for b in range(s):
-            T[i, b] = gf.trace(gf.mul(e, 1 << b))
+    T = gf.trace_arr(gf.mul_arr(basis._codes[:, None], 1 << np.arange(s)))
     gf2 = make_field(1)
     R, X, pivots = linalg.rref_augmented(gf2, T, np.eye(s, dtype=np.int64))
     if len(pivots) != s:

@@ -3,10 +3,11 @@
 Gate matrices are dense and tiny.  Hierarchy levels come from one recursion:
 a Pauli multiple is at level 1, and any other gate is one level above the
 highest level among its conjugates of the single-site X/Z generators over a
-fixed F_2-basis.  Monomial gates (one unit-modulus non-zero per row and
-column: every Pauli, X, Z, mult, CNOT, CCZ, multi_cz, U_n, S, T and their
-pi_map images) run it on (perm, phase) pairs; any other gate (Hadamard, a
-general unitary) runs it on dense matrices, the reference for the monomial path.
+fixed F_2-basis.  Every node, root or not, takes the same rule: a monomial
+node (one unit-modulus non-zero per row and column, entries up to _PAULI_ATOL
+read as zero: every Pauli, X, Z, mult, CNOT, CCZ, multi_cz, U_n, S, T, their
+pi_map images and the Hadamard's conjugates) runs on its (perm, phase) pair;
+any other node (Hadamard, a general unitary) runs on its dense matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 from .bases import BasisAssignment, FieldBasis
 from .errors import DimensionMismatch, InvalidGate, NonUnitary, TooLarge
 from .field import GF, make_field
-from .oracle import DenseOperator, StateVector, _chi_matrix, all_digits, index_of, pauli_matrix
+from .oracle import (
+    DenseOperator, StateVector, _check_cap, _chi_matrix, all_digits, index_of, pauli_matrix,
+)
 from .pauli import PauliWord
 
 HIERARCHY_DIM_CAP = 1 << 9
@@ -41,8 +44,10 @@ def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
     Kinds: x(beta), z(gamma), hadamard, mult(delta), cnot, ccz(gamma),
     multi_cz(l, gamma), u_n(n, beta), s(gamma), t(gamma).  Every kind but
     hadamard is monomial and is scattered from its (perm, phase) action.
+    TooLarge for q^sites > oracle.DIM_CAP, before anything is built.
     """
     if kind == "hadamard":
+        _check_cap(gf, 1)
         op = DenseOperator(gf, 1, _chi_matrix(gf, 1) / np.sqrt(gf.q))
     else:
         op = DenseOperator.from_action(gf, *_monomial_action(gf, kind, params))
@@ -54,8 +59,10 @@ def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
 def _monomial_action(gf: GF, kind: str, params: dict) -> tuple[int, np.ndarray, np.ndarray | int]:
     """(sites, perm, phase) of a named monomial gate, which maps |j> to
     phase[j] |perm[j]> (a scalar phase for every j); params are consumed."""
-    q = gf.q
-    codes = np.arange(q, dtype=np.int64)
+    sites = int(_take(params, kind, "l")) if kind == "multi_cz" else {"cnot": 2, "ccz": 3}.get(kind, 1)
+    if sites < 2 and kind == "multi_cz":
+        raise InvalidGate(f"multi_cz needs l >= 2 sites, got {sites}")
+    codes = np.arange(_check_cap(gf, sites), dtype=np.int64)  # the kets, field codes at 1 site
     if kind == "x":
         return 1, codes ^ gf.check_code(_take(params, kind, "beta")), 1
     if kind in ("z", "s", "t"):
@@ -69,15 +76,11 @@ def _monomial_action(gf: GF, kind: str, params: dict) -> tuple[int, np.ndarray, 
             raise NonUnitary("multiplication by 0 is not unitary")
         return 1, gf.mul_arr(delta, codes), 1
     if kind == "cnot":
-        kets = np.arange(q * q, dtype=np.int64)  # e1 * q + e2 -> e1 * q + (e2 ^ e1)
-        return 2, kets ^ (kets >> gf.s), 1
+        return 2, codes ^ (codes >> gf.s), 1  # e1 * q + e2 -> e1 * q + (e2 ^ e1)
     if kind in ("ccz", "multi_cz"):
-        l = 3 if kind == "ccz" else int(_take(params, kind, "l"))
-        if kind == "multi_cz" and (not 2 <= l <= 4 or q > 4):
-            raise TooLarge("multi_cz supported for l <= 4 and q <= 4 only")
         gamma = gf.check_code(_take(params, kind, "gamma"))
-        prod = reduce(gf.mul_arr, all_digits(gf, l).T)
-        return l, np.arange(q**l, dtype=np.int64), 1 - 2 * gf.trace_arr(gf.mul_arr(gamma, prod))
+        prod = reduce(gf.mul_arr, all_digits(gf, sites).T)
+        return sites, codes, 1 - 2 * gf.trace_arr(gf.mul_arr(gamma, prod))
     if kind == "u_n":
         npow = int(_take(params, kind, "n"))
         beta = gf.check_code(_take(params, kind, "beta"))
@@ -93,9 +96,8 @@ def embed_single(gf: GF, n: int, site: int, U: DenseOperator) -> DenseOperator:
         raise DimensionMismatch("embed_single takes a 1-qudit operator")
     if not 0 <= site < n:
         raise DimensionMismatch(f"site {site} outside [0, {n})")
-    mat = np.eye(1, dtype=np.complex128)
-    for i in range(n):
-        mat = np.kron(mat, U.mat if i == site else np.eye(gf.q))
+    _check_cap(gf, n)
+    mat = np.kron(np.kron(np.eye(gf.q**site), U.mat), np.eye(gf.q ** (n - 1 - site)))
     return DenseOperator(gf, n, mat)
 
 
@@ -155,8 +157,9 @@ class HierarchyReport:
 def _monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(perm, phase) with mat|j> = phase[j] |perm[j]>, when every row and
     column of mat has exactly one non-zero and every |phase[j]| = 1 within
-    _PAULI_ATOL; None otherwise."""
-    nonzero = mat != 0
+    _PAULI_ATOL; None otherwise.  An entry with |x| <= _PAULI_ATOL counts as
+    zero, as float conjugates carry ~1e-17 where 1/sqrt(q) is inexact."""
+    nonzero = np.abs(mat) > _PAULI_ATOL
     if not (np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)):
         return None
     perm = np.argmax(nonzero, axis=0)
@@ -185,12 +188,17 @@ def _generator_actions(gf: GF, n: int) -> tuple[tuple[PauliWord, ...], np.ndarra
     return tuple(words), targets, phases
 
 
-def _dense_level(
-    gens: tuple, memo: dict, U: DenseOperator, cap: int
+def _level(
+    gens: tuple, memo: dict, U: DenseOperator, monomial: tuple | None, cap: int
 ) -> tuple[int, PauliWord | None]:
-    """Dense recursion for non-monomial U: its level, cap + 1 meaning above
-    cap, with the first generator whose conjugate sits one level below it;
-    memo maps (rounded matrix, cap) to the level."""
+    """Level of node U, cap + 1 meaning above cap, with the first generator
+    whose conjugate sits one level below it; monomial is _monomial(U.mat).  A
+    monomial node runs on (perm, phase); any other takes is_pauli_multiple and
+    passes its dense conjugates back through _level.  One memo serves both."""
+    if monomial is not None:
+        if _monomial_paulis(monomial[0][None], monomial[1][None])[0]:
+            return 1, None
+        return _monomial_level(gens, memo, *monomial, cap)
     key = (np.round(U.mat, 8).tobytes(), cap)  # tobytes is C order for any layout
     if key in memo:
         return memo[key], None
@@ -199,7 +207,7 @@ def _dense_level(
         adjoint = U.mat.conj().T
         for word, targets, phases in zip(*gens):
             conj = DenseOperator(U.gf, U.n, (U.mat[:, targets] * phases) @ adjoint)
-            below = _dense_level(gens, memo, conj, cap - 1)[0]
+            below = _level(gens, memo, conj, _monomial(conj.mat), cap - 1)[0]
             if below >= level:
                 level, witness = below + 1, word
                 if level > cap:
@@ -228,10 +236,10 @@ def _monomial_paulis(perms: np.ndarray, phases: np.ndarray) -> np.ndarray:
 def _monomial_level(
     gens: tuple, memo: dict, perm: np.ndarray, phase: np.ndarray, cap: int
 ) -> tuple[int, PauliWord | None]:
-    """Monomial recursion: the dense one on (perm, phase) pairs of non-Pauli
-    nodes.  Each node conjugates by every generator at once, M g M^dag
-    |perm[j]> = phase[t] g_phase[j] conj(phase[j]) |perm[t]> with t =
-    g_target[j], tests them all for level 1 in one _monomial_paulis call and
+    """The level rule on (perm, phase) pairs of non-Pauli monomial nodes.
+    Each node conjugates by every generator at once, M g M^dag |perm[j]> =
+    phase[t] g_phase[j] conj(phase[j]) |perm[t]> with t = g_target[j],
+    tests them all for level 1 in one _monomial_paulis call and
     recurses into the rest; memo keys are perm bytes, rounded phases and cap."""
     if cap == 1:
         return 2, None
@@ -264,9 +272,9 @@ def hierarchy_level(
     as the levels are nested.  The cap drops by one per step down and a node
     above its cap stops there; levels are memoised per cap.  The witness is
     the first generator, in a fixed order, whose conjugate sits one level
-    below U (None at levels 1 and 2).  A monomial U and its conjugates are
-    (perm, phase) pairs, so a conjugation and a level-1 test are O(d); any
-    other U (Hadamard, a general unitary) takes the dense reference recursion.
+    below U (None at levels 1 and 2).  At every node, a monomial one runs on
+    its (perm, phase) pair, so a conjugation and a level-1 test are O(d); any
+    other (Hadamard, a general unitary) takes the d^3 coefficient test.
     NonUnitary if U is not unitary.
     """
     if max_level < 1:
@@ -276,12 +284,7 @@ def hierarchy_level(
     monomial = _monomial(U.mat)  # one with unit phases is unitary
     if monomial is None and not U.is_unitary():
         raise NonUnitary(f"{gate_name} is not unitary: the hierarchy is defined on unitaries")
-    gens = _generator_actions(U.gf, U.n)
-    level, witness = 1, None
-    if monomial is None:
-        level, witness = _dense_level(gens, {}, U, max_level)
-    elif not _monomial_paulis(monomial[0][None], monomial[1][None])[0]:
-        level, witness = _monomial_level(gens, {}, *monomial, max_level)
+    level, witness = _level(_generator_actions(U.gf, U.n), {}, U, monomial, max_level)
     text = None if witness is None else witness.to_text()
     return HierarchyReport(gate_name, U.gf.q, max_level, None if level > max_level else level, text)
 

@@ -325,5 +325,5 @@ def _incidence(lists: list[list[int]], size: int, what: str) -> np.ndarray:
 
 
 def export_dense(M) -> str:
-    M = linalg.as_matrix(M)
+    M = make_field(1).check_codes(linalg.as_matrix(M))
     return "\n".join("".join(str(int(b)) for b in row) for row in M) + "\n"

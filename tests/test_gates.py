@@ -2,12 +2,13 @@
 qudit-to-qubit operator isomorphism."""
 
 import gc
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from gqudits import linalg, oracle
+from gqudits import gates, linalg, oracle
 from gqudits.bases import BasisAssignment, FieldBasis, find_self_dual, polynomial_basis
 from gqudits.errors import DimensionMismatch, FieldMismatch, InvalidGate, NonUnitary, TooLarge
 from gqudits.field import make_field
@@ -89,12 +90,38 @@ class TestBuildGate:
             build_gate(make_field(2), "toffoli")
 
     def test_multi_cz_bounds(self):
+        """One cap, q^l <= oracle.DIM_CAP, and l >= 2 sites."""
         gf = make_field(2)
         assert build_gate(gf, "multi_cz", l=4, gamma=1).dim == 256
+        assert build_gate(gf, "multi_cz", l=5, gamma=1).dim == 1024
+        assert build_gate(make_field(3), "multi_cz", l=2, gamma=1).dim == 64
         with pytest.raises(TooLarge):
-            build_gate(gf, "multi_cz", l=5, gamma=1)
+            build_gate(gf, "multi_cz", l=8, gamma=1)
         with pytest.raises(TooLarge):
-            build_gate(make_field(3), "multi_cz", l=2, gamma=1)
+            build_gate(make_field(3), "multi_cz", l=5, gamma=1)
+        for l in (1, 0, -2):
+            with pytest.raises(InvalidGate):
+                build_gate(gf, "multi_cz", l=l, gamma=1)
+
+    @pytest.mark.parametrize("s, build", [
+        (6, lambda gf: build_gate(gf, "ccz", gamma=1)),
+        (10, lambda gf: build_gate(gf, "cnot")),
+        (16, lambda gf: build_gate(gf, "hadamard")),
+        (16, lambda gf: build_gate(gf, "t", gamma=1)),
+        (2, lambda gf: embed_single(gf, 8, 0, build_gate(gf, "hadamard"))),
+    ], ids=["ccz@64", "cnot@1024", "hadamard@65536", "t@65536", "embed_single@4^8"])
+    def test_oversized_gates_refused_before_building(self, s, build):
+        """q^sites past oracle.DIM_CAP raises TooLarge with no d x d array:
+        these would ask for 1 TiB, 16 TiB, 32 GiB, 64 GiB and 64 GiB."""
+        gf = make_field(s)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                build(gf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_multi_cz_matches_ccz(self):
         gf = make_field(2)
@@ -532,6 +559,10 @@ class TestMonomialEngine:
             image = pi_map(random_assignment(U.n), U)
             assert _monomial(image.mat) is not None
             assert_matches_reference(image)
+        if s > 1:  # a dense image: the Hadamard's, whose conjugates are monomial
+            image = pi_map(random_assignment(1), build_gate(gf, "hadamard"))
+            assert _monomial(image.mat) is None
+            assert_matches_reference(image)
 
     @pytest.mark.parametrize("s, n", [(1, 2), (1, 3), (2, 1), (2, 2), (3, 1)])
     def test_random_monomials_match_dense_reference(self, s, n):
@@ -547,7 +578,7 @@ class TestMonomialEngine:
                 assert _monomial(mat) is not None
                 assert_matches_reference(DenseOperator(gf, n, mat))
 
-    @pytest.mark.parametrize("s, n", [(1, 2), (2, 1), (3, 1)])
+    @pytest.mark.parametrize("s, n", [(1, 2), (2, 1), (2, 2), (3, 1)])
     def test_non_monomial_take_dense_path(self, s, n):
         gf = make_field(s)
         rng = np.random.default_rng(97 + s)
@@ -563,6 +594,29 @@ class TestMonomialEngine:
         assert _monomial(scaled) is None
         with pytest.raises(NonUnitary):
             hierarchy_level(DenseOperator(gf, n, scaled), 4)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 6])
+    def test_hadamard_query_makes_one_coefficient_test(self, s, monkeypatch):
+        """Every conjugate of the Hadamard is a Pauli, read as monomial up to
+        the float residues of 1/sqrt(q): only the root takes is_pauli_multiple."""
+        calls = []
+        monkeypatch.setattr(gates, "is_pauli_multiple", lambda U: calls.append(U) or is_pauli_multiple(U))
+        rep = hierarchy_level(build_gate(make_field(s), "hadamard"), 4, "hadamard")
+        assert (rep.level, rep.witness, len(calls)) == (2, None, 1)
+
+    @pytest.mark.parametrize("s, n", [(1, 2), (2, 1)])
+    def test_zero_tolerance_matches_reference(self, s, n):
+        """A Pauli times a rotation of kets 0 and 1: at 1e-12 the off-support
+        entries read as zero (monomial, level 1), at 1e-6 the node is dense."""
+        gf = make_field(s)
+        P = pauli_matrix(PauliWord.from_vectors(gf, [1] * n, [gf.q - 1] * n)).mat
+        for angle, monomial in ((1e-12, True), (1e-6, False)):
+            rotation = np.eye(gf.q**n, dtype=np.complex128)
+            rotation[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+            U = DenseOperator(gf, n, P @ rotation)
+            assert (_monomial(U.mat) is not None) == monomial
+            assert (hierarchy_level(U, 1).level == 1) == monomial
+            assert_matches_reference(U)
 
     @pytest.mark.parametrize("s, n", [(1, 3), (2, 1), (2, 2), (3, 1)])
     def test_level_one_rule_matches_is_pauli_multiple(self, s, n):
@@ -653,14 +707,14 @@ class TestClosedFormLevels:
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_degree_rule(self, s):
-        """z, ccz and u_n (n < 2q) at q <= 8 and multi_cz at q <= 4, every
-        parameter code."""
+        """z, ccz, u_n (n < 2q) and multi_cz(l = 2) at q <= 8 and multi_cz(l =
+        3, 4) at q <= 4, every parameter code."""
         gf = make_field(s)
         codes = range(gf.q)
         cases = [(kind, {"gamma": c}) for kind in ("z", "ccz") for c in codes]
         cases += [("u_n", {"n": n, "beta": c}) for n in range(1, 2 * gf.q) for c in codes]
-        if gf.q <= 4:
-            cases += [("multi_cz", {"l": l, "gamma": c}) for l in (2, 3, 4) for c in codes]
+        ls = (2, 3, 4) if gf.q <= 4 else (2,)
+        cases += [("multi_cz", {"l": l, "gamma": c}) for l in ls for c in codes]
         for kind, params in cases:
             U = build_gate(gf, kind, **params)
             diagonal = U.mat.diagonal()

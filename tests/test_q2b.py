@@ -266,8 +266,7 @@ class TestExpansion:
         pools = [random_assignment(gf, 9, rng)]
         if s > 1:  # F_2 has one basis, its own dual
             pools.insert(0, mixed_assignment(gf, 9, rng))
-        # a dual basis at s = 31 costs ~0.2 s (scalar traces), so fewer there
-        for n in (1, 5, 9) if s < 31 else (1, 5):
+        for n in (1, 5, 9):
             for A in (BasisAssignment(pool.bases[:n]) for pool in pools):
                 V = rng.integers(0, gf.q, size=(6, n))
                 V = np.vstack([V, np.zeros(n, dtype=np.int64), np.full(n, gf.q - 1)])
@@ -1079,6 +1078,14 @@ class TestExports:
     def test_dense_export(self):
         M = np.array([[1, 0], [0, 1]])
         assert export_dense(M) == "10\n01\n"
+
+    @pytest.mark.parametrize("M", [[[2, 0], [-1, 1]], [[0, 2]], [[-1]]])
+    def test_dense_rejects_non_bits(self, M):
+        """The same boundary as export_alist: no entry outside {0, 1} prints."""
+        with pytest.raises(InvalidFieldCode):
+            export_alist(M)
+        with pytest.raises(InvalidFieldCode):
+            export_dense(M)
 
 
 GOOD_ALIST = "3 2\n2 2\n1 1 2\n2 2\n1 0\n2 0\n1 2\n1 3\n2 3\n"
