@@ -18,7 +18,8 @@ from .field import GF, make_field
 
 
 class FieldBasis:
-    """An ordered F_2-basis of F_q with a cached decomposition map."""
+    """An ordered F_2-basis of F_q and its read-only float32 coordinate
+    matrix C_B, whose row i is D_B(x^i)."""
 
     def __init__(self, gf: GF, elements):
         self.gf = gf
@@ -34,9 +35,9 @@ class FieldBasis:
         _, inv, pivots = linalg.rref_augmented(gf2, cols, np.eye(gf.s, dtype=np.int64))
         if len(pivots) != gf.s:
             raise DimensionMismatch(f"elements {self.elements} are F_2-dependent")
-        # coordinate j of eta is the parity of eta & _masks[j] (row j of inv)
-        self._masks = inv @ (1 << np.arange(gf.s, dtype=np.int64))
-        self._folds = [1 << j for j in reversed(range((gf.s - 1).bit_length()))]
+        # inv takes a column of polynomial-basis bits to its coordinates
+        self.coord_matrix = inv.T.astype(np.float32)
+        self.coord_matrix.setflags(write=False)
         self._dual: FieldBasis | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -58,13 +59,12 @@ class FieldBasis:
         """Coefficients c with eta = sum_i c_i eta_i, for every code at once.
 
         Takes one code or an array of them and returns shape (..., s): an
-        int gives one (s,) bit row, an (m, n) matrix gives (m, n, s).
+        int gives one (s,) bit row, an (m, n) matrix gives (m, n, s).  One
+        product bits(codes) C_B, exact in float32 as each sum has at most 31 bits.
         """
         codes = self.gf.check_codes(np.asarray(codes, dtype=np.int64))
-        x = codes[..., None] & self._masks
-        for k in self._folds:
-            x ^= x >> k
-        return x & 1
+        bits = ((codes[..., None] >> np.arange(self.gf.s)) & 1).astype(np.float32)
+        return (bits @ self.coord_matrix).astype(np.int64) & 1
 
     decompose_arr = decompose
 
@@ -178,19 +178,10 @@ class BasisAssignment:
         return self._duals
 
     @cached_property
-    def groups(self) -> tuple[tuple[FieldBasis, np.ndarray], ...]:
-        """(basis, qudit indices) per distinct basis, in order of first use."""
-        sites: dict[FieldBasis, list[int]] = {}
-        for i, b in enumerate(self.bases):
-            sites.setdefault(b, []).append(i)
-        return tuple((b, np.array(idx, dtype=np.int64)) for b, idx in sites.items())
-
-    @cached_property
     def maps(self) -> np.ndarray:
-        """float32 (n, s, s): row i of map j is D_{B_j}(x^i), so the
-        polynomial-basis bits of an element times map j are its B_j bits."""
-        powers = 1 << np.arange(self.gf.s, dtype=np.int64)
-        return self._stack(lambda basis: basis.decompose(powers))
+        """float32 (n, s, s): map j is C_{B_j}, so the polynomial-basis bits
+        of an element times map j are its B_j bits."""
+        return np.stack([basis.coord_matrix for basis in self.bases])
 
     @cached_property
     def scalings(self) -> np.ndarray:
@@ -198,13 +189,9 @@ class BasisAssignment:
         t = 0..s-1 over the self-dual basis b, so the B_j bits of an element
         times map j are the B_j bits of b_t times it, for every t."""
         gf, b = self.gf, find_self_dual(self.gf)._codes
-        return self._stack(lambda B: B.decompose(gf.mul_arr(B._codes[:, None], b)).reshape(gf.s, -1))
-
-    def _stack(self, matrix_of) -> np.ndarray:
-        """float32 (n, ...): matrix_of(basis) for each qudit's basis, built
-        once per distinct basis."""
-        built = {basis: matrix_of(basis) for basis, _ in self.groups}
-        return np.stack([built[basis] for basis in self.bases], dtype=np.float32)
+        distinct = dict.fromkeys(self.bases)  # in order of first use
+        built = {B: B.decompose(gf.mul_arr(B._codes[:, None], b)) for B in distinct}
+        return np.stack([built[B].reshape(gf.s, -1) for B in self.bases], dtype=np.float32)
 
     def __getitem__(self, i: int) -> FieldBasis:
         return self.bases[i]

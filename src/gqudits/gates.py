@@ -4,10 +4,11 @@ Gate matrices are dense and tiny.  Hierarchy levels come from one recursion:
 a Pauli multiple is at level 1, and any other gate is one level above the
 highest level among its conjugates of the single-site X/Z generators over a
 fixed F_2-basis.  Every node, root or not, takes the same rule: a monomial
-node (one unit-modulus non-zero per row and column, entries up to _PAULI_ATOL
-read as zero: every Pauli, X, Z, mult, CNOT, CCZ, multi_cz, U_n, S, T, their
-pi_map images and the Hadamard's conjugates) runs on its (perm, phase) pair;
-any other node (Hadamard, a general unitary) runs on its dense matrix.
+node (one unit-modulus non-zero per row and column, entries up to
+oracle.UNITARY_ATOL / 4 read as zero: every Pauli, X, Z, mult, CNOT, CCZ,
+multi_cz, U_n, S, T, their pi_map images and the Hadamard's conjugates) runs
+on its (perm, phase) pair; any other node (Hadamard, a general unitary) runs
+on its dense matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .bases import BasisAssignment, FieldBasis
 from .errors import DimensionMismatch, InvalidGate, NonUnitary, TooLarge
 from .field import GF, make_field
 from .oracle import (
-    DenseOperator, StateVector, _check_cap, _chi_matrix, all_digits, index_of, pauli_matrix,
+    UNITARY_ATOL, DenseOperator, StateVector, _check_cap, _check_entries, _chi_matrix,
+    all_digits, index_of, pauli_matrix,
 )
 from .pauli import PauliWord
 
@@ -44,10 +46,11 @@ def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
     Kinds: x(beta), z(gamma), hadamard, mult(delta), cnot, ccz(gamma),
     multi_cz(l, gamma), u_n(n, beta), s(gamma), t(gamma).  Every kind but
     hadamard is monomial and is scattered from its (perm, phase) action.
-    TooLarge for q^sites > oracle.DIM_CAP, before anything is built.
+    TooLarge for q^sites > oracle.DIM_CAP or a matrix of more than
+    oracle.SECTOR_CAP entries, before the matrix is built.
     """
     if kind == "hadamard":
-        _check_cap(gf, 1)
+        _check_entries(_check_cap(gf, 1) ** 2)
         op = DenseOperator(gf, 1, _chi_matrix(gf, 1) / np.sqrt(gf.q))
     else:
         op = DenseOperator.from_action(gf, *_monomial_action(gf, kind, params))
@@ -96,7 +99,7 @@ def embed_single(gf: GF, n: int, site: int, U: DenseOperator) -> DenseOperator:
         raise DimensionMismatch("embed_single takes a 1-qudit operator")
     if not 0 <= site < n:
         raise DimensionMismatch(f"site {site} outside [0, {n})")
-    _check_cap(gf, n)
+    _check_entries(_check_cap(gf, n) ** 2)
     mat = np.kron(np.kron(np.eye(gf.q**site), U.mat), np.eye(gf.q ** (n - 1 - site)))
     return DenseOperator(gf, n, mat)
 
@@ -157,14 +160,18 @@ class HierarchyReport:
 def _monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(perm, phase) with mat|j> = phase[j] |perm[j]>, when every row and
     column of mat has exactly one non-zero and every |phase[j]| = 1 within
-    _PAULI_ATOL; None otherwise.  An entry with |x| <= _PAULI_ATOL counts as
-    zero, as float conjugates carry ~1e-17 where 1/sqrt(q) is inexact."""
-    nonzero = np.abs(mat) > _PAULI_ATOL
+    tol = UNITARY_ATOL / 4; None otherwise.  An entry with |x| <= tol counts
+    as zero, as float conjugates carry ~1e-17 where 1/sqrt(q) is inexact.
+    The entries so dropped put at most 2 tol (1 + tol) + d tol^2, below
+    UNITARY_ATOL for any d < 10^10, off the diagonal of mat^dag mat, so every
+    matrix read here passes DenseOperator.is_unitary."""
+    tol = UNITARY_ATOL / 4
+    nonzero = np.abs(mat) > tol
     if not (np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1)):
         return None
     perm = np.argmax(nonzero, axis=0)
     phase = mat[perm, np.arange(perm.size)]
-    if np.max(np.abs(np.abs(phase) - 1.0)) > _PAULI_ATOL:
+    if np.max(np.abs(np.abs(phase) - 1.0)) > tol:
         return None
     return perm, phase
 
@@ -275,13 +282,13 @@ def hierarchy_level(
     below U (None at levels 1 and 2).  At every node, a monomial one runs on
     its (perm, phase) pair, so a conjugation and a level-1 test are O(d); any
     other (Hadamard, a general unitary) takes the d^3 coefficient test.
-    NonUnitary if U is not unitary.
+    NonUnitary if U fails is_unitary, a d^3 product that a monomial U skips.
     """
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
     if U.dim > HIERARCHY_DIM_CAP:
         raise TooLarge(f"dimension {U.dim} exceeds cap {HIERARCHY_DIM_CAP}")
-    monomial = _monomial(U.mat)  # one with unit phases is unitary
+    monomial = _monomial(U.mat)  # one that _monomial reads passes is_unitary
     if monomial is None and not U.is_unitary():
         raise NonUnitary(f"{gate_name} is not unitary: the hierarchy is defined on unitaries")
     level, witness = _level(_generator_actions(U.gf, U.n), {}, U, monomial, max_level)
@@ -310,10 +317,8 @@ def _as_assignment(bases, gf: GF, n: int) -> BasisAssignment:
 def qubit_permutation(assignment: BasisAssignment) -> np.ndarray:
     """perm[qudit index] = qubit index under the blockwise decomposition."""
     digits = all_digits(assignment.gf, assignment.n)
-    bits = np.empty(digits.shape + (assignment.gf.s,), dtype=np.int64)
-    for basis, idx in assignment.groups:
-        bits[:, idx, :] = basis.decompose_arr(digits[:, idx])
-    return index_of(make_field(1), bits.reshape(digits.shape[0], -1))
+    bits = [basis.decompose_arr(digits[:, i]) for i, basis in enumerate(assignment.bases)]
+    return index_of(make_field(1), np.concatenate(bits, axis=1))
 
 
 def phi_map(bases, psi: StateVector) -> StateVector:

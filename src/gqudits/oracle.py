@@ -28,8 +28,9 @@ if TYPE_CHECKING:
     from .tableau import CssTableau
 
 ATOL = 1e-8
+UNITARY_ATOL = 1e-10  # off the diagonal of U^dag U; gates._monomial reads zero under it
 DIM_CAP = 1 << 14
-SECTOR_CAP = 1 << 22  # entries of one (q, d, ...) sector stack: 64 MiB of complex128
+SECTOR_CAP = 1 << 22  # entries of a sector stack or dense operator: 64 MiB of complex128
 
 
 class NotEigenstate:
@@ -81,6 +82,7 @@ class DenseOperator:
     @classmethod
     def from_action(cls, gf: GF, n: int, targets: np.ndarray, phases) -> "DenseOperator":
         """The monomial operator mapping |u> to phases[u] |targets[u]>."""
+        _check_entries(targets.size**2)
         mat = np.zeros((targets.size, targets.size), dtype=np.complex128)
         mat[targets, np.arange(targets.size)] = phases
         return cls(gf, n, mat)
@@ -91,7 +93,7 @@ class DenseOperator:
 
     def is_unitary(self) -> bool:
         d = self.dim
-        return bool(np.allclose(self.mat.conj().T @ self.mat, np.eye(d), atol=1e-10))
+        return bool(np.allclose(self.mat.conj().T @ self.mat, np.eye(d), atol=UNITARY_ATOL))
 
     def apply(self, psi: StateVector) -> StateVector:
         if psi.gf != self.gf or psi.n != self.n:
@@ -170,10 +172,10 @@ def _apply_powers(P: PauliWord, mus, amps: np.ndarray) -> np.ndarray:
     return moved[np.arange(len(targets))[:, None], targets]
 
 
-def _check_sector_cap(gf: GF, size: int) -> None:
-    """TooLarge for a stack of q sectors of size entries each beyond SECTOR_CAP."""
-    if gf.q * size > SECTOR_CAP:
-        raise TooLarge(f"{gf.q * size} sector entries exceed cap {SECTOR_CAP}")
+def _check_entries(count: int) -> None:
+    """TooLarge, before it is built, for an array of more than SECTOR_CAP entries."""
+    if count > SECTOR_CAP:
+        raise TooLarge(f"{count} entries exceed cap {SECTOR_CAP}")
 
 
 def _sectors(P: PauliWord, amps: np.ndarray) -> np.ndarray:
@@ -181,7 +183,7 @@ def _sectors(P: PauliWord, amps: np.ndarray) -> np.ndarray:
     P^mu; the callers check that P is measurable.  TooLarge, before anything
     is built, for a stack of more than SECTOR_CAP entries."""
     gf = P.gf
-    _check_sector_cap(gf, amps.size)
+    _check_entries(gf.q * amps.size)
     return np.tensordot(_chi_matrix(gf, 1), _apply_powers(P, gf.elements(), amps), axes=1) / gf.q
 
 
@@ -195,7 +197,7 @@ def projectors(P: PauliWord) -> list[np.ndarray]:
     """The q syndrome projectors Pi_eta, the sectors of the identity."""
     P.require_pure()
     d = _check_cap(P.gf, P.n)
-    _check_sector_cap(P.gf, d * d)  # before the identity is built
+    _check_entries(P.gf.q * d * d)  # before the identity is built
     return list(_sectors(P, np.eye(d, dtype=np.complex128)))
 
 

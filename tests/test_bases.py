@@ -77,8 +77,10 @@ class TestDecompose:
         for eta in range(8):
             assert np.array_equal(arr[eta], B.decompose(eta))
 
-    @pytest.mark.parametrize("s", [1, 4, 8, 17])
+    @pytest.mark.parametrize("s", [1, 4, 8, 17, 31])
     def test_matrix_input_matches_scalar(self, s):
+        """Also at s = 31, where each float32 sum of bits(codes) C_B reaches
+        31 terms."""
         gf = make_field(s)
         rng = np.random.default_rng(13 + s)
         B = random_basis(gf, rng)
@@ -312,15 +314,6 @@ class TestAssignment:
         assert A.duals() is A.duals()
         assert A.duals().duals() is A
 
-    def test_groups_partition_qudits_by_basis(self):
-        gf = make_field(3)
-        rng = np.random.default_rng(17)
-        B1, B2 = random_basis(gf, rng), polynomial_basis(gf)
-        A = BasisAssignment([B1, B2, B1, FieldBasis(gf, B2.elements), B1])
-        groups = [(b, idx.tolist()) for b, idx in A.groups]
-        assert groups == [(B1, [0, 2, 4]), (B2, [1, 3])]
-        assert A.groups is A.groups
-
     @pytest.mark.parametrize("s", [1, 2, 4, 8])
     def test_maps_and_scalings_are_the_linear_identities(self, s):
         """D_B(eta) = bits(eta) C_B and D_B(b_t * eta) = D_B(eta) S_{B,b_t}
@@ -356,6 +349,8 @@ class TestAssignment:
             return decompose(self, codes)
 
         monkeypatch.setattr(FieldBasis, "decompose", counted)
+        _ = A.maps
+        assert calls == []  # the stack of each qudit's C_B
         for _ in range(2):  # the second reading is cached
             _ = A.maps, A.scalings
-            assert calls == [B1, B2, B1, B2]
+            assert calls == [B1, B2]

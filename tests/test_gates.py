@@ -109,10 +109,17 @@ class TestBuildGate:
         (16, lambda gf: build_gate(gf, "hadamard")),
         (16, lambda gf: build_gate(gf, "t", gamma=1)),
         (2, lambda gf: embed_single(gf, 8, 0, build_gate(gf, "hadamard"))),
-    ], ids=["ccz@64", "cnot@1024", "hadamard@65536", "t@65536", "embed_single@4^8"])
+        (2, lambda gf: build_gate(gf, "multi_cz", l=7, gamma=1)),
+        (2, lambda gf: embed_single(gf, 7, 0, build_gate(gf, "hadamard"))),
+        (12, lambda gf: build_gate(gf, "hadamard")),
+        (12, lambda gf: build_gate(gf, "t", gamma=1)),
+    ], ids=["ccz@64", "cnot@1024", "hadamard@65536", "t@65536", "embed_single@4^8",
+            "multi_cz7@4", "embed_single@4^7", "hadamard@4096", "t@4096"])
     def test_oversized_gates_refused_before_building(self, s, build):
-        """q^sites past oracle.DIM_CAP raises TooLarge with no d x d array:
-        these would ask for 1 TiB, 16 TiB, 32 GiB, 64 GiB and 64 GiB."""
+        """q^sites past oracle.DIM_CAP, or a d x d matrix past
+        oracle.SECTOR_CAP entries, raises TooLarge with no d x d array: these
+        would ask for 1 TiB, 16 TiB, 32 GiB, 64 GiB, 64 GiB, then 4 GiB,
+        4 GiB, 256 MiB and 256 MiB."""
         gf = make_field(s)
         tracemalloc.start()
         try:
@@ -617,6 +624,29 @@ class TestMonomialEngine:
             assert (_monomial(U.mat) is not None) == monomial
             assert (hierarchy_level(U, 1).level == 1) == monomial
             assert_matches_reference(U)
+
+    @pytest.mark.parametrize("extra, scale, read, unitary", [
+        ([5e-9], 1.0, False, False), ([], 1 + 5e-9, False, True),
+        ([9e-11, 9e-11], 1.0, False, False), ([2e-11, 2e-11], 1.0, True, True),
+    ], ids=["extra-5e-9", "phase-1+5e-9", "two-extras-9e-11", "two-extras-2e-11"])
+    def test_root_unitarity_is_one_rule(self, extra, scale, read, unitary):
+        """X at q = 4 with off-support entries on its diagonal or one phase
+        scaled: hierarchy_level raises NonUnitary exactly when is_unitary
+        fails.  Two entries of 9e-11 put 1.8e-10 off the diagonal of U^dag U,
+        past is_unitary's 1e-10, so _monomial must not read them as zero; two
+        of 2e-11 it does read as zero, and that matrix is unitary."""
+        gf = make_field(2)
+        mat = build_gate(gf, "x", beta=1).mat
+        mat[:, 0] *= scale
+        for k, entry in enumerate(extra):
+            mat[k, k] = entry
+        U = DenseOperator(gf, 1, mat)
+        assert (_monomial(mat) is not None, U.is_unitary()) == (read, unitary)
+        if unitary:
+            assert hierarchy_level(U, 4).level == 1
+        else:
+            with pytest.raises(NonUnitary):
+                hierarchy_level(U, 4)
 
     @pytest.mark.parametrize("s, n", [(1, 3), (2, 1), (2, 2), (3, 1)])
     def test_level_one_rule_matches_is_pauli_multiple(self, s, n):

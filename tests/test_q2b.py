@@ -41,17 +41,14 @@ from gqudits.q2b import (
 
 def lift_vector(assignment, bits):
     """Inverse of expand_vector: (n*s,) bits give (n,) codes and (m, n*s)
-    bits give (m, n).  The qudits of each distinct basis are recomposed in
-    one call."""
+    bits give (m, n), recomposed site by site in the site's basis."""
     bits = np.asarray(bits, dtype=np.int64)
     n, s = assignment.n, assignment.gf.s
     if bits.ndim > 2 or bits.shape[-1:] != (n * s,):
         raise DimensionMismatch(f"bits of shape {bits.shape}, assignment needs {n * s} per row")
     blocks = bits.reshape(bits.shape[:-1] + (n, s))
-    out = np.empty(blocks.shape[:-1], dtype=np.int64)
-    for basis, idx in assignment.groups:
-        out[..., idx] = basis.recompose(blocks[..., idx, :])
-    return out
+    sites = [B.recompose(blocks[..., i, :]) for i, B in enumerate(assignment.bases)]
+    return np.stack(sites, axis=-1)
 
 
 def lift_dual(assignment, bits):
