@@ -13,10 +13,15 @@ has a log too (see _build_tables), so every product is one lookup.  The
 scalar operations read Python-list copies of those tables, so a scalar
 product costs three list reads, not numpy scalar reads; at s = 16 the lists
 add ~9 MiB (the field holds ~12 MiB in all), at s <= 8 next to nothing.
+``GF.matmul`` is the one F_q contraction (inner products, matrix-vector
+and matrix-matrix products alike): numpy's @ shapes (m,k)@(k,n), (m,k)@(k,),
+(k,)@(k,n) and (k,)@(k,), as one broadcast ``mul_arr`` and one XOR over k.
+
 Every public operation checks its codes, the scalar ones before any list
-read (a negative index would wrap silently); the kernels ``GF._prod`` and ``GF._inv`` behind ``mul_arr`` and
-``inv_arr`` take codes already checked, for callers that check once at their
-boundary (the Chien search of ``grs.decode``).
+read (a negative index would wrap silently); the kernels ``GF._prod`` and
+``GF._inv`` behind ``mul_arr`` and ``inv_arr`` take codes already checked,
+for callers that check once at their boundary (the Chien search of
+``grs.decode``).
 """
 
 from __future__ import annotations
@@ -319,30 +324,18 @@ class GF:
             return self._trace(a)
         return self._tr[a]
 
-    def dot(self, u, v) -> int:
-        """F_q inner product of two equal-length code vectors."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape:
-            raise DimensionMismatch(f"dot of shapes {u.shape} and {v.shape}")
-        return int(np.bitwise_xor.reduce(self.mul_arr(u, v)))
-
-    def matvec(self, M, v) -> np.ndarray:
-        M = np.asarray(M, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if M.ndim != 2 or M.shape[1:] != v.shape:
-            raise DimensionMismatch(f"matvec of shapes {M.shape} and {v.shape}")
-        return np.bitwise_xor.reduce(self.mul_arr(M, v[None, :]), axis=1)
-
     def matmul(self, A, B) -> np.ndarray:
+        """A @ B over F_q for 1-D or 2-D code arrays in the shapes of numpy's @;
+        (k,)@(k,) gives a numpy integer.  Any other shape raises
+        DimensionMismatch.  One checked broadcast mul_arr, then one XOR over k,
+        so k = 0 gives zeros."""
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
-        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        if A.ndim not in (1, 2) or B.ndim not in (1, 2) or A.shape[-1] != B.shape[0]:
             raise DimensionMismatch(f"matmul of shapes {A.shape} and {B.shape}")
-        out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-        for k in range(A.shape[1]):
-            out ^= self.mul_arr(A[:, k : k + 1], B[k : k + 1, :])
-        return out
+        if B.ndim == 2:
+            A = A[..., None]  # k on the second-to-last axis, next to B's columns
+        return np.bitwise_xor.reduce(self.mul_arr(A, B), axis=-B.ndim)
 
 
 @lru_cache(maxsize=None)

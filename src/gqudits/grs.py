@@ -100,7 +100,7 @@ def encode(c: GrsCode, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1)
     if coeffs.size != c.k:
         raise DimensionMismatch(f"message needs {c.k} coefficients, got {coeffs.size}")
-    return c.gf.matvec(generator_matrix(c).T, coeffs)
+    return c.gf.matmul(coeffs, generator_matrix(c))
 
 
 def dual_multipliers(gf: GF, alpha, v) -> np.ndarray:
@@ -228,7 +228,7 @@ def decode(c: GrsCode, syndrome) -> np.ndarray:
     error[pos] = e
 
     # H . e == S, read on the support columns alone
-    if not np.array_equal(np.bitwise_xor.reduce(gf.mul_arr(H[:, pos], e), axis=1), syndrome):
+    if not np.array_equal(gf.matmul(H[:, pos], e), syndrome):
         raise refusal("syndrome", "no error within the radius has this syndrome")
     return error
 

@@ -154,7 +154,7 @@ def _power_actions(P: PauliWord, mus) -> tuple[np.ndarray, np.ndarray]:
     targets = np.arange(d, dtype=np.int64) ^ index_of(gf, gf.mul_arr(mus, P.x_array))[:, None]
     if not any(P.zvec):
         return targets, np.full(targets.shape, P.sign, dtype=np.int64)
-    zu = gf.matvec(all_digits(gf, P.n), P.z_array)
+    zu = gf.matmul(all_digits(gf, P.n), P.z_array)
     return targets, P.sign * (1 - 2 * gf.trace_arr(gf.mul_arr(mus, zu)))
 
 
@@ -226,7 +226,7 @@ def stabiliser_state(t: "CssTableau") -> StateVector:
     coeffs = all_digits(gf, t.m_x)
     kets = index_of(gf, gf.matmul(coeffs, t.xrows) ^ x0)
     amps = np.zeros(d, dtype=np.int64)
-    amps[kets] = 1 - 2 * gf.trace_arr(gf.matvec(coeffs, t.xsyn))
+    amps[kets] = 1 - 2 * gf.trace_arr(gf.matmul(coeffs, t.xsyn))
 
     _verify_eigen_equations(t, amps)
     vec = amps.astype(np.complex128)

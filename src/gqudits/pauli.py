@@ -94,7 +94,7 @@ class PauliWord:
         """Canonical-form product; moving Z^z past X^x costs (-1)^tr(z . x)."""
         self._check_shape(other)
         gf = self.gf
-        reorder = gf.trace(gf.dot(self.z_array, other.x_array))
+        reorder = gf.trace(int(gf.matmul(self.z_array, other.x_array)))
         sign = self.sign * other.sign * (-1 if reorder else 1)
         xvec = tuple(a ^ b for a, b in zip(self.xvec, other.xvec))
         zvec = tuple(a ^ b for a, b in zip(self.zvec, other.zvec))
@@ -105,10 +105,8 @@ class PauliWord:
     def commutes(self, other: "PauliWord") -> bool:
         self._check_shape(other)
         gf = self.gf
-        t = gf.trace(gf.dot(self.x_array, other.z_array)) ^ gf.trace(
-            gf.dot(other.x_array, self.z_array)
-        )
-        return t == 0
+        form = gf.matmul(self.x_array, other.z_array) ^ gf.matmul(other.x_array, self.z_array)
+        return gf.trace(int(form)) == 0  # tr is F_2-linear: tr(x.z') + tr(x'.z)
 
     def power(self, mu: int) -> "PauliWord":
         """Every exponent scaled by mu; defined for unsigned pure-type words."""

@@ -213,8 +213,8 @@ def _measured(t: CssTableau, P: PauliWord) -> tuple[str, np.ndarray, np.ndarray,
         raise DimensionMismatch("word and tableau live on different systems")
     block, w = ("z", P.z_array) if any(P.zvec) else ("x", P.x_array)  # the identity word is "x"
     same, opp = (t.z, t.x) if block == "z" else (t.x, t.z)
-    dots = t.gf.matvec(opp[:, :-1], w)
-    det = None if np.any(dots) else t.gf.dot(w, linalg.solve(t.gf, same[:, :-1], same[:, -1]))
+    dots = t.gf.matmul(opp[:, :-1], w)
+    det = None if np.any(dots) else int(t.gf.matmul(w, linalg.solve(t.gf, same[:, :-1], same[:, -1])))
     return block, w, dots, det
 
 

@@ -468,12 +468,11 @@ def criterion_qrs(seed: int = 0) -> tuple[bool, str]:
     if (p.d_x, p.d_z) != (qrs.d_x_formula, qrs.d_z_formula):
         return _fail("enumerated distances disagree with the closed forms")
     assignment = q2b_mod.default_assignment(gf, 8)
-    qubit = q2b_mod.convert_code(qrs.css, assignment)
+    plan = q2b_mod.make_plan(qrs.css, assignment)  # the converted qubit code
     gf2 = make_field(1)
-    rx, rz = linalg.rank(gf2, qubit.hx), linalg.rank(gf2, qubit.hz)
-    if qubit.ns != 24 or rx != 6 or rz != 9 or qubit.k != 9:
-        return _fail(f"conversion gave [[{qubit.ns},{qubit.k}]] with ranks ({rx},{rz})")
-    plan = q2b_mod.make_plan(qrs.css, assignment)
+    rx, rz = linalg.rank(gf2, plan.hx), linalg.rank(gf2, plan.hz)
+    if plan.ns != 24 or rx != 6 or rz != 9 or plan.k != 9:
+        return _fail(f"conversion gave [[{plan.ns},{plan.k}]] with ranks ({rx},{rz})")
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         kind = "Z" if rng.integers(0, 2) else "X"

@@ -293,10 +293,10 @@ class TestLogicalSpaces:
         code = make_qrs(gf, 8, 2, 5).css
         z, x = logical_spaces(code)
         for row in z:  # in L_X^perp but outside L_Z
-            assert not np.any(gf.matvec(code.gx, row))
+            assert not np.any(gf.matmul(code.gx, row))
             assert not in_row_space(gf, code.gz, row)
         for row in x:
-            assert not np.any(gf.matvec(code.gz, row))
+            assert not np.any(gf.matmul(code.gz, row))
             assert not in_row_space(gf, code.gx, row)
 
 

@@ -351,8 +351,8 @@ class TestVectorisedCodeValidation:
                 with pytest.raises(InvalidFieldCode):
                     gf.mul_arr(a, b)
             for call in (
-                lambda: gf.dot([1, bad], [1, 1]),
-                lambda: gf.matvec([[1, 0], [0, 1]], [bad, 1]),
+                lambda: gf.matmul([1, bad], [1, 1]),
+                lambda: gf.matmul([[1, 0], [0, 1]], [bad, 1]),
                 lambda: gf.matmul([[1, bad]], [[1], [0]]),
             ):
                 with pytest.raises(InvalidFieldCode):
@@ -415,25 +415,47 @@ class TestKernel:
     @pytest.mark.parametrize("s", [2, 17])
     def test_products_of_empty_inputs(self, s):
         gf = make_field(s)
-        assert gf.dot([], []) == 0
-        assert np.array_equal(gf.matvec(np.zeros((3, 0), dtype=np.int64), []), np.zeros(3))
-        assert gf.matvec(np.zeros((0, 4), dtype=np.int64), [1, 2, 3, 0]).shape == (0,)
+        assert gf.matmul([], []) == 0
+        assert np.array_equal(gf.matmul(np.zeros((3, 0), dtype=np.int64), []), np.zeros(3))
+        assert gf.matmul(np.zeros((0, 4), dtype=np.int64), [1, 2, 3, 0]).shape == (0,)
         assert gf.matmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 5))).shape == (2, 5)
 
     @pytest.mark.parametrize("s", [2, 17])
     @pytest.mark.parametrize(
         "op, a, b",
         [
-            ("matmul", (2, 2), (3, 2)),  # numpy alone ignores B's third row
-            ("matvec", (2, 3), (1,)),  # numpy alone broadcasts the one entry
-            ("matmul", (2, 3), (2, 2)),  # numpy alone raises a bare ValueError
-            ("dot", (2,), (1,)),
+            ("matmul", (2, 2), (3, 2)),  # the broadcast alone raises a bare ValueError
+            ("matvec", (2, 3), (1,)),  # the broadcast alone repeats the one entry
+            ("matmul", (2, 3), (2, 2)),
+            ("dot", (2,), (1,)),  # the broadcast alone repeats the one entry
+            ("vecmat", (1,), (3, 2)),  # the broadcast alone repeats the one entry
+            ("vecmat", (3,), (2, 4)),
+            ("matmul", (2, 1), (3, 2)),  # the broadcast alone repeats the one column
+            ("scalar", (), (2,)),
+            ("scalar", (2,), ()),
+            ("tensor", (2, 2, 2), (2, 2)),  # numpy's @ stacks these; F_q products stop at 2-D
+            ("tensor", (2, 2), (2, 2, 2)),
         ],
     )
     def test_products_refuse_mismatched_shapes(self, s, op, a, b):
+        """op names the shape pair as numpy's own products do (matvec is matrix
+        @ vector, vecmat vector @ matrix, dot vector @ vector); every case runs
+        gf.matmul, the one F_q contraction."""
         gf = make_field(s)
         with pytest.raises(DimensionMismatch, match=re.escape(f"{a} and {b}")):
-            getattr(gf, op)(np.ones(a, dtype=np.int64), np.ones(b, dtype=np.int64))
+            gf.matmul(np.ones(a, dtype=np.int64), np.ones(b, dtype=np.int64))
+
+    @pytest.mark.parametrize("s", [2, 17])
+    @pytest.mark.parametrize("a, b", [((2, 3), (3, 2)), ((2, 3), (3,)), ((3,), (3, 2)), ((3,), (3,))])
+    def test_products_refuse_bad_codes(self, s, a, b):
+        """A code outside [0, q) in either operand raises, in every shape pair."""
+        gf = make_field(s)
+        for bad in (-1, gf.q, -(1 << 40)):
+            for side in (0, 1):
+                operands = [np.ones(a, dtype=np.int64), np.ones(b, dtype=np.int64)]
+                operands[side].flat[-1] = bad
+                with pytest.raises(InvalidFieldCode):
+                    gf.matmul(*operands)
 
     def test_tables_sampled_at_s16(self):
         gf = make_field(16)
@@ -486,3 +508,35 @@ class TestKernel:
             assert np.array_equal(gf.pow(nz, e), gf.pow(gf.inv_arr(nz), -e))
         with pytest.raises(DivisionByZero):
             gf.pow(np.array([1, 0]), -1)
+
+
+def loop_matmul(gf, A, B):
+    """A @ B by the triple loop over the scalar gf.mul, a 1-D operand read as
+    numpy's @ reads it: a row on the left, a column on the right."""
+    rows = A if A.ndim == 2 else A[None, :]
+    cols = B if B.ndim == 2 else B[:, None]
+    out = np.zeros((rows.shape[0], cols.shape[1]), dtype=np.int64)
+    for i in range(rows.shape[0]):
+        for j in range(cols.shape[1]):
+            for l in range(rows.shape[1]):
+                out[i, j] ^= gf.mul(int(rows[i, l]), int(cols[l, j]))
+    return out.reshape(A.shape[:-1] + B.shape[1:])
+
+
+class TestMatmul:
+    """GF.matmul, the one F_q contraction, against the scalar triple loop."""
+
+    @pytest.mark.parametrize("s", [1, 3, 8, 17])  # table fields and a table-free one
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_matches_scalar_triple_loop(self, s, k):
+        gf = make_field(s)
+        rng = np.random.default_rng(100 * s + k)
+        u, v = rng.integers(0, gf.q, size=(2, k))
+        for m, n in ((4, 3), (1, 6), (0, 2), (3, 0)):
+            A = rng.integers(0, gf.q, size=(m, k))
+            B = rng.integers(0, gf.q, size=(k, n))
+            for left, right in ((A, B), (A, v), (u, B), (u, v)):
+                got = np.asarray(gf.matmul(left, right))
+                want = loop_matmul(gf, left, right)
+                assert got.dtype == np.int64 and got.shape == want.shape
+                assert np.array_equal(got, want)

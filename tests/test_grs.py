@@ -43,7 +43,7 @@ def f4_instance():
 def decode_word(code, received):
     """(codeword, error) of a received word: decode takes its syndrome H . r."""
     received = np.asarray(received, dtype=np.int64)
-    err = decode(code, code.gf.matvec(code.parity_check, received))
+    err = decode(code, code.gf.matmul(code.parity_check, received))
     return received ^ err, err
 
 
@@ -56,7 +56,7 @@ def enumerate_codewords(code):
             [(idx >> (gf.s * (code.k - 1 - i))) & (gf.q - 1) for i in range(code.k)],
             dtype=np.int64,
         )
-        words.append(gf.matvec(G.T, msg))
+        words.append(gf.matmul(G.T, msg))
     return words
 
 
@@ -480,7 +480,7 @@ class TestDecodeRefusals:
         err[[1, 4]] = [3, 5]
         root = int(code.alpha[2])  # sigma(z) = z + root
         monkeypatch.setattr(grs, "_berlekamp_massey", lambda gf, S: (np.array([1, root]), 1))
-        assert self.refusal(code, gf.matvec(code.parity_check, err)) == (
+        assert self.refusal(code, gf.matmul(code.parity_check, err)) == (
             "no error within the radius has this syndrome", "syndrome", 1, 2
         )
 
@@ -505,7 +505,7 @@ class TestDecodeTableFree:
                 if trial < 2 and weight and 0 not in pos:
                     pos[0] = 0  # an error at the point alpha = 0
                 err[pos] = rng.integers(1, gf.q, size=weight)
-                syndrome = gf.matvec(H, err)
+                syndrome = gf.matmul(H, err)
                 if weight <= code.radius:
                     assert np.array_equal(decode(code, syndrome), err)
                     continue
@@ -514,7 +514,7 @@ class TestDecodeTableFree:
                 except DecodeFailure:
                     refused += 1
                     continue
-                assert np.array_equal(gf.matvec(H, got), syndrome)
+                assert np.array_equal(gf.matmul(H, got), syndrome)
                 assert int((got != 0).sum()) <= code.radius
         assert refused > 0
 
@@ -567,7 +567,7 @@ def reference_decode(c, syndrome):
     values[nz] = gf._prod(X[nz], gf._prod(num, gf._inv(den)))
     values[~nz] = syndrome[0] ^ np.bitwise_xor.reduce(values)
     error[pos] = gf._prod(values, gf._inv(H[0, pos]))
-    if not np.array_equal(gf.matvec(H, error), syndrome):
+    if not np.array_equal(gf.matmul(H, error), syndrome):
         raise DecodeFailure("syndrome", stage="syndrome", weight=L, radius=c.radius)
     return error
 
@@ -602,7 +602,7 @@ class TestScalarDecoderAgainstVectorised:
                 if trial % 2 and weight and 0 not in pos:
                     pos[0] = 0  # an error at the point alpha = 0
                 err[pos] = rng.integers(1, gf.q, size=weight)
-                syndromes.append(gf.matvec(H, err))
+                syndromes.append(gf.matmul(H, err))
         stages = set()
         for S in syndromes:
             lam, L = grs._berlekamp_massey(gf, S.tolist())
@@ -625,7 +625,7 @@ class TestScalarDecoderAgainstVectorised:
             err = np.zeros(code.n, dtype=np.int64)
             pos = rng.choice(code.n, size=weight, replace=False)
             err[pos] = rng.integers(1, gf.q, size=weight)
-            assert np.array_equal(decode(code, gf.matvec(code.parity_check, err)), err)
+            assert np.array_equal(decode(code, gf.matmul(code.parity_check, err)), err)
 
 
 class TestFieldCodes:

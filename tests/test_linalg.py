@@ -169,7 +169,7 @@ class TestPivotFillAgainstLoop:
                     K[i, p] = R[j, f]
             assert np.array_equal(linalg.kernel_basis(gf, M), K)
 
-            b = gf.matvec(M, rng.integers(0, gf.q, size=n)) if m else np.zeros(0, dtype=np.int64)
+            b = gf.matmul(M, rng.integers(0, gf.q, size=n)) if m else np.zeros(0, dtype=np.int64)
             _, carried, _ = linalg.rref_augmented(gf, M, b)
             x = np.zeros(n, dtype=np.int64)
             for j, p in enumerate(pivots):

@@ -333,13 +333,13 @@ class TestEigenEquationCheck:
             _verify_eigen_equations(t, amps)
             while True:
                 a, c = rng.integers(0, gf.q, 3), rng.integers(0, gf.q, 3)
-                if gf.matvec(t.zrows, a).any() and gf.matvec(t.xrows, c).any():
+                if gf.matmul(t.zrows, a).any() and gf.matmul(t.xrows, c).any():
                     break
             shifted = np.empty_like(amps)
             shifted[np.arange(amps.size) ^ index_of(gf, a)] = amps
             with pytest.raises(RuntimeError, match="a Z eigen-equation"):
                 _verify_eigen_equations(t, shifted)
-            both = shifted * (1 - 2 * gf.trace_arr(gf.matvec(digits, c)))
+            both = shifted * (1 - 2 * gf.trace_arr(gf.matmul(digits, c)))
             with pytest.raises(RuntimeError, match="an X eigen-equation"):
                 _verify_eigen_equations(t, both)
 
@@ -383,7 +383,7 @@ def two_solve_amplitudes(t):
     t0 = linalg.solve(gf, t.xrows, t.xsyn)
     words = gf.matmul(all_digits(gf, t.m_x), t.xrows)
     amps = np.zeros(gf.q**t.n, dtype=np.int64)
-    amps[index_of(gf, words ^ x0)] = 1 - 2 * gf.trace_arr(gf.matvec(words, t0))
+    amps[index_of(gf, words ^ x0)] = 1 - 2 * gf.trace_arr(gf.matmul(words, t0))
     return amps
 
 
@@ -472,7 +472,7 @@ class TestSyndromeComponent:
             a = rng.integers(0, 4, 2)
             shifted = StateVector(gf, 2, pauli_matrix(PauliWord.x_word(gf, a)).mat @ psi.amps)
             w = PauliWord.z_word(gf, [1, 1])
-            assert syndrome_component(shifted, w) == gf.dot(np.array([1, 1]), a)
+            assert syndrome_component(shifted, w) == gf.matmul(np.array([1, 1]), a)
 
     def test_uniform_under_pure_x(self):
         gf = make_field(2)

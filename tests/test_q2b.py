@@ -225,7 +225,7 @@ class TestExpansion:
                 v = rng.integers(0, 4, 2)
                 w = rng.integers(0, 4, 2)
                 lhs = int(expand_vector(A, v) @ expand_dual(A, w)) % 2
-                assert lhs == gf.trace(gf.dot(v, w))
+                assert lhs == gf.trace(gf.matmul(v, w))
 
     def test_lift_inverts_expand(self):
         gf = make_field(3)
@@ -722,7 +722,7 @@ class TestReconstructSyndrome:
         for _ in range(20):
             W = rng.integers(0, 8, 8)
             for j, v in enumerate(qrs.css.gx):
-                target = gf.dot(v, W)
+                target = gf.matmul(v, W)
                 bits = [gf.trace(gf.mul(b, target)) for b in B.elements]
                 assert reconstruct_syndrome([bits], B).tolist() == [target]
 
@@ -753,7 +753,7 @@ class TestPerCheckBases:
                     want = per_check_basis_syndrome(A, rows, bases, kind == "X", bits)
                     got = reconstruct_syndrome(checks @ bits % 2, plan.basis)
                     assert np.array_equal(got, want)
-                    assert np.array_equal(got, gf.matvec(rows, W))
+                    assert np.array_equal(got, gf.matmul(rows, W))
 
 
 @pytest.fixture(scope="module")
@@ -800,7 +800,7 @@ class TestEndToEnd:
                 continue
             lifted = lift_dual(A, out)
             assert np.array_equal(
-                gf.matvec(qrs.css.gx, lifted), gf.matvec(qrs.css.gx, W)
+                gf.matmul(qrs.css.gx, lifted), gf.matmul(qrs.css.gx, W)
             )
             assert int((lifted != 0).sum()) <= 1
         assert failures > 0
@@ -907,7 +907,7 @@ def lift_path_decode(qrs, assignment, plan, bits, kind):
     R = np.zeros((qrs.n, len(rows)), dtype=np.int64)
     R[pivots] = E
     code = dual(side)
-    err = decode(code, gf.matvec(code.parity_check, gf.matvec(R, syndrome)))
+    err = decode(code, gf.matmul(code.parity_check, gf.matmul(R, syndrome)))
     return expand_dual(assignment, err) if kind == "Z" else expand_vector(assignment, err)
 
 

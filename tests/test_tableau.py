@@ -486,7 +486,7 @@ def coefficient_outcome(t, P):
     block, w = measured_block(P)
     rows, syn = (t.xrows, t.xsyn) if block == "x" else (t.zrows, t.zsyn)
     c = linalg.solve(t.gf, rows.T, w)
-    return None if c is None else t.gf.dot(c, syn)
+    return None if c is None else t.gf.matmul(c, syn)
 
 
 def loop_postselect(t, P, eta):
@@ -497,7 +497,7 @@ def loop_postselect(t, P, eta):
         same, same_syn, orows, osyn = t.xrows, t.xsyn, t.zrows.copy(), t.zsyn.copy()
     else:
         same, same_syn, orows, osyn = t.zrows, t.zsyn, t.xrows.copy(), t.xsyn.copy()
-    dots = gf.matvec(orows, w)
+    dots = gf.matmul(orows, w)
     pivot = int(np.nonzero(dots)[0][0])
     for k in range(orows.shape[0]):
         if k != pivot and dots[k]:
@@ -817,8 +817,8 @@ def ref_apply_gate(gf, parts, kind, *sites, delta=None):
 def ref_measured(gf, parts, P):
     xr, zr, _, _ = parts
     if any(P.zvec):
-        return "z", P.z_array, gf.matvec(xr, P.z_array)
-    return "x", P.x_array, gf.matvec(zr, P.x_array)
+        return "z", P.z_array, gf.matmul(xr, P.z_array)
+    return "x", P.x_array, gf.matmul(zr, P.x_array)
 
 
 def ref_deterministic_outcome(gf, parts, P):
@@ -827,7 +827,7 @@ def ref_deterministic_outcome(gf, parts, P):
         return None
     xr, zr, xs, zs = parts
     rows, syn = (xr, xs) if block == "x" else (zr, zs)
-    return gf.dot(w, linalg.solve(gf, rows, syn))
+    return gf.matmul(w, linalg.solve(gf, rows, syn))
 
 
 def ref_measure_postselect(gf, parts, P, eta):
@@ -852,7 +852,7 @@ def ref_stabiliser_amps(gf, n, parts):
     msgs = oracle.all_digits(gf, len(xr)) if len(xr) else np.zeros((1, 0), dtype=np.int64)
     words = gf.matmul(msgs, xr) if len(xr) else np.zeros((1, n), dtype=np.int64)
     amps = np.zeros(gf.q**n, dtype=np.int64)
-    amps[oracle.index_of(gf, words ^ x0)] = 1 - 2 * gf.trace_arr(gf.matvec(words, t0))
+    amps[oracle.index_of(gf, words ^ x0)] = 1 - 2 * gf.trace_arr(gf.matmul(words, t0))
     vec = amps.astype(np.complex128)
     return vec / np.linalg.norm(vec)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gqudits import grs, linalg, verify
+from gqudits import grs, linalg, q2b, verify
 from gqudits.bases import FieldBasis
 from gqudits.field import make_field
 
@@ -16,7 +16,7 @@ def reference_weights(code):
     shifts = np.array([gf.s * (code.k - 1 - i) for i in range(code.k)], dtype=np.int64)
     for idx in range(gf.q**code.k):
         msg = (idx >> shifts) & (gf.q - 1)
-        hist[int((gf.matvec(G.T, msg) != 0).sum())] += 1
+        hist[int((gf.matmul(G.T, msg) != 0).sum())] += 1
     return hist
 
 
@@ -41,3 +41,12 @@ def test_random_basis_matches_bit_fold(s):
         want = FieldBasis(gf, [sum((int(b) & 1) << i for i, b in enumerate(row)) for row in M])
         assert verify._random_basis(gf, rng) == want
     assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+
+
+def test_qrs_criterion_converts_once(monkeypatch):
+    """Criterion 9 reads its [[24,9]] parameters and runs its decodes on one plan."""
+    calls = []
+    convert = q2b.convert_code
+    monkeypatch.setattr(q2b, "convert_code", lambda *args: calls.append(args) or convert(*args))
+    ok, detail = verify.criterion_qrs(0)
+    assert ok and detail.startswith("[[24,9]] conversion") and len(calls) == 1
