@@ -3,12 +3,18 @@
 Gate matrices are dense and tiny.  Hierarchy levels come from one recursion:
 a Pauli multiple is at level 1, and any other gate is one level above the
 highest level among its conjugates of the single-site X/Z generators over a
-fixed F_2-basis.  Every node, root or not, takes the same rule: a monomial
-node (one unit-modulus non-zero per row and column, entries up to
-oracle.UNITARY_ATOL / 4 read as zero: every Pauli, X, Z, mult, CNOT, CCZ,
-multi_cz, U_n, S, T, their pi_map images and the Hadamard's conjugates) runs
-on its (perm, phase) pair; any other node (Hadamard, a general unitary) runs
-on its dense matrix.
+fixed F_2-basis.  A node is one of three kinds (see oracle.DenseOperator):
+- an action: X, Z, mult, CNOT, CCZ, multi_cz, U_n, S, T, every Pauli, their
+  pi_map images and their embed_single embeddings carry their monomial
+  (perm, phase) pair, and the level rule runs on it;
+- clifford: the Hadamard and its embed_single embeddings carry the marker
+  that every generator conjugate is a Pauli (H X^a H^dag = Z^a,
+  H Z^b H^dag = X^b), so they sit at level 2 unless they are Pauli
+  multiples, with no conjugation at all;
+- dense only: a user matrix or pi_map(H).  Such a node is read as monomial
+  when it has one unit-modulus non-zero per row and column (entries up to
+  oracle.UNITARY_ATOL / 4 read as zero), and otherwise runs on its dense
+  matrix and conjugates, each of which goes back through the same rule.
 """
 
 from __future__ import annotations
@@ -41,17 +47,19 @@ def _take(params: dict, kind: str, name: str):
 
 
 def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
-    """Dense matrix for a named gate.
+    """Dense matrix for a named gate, with its form.
 
     Kinds: x(beta), z(gamma), hadamard, mult(delta), cnot, ccz(gamma),
     multi_cz(l, gamma), u_n(n, beta), s(gamma), t(gamma).  Every kind but
-    hadamard is monomial and is scattered from its (perm, phase) action.
+    hadamard is monomial, is scattered from its (perm, phase) action and
+    carries it; the Hadamard carries the clifford marker.
     TooLarge for q^sites > oracle.DIM_CAP or a matrix of more than
     oracle.SECTOR_CAP entries, before the matrix is built.
     """
     if kind == "hadamard":
         _check_entries(_check_cap(gf, 1) ** 2)
-        op = DenseOperator(gf, 1, _chi_matrix(gf, 1) / np.sqrt(gf.q))
+        # H X^a H^dag = Z^a and H Z^b H^dag = X^b: every generator conjugate is a Pauli
+        op = DenseOperator._formed(gf, 1, _chi_matrix(gf, 1) / np.sqrt(gf.q), clifford=True)
     else:
         op = DenseOperator.from_action(gf, *_monomial_action(gf, kind, params))
     if params:
@@ -94,14 +102,25 @@ def _monomial_action(gf: GF, kind: str, params: dict) -> tuple[int, np.ndarray, 
 
 
 def embed_single(gf: GF, n: int, site: int, U: DenseOperator) -> DenseOperator:
-    """Tensor a single-qudit operator into an n-qudit identity background."""
+    """Tensor a single-qudit operator into an n-qudit identity background.
+    The form of U carries over: an action acts on the digit at site, and a
+    clifford U stays clifford, its generators elsewhere being fixed."""
     if U.n != 1:
         raise DimensionMismatch("embed_single takes a 1-qudit operator")
     if not 0 <= site < n:
         raise DimensionMismatch(f"site {site} outside [0, {n})")
+    if U.dim != gf.q:
+        raise DimensionMismatch(f"a {U.dim}-level operator on {gf.q}-level qudits")
     _check_entries(_check_cap(gf, n) ** 2)
     mat = np.kron(np.kron(np.eye(gf.q**site), U.mat), np.eye(gf.q ** (n - 1 - site)))
-    return DenseOperator(gf, n, mat)
+    action = None
+    if U.action is not None:
+        shift = gf.s * (n - 1 - site)
+        kets = np.arange(gf.q**n, dtype=np.int64)
+        digit = (kets >> shift) & (gf.q - 1)
+        targets, phases = U.action
+        action = (kets ^ ((digit ^ targets[digit]) << shift), phases[digit])
+    return DenseOperator._formed(gf, n, mat, action=action, clifford=U.clifford)
 
 
 # -- Pauli decomposition ----------------------------------------------------------
@@ -179,15 +198,16 @@ def _monomial(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 @lru_cache(maxsize=None)
 def _generator_actions(gf: GF, n: int) -> tuple[tuple[PauliWord, ...], np.ndarray, np.ndarray]:
     """The 2*n*s single-site X/Z generators over the polynomial basis, in
-    test order, with read-only (G, d) targets and phases: generator g maps
-    |j> to phases[g, j] |targets[g, j]>.  Built once per (gf, n)."""
+    test order, with read-only (G, d) targets and phases read off the action
+    each pauli_matrix carries: generator g maps |j> to phases[g, j]
+    |targets[g, j]>.  Built once per (gf, n)."""
     words = []
     for site in range(n):
         for i in range(gf.s):
             codes = [0] * n
             codes[site] = 1 << i
             words += [PauliWord.x_word(gf, codes), PauliWord.z_word(gf, codes)]
-    actions = [_monomial(pauli_matrix(word).mat) for word in words]
+    actions = [pauli_matrix(word).action for word in words]
     targets = np.array([perm for perm, _ in actions])
     phases = np.array([phase for _, phase in actions])
     targets.setflags(write=False)
@@ -199,13 +219,17 @@ def _level(
     gens: tuple, memo: dict, U: DenseOperator, monomial: tuple | None, cap: int
 ) -> tuple[int, PauliWord | None]:
     """Level of node U, cap + 1 meaning above cap, with the first generator
-    whose conjugate sits one level below it; monomial is _monomial(U.mat).  A
-    monomial node runs on (perm, phase); any other takes is_pauli_multiple and
-    passes its dense conjugates back through _level.  One memo serves both."""
+    whose conjugate sits one level below it; monomial is the action of U or
+    _monomial(U.mat).  A monomial node runs on (perm, phase); a clifford
+    node, whose generator conjugates are Paulis, takes is_pauli_multiple for
+    level 1 or 2; any other takes it and passes its dense conjugates back
+    through _level.  One memo serves both."""
     if monomial is not None:
         if _monomial_paulis(monomial[0][None], monomial[1][None])[0]:
             return 1, None
         return _monomial_level(gens, memo, *monomial, cap)
+    if U.clifford:
+        return (1 if is_pauli_multiple(U) else 2), None
     key = (np.round(U.mat, 8).tobytes(), cap)  # tobytes is C order for any layout
     if key in memo:
         return memo[key], None
@@ -280,17 +304,23 @@ def hierarchy_level(
     above its cap stops there; levels are memoised per cap.  The witness is
     the first generator, in a fixed order, whose conjugate sits one level
     below U (None at levels 1 and 2).  At every node, a monomial one runs on
-    its (perm, phase) pair, so a conjugation and a level-1 test are O(d); any
-    other (Hadamard, a general unitary) takes the d^3 coefficient test.
-    NonUnitary if U fails is_unitary, a d^3 product that a monomial U skips.
+    its (perm, phase) pair, so a conjugation and a level-1 test are O(d).  The
+    root reads that pair off the action it carries, or else off its matrix by
+    _monomial.  A clifford root (the Hadamard) makes one d^3 coefficient
+    test and no conjugation; any other (a general unitary) takes the
+    coefficient test and dense conjugation at each of its dense nodes.
+    NonUnitary if U fails is_unitary, a d^3 product that a root with a form
+    (unitary by construction) or one read as monomial skips.
     """
     if max_level < 1:
         raise ValueError(f"max_level must be at least 1, got {max_level}")
     if U.dim > HIERARCHY_DIM_CAP:
         raise TooLarge(f"dimension {U.dim} exceeds cap {HIERARCHY_DIM_CAP}")
-    monomial = _monomial(U.mat)  # one that _monomial reads passes is_unitary
-    if monomial is None and not U.is_unitary():
-        raise NonUnitary(f"{gate_name} is not unitary: the hierarchy is defined on unitaries")
+    monomial = U.action
+    if monomial is None and not U.clifford:
+        monomial = _monomial(U.mat)  # one that _monomial reads passes is_unitary
+        if monomial is None and not U.is_unitary():
+            raise NonUnitary(f"{gate_name} is not unitary: the hierarchy is defined on unitaries")
     level, witness = _level(_generator_actions(U.gf, U.n), {}, U, monomial, max_level)
     text = None if witness is None else witness.to_text()
     return HierarchyReport(gate_name, U.gf.q, max_level, None if level > max_level else level, text)
@@ -342,10 +372,17 @@ def phi_inverse(bases, Psi: StateVector, gf: GF) -> StateVector:
 
 
 def pi_map(bases, U: DenseOperator) -> DenseOperator:
-    """Conjugate by the basis relabelling: Pi(U) = phi U phi^-1."""
+    """Conjugate by the basis relabelling: Pi(U) = phi U phi^-1.  An action
+    is relabelled with it (U|j> = phases[j] |targets[j]> gives Pi(U)|b> =
+    phases[inv[b]] |perm[targets[inv[b]]]>); the clifford marker is not
+    carried over."""
     assignment = _as_assignment(bases, U.gf, U.n)
     perm = qubit_permutation(assignment)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size, dtype=np.int64)
     mat = U.mat[np.ix_(inv, inv)]
-    return DenseOperator(make_field(1), U.n * U.gf.s, mat)
+    action = None
+    if U.action is not None:
+        targets, phases = U.action
+        action = (perm[targets[inv]], phases[inv])
+    return DenseOperator._formed(make_field(1), U.n * U.gf.s, mat, action=action)

@@ -9,12 +9,21 @@ Pauli powers act through one table, _power_actions: P^mu |u> =
 phases[u] |targets[u]>.  DenseOperator.from_action scatters it to a matrix;
 _apply_powers gathers it onto states, so every measurement reads q d
 amplitudes (the sectors Pi_eta psi), never a (q, d, d) stack.
+
+An operator is one of three node kinds: it carries its monomial action
+(targets, phases), set by from_action; it carries the clifford marker, every
+conjugate of a single-site X/Z generator being a Pauli (the Hadamard, see
+gates.build_gate); or it is dense only, as every DenseOperator(gf, n, mat)
+is.  Only the package's constructors set a form.  A formed operator's .mat is
+read-only, and assigning a new .mat drops the form, so the two cannot drift
+apart; a dense-only .mat stays writable.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,6 +81,9 @@ class DenseOperator:
     gf: GF
     n: int
     mat: np.ndarray
+    # the forms, set only by the package's constructors (see _formed)
+    action: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    clifford: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=np.complex128)
@@ -79,13 +91,45 @@ class DenseOperator:
         if self.mat.shape != (d, d):
             raise DimensionMismatch(f"expected {d} x {d} matrix, got {self.mat.shape}")
 
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name == "mat":  # a new matrix drops the form of the old one
+            super().__setattr__("action", None)
+            super().__setattr__("clifford", False)
+
     @classmethod
     def from_action(cls, gf: GF, n: int, targets: np.ndarray, phases) -> "DenseOperator":
-        """The monomial operator mapping |u> to phases[u] |targets[u]>."""
-        _check_entries(targets.size**2)
-        mat = np.zeros((targets.size, targets.size), dtype=np.complex128)
-        mat[targets, np.arange(targets.size)] = phases
-        return cls(gf, n, mat)
+        """The monomial operator mapping |u> to phases[u] |targets[u]> (phases
+        may be one scalar).  It carries (targets, phases) as its action when
+        targets is a permutation and every |phases[u]| = 1 within
+        UNITARY_ATOL / 4, as gates._monomial reads them; otherwise it is
+        dense only."""
+        d = targets.size
+        _check_entries(d**2)
+        mat = np.zeros((d, d), dtype=np.complex128)
+        mat[targets, np.arange(d)] = phases
+        action = (targets.astype(np.int64), np.broadcast_to(phases, (d,)).astype(np.complex128))
+        if not (
+            np.all(action[0] >= 0)
+            and np.all(np.bincount(action[0], minlength=d) == 1)
+            and np.all(np.abs(np.abs(action[1]) - 1.0) <= UNITARY_ATOL / 4)
+        ):
+            return cls(gf, n, mat)
+        return cls._formed(gf, n, mat, action=action)
+
+    @classmethod
+    def _formed(cls, gf: GF, n: int, mat: np.ndarray, action=None, clifford=False) -> "DenseOperator":
+        """The operator with matrix mat and its form: action, a (targets,
+        phases) pair with mat|u> = phases[u] |targets[u]>, or clifford, set
+        when mat maps every single-site X/Z generator to a Pauli by
+        conjugation.  With a form, mat and the action arrays are made
+        read-only."""
+        op = cls(gf, n, mat)
+        if action is not None or clifford:
+            for array in (op.mat, *(action or ())):
+                array.setflags(write=False)
+            op.action, op.clifford = action, clifford
+        return op
 
     @property
     def dim(self) -> int:
@@ -127,9 +171,13 @@ def all_digits(gf: GF, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _chi_matrix(gf: GF, n: int) -> np.ndarray:
     """CHI[b, j] = (-1)^tr(b . j) over packed indices b, j, as a read-only
-    int8 array built once per (gf, n)."""
-    digits = all_digits(gf, n)
-    chi = (1 - 2 * gf.trace_arr(gf.matmul(digits, digits.T))).astype(np.int8)
+    int8 array built once per (gf, n).  (-1)^tr(b . j) is the product of its
+    one-site factors (-1)^tr(b_i j_i), and the packed index puts the leftmost
+    digit first, so CHI is the n-fold Kronecker power of the one-site table,
+    O(d^2) bytes where the F_q product over all digit rows holds n d^2 codes."""
+    digits = all_digits(gf, 1)
+    one = (1 - 2 * gf.trace_arr(gf.matmul(digits, digits.T))).astype(np.int8)
+    chi = reduce(np.kron, [one] * n, np.ones((1, 1), dtype=np.int8))
     chi.setflags(write=False)
     return chi
 

@@ -80,6 +80,9 @@ class TestBuildGate:
         for site in (2, 5, -1):
             with pytest.raises(DimensionMismatch):
                 embed_single(gf, 2, site, U)
+        for other in (make_field(1), make_field(3)):  # an operator on qudits of another size
+            with pytest.raises(DimensionMismatch):
+                embed_single(gf, 2, 0, build_gate(other, "x", beta=1))
 
     def test_mult_zero_rejected(self):
         with pytest.raises(NonUnitary):
@@ -300,6 +303,31 @@ class TestTraceFormTables:
         gf = make_field(s)
         chi, ref = _chi_matrix(gf, n), reference_chi(gf, n)
         assert chi.dtype == ref.dtype and np.array_equal(chi, ref)
+
+    @pytest.mark.parametrize("s, n", [(s, n) for s in range(1, 11) for n in range(1, 11) if s * n <= 10])
+    def test_chi_matches_matmul_formula(self, s, n):
+        """The Kronecker power against 1 - 2 tr(digits @ digits.T) over F_q,
+        row block by row block, for every q^n <= 1024."""
+        gf = make_field(s)
+        chi, digits = _chi_matrix(gf, n), all_digits(gf, n)
+        assert chi.dtype == np.int8 and chi.shape == (gf.q**n,) * 2
+        for r in range(0, gf.q**n, 128):
+            want = 1 - 2 * gf.trace_arr(gf.matmul(digits[r : r + 128], digits.T))
+            assert np.array_equal(chi[r : r + 128], want), r
+
+    @pytest.mark.parametrize("s, n", [(1, 9), (3, 3)])
+    def test_chi_build_memory_at_the_hierarchy_cap(self, s, n):
+        """d = 512 takes O(d^2) bytes (256 KiB of int8 here), not n d^2 codes."""
+        gf = make_field(s)
+        build = oracle._chi_matrix.__wrapped__  # uncached
+        build(gf, n)  # warm the field's own tables
+        tracemalloc.start()
+        try:
+            chi = build(gf, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chi.shape == (512, 512) and peak < 2 * 2**20, peak
 
     def test_chi_cached_read_only(self):
         gf = make_field(2)
@@ -525,6 +553,12 @@ def random_monomial(rng, d, phases):
     return mat
 
 
+def seeded_assignment(gf, rng, n):
+    """n seeded random F_2-bases of gf, one per qudit."""
+    return BasisAssignment([FieldBasis(gf, polynomial_basis(gf).recompose(
+        linalg.random_invertible(make_field(1), rng, gf.s))) for _ in range(n)])
+
+
 def seeded_unitary(rng, d):
     Q, R = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return Q * (np.diag(R) / np.abs(np.diag(R)))
@@ -553,11 +587,7 @@ class TestMonomialEngine:
     def test_pi_map_images_match_dense_reference(self, s):
         gf = make_field(s)
         rng = np.random.default_rng(83 + s)
-
-        def random_assignment(n):
-            return BasisAssignment([FieldBasis(gf, polynomial_basis(gf).recompose(
-                linalg.random_invertible(make_field(1), rng, s))) for _ in range(n)])
-
+        random_assignment = lambda n: seeded_assignment(gf, rng, n)
         zoo = [build_gate(gf, "cnot"), build_gate(gf, "mult", delta=gf.q - 1),
                build_gate(gf, "t", gamma=1), build_gate(gf, "u_n", n=3, beta=1)]
         if gf.q <= 4:
@@ -636,7 +666,7 @@ class TestMonomialEngine:
         past is_unitary's 1e-10, so _monomial must not read them as zero; two
         of 2e-11 it does read as zero, and that matrix is unitary."""
         gf = make_field(2)
-        mat = build_gate(gf, "x", beta=1).mat
+        mat = build_gate(gf, "x", beta=1).mat.copy()
         mat[:, 0] *= scale
         for k, entry in enumerate(extra):
             mat[k, k] = entry
@@ -711,6 +741,160 @@ class TestMonomialEngine:
         diagonals = U.mat[cols[:, None] ^ cols[None, :], cols[None, :]]
         want = diagonals @ _chi_matrix(gf, n).astype(np.complex128).T / d
         assert np.allclose(pauli_coefficient_matrix(U), want, rtol=0, atol=1e-12)
+
+
+def assert_action_matches_matrix(U):
+    """The action U carries is exactly the (perm, phase) pair _monomial reads
+    off U.mat, and both its arrays are read-only."""
+    assert not U.clifford
+    targets, phases = U.action
+    perm, phase = _monomial(U.mat)
+    assert targets.dtype == np.int64 and phases.dtype == np.complex128
+    assert np.array_equal(targets, perm) and np.array_equal(phases, phase)
+    assert not targets.flags.writeable and not phases.flags.writeable
+
+
+def assert_clifford_marker_holds(U):
+    """U carries the clifford marker and no action, and U g U^dag is densely a
+    Pauli multiple for every single-site X/Z generator g."""
+    assert U.clifford and U.action is None
+    for word in _generator_actions(U.gf, U.n)[0]:
+        conjugate = U.mat @ pauli_matrix(word).mat @ U.mat.conj().T
+        assert reference_is_pauli_multiple(DenseOperator(U.gf, U.n, conjugate)), word
+
+
+def one_qudit_cases(gf, rng):
+    """One seeded parameter for each one-qudit monomial kind."""
+    code = lambda: int(rng.integers(1, gf.q))
+    return [("x", {"beta": code()}), ("z", {"gamma": code()}), ("mult", {"delta": code()}),
+            ("s", {"gamma": code()}), ("t", {"gamma": code()}), ("u_n", {"n": 3, "beta": code()})]
+
+
+class TestForms:
+    """The form each constructor gives an operator, against its dense matrix."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 6])
+    def test_build_gate_action_matches_matrix(self, s):
+        gf = make_field(s)
+        for kind, params in gate_cases(gf):
+            if s == 6 and kind in ("cnot", "ccz"):  # q^2 and q^3 kets: one-qudit kinds only
+                continue
+            U = build_gate(gf, kind, **params)
+            if kind == "hadamard":
+                assert_clifford_marker_holds(U)
+            else:
+                assert_action_matches_matrix(U)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_pi_map_relabels_the_action(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(113 + s)
+        for kind, params in gate_cases(gf):
+            U = build_gate(gf, kind, **params)
+            image = pi_map(seeded_assignment(gf, rng, U.n), U)
+            if kind == "hadamard":  # dense only: the marker is not carried over
+                assert image.action is None and not image.clifford
+            else:
+                assert_action_matches_matrix(image)
+
+    @pytest.mark.parametrize("s, n", [(1, 1), (1, 3), (2, 2), (3, 3)])
+    def test_embed_single_carries_the_action(self, s, n):
+        gf = make_field(s)
+        rng = np.random.default_rng(127 + 10 * s + n)
+        ops = [build_gate(gf, kind, **params) for kind, params in one_qudit_cases(gf, rng)]
+        ops.append(pauli_matrix(PauliWord.from_vectors(gf, [1], [gf.q - 1])))  # moves and phases
+        for site in range(n):
+            for U in ops:
+                assert_action_matches_matrix(embed_single(gf, n, site, U))
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    def test_hadamard_is_marked_clifford(self, s):
+        """H X^a H^dag = Z^a and H Z^b H^dag = X^b, densely."""
+        gf = make_field(s)
+        H = build_gate(gf, "hadamard")
+        assert_clifford_marker_holds(H)
+        for word in _generator_actions(gf, 1)[0]:
+            conjugate = H.mat @ pauli_matrix(word).mat @ H.mat.conj().T
+            want = pauli_matrix(PauliWord(gf, word.zvec, word.xvec)).mat
+            assert np.allclose(conjugate, want, rtol=0, atol=1e-12), word
+
+    @pytest.mark.parametrize("s, n", [(s, n) for s in (1, 2, 3) for n in (1, 2, 3)])
+    def test_embedded_hadamard_is_marked_clifford(self, s, n):
+        gf = make_field(s)
+        H = build_gate(gf, "hadamard")
+        for site in range(n):
+            assert_clifford_marker_holds(embed_single(gf, n, site, H))
+
+    def test_formed_matrix_is_read_only(self):
+        gf = make_field(2)
+        H = build_gate(gf, "hadamard")
+        formed = [
+            build_gate(gf, "t", gamma=1), build_gate(gf, "cnot"), H,
+            pauli_matrix(PauliWord.from_vectors(gf, [1, 2], [3, 0])),
+            embed_single(gf, 2, 1, build_gate(gf, "mult", delta=2)), embed_single(gf, 2, 0, H),
+            pi_map(polynomial_basis(gf), build_gate(gf, "s", gamma=3)),
+        ]
+        for U in formed:
+            with pytest.raises(ValueError):
+                U.mat[0, 0] = 2.0
+            with pytest.raises(ValueError):
+                U.mat *= 2.0
+        dense = [DenseOperator(gf, 1, np.eye(4)), pi_map(polynomial_basis(gf), H)]
+        for U in dense:
+            assert U.action is None and not U.clifford and U.mat.flags.writeable
+
+    def test_new_matrix_drops_the_form(self):
+        """Assigning a new .mat drops the form, so the query reads the new
+        matrix: here it fails is_unitary."""
+        gf = make_field(2)
+        for U in (build_gate(gf, "x", beta=1), build_gate(gf, "hadamard")):
+            U.mat = 2.0 * np.eye(4)
+            assert U.action is None and not U.clifford
+            with pytest.raises(NonUnitary):
+                hierarchy_level(U, 4)
+
+    def test_from_action_keeps_only_a_unitary_action(self):
+        """An action whose targets repeat or whose phases leave the unit circle
+        is not kept, so hierarchy_level raises NonUnitary on the operator, its
+        embedding and its pi_map image, as is_unitary fails on each."""
+        gf = make_field(2)
+        swap = np.array([1, 0, 3, 2])
+        cases = [(swap, 2.0), (swap, np.array([1, 1, 1, 1.001])), (np.array([0, 0, 2, 3]), 1.0)]
+        for targets, phases in cases:
+            U = DenseOperator.from_action(gf, 1, targets, phases)
+            assert U.action is None and U.mat.flags.writeable
+            for op in (U, embed_single(gf, 2, 1, U), pi_map(polynomial_basis(gf), U)):
+                assert op.action is None and not op.is_unitary()
+                with pytest.raises(NonUnitary):
+                    hierarchy_level(op, 4)
+
+    def test_generator_actions_read_the_stored_action(self, monkeypatch):
+        """One pauli_matrix call per generator and no _monomial read-back."""
+        reads, built = [], []
+        monkeypatch.setattr(gates, "_monomial", lambda mat: reads.append(mat) or _monomial(mat))
+        monkeypatch.setattr(gates, "pauli_matrix", lambda word: built.append(word) or pauli_matrix(word))
+        words, targets, phases = _generator_actions.__wrapped__(make_field(2), 3)  # uncached
+        assert reads == [] and built == list(words) and targets.shape == (12, 64)
+
+    def test_formed_queries_read_no_matrix(self, monkeypatch):
+        """A query on a formed root makes no _monomial read and builds no dense
+        conjugate; the same Hadamard held as a dense matrix does both."""
+        gf = make_field(2)
+        H = build_gate(gf, "hadamard")
+        cases = [
+            (build_gate(gf, "ccz", gamma=1), 3), (build_gate(gf, "t", gamma=1), 3), (H, 2),
+            (build_gate(gf, "cnot"), 2), (pauli_matrix(PauliWord.from_vectors(gf, [1], [2])), 1),
+            (pi_map(seeded_assignment(gf, np.random.default_rng(131), 3), build_gate(gf, "ccz", gamma=2)), 3),
+            (embed_single(gf, 2, 1, build_gate(gf, "t", gamma=3)), 3), (embed_single(gf, 2, 0, H), 2),
+        ]
+        reads, conjugates = [], []
+        monkeypatch.setattr(gates, "_monomial", lambda mat: reads.append(mat) or _monomial(mat))
+        monkeypatch.setattr(gates, "DenseOperator", lambda *a: conjugates.append(a) or DenseOperator(*a))
+        for U, level in cases:
+            assert hierarchy_level(U, 4).level == level
+        assert reads == [] and conjugates == []
+        assert hierarchy_level(DenseOperator(gf, 1, H.mat), 4).level == 2
+        assert len(reads) == 1 + 2 * gf.s and len(conjugates) == 2 * gf.s
 
 
 def algebraic_degree(f):
