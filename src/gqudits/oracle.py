@@ -17,6 +17,12 @@ gates.build_gate); or it is dense only, as every DenseOperator(gf, n, mat)
 is.  Only the package's constructors set a form.  A formed operator's .mat is
 read-only, and assigning a new .mat drops the form, so the two cannot drift
 apart; a dense-only .mat stays writable.
+
+stabiliser_state, syndrome_component, born_probabilities and collapse also
+take stacks: a list or tuple of tableaux with one (q, n, m_X), or of states
+on one system with one word each, checked and computed by one set of array
+operations.  A single argument is the batch of one and returns what it
+always did, so a stack is never a second implementation.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ class NotEigenstate:
 NOT_EIGENSTATE = NotEigenstate()
 
 
-@dataclass
+@dataclass(eq=False)
 class StateVector:
     gf: GF
     n: int
@@ -75,15 +81,20 @@ class StateVector:
     def normalised(self) -> "StateVector":
         return StateVector(self.gf, self.n, self.amps / np.linalg.norm(self.amps))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return (self.gf, self.n) == (other.gf, other.n) and np.array_equal(self.amps, other.amps)
 
-@dataclass
+
+@dataclass(eq=False)
 class DenseOperator:
     gf: GF
     n: int
     mat: np.ndarray
     # the forms, set only by the package's constructors (see _formed)
-    action: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
-    clifford: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
+    action: tuple | None = dataclasses.field(default=None, init=False, repr=False)
+    clifford: bool = dataclasses.field(default=False, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=np.complex128)
@@ -96,6 +107,12 @@ class DenseOperator:
         if name == "mat":  # a new matrix drops the form of the old one
             super().__setattr__("action", None)
             super().__setattr__("clifford", False)
+
+    def __eq__(self, other) -> bool:
+        """Same field, n and matrix; the forms are not compared."""
+        if not isinstance(other, DenseOperator):
+            return NotImplemented
+        return (self.gf, self.n) == (other.gf, other.n) and np.array_equal(self.mat, other.mat)
 
     @classmethod
     def from_action(cls, gf: GF, n: int, targets: np.ndarray, phases) -> "DenseOperator":
@@ -189,21 +206,40 @@ def _check_cap(gf: GF, n: int) -> int:
     return d
 
 
+def _stack(item) -> tuple[list, bool]:
+    """(members, single): a list or tuple is a stack, whose members live on one
+    system; anything else is the batch of one."""
+    single = not isinstance(item, (list, tuple))
+    members = [item] if single else list(item)
+    if not members:
+        raise DimensionMismatch("an empty stack")
+    if any((m.gf, m.n) != (members[0].gf, members[0].n) for m in members):
+        raise DimensionMismatch("the members of a stack live on different systems")
+    return members, single
+
+
 # -- Pauli actions, matrices and sectors ----------------------------------------------
 
 
-def _power_actions(P: PauliWord, mus) -> tuple[np.ndarray, np.ndarray]:
+def _power_actions(P, mus) -> tuple[np.ndarray, np.ndarray]:
     """(targets, phases), each (len(mus), q^n), with P^mu |u> = phases[i, u]
     |targets[i, u]> for mu = mus[i]: u + mu x and sign * (-1)^tr(mu (z . u)),
-    the constant sign with no Z part.  mu != 1 needs a pure-type word."""
-    gf = P.gf
-    d = _check_cap(gf, P.n)
+    the constant sign when no word has a Z part.  mu != 1 needs a pure-type
+    word.  A stack of k words gives (k, len(mus), q^n) each."""
+    words, single = _stack(P)
+    gf, n, k = words[0].gf, words[0].n, len(words)
+    d = _check_cap(gf, n)
     mus = np.asarray(mus, dtype=np.int64)[:, None]
-    targets = np.arange(d, dtype=np.int64) ^ index_of(gf, gf.mul_arr(mus, P.x_array))[:, None]
-    if not any(P.zvec):
-        return targets, np.full(targets.shape, P.sign, dtype=np.int64)
-    zu = gf.matmul(all_digits(gf, P.n), P.z_array)
-    return targets, P.sign * (1 - 2 * gf.trace_arr(gf.mul_arr(mus, zu)))
+    xs = np.array([w.xvec for w in words], dtype=np.int64).reshape(k, 1, n)
+    zs = np.array([w.zvec for w in words], dtype=np.int64).reshape(k, n)
+    signs = np.array([w.sign for w in words], dtype=np.int64)[:, None, None]
+    targets = np.arange(d, dtype=np.int64) ^ index_of(gf, gf.mul_arr(mus, xs))[..., None]
+    if not zs.any():
+        phases = np.broadcast_to(signs, targets.shape).copy()
+    else:
+        zu = gf.matmul(all_digits(gf, n), zs.T).T[:, None, :]
+        phases = signs * (1 - 2 * gf.trace_arr(gf.mul_arr(mus, zu)))
+    return (targets[0], phases[0]) if single else (targets, phases)
 
 
 def pauli_matrix(P: PauliWord) -> DenseOperator:
@@ -212,12 +248,15 @@ def pauli_matrix(P: PauliWord) -> DenseOperator:
     return DenseOperator.from_action(P.gf, P.n, targets, phases)
 
 
-def _apply_powers(P: PauliWord, mus, amps: np.ndarray) -> np.ndarray:
-    """(len(mus), d, ...) stack of P^mu amps by one gather: P^mu is a translation
-    u -> u ^ c, its own inverse, so (P^mu amps)[v] = phases[t] amps[t] at t = targets[v]."""
-    targets, phases = _power_actions(P, mus)
-    moved = phases.reshape(phases.shape + (1,) * (amps.ndim - 1)) * amps
-    return moved[np.arange(len(targets))[:, None], targets]
+def _apply_powers(words: list, mus, amps: np.ndarray) -> np.ndarray:
+    """(k, len(mus), d) stack of P^mu amps[i] over the k rows of amps, by one
+    gather, with one word for every row or one word a row: P^mu is a
+    translation u -> u ^ c, its own inverse, so (P^mu a)[v] = phases[t] a[t]
+    at t = targets[v]."""
+    targets, phases = _power_actions(words, mus)
+    moved = phases * amps[:, None, :]
+    rows = np.arange(moved.shape[0])[:, None, None]
+    return moved[rows, np.arange(moved.shape[1])[:, None], targets]
 
 
 def _check_entries(count: int) -> None:
@@ -226,13 +265,14 @@ def _check_entries(count: int) -> None:
         raise TooLarge(f"{count} entries exceed cap {SECTOR_CAP}")
 
 
-def _sectors(P: PauliWord, amps: np.ndarray) -> np.ndarray:
-    """(q, d, ...) stack of Pi_eta amps, Pi_eta = q^-1 sum_mu (-1)^tr(mu eta)
-    P^mu; the callers check that P is measurable.  TooLarge, before anything
-    is built, for a stack of more than SECTOR_CAP entries."""
-    gf = P.gf
+def _sectors(words: list, amps: np.ndarray) -> np.ndarray:
+    """(k, q, d) stack of Pi_eta amps[i] over the k rows of amps, Pi_eta =
+    q^-1 sum_mu (-1)^tr(mu eta) P^mu, with words as in _apply_powers; the
+    callers check that they are measurable.  TooLarge, before anything is
+    built, for a stack of more than SECTOR_CAP entries."""
+    gf = words[0].gf
     _check_entries(gf.q * amps.size)
-    return np.tensordot(_chi_matrix(gf, 1), _apply_powers(P, gf.elements(), amps), axes=1) / gf.q
+    return np.matmul(_chi_matrix(gf, 1), _apply_powers(words, gf.elements(), amps)) / gf.q
 
 
 def _require_measurable(P: PauliWord, psi: StateVector) -> None:
@@ -241,124 +281,183 @@ def _require_measurable(P: PauliWord, psi: StateVector) -> None:
         raise DimensionMismatch("word and state live on different systems")
 
 
+def _measurable(psi, P) -> tuple[list, list, bool]:
+    """(states, words, single) of one state and word, or of a stack of states
+    with one measurable word each."""
+    states, single = _stack(psi)
+    words = [P] if single else list(P)
+    if len(words) != len(states):
+        raise DimensionMismatch(f"{len(words)} words for {len(states)} states")
+    for w, s in zip(words, states):
+        _require_measurable(w, s)
+    return states, words, single
+
+
 def projectors(P: PauliWord) -> list[np.ndarray]:
-    """The q syndrome projectors Pi_eta, the sectors of the identity."""
+    """The q syndrome projectors Pi_eta, the sectors of the identity's columns."""
     P.require_pure()
     d = _check_cap(P.gf, P.n)
     _check_entries(P.gf.q * d * d)  # before the identity is built
-    return list(_sectors(P, np.eye(d, dtype=np.complex128)))
+    return list(_sectors([P], np.eye(d, dtype=np.complex128)).transpose(1, 2, 0))
 
 
 # -- stabiliser states --------------------------------------------------------------
 
 
-def stabiliser_state(t: "CssTableau") -> StateVector:
+def stabiliser_state(t: "CssTableau | list") -> StateVector | list[StateVector]:
     """The unique state fixed by every P^mu of a full tableau's rows.
 
     Built directly as the sum over c in F_q^m_X of (-1)^tr(c . xsyn)
     |x0 + c R_X>, x0 solving the Z-syndrome constraints: as R_X t0 = xsyn for
     any t0 solving the X ones, that is sum over u in L_X of (-1)^tr(u . t0)
-    |x0 + u>.  The eigen-equations are then re-checked exactly, X block first.
+    |x0 + u>.  The kets and their sign bits double once per X row r with
+    syndrome sigma, to (ket ^ index(mu r), bit ^ tr(mu sigma)) for every mu,
+    which keeps the all_digits order of c and never holds a (q^m_X, m_X, n)
+    product.  The eigen-equations are then re-checked exactly, X block first.
+
+    A stack of full tableaux with one (q, n, m_X) gives the list of their
+    states: one linalg.solve per tableau, then one set of array operations.
     """
     from . import linalg
 
-    gf = t.gf
-    if not t.is_full:
-        raise FullTableauRequired(f"m_X + m_Z = {t.m_x + t.m_z} != n = {t.n}")
-    d = _check_cap(gf, t.n)
+    ts, single = _stack(t)
+    gf, n, k, m_x = ts[0].gf, ts[0].n, len(ts), ts[0].m_x
+    for u in ts:
+        if not u.is_full:
+            raise FullTableauRequired(f"m_X + m_Z = {u.m_x + u.m_z} != n = {u.n}")
+        if u.m_x != m_x:
+            raise DimensionMismatch("the tableaux of a stack differ in m_X")
+    d = _check_cap(gf, n)
 
-    x0 = linalg.solve(gf, t.zrows, t.zsyn)
-    if x0 is None:
+    x0 = [linalg.solve(gf, u.zrows, u.zsyn) for u in ts]
+    if any(x is None for x in x0):
         raise RuntimeError("inconsistent constraints in a validated tableau")
 
-    coeffs = all_digits(gf, t.m_x)
-    kets = index_of(gf, gf.matmul(coeffs, t.xrows) ^ x0)
-    amps = np.zeros(d, dtype=np.int64)
-    amps[kets] = 1 - 2 * gf.trace_arr(gf.matmul(coeffs, t.xsyn))
+    kets = index_of(gf, np.array(x0, dtype=np.int64).reshape(k, n))[:, None]
+    bits = np.zeros_like(kets)
+    rows = gf.mul_arr(np.arange(gf.q)[:, None], np.array([u.x for u in ts])[:, :, None, :])
+    row_kets, row_bits = index_of(gf, rows[..., :-1]), gf.trace_arr(rows[..., -1])
+    for i in range(m_x):
+        kets = (kets[:, :, None] ^ row_kets[:, i, None, :]).reshape(k, -1)
+        bits = (bits[:, :, None] ^ row_bits[:, i, None, :]).reshape(k, -1)
+    amps = np.zeros((k, d), dtype=np.int64)
+    amps[np.arange(k)[:, None], kets] = 1 - 2 * bits
 
-    _verify_eigen_equations(t, amps)
+    _verify_eigen_equations(ts, amps)
     vec = amps.astype(np.complex128)
-    return StateVector(gf, t.n, vec / np.linalg.norm(vec))
+    states = [StateVector(gf, n, v) for v in vec / np.linalg.norm(vec, axis=1, keepdims=True)]
+    return states[0] if single else states
 
 
-def _verify_eigen_equations(t: "CssTableau", amps: np.ndarray) -> None:
+def _verify_eigen_equations(t: "CssTableau | list", amps: np.ndarray) -> None:
     """Check that P^mu amps = (-1)^tr(mu syn) amps for each row word P with
     syndrome syn and every mu in F_q, one block at a time, X rows first.
 
     mu over the F_2-basis 2^i suffices, as P^mu is multiplicative in mu.  X
-    block: (X^(mu row) amps)[u] = amps[u ^ index(mu row)], so one (s, m_x, d)
-    gather is compared with (1 - 2 tr(mu syn)) amps.  Z block: Z^(mu row)
-    multiplies amps[u] by (-1)^tr(mu (row . u)), so every u in the support
-    of amps must have row . u = syn, one F_q product.  Exact, as amps and
-    every phase are integers."""
-    gf = t.gf
+    block: (X^(mu row) amps)[u] = amps[u ^ index(mu row)], so one gather is
+    compared with (1 - 2 tr(mu syn)) amps.  Z block: Z^(mu row) multiplies
+    amps[u] by (-1)^tr(mu (row . u)), so every u in the support of amps must
+    have row . u = syn, one F_q product.  Exact, as amps and every phase are
+    integers.  A stack of tableaux with one (q, n, m_X) is checked against
+    the rows of (k, d) amps by the same operations, and the RuntimeError
+    names the block of the first member that fails, X before Z."""
+    ts, _ = _stack(t)
+    gf, n, k = ts[0].gf, ts[0].n, len(ts)
+    amps = amps.reshape(k, -1)
     mus = 1 << np.arange(gf.s, dtype=np.int64)
-    shifts = index_of(gf, gf.mul_arr(mus[:, None, None], t.xrows))
-    signs = 1 - 2 * gf.trace_arr(gf.mul_arr(mus[:, None], t.xsyn))
-    moved = amps[np.arange(amps.size) ^ shifts[..., None]]
-    if np.any(moved != signs[..., None] * amps):
-        raise RuntimeError("constructed state violates an X eigen-equation")
-    support = all_digits(gf, t.n)[amps != 0]
-    if np.any(gf.matmul(support, t.zrows.T) != t.zsyn):
-        raise RuntimeError("constructed state violates a Z eigen-equation")
+    x = gf.mul_arr(mus[:, None, None, None], np.array([u.x for u in ts]))  # (s, k, m_X, n + 1)
+    shifts = index_of(gf, x[..., :-1])[..., None]
+    moved = amps[np.arange(k)[:, None, None], np.arange(amps.shape[1]) ^ shifts]
+    signs = 1 - 2 * gf.trace_arr(x[..., -1])
+    x_bad = np.any(moved != signs[..., None] * amps[:, None], axis=(0, 2, 3))
+    del moved  # before the Z block's product
+    z = np.array([u.z for u in ts])  # (k, m_Z, n + 1)
+    support = np.flatnonzero(amps.any(axis=0))
+    zu = gf.matmul(all_digits(gf, n)[support], z[..., :-1].reshape(-1, n).T)
+    violated = (zu.reshape(support.size, k, -1) != z[..., -1]) & (amps[:, support].T != 0)[..., None]
+    z_bad = np.any(violated, axis=(0, 2))
+    bad = np.flatnonzero(x_bad | z_bad)
+    if bad.size:
+        block = "an X" if x_bad[bad[0]] else "a Z"
+        raise RuntimeError(f"constructed state violates {block} eigen-equation")
 
 
 # -- syndrome extraction -----------------------------------------------------------
 
 
-def syndrome_component(psi: StateVector, P: PauliWord):
+def syndrome_component(psi: StateVector | list, P: PauliWord | list):
     """The eta with P^mu |psi> = (-1)^tr(mu eta) |psi> for all mu, if any.
 
     Returns NOT_EIGENSTATE when no field element fits within tolerance.
     Testing mu over an F_2-basis suffices: P^mu is multiplicative in mu for
-    pure-type words, so the basis relations extend exactly.
+    pure-type words, so the basis relations extend exactly.  A stack of
+    states with one word each gives the list of their components.
     """
-    _require_measurable(P, psi)
-    moved = _apply_powers(P, 1 << np.arange(psi.gf.s), psi.amps)
-    plus = np.max(np.abs(moved - psi.amps), axis=1) <= ATOL
-    minus = np.max(np.abs(moved + psi.amps), axis=1) <= ATOL
-    if not np.all(plus | minus):
-        return NOT_EIGENSTATE
+    states, words, single = _measurable(psi, P)
+    gf = states[0].gf
+    amps = np.array([s.amps for s in states])
+    moved = _apply_powers(words, 1 << np.arange(gf.s), amps)
+    plus = np.max(np.abs(moved - amps[:, None]), axis=2) <= ATOL
+    minus = np.max(np.abs(moved + amps[:, None]), axis=2) <= ATOL
     bits = (~plus).astype(np.int64)  # within ATOL both ways reads as bit 0
-    return _bases.polynomial_basis(psi.gf).dual().recompose(bits)
+    etas = _bases.polynomial_basis(gf).dual().recompose(bits)
+    out = [int(e) if ok else NOT_EIGENSTATE for e, ok in zip(etas, np.all(plus | minus, axis=1))]
+    return out[0] if single else out
 
 
-def _born(psi: StateVector, P: PauliWord) -> tuple[np.ndarray, np.ndarray]:
-    """The sectors of psi and the probability of each, in code order."""
-    _require_measurable(P, psi)
-    sectors = _sectors(P, psi.amps)
-    probs = np.sum(np.abs(sectors) ** 2, axis=1)
-    if not probs.sum() > 0:
+def _born(states: list, words: list) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, q, d) sectors of a stack of states and the (k, q) probability
+    of each, in code order."""
+    sectors = _sectors(words, np.array([s.amps for s in states]))
+    probs = np.sum(np.abs(sectors) ** 2, axis=2)
+    total = probs.sum(axis=1, keepdims=True)
+    if not np.all(total > 0):
         raise ValueError("a zero-norm state has no Born probabilities")
-    return sectors, probs / probs.sum()
+    return sectors, probs / total
 
 
-def _normalised_sector(psi: StateVector, sectors: np.ndarray, eta: int) -> StateVector:
-    vec = sectors[psi.gf.check_code(eta)]
-    nrm = np.linalg.norm(vec)
-    if nrm < ATOL:
-        raise ValueError(f"outcome {eta} has zero probability")
-    return StateVector(psi.gf, psi.n, vec / nrm)
+def _normalised_sectors(states: list, sectors: np.ndarray, etas) -> list[list[StateVector]]:
+    """For each state, its sectors at its row of etas, each renormalised."""
+    gf = states[0].gf
+    if len(etas) != len(states):
+        raise DimensionMismatch(f"{len(etas)} rows of outcomes for {len(states)} states")
+    etas = np.array([[gf.check_code(eta) for eta in row] for row in etas])
+    vecs = sectors[np.arange(len(states))[:, None], etas]
+    norms = np.linalg.norm(vecs, axis=2, keepdims=True)
+    zero = norms[..., 0] < ATOL
+    if zero.any():
+        raise ValueError(f"outcome {etas[zero][0]} has zero probability")
+    return [[StateVector(gf, s.n, v) for v in row] for s, row in zip(states, vecs / norms)]
 
 
-def born_probabilities(psi: StateVector, P: PauliWord) -> np.ndarray:
-    """Probability of each syndrome outcome eta in code order."""
-    return _born(psi, P)[1]
+def born_probabilities(psi: StateVector | list, P: PauliWord | list) -> np.ndarray:
+    """Probability of each syndrome outcome eta in code order: (q,), or
+    (k, q) for a stack of states with one word each."""
+    states, words, single = _measurable(psi, P)
+    probs = _born(states, words)[1]
+    return probs[0] if single else probs
 
 
-def collapse(psi: StateVector, P: PauliWord, eta: int) -> StateVector:
-    """Renormalised projection of psi onto the syndrome-eta sector."""
-    _require_measurable(P, psi)
-    return _normalised_sector(psi, _sectors(P, psi.amps), eta)
+def collapse(psi: StateVector | list, P: PauliWord | list, eta):
+    """Renormalised projection of psi onto the syndrome-eta sector.
+
+    A stack of states with one word each takes a sequence of outcomes per
+    state, and gives for each state the list of its collapses, all read from
+    one sector stack."""
+    states, words, single = _measurable(psi, P)
+    sectors = _sectors(words, np.array([s.amps for s in states]))
+    out = _normalised_sectors(states, sectors, [[eta]] if single else eta)
+    return out[0][0] if single else out
 
 
 def measure_projective(
     psi: StateVector, P: PauliWord, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Sample a syndrome component with Born probabilities and collapse."""
-    sectors, probs = _born(psi, P)
+    _require_measurable(P, psi)
+    sectors, (probs,) = _born([psi], [P])
     eta = int(rng.choice(psi.gf.q, p=probs))
-    return eta, _normalised_sector(psi, sectors, eta)
+    return eta, _normalised_sectors([psi], sectors, [[eta]])[0][0]
 
 
 def states_equal_up_to_phase(a: StateVector, b: StateVector) -> bool:

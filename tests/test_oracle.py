@@ -19,6 +19,7 @@ from gqudits.field import make_field
 from gqudits.oracle import (
     ATOL,
     NOT_EIGENSTATE,
+    DenseOperator,
     StateVector,
     _power_actions,
     _sectors,
@@ -453,6 +454,130 @@ class TestBlockEigenCheck:
         assert stabiliser_state(t).norm() == pytest.approx(1.0)
 
 
+class TestStacks:
+    """A list of tableaux or of states is a stack, computed by the same array
+    operations as a single argument, which is the batch of one."""
+
+    @staticmethod
+    def groups(seed, size=4):
+        rng = np.random.default_rng(seed)
+        for s in (1, 2, 3):
+            gf = make_field(s)
+            for n in (1, 2, 3):
+                for m_x in range(n + 1):
+                    yield gf, [TestEigenEquationCheck.mixed_tableau(gf, rng, n, m_x) for _ in range(size)]
+
+    def test_stacked_states_match_one_at_a_time(self, monkeypatch):
+        solves, solve = [], linalg.solve
+        monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(args) or solve(*args))
+        groups = 0
+        for _, ts in self.groups(137):
+            solves.clear()
+            stacked = stabiliser_state(ts)
+            assert isinstance(stacked, list) and len(solves) == len(ts)
+            for t, psi in zip(ts, stacked):
+                assert psi.amps.tobytes() == stabiliser_state(t).amps.tobytes()
+            groups += 1
+        assert groups == 3 * 9
+
+    def test_eigen_check_refuses_one_corrupted_member(self):
+        rng = np.random.default_rng(139)
+        refused = 0
+        for gf, ts in self.groups(139):
+            amps = np.array([
+                np.rint(psi.amps.real * np.sqrt(gf.q**t.m_x)) for t, psi in zip(ts, stabiliser_state(ts))
+            ]).astype(np.int64)
+            _verify_eigen_equations(ts, amps)
+            i = int(rng.integers(len(ts)))
+            corrupted = amps.copy()
+            if ts[i].m_x:  # a sign flip breaks an X eigen-equation
+                corrupted[i, rng.choice(np.flatnonzero(amps[i]))] *= -1
+            else:  # the one ket moved breaks a Z eigen-equation
+                corrupted[i] = np.roll(amps[i], 1)
+            want = eigen_verdict(_verify_eigen_equations, ts[i], corrupted[i])
+            assert want is not None
+            assert eigen_verdict(_verify_eigen_equations, ts, corrupted) == want
+            refused += 1
+        assert refused == 3 * 9
+
+    def test_stack_needs_one_system_and_m_x(self):
+        gf = make_field(2)
+        rng = np.random.default_rng(149)
+        t1, t2 = (TestEigenEquationCheck.mixed_tableau(gf, rng, 3, m_x) for m_x in (1, 2))
+        other = TestEigenEquationCheck.mixed_tableau(gf, rng, 2, 1)
+        for stack in ([t1, t2], [t1, other], []):
+            with pytest.raises(DimensionMismatch):
+                stabiliser_state(stack)
+        psi = stabiliser_state(t1)
+        w = PauliWord.z_word(gf, [1, 0, 0])
+        for fn, extra in ((syndrome_component, ()), (born_probabilities, ()), (collapse, ([[0]],))):
+            with pytest.raises(DimensionMismatch):
+                fn([psi, stabiliser_state(other)], [w, PauliWord.z_word(gf, [1, 0])], *extra)
+            with pytest.raises(DimensionMismatch):
+                fn([psi], [w, w], *extra)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_stacked_measurement_matches_one_at_a_time(self, s):
+        gf = make_field(s)
+        rng = np.random.default_rng(151 + s)
+        for n in (1, 2, 3):
+            states = [random_state(gf, n, rng) for _ in range(3)]
+            words = [PauliWord.x_word(gf, rng.integers(1, gf.q, n)), PauliWord.z_word(gf, rng.integers(1, gf.q, n)),
+                     PauliWord.x_word(gf, rng.integers(1, gf.q, n))]
+            ts = [TestEigenEquationCheck.mixed_tableau(gf, rng, n, m_x) for m_x in (0, n, n)]
+            eigen = [stabiliser_state(t) for t in ts]
+            eigen_words = [PauliWord.z_word(gf, ts[0].zrows[0]), PauliWord.x_word(gf, ts[1].xrows[-1]), words[2]]
+            assert syndrome_component(eigen, eigen_words) == [
+                syndrome_component(psi, w) for psi, w in zip(eigen, eigen_words)
+            ]
+            probs = born_probabilities(states, words)
+            assert probs.shape == (3, gf.q)
+            etas = [rng.permutation(gf.q)[:2] for _ in states]
+            collapsed = collapse(states, words, etas)
+            for psi, w, row, out, want_etas in zip(states, words, probs, collapsed, etas):
+                assert row.tobytes() == born_probabilities(psi, w).tobytes()
+                for post, eta in zip(out, want_etas):
+                    assert post.amps.tobytes() == collapse(psi, w, eta).amps.tobytes()
+
+
+class TestStabiliserStateMemory:
+    def test_largest_x_only_state_stays_small(self):
+        """(s, n, m_X) = (1, 14, 14), d = 2^14: the kets double over the rows,
+        so the 0.25 MiB state never needs a (2^14, 14, 14) product."""
+        gf = make_field(1)
+        n = 14
+        syn = np.arange(n) % 2
+        t = new_tableau(gf, n, np.eye(n, dtype=np.int64), np.zeros((0, n), dtype=np.int64), syn, [])
+        tracemalloc.start()
+        try:
+            psi = stabiliser_state(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        signs = 1 - 2 * (np.bitwise_xor.reduce(all_digits(gf, n) & syn, axis=1))
+        assert np.array_equal(psi.amps, signs / np.sqrt(gf.q**n))
+        assert peak < 8 << 20
+
+
+class TestEquality:
+    def test_operators(self):
+        gf = make_field(1)
+        a = DenseOperator(gf, 1, np.eye(2))
+        assert a == DenseOperator(gf, 1, np.eye(2))
+        assert a == pauli_matrix(PauliWord.identity(gf, 1))  # the form is not compared
+        assert a != DenseOperator(gf, 1, np.diag([1, -1]))
+        assert a != DenseOperator(make_field(2), 1, np.eye(4)) and a != DenseOperator(gf, 2, np.eye(4))
+        assert (a == "eye") is False and a != np.eye(2).tolist()
+
+    def test_states(self):
+        gf = make_field(1)
+        a = StateVector(gf, 1, [1, 0])
+        assert a == StateVector(gf, 1, [1, 0])
+        assert a != StateVector(gf, 1, [0, 1])
+        assert a != StateVector(make_field(2), 1, [1, 0, 0, 0]) and a != StateVector(gf, 2, [1, 0, 0, 0])
+        assert (a == [1, 0]) is False and a != DenseOperator(gf, 1, np.eye(2))
+
+
 class TestSyndromeComponent:
     def test_zero_state_under_pure_z(self):
         gf = make_field(2)
@@ -597,9 +722,11 @@ class TestMeasureProjective:
         gf = make_field(2)
         psi = uniform_state(gf, 1)
         w = PauliWord.z_word(gf, [1])
-        for eta in (-1, gf.q):
+        for eta in (-1, gf.q, 2**70):
             with pytest.raises(InvalidFieldCode):
                 collapse(psi, w, eta)
+            with pytest.raises(InvalidFieldCode):
+                collapse([psi, psi], [w, w], [[0, 1], [2, eta]])
 
     def test_zero_state_rejected(self):
         gf = make_field(2)
@@ -669,7 +796,7 @@ class TestSectors:
         rng = np.random.default_rng(300 + s)
         psi = random_state(gf, n, rng)
         P = PauliWord.z_word(gf, rng.integers(1, gf.q, n))
-        sectors = _sectors(P, psi.amps)
+        (sectors,) = _sectors([P], psi.amps[None])
         assert sectors.shape == (gf.q, psi.dim)
         assert np.allclose(sectors.sum(axis=0), psi.amps, atol=1e-12)
         gram = sectors.conj() @ sectors.T
