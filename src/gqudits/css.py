@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotCommuting, RankDeficient, json_int_fields, json_matrix
+from .errors import DimensionMismatch, NotCommuting, RankDeficient, json_int_fields, json_matrix
 from .field import GF, field_from_json
 
 DEFAULT_DISTANCE_BUDGET = 1 << 20
@@ -25,6 +25,9 @@ _LOW_BITS = 14
 
 @dataclass
 class CssCode:
+    """Checked when built: rows of n entries (DimensionMismatch), independent
+    within each block (RankDeficient, naming it), gx . gz^T = 0 (NotCommuting)."""
+
     gf: GF
     n: int
     gx: np.ndarray  # generators of L_X
@@ -33,6 +36,14 @@ class CssCode:
     def __post_init__(self) -> None:
         self.gx = linalg.as_matrix(self.gx, self.n)
         self.gz = linalg.as_matrix(self.gz, self.n)
+        for name, rows in (("gx", self.gx), ("gz", self.gz)):
+            if rows.shape[1] != self.n:
+                raise DimensionMismatch(f"{name} rows have {rows.shape[1]} entries, n = {self.n}")
+            rank = linalg.rank(self.gf, rows)
+            if rank != len(rows):
+                raise RankDeficient(f"{name} rows are linearly dependent (rank {rank} of {len(rows)})")
+        if np.any(self.gf.matmul(self.gx, self.gz.T)):
+            raise NotCommuting("L_X is not orthogonal to L_Z")
 
     def __eq__(self, other: object) -> bool:
         """Same field, length and generator rows; the same object at once."""
@@ -94,13 +105,8 @@ class CodeParams:
 
 
 def new_css(gf: GF, n: int, gx, gz) -> CssCode:
-    """Validated CSS code: independent generator rows with gx . gz^T = 0."""
-    code = CssCode(gf, n, gx, gz)
-    if linalg.rank(gf, code.gx) != code.m_x or linalg.rank(gf, code.gz) != code.m_z:
-        raise RankDeficient("generator rows are linearly dependent")
-    if np.any(gf.matmul(code.gx, code.gz.T)):
-        raise NotCommuting("L_X is not orthogonal to L_Z")
-    return code
+    """The CSS code of gx and gz, which CssCode checks as it is built."""
+    return CssCode(gf, n, gx, gz)
 
 
 def dual_space(gf: GF, M) -> np.ndarray:

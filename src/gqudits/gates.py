@@ -7,12 +7,12 @@ fixed F_2-basis.  A node is one of three kinds (see oracle.DenseOperator):
 - an action: X, Z, mult, CNOT, CCZ, multi_cz, U_n, S, T, every Pauli, their
   pi_map images and their embed_single embeddings carry their monomial
   (perm, phase) pair, and the level rule runs on it;
-- clifford: the Hadamard and its embed_single embeddings carry the marker
-  that every generator conjugate is a Pauli (H X^a H^dag = Z^a,
-  H Z^b H^dag = X^b), so they sit at level 2 unless they are Pauli
-  multiples, with no conjugation at all;
-- dense only: a user matrix or pi_map(H).  Such a node is read as monomial
-  when it has one unit-modulus non-zero per row and column (entries up to
+- clifford: the Hadamard, its embed_single embeddings and its pi_map images
+  carry the marker that every generator conjugate is a Pauli
+  (H X^a H^dag = Z^a, H Z^b H^dag = X^b), so they sit at level 2 unless
+  they are Pauli multiples, with no conjugation at all;
+- dense only: a user matrix.  Such a node is read as monomial when it has
+  one unit-modulus non-zero per row and column (entries up to
   oracle.UNITARY_ATOL / 4 read as zero), and otherwise runs on its dense
   matrix and conjugates, each of which goes back through the same rule.
 """
@@ -374,8 +374,8 @@ def phi_inverse(bases, Psi: StateVector, gf: GF) -> StateVector:
 def pi_map(bases, U: DenseOperator) -> DenseOperator:
     """Conjugate by the basis relabelling: Pi(U) = phi U phi^-1.  An action
     is relabelled with it (U|j> = phases[j] |targets[j]> gives Pi(U)|b> =
-    phases[inv[b]] |perm[targets[inv[b]]]>); the clifford marker is not
-    carried over."""
+    phases[inv[b]] |perm[targets[inv[b]]]>), and so is the clifford marker,
+    as Pi maps Paulis to Paulis."""
     assignment = _as_assignment(bases, U.gf, U.n)
     perm = qubit_permutation(assignment)
     inv = np.empty_like(perm)
@@ -385,4 +385,5 @@ def pi_map(bases, U: DenseOperator) -> DenseOperator:
     if U.action is not None:
         targets, phases = U.action
         action = (perm[targets[inv]], phases[inv])
-    return DenseOperator._formed(make_field(1), U.n * U.gf.s, mat, action=action)
+    gf2 = make_field(1)
+    return DenseOperator._formed(gf2, U.n * U.gf.s, mat, action=action, clifford=U.clifford)

@@ -3,6 +3,9 @@
 A qubit code is derived once from its qudit code and basis assignment, and
 that object is also the measurement plan: one expansion, one binding of a
 qubit code to its qudit code, and a bundle document must be that expansion.
+A CssCode is checked when it is built, and nothing here checks it again:
+D_B(a) . D_{B*}(b) = tr(a b) makes hx . hz^T = 0, and D is F_2-linear and
+injective, so m independent qudit rows expand to m*s independent checks.
 Everything X-type travels through the per-qudit bases; everything Z-type
 travels through their duals.  Every qudit check is read in the self-dual
 basis b: measured as s qubit checks it reports s bits tr(b_i * component),
@@ -99,10 +102,6 @@ class QubitCssCode:
             raise DimensionMismatch(f"{self.assignment.n} bases for {self.source.n} qudits")
         self.hx = _expand_rows(self.assignment, self.source.gx, False)
         self.hz = _expand_rows(self.assignment, self.source.gz, True)
-        # a float64 (BLAS) product is exact: its entries are at most ns < 2^53
-        overlap = self.hx.astype(np.float64) @ self.hz.T.astype(np.float64)
-        if np.any(overlap % 2):
-            raise DimensionMismatch("hx . hz^T != 0 over F_2")
         self.basis = find_self_dual(gf)  # every check is read in it (its own dual)
         self.x_checks = self.hx.reshape(self.source.m_x, gf.s, self.ns)
         self.z_checks = self.hz.reshape(self.source.m_z, gf.s, self.ns)
@@ -123,10 +122,9 @@ class QubitCssCode:
 
     @property
     def k(self) -> int:
-        """s * (n - rank gx - rank gz): D is F_2-linear and injective, so the
-        F_2 rank of the rows D(b_t * row) is s times the F_q rank of the rows."""
-        code = self.source
-        return code.gf.s * (code.n - linalg.rank(code.gf, code.gx) - linalg.rank(code.gf, code.gz))
+        """s times the qudit code's k: D is F_2-linear and injective, so the
+        rows D(b_t * row) of the independent qudit rows are independent."""
+        return self.source.gf.s * self.source.k
 
     @property
     def total_checks(self) -> int:
@@ -210,14 +208,9 @@ def convert_logicals(
 
 def make_plan(code: CssCode, assignment: BasisAssignment | None = None) -> QubitCssCode:
     """The converted code, whose x_checks and z_checks group its hx and hz
-    rows by qudit check; a zero check row, whose s checks would be
-    dependent, is refused."""
-    for name, rows in (("gx", code.gx), ("gz", code.gz)):
-        # beta -> D(beta * r) is F_2-linear and injective exactly when r != 0
-        zero = np.flatnonzero(~rows.any(axis=1))
-        if zero.size:
-            raise DimensionMismatch(f"row {zero[0]} of {name} is zero: dependent qubit checks")
-    return convert_code(code, assignment)
+    rows by qudit check, s independent qubit checks each (CssCode refuses
+    the zero row, whose s checks would be dependent)."""
+    return QubitCssCode(code, _assignment_for(code, assignment))
 
 
 def reconstruct_syndrome(bits, basis: FieldBasis) -> int | np.ndarray:

@@ -12,9 +12,9 @@ needs no elimination: it is deterministic iff w is orthogonal to every
 opposite-type row, with outcome w . t0 where rows . t0 = syndromes.
 ``sample`` is the one draw rule: ``measure`` takes its single shot by it,
 computing P's dots once, and any number of shots on one tableau is one
-draw.  ``new_tableau`` checks ranks and orthogonality with ``css.new_css``
-at the input boundaries (user calls, ``from_json``, ``cat_block_tableau``);
-the updates keep both.
+draw.  ``new_tableau`` checks row widths, ranks and orthogonality with
+``css.new_css`` at the input boundaries (user calls, ``from_json``,
+``cat_block_tableau``); the updates keep all three.
 """
 
 from __future__ import annotations
@@ -109,12 +109,10 @@ class CssTableau:
 
 
 def new_tableau(gf: GF, n: int, xrows, zrows, xsyn, zsyn) -> CssTableau:
-    """Validated tableau: F_q syndromes, independent rows, orthogonal blocks."""
+    """Validated tableau: F_q syndromes, independent rows of n entries, orthogonal blocks."""
     xrows, zrows = linalg.as_matrix(xrows, n), linalg.as_matrix(zrows, n)
     xsyn = np.asarray(xsyn, dtype=np.int64).reshape(-1)
     zsyn = np.asarray(zsyn, dtype=np.int64).reshape(-1)
-    if xrows.shape[1] != n or zrows.shape[1] != n:
-        raise DimensionMismatch("generator rows must have n columns")
     if xsyn.shape[0] != xrows.shape[0]:
         raise DimensionMismatch("one X syndrome per X row required")
     if zsyn.shape[0] != zrows.shape[0]:

@@ -5,7 +5,7 @@ import pytest
 
 from gqudits import linalg, oracle
 from gqudits.css import CssCode, dual_space, logical_spaces, min_weight_excluding, new_css, params
-from gqudits.errors import InvalidDocument, NotCommuting, RankDeficient
+from gqudits.errors import DimensionMismatch, InvalidDocument, NotCommuting, RankDeficient
 from gqudits.field import make_field
 from gqudits.grs import make_qrs
 from gqudits.pauli import PauliWord
@@ -97,14 +97,39 @@ class TestNewCss:
         assert qrs.css.k == 3
 
     def test_dependent_rows_rejected(self):
+        """By new_css and by CssCode itself, naming the dependent block."""
         gf = make_field(2)
-        with pytest.raises(RankDeficient):
-            new_css(gf, 3, [[1, 1, 0], [2, 2, 0]], np.zeros((0, 3)))
+        rows, empty = [[1, 1, 0], [2, 2, 0]], np.zeros((0, 3))
+        for build in (new_css, CssCode):
+            with pytest.raises(RankDeficient, match=r"^gx rows are linearly dependent \(rank 1 of 2\)$"):
+                build(gf, 3, rows, empty)
+            with pytest.raises(RankDeficient, match=r"^gz rows are linearly dependent \(rank 1 of 2\)$"):
+                build(gf, 3, empty, rows)
+            with pytest.raises(RankDeficient, match=r"^gz rows are linearly dependent \(rank 0 of 1\)$"):
+                build(gf, 3, [[1, 1, 0]], [[0, 0, 0]])  # a zero row is dependent
 
     def test_non_orthogonal_rejected(self):
         gf = make_field(2)
-        with pytest.raises(NotCommuting):
-            new_css(gf, 2, [[1, 0]], [[1, 1]])
+        for build in (new_css, CssCode):
+            with pytest.raises(NotCommuting):
+                build(gf, 2, [[1, 0]], [[1, 1]])
+
+    @pytest.mark.parametrize(
+        "n, gx, gz, message",
+        [
+            (3, [[1, 1, 0, 0]], [[1, 1, 0, 0]], "gx rows have 4 entries, n = 3"),
+            (5, [[1, 1]], [[1, 1]], "gx rows have 2 entries, n = 5"),
+            (3, [[1, 1, 0]], [[1, 1, 0, 0]], "gz rows have 4 entries, n = 3"),
+            (3, np.zeros((0, 3)), [[1, 1]], "gz rows have 2 entries, n = 3"),
+        ],
+    )
+    def test_row_width_must_be_n(self, n, gx, gz, message):
+        """Rows wider or narrower than n used to be accepted, and params then
+        answered for a code of another length."""
+        gf = make_field(2)
+        for build in (new_css, CssCode):
+            with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+                build(gf, n, gx, gz)
 
     def test_json_round_trip(self):
         gf = make_field(3)

@@ -792,8 +792,8 @@ class TestForms:
         for kind, params in gate_cases(gf):
             U = build_gate(gf, kind, **params)
             image = pi_map(seeded_assignment(gf, rng, U.n), U)
-            if kind == "hadamard":  # dense only: the marker is not carried over
-                assert image.action is None and not image.clifford
+            if kind == "hadamard":  # Pi maps Paulis to Paulis, so the marker carries over
+                assert_clifford_marker_holds(image)
             else:
                 assert_action_matches_matrix(image)
 
@@ -833,15 +833,15 @@ class TestForms:
             pauli_matrix(PauliWord.from_vectors(gf, [1, 2], [3, 0])),
             embed_single(gf, 2, 1, build_gate(gf, "mult", delta=2)), embed_single(gf, 2, 0, H),
             pi_map(polynomial_basis(gf), build_gate(gf, "s", gamma=3)),
+            pi_map(polynomial_basis(gf), H),
         ]
         for U in formed:
             with pytest.raises(ValueError):
                 U.mat[0, 0] = 2.0
             with pytest.raises(ValueError):
                 U.mat *= 2.0
-        dense = [DenseOperator(gf, 1, np.eye(4)), pi_map(polynomial_basis(gf), H)]
-        for U in dense:
-            assert U.action is None and not U.clifford and U.mat.flags.writeable
+        dense = DenseOperator(gf, 1, np.eye(4))
+        assert dense.action is None and not dense.clifford and dense.mat.flags.writeable
 
     def test_new_matrix_drops_the_form(self):
         """Assigning a new .mat drops the form, so the query reads the new

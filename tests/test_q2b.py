@@ -17,7 +17,9 @@ from gqudits.errors import (
     InvalidAlist,
     InvalidDocument,
     InvalidFieldCode,
+    NotCommuting,
     PlanMismatch,
+    RankDeficient,
 )
 from gqudits.field import make_field
 from gqudits.gates import pi_map
@@ -456,13 +458,22 @@ class TestConvertCode:
         assert not np.any((qubit.hx @ qubit.hz.T) % 2)
 
     def test_orthogonality_transfer_random_bases(self):
-        gf = make_field(2)
-        rng = np.random.default_rng(149)
-        code = make_qrs(gf, 4, 1, 3).css
-        for _ in range(5):
-            A = random_assignment(gf, 4, rng)
-            qubit = convert_code(code, A)
-            assert not np.any((qubit.hx @ qubit.hz.T) % 2)
+        """D_B(a) . D_{B*}(b) = tr(a b): QubitCssCode does not check hx . hz^T,
+        so this pins it on QRS codes and on random CSS codes, for shared,
+        per-qudit and mixed (B != B*) assignments."""
+        for s in (1, 2, 3, 4):
+            gf = make_field(s)
+            rng = np.random.default_rng(149 + s)
+            n = min(gf.q, 6)
+            k1, k2 = sorted(int(k) for k in rng.integers(0, n + 1, 2))
+            gx = linalg.random_full_rank(gf, rng, int(rng.integers(1, n)), n)
+            gz = dual_space(gf, gx)
+            m_z = int(rng.integers(1, len(gz) + 1))
+            for code in (make_qrs(gf, n, k1, k2).css, new_css(gf, n, gx, gz[:m_z])):
+                for A in assignments(gf, n, rng):
+                    qubit = convert_code(code, A)
+                    assert qubit.hx.shape == (s * code.m_x, s * n)
+                    assert not np.any((qubit.hx @ qubit.hz.T) % 2), (s, A)
 
     def test_dimension_transfer(self):
         gf = make_field(3)
@@ -573,15 +584,24 @@ class TestDimension:
                 assert qubit.k == self.f2_k(qubit) == s * (k2 - k1)
 
     def test_dependent_rows_counted_once(self):
-        """A CssCode built directly, past new_css, with a repeated gx row."""
+        """A repeated gx row is refused where the code is built, so every
+        qubit code comes from independent rows and k = s * (qudit k)."""
         gf = make_field(3)
         qrs = make_qrs(gf, 8, 2, 5)
-        code = CssCode(gf, 8, np.vstack([qrs.css.gx, qrs.css.gx[:1]]), qrs.css.gz)
+        with pytest.raises(RankDeficient, match=r"gx rows are linearly dependent \(rank 2 of 3\)"):
+            CssCode(gf, 8, np.vstack([qrs.css.gx, qrs.css.gx[:1]]), qrs.css.gz)
         rng = np.random.default_rng(311)
         for A in (default_assignment(gf, 8), *assignments(gf, 8, rng)):
-            qubit = convert_code(code, A)
+            qubit = convert_code(qrs.css, A)
             assert qubit.k == self.f2_k(qubit) == 3 * qrs.css.k == 9
-            assert code.k == 2
+
+    def test_k_runs_no_elimination(self, monkeypatch):
+        """k is s times the qudit code's k; it computes no rank."""
+        gf = make_field(3)
+        qubit = convert_code(make_qrs(gf, 8, 2, 5).css)
+        calls = []
+        monkeypatch.setattr(linalg, "rref_augmented", lambda *args: calls.append(args))
+        assert qubit.k == 9 and calls == []
 
 
 class TestConvertLogicals:
@@ -649,26 +669,28 @@ class TestWorkedExamples:
 
 class TestZeroCheckRow:
     """A zero check row is the one row whose s expanded checks are
-    dependent; new_css refuses it, so the code is built directly."""
+    dependent; CssCode refuses it as a dependent row of its block."""
 
     @pytest.mark.parametrize("side", ["gx", "gz"])
     def test_zero_row_named(self, side):
         gf = make_field(3)
         rows = np.array([[1, 2, 0], [0, 0, 0]], dtype=np.int64)
         empty = np.zeros((0, 3), dtype=np.int64)
-        code = CssCode(gf, 3, rows, empty) if side == "gx" else CssCode(gf, 3, empty, rows)
-        with pytest.raises(DimensionMismatch, match=f"row 1 of {side} is zero"):
-            make_plan(code, default_assignment(gf, 3))
+        with pytest.raises(RankDeficient, match=rf"{side} rows are linearly dependent \(rank 1 of 2\)"):
+            CssCode(gf, 3, rows, empty) if side == "gx" else CssCode(gf, 3, empty, rows)
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_non_zero_rows_expand_to_independent_checks(self, s):
+        """Each non-zero row, dependent on the others or not, expands to s
+        independent qubit checks, through the bases and through their duals."""
         gf = make_field(s)
         rng = np.random.default_rng(251 + s)
         rows = rng.integers(0, gf.q, size=(6, 4))
         rows[np.arange(6), rng.integers(0, 4, 6)] = rng.integers(1, gf.q, 6)  # no zero row
         for A in assignments(gf, 4, rng):
-            plan = make_plan(CssCode(gf, 4, rows, np.zeros((0, 4), dtype=np.int64)), A)
-            assert all(linalg.rank(make_field(1), g) == s for g in plan.x_checks)
+            for dualise in (False, True):
+                groups = q2b._expand_rows(A, rows, dualise).reshape(6, s, 4 * s)
+                assert all(linalg.rank(make_field(1), g) == s for g in groups)
 
 
 class TestReconstructSyndrome:
@@ -1137,10 +1159,11 @@ class TestValidation:
             expand_vector(A, [1])
 
     def test_conflicting_check_matrices_rejected(self):
-        """A CssCode built directly, past new_css, with gx . gz^T != 0."""
+        """gx . gz^T != 0 is refused where the qudit code is built, so no
+        qubit code is ever derived from it."""
         gf2 = make_field(1)
-        with pytest.raises(DimensionMismatch):
-            QubitCssCode(CssCode(gf2, 2, [[1, 0]], [[1, 0]]), default_assignment(gf2, 2))
+        with pytest.raises(NotCommuting):
+            CssCode(gf2, 2, [[1, 0]], [[1, 0]])
 
     @pytest.mark.parametrize("bad", [2, -1])
     def test_bundle_entries_must_be_bits(self, bad):

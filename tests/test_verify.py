@@ -47,10 +47,11 @@ def test_random_basis_matches_bit_fold(s):
 
 
 def test_qrs_criterion_converts_once(monkeypatch):
-    """Criterion 9 reads its [[24,9]] parameters and runs its decodes on one plan."""
+    """Criterion 9 reads its [[24,9]] parameters and runs its decodes on one
+    plan: one qubit code is derived."""
     calls = []
-    convert = q2b.convert_code
-    monkeypatch.setattr(q2b, "convert_code", lambda *args: calls.append(args) or convert(*args))
+    derive = q2b.QubitCssCode.__post_init__
+    monkeypatch.setattr(q2b.QubitCssCode, "__post_init__", lambda self: calls.append(self) or derive(self))
     ok, detail = verify.criterion_qrs(0)
     assert ok and detail.startswith("[[24,9]] conversion") and len(calls) == 1
 
