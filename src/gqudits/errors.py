@@ -148,11 +148,12 @@ class PlanMismatch(GquditError):
 class DecodeFailure(GquditError):
     """Decoding refused at stage "radius" (error locator longer than the
     radius), "split" (locator does not split over the evaluation points) or
-    "syndrome" (the error found fails the final syndrome check)."""
+    "syndrome" (the error found fails the final syndrome check).  shot is
+    the row of a stacked call that was refused, 0 for a single shot."""
 
-    def __init__(self, message: str, stage: str, weight: int, radius: int):
-        super().__init__(message, stage, weight, radius)  # all in args, so it pickles
-        self.stage, self.weight, self.radius = stage, weight, radius
+    def __init__(self, message: str, stage: str, weight: int, radius: int, shot: int = 0):
+        super().__init__(message, stage, weight, radius, shot)  # all in args, so it pickles
+        self.stage, self.weight, self.radius, self.shot = stage, weight, radius, shot
 
     def __str__(self) -> str:
         return self.args[0]

@@ -6,12 +6,13 @@ monomial basis, low degree first.  Decoding takes the syndrome S = H . e
 (a QRS code's check rows are its decoders' H, so S is what its checks
 report) and corrects up to floor((n-k)/2) errors: Berlekamp-Massey finds the
 error locator, a Chien search over the evaluation points finds the error
-positions and Forney's formula gives the error values.  decode checks the
-syndrome once.  Berlekamp-Massey and Forney's step work on a handful of
-elements (at most n - k syndromes, at most radius positions), so they run on
-Python ints through the scalar field ops; the Chien search stays vectorised,
-one gather from a cached table of point powers, one product and one
-XOR-reduction over all n points.
+positions and Forney's formula gives the error values.  decode checks one
+syndrome, or a stack of them, once and then decodes row by row.
+Berlekamp-Massey and Forney's step work on a handful of elements (at most
+n - k syndromes, at most radius positions), so they run on Python ints
+through the scalar field ops; the Chien search stays vectorised, one gather
+from a cached table of point powers, one product and one XOR-reduction over
+all n points.
 """
 
 from __future__ import annotations
@@ -178,25 +179,39 @@ def decode(c: GrsCode, syndrome) -> np.ndarray:
     syndrome S = H . e, S_j = sum_i w_i e_i alpha_i^j (j < n-k), with
     H = c.parity_check; DecodeFailure if there is none, so never unsound.
 
+    A (shots, n - k) stack of syndromes is checked once and gives the
+    (shots, n) stack of errors, decoded row by row; a 1-D syndrome is the
+    batch of one and gives one error.  The first row that is refused raises
+    its DecodeFailure, whose shot is that row.
+    """
+    syndrome = c.gf.check_codes(np.asarray(syndrome, dtype=np.int64))
+    if syndrome.ndim not in (1, 2) or syndrome.shape[-1] != c.n - c.k:
+        raise DimensionMismatch(
+            f"syndrome rows need length n - k = {c.n - c.k}, got shape {syndrome.shape}"
+        )
+    rows = syndrome if syndrome.ndim == 2 else syndrome[None]
+    errors = np.zeros((len(rows), c.n), dtype=np.int64)
+    for shot, S in enumerate(rows.tolist()):
+        if any(S):
+            pos, e = _decode_row(c, S, shot)
+            errors[shot, pos] = e
+    return errors if syndrome.ndim == 2 else errors[0]
+
+
+def _decode_row(c: GrsCode, S: list[int], shot: int):
+    """(positions, values) of the error that decode finds for one non-zero
+    syndrome S of Python ints, row shot of its call.
+
     An error at the point alpha_i = 0 adds to S_0 only: it lengthens the
     Berlekamp-Massey register L but adds no factor to the locator Lambda, so
     sigma(z) = z^L Lambda(1/z) has the root z = 0, and that error's value is
     what S_0 holds beyond the other values.
     """
-    gf = c.gf
-    syndrome = gf.check_codes(np.asarray(syndrome, dtype=np.int64).reshape(-1))
-    if syndrome.size != c.n - c.k:
-        raise DimensionMismatch(f"syndrome needs length n - k = {c.n - c.k}, got {syndrome.size}")
-    H = c.parity_check
-    error = np.zeros(c.n, dtype=np.int64)
-    if not syndrome.any():
-        return error
-
-    S = syndrome.tolist()
+    gf, H = c.gf, c.parity_check
     lam, L = _berlekamp_massey(gf, S)
 
     def refusal(stage: str, message: str) -> DecodeFailure:
-        return DecodeFailure(message, stage=stage, weight=L, radius=c.radius)
+        return DecodeFailure(message, stage=stage, weight=L, radius=c.radius, shot=shot)
 
     if L > c.radius:
         raise refusal("radius", f"error locator length {L} exceeds the radius {c.radius}")
@@ -225,12 +240,11 @@ def decode(c: GrsCode, syndrome) -> np.ndarray:
     if 0 in X:
         values[X.index(0)] = reduce(xor, values, S[0])
     e = [gf.div(y, w) for y, w in zip(values, H[0, pos].tolist())]  # H[0] = w
-    error[pos] = e
 
     # H . e == S, read on the support columns alone
-    if not np.array_equal(gf.matmul(H[:, pos], e), syndrome):
+    if gf.matmul(H[:, pos], e).tolist() != S:
         raise refusal("syndrome", "no error within the radius has this syndrome")
-    return error
+    return pos, e
 
 
 # -- quantum Reed-Solomon --------------------------------------------------------

@@ -1,8 +1,9 @@
 """Dense linear algebra over F_q on small integer-code matrices.
 
 Everything here is Gaussian elimination at desk scale.  Over F_q (q > 2)
-each pivot costs one row scaling and one broadcast rank-1 update of the
-whole augmented matrix with the vectorised field kernels.  Over F_2
+each pivot costs one factor column and one broadcast rank-1 update of the
+whole augmented matrix, which also scales the pivot row, with the unchecked
+field kernel (the input's codes are checked once, on entry).  Over F_2
 each row of the augmented matrix is packed into one Python integer and
 eliminated by XOR, the dense-GF(2) technique of M4RI; both paths perform
 the same row operations and return the same canonical form.
@@ -58,13 +59,14 @@ def rref_augmented(gf: GF, M, C) -> tuple[np.ndarray, np.ndarray, list[int]]:
         p = r + int(hits[0])
         if p != r:
             W[[r, p]] = W[[p, r]]
+        # one rank-1 update scales the pivot row and clears column c: row i ^=
+        # f_i * row r with f_i = inv * W[i, c], and f_r = 1 ^ inv turns row r
+        # into inv * row r (characteristic 2)
         inv = gf.inv(int(W[r, c]))
-        if inv != 1:
-            W[r] = gf.mul_arr(W[r], inv)
-        f = W[:, c].copy()
-        f[r] = 0
-        if f.any():  # clear column c: row i -= f_i * pivot row, all rows at once
-            W ^= gf.mul_arr(f[:, None], W[r])
+        f = gf._prod(W[:, c], inv)
+        f[r] = 1 ^ inv
+        if f.any():
+            W ^= gf._prod(f[:, None], W[r])
         pivots.append(c)
         r += 1
     return W[:, :cols], W[:, cols:], pivots

@@ -221,30 +221,33 @@ def _stack(item) -> tuple[list, bool]:
 # -- Pauli actions, matrices and sectors ----------------------------------------------
 
 
-def _power_actions(P, mus) -> tuple[np.ndarray, np.ndarray]:
+def _power_actions(P, mus=None) -> tuple[np.ndarray, np.ndarray]:
     """(targets, phases), each (len(mus), q^n), with P^mu |u> = phases[i, u]
     |targets[i, u]> for mu = mus[i]: u + mu x and sign * (-1)^tr(mu (z . u)),
     the constant sign when no word has a Z part.  mu != 1 needs a pure-type
-    word.  A stack of k words gives (k, len(mus), q^n) each."""
+    word; mus None is mu = 1 alone (one row), with no F_q product.  A stack
+    of k words gives (k, len(mus), q^n) each."""
     words, single = _stack(P)
     gf, n, k = words[0].gf, words[0].n, len(words)
     d = _check_cap(gf, n)
-    mus = np.asarray(mus, dtype=np.int64)[:, None]
+    if mus is not None:
+        mus = np.asarray(mus, dtype=np.int64)[:, None]
     xs = np.array([w.xvec for w in words], dtype=np.int64).reshape(k, 1, n)
     zs = np.array([w.zvec for w in words], dtype=np.int64).reshape(k, n)
     signs = np.array([w.sign for w in words], dtype=np.int64)[:, None, None]
-    targets = np.arange(d, dtype=np.int64) ^ index_of(gf, gf.mul_arr(mus, xs))[..., None]
+    mx = xs if mus is None else gf.mul_arr(mus, xs)
+    targets = np.arange(d, dtype=np.int64) ^ index_of(gf, mx)[..., None]
     if not zs.any():
         phases = np.broadcast_to(signs, targets.shape).copy()
     else:
         zu = gf.matmul(all_digits(gf, n), zs.T).T[:, None, :]
-        phases = signs * (1 - 2 * gf.trace_arr(gf.mul_arr(mus, zu)))
+        phases = signs * (1 - 2 * gf.trace_arr(zu if mus is None else gf.mul_arr(mus, zu)))
     return (targets[0], phases[0]) if single else (targets, phases)
 
 
 def pauli_matrix(P: PauliWord) -> DenseOperator:
     """Dense matrix of sign * X^x Z^z: maps |u> to sign*(-1)^tr(z.u) |u+x>."""
-    (targets,), (phases,) = _power_actions(P, [1])
+    (targets,), (phases,) = _power_actions(P)
     return DenseOperator.from_action(P.gf, P.n, targets, phases)
 
 

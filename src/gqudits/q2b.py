@@ -17,6 +17,7 @@ checks), from which it recovers the error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,6 +120,15 @@ class QubitCssCode:
     @property
     def ns(self) -> int:
         return self.source.n * self.source.gf.s
+
+    @cached_property
+    def _check_columns(self) -> dict[str, np.ndarray]:
+        """Per error kind, the (n*s, m*s) columns of the checks that diagnose
+        it (hx for "Z", hz for "X"), so that bits @ columns counts each check
+        on every shot's support in one product.  Built on the first decode,
+        in float32 when that is exact (every count is at most n*s < 2^24)."""
+        dtype = np.float32 if self.ns < 1 << 24 else np.float64
+        return {"Z": self.hx.T.astype(dtype), "X": self.hz.T.astype(dtype)}
 
     @property
     def k(self) -> int:
@@ -230,13 +240,16 @@ def end_to_end_decode(
     error_bits,
     kind: str,
 ) -> np.ndarray:
-    """Recover a qubit error from its qubit-level syndrome bits.
+    """Recover qubit errors from their qubit-level syndrome bits.
 
     kind "Z": a Z-type error D_{B*}(W) diagnosed by the X checks; the F_q
     syndrome (v_j . W) is decoded against GRS_{n-k1}(alpha, u).
     kind "X": an X-type error D_B(A) diagnosed by the Z checks; decoded
     against GRS_{k2}(alpha, v).  Each decoder's parity check is its checks' rows.
-    PlanMismatch unless plan was made for qrs.css and assignment.
+    error_bits is one shot of n*s bits, or a (shots, n*s) stack, which is
+    checked once and takes one product, one recompose, one decode call and
+    one expansion; a refused shot raises its DecodeFailure, whose shot is
+    that row.  PlanMismatch unless plan was made for qrs.css and assignment.
     """
     gf = qrs.gf
     gf.check_same(assignment.gf)
@@ -244,16 +257,18 @@ def end_to_end_decode(
         raise PlanMismatch("the plan was made for other check rows")
     if plan.assignment is not assignment and plan.assignment.bases != assignment.bases:
         raise PlanMismatch("the plan was made for another assignment")
-    error_bits = np.asarray(error_bits, dtype=np.int64).reshape(-1)
-    if error_bits.size != qrs.n * gf.s:
-        raise DimensionMismatch(f"expected {qrs.n * gf.s} error bits, got {error_bits.size}")
+    error_bits = np.asarray(error_bits, dtype=np.int64)
+    if error_bits.ndim not in (1, 2) or error_bits.shape[-1] != plan.ns:
+        raise DimensionMismatch(f"expected {plan.ns} bits a shot, got shape {error_bits.shape}")
     make_field(1).check_codes(error_bits)
-    sides = {"Z": plan.x_checks, "X": plan.z_checks}
-    if kind not in sides:
+    if kind not in ("Z", "X"):
         raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
-    # the parity of the check columns on the error's support: exact, no product
-    syndrome = reconstruct_syndrome(sides[kind][..., error_bits != 0].sum(-1) & 1, plan.basis)
-    err = decode(qrs.decoders[kind], syndrome)
+    columns = plan._check_columns[kind]
+    # each check's parity on the shot's support, exact in the columns' dtype
+    counts = error_bits.astype(columns.dtype) @ columns
+    m = columns.shape[1] // gf.s
+    bits = (counts.astype(np.int64) & 1).reshape(error_bits.shape[:-1] + (m, gf.s))
+    err = decode(qrs.decoders[kind], reconstruct_syndrome(bits, plan.basis))
     if kind == "Z":
         return expand_dual(assignment, err)
     return expand_vector(assignment, err)

@@ -341,12 +341,13 @@ def criterion_gate_identities(seed: int = 0) -> tuple[bool, str]:
         if not _close(H @ H, np.eye(gf.q)):
             return _fail(f"H^2 != I at q={gf.q}")
         CNOT = gates_mod.build_gate(gf, "cnot").mat
+        # X^beta and Z^beta on one site, built once per field and indexed by beta
+        X = [oracle_mod.pauli_matrix(PauliWord.x_word(gf, [beta])).mat for beta in gf.elements()]
+        Z = [oracle_mod.pauli_matrix(PauliWord.z_word(gf, [beta])).mat for beta in gf.elements()]
         for beta in gf.elements():
-            X = oracle_mod.pauli_matrix(PauliWord.x_word(gf, [beta])).mat
-            Z = oracle_mod.pauli_matrix(PauliWord.z_word(gf, [beta])).mat
-            if not _close(H @ X @ H.conj().T, Z):
+            if not _close(H @ X[beta] @ H.conj().T, Z[beta]):
                 return _fail(f"H X H+ != Z at q={gf.q}")
-            if not _close(H @ Z @ H.conj().T, X):
+            if not _close(H @ Z[beta] @ H.conj().T, X[beta]):
                 return _fail(f"H Z H+ != X at q={gf.q}")
             XX = oracle_mod.pauli_matrix(PauliWord.x_word(gf, [beta, 0])).mat
             XB = oracle_mod.pauli_matrix(PauliWord.x_word(gf, [beta, beta])).mat
@@ -359,15 +360,9 @@ def criterion_gate_identities(seed: int = 0) -> tuple[bool, str]:
         for delta in gf.nonzero_elements():
             M = gates_mod.build_gate(gf, "mult", delta=delta).mat
             for beta in gf.elements():
-                X = oracle_mod.pauli_matrix(PauliWord.x_word(gf, [beta])).mat
-                Xd = oracle_mod.pauli_matrix(PauliWord.x_word(gf, [gf.mul(delta, beta)])).mat
-                if not _close(M @ X @ M.conj().T, Xd):
+                if not _close(M @ X[beta] @ M.conj().T, X[gf.mul(delta, beta)]):
                     return _fail(f"M X conjugation fails at q={gf.q}")
-                Z = oracle_mod.pauli_matrix(PauliWord.z_word(gf, [beta])).mat
-                Zd = oracle_mod.pauli_matrix(
-                    PauliWord.z_word(gf, [gf.mul(beta, gf.inv(delta))])
-                ).mat
-                if not _close(M @ Z @ M.conj().T, Zd):
+                if not _close(M @ Z[beta] @ M.conj().T, Z[gf.mul(beta, gf.inv(delta))]):
                     return _fail(f"M Z conjugation fails at q={gf.q}")
     gf4 = make_field(2)
     ccz1 = gates_mod.build_gate(gf4, "ccz", gamma=1).mat
@@ -564,6 +559,11 @@ def criterion_grs(seed: int = 0) -> tuple[bool, str]:
 
 
 def criterion_qrs(seed: int = 0) -> tuple[bool, str]:
+    """The [[24,9]] qubit image of QRS(8, 8, 2, 5), then 500 weight-1 qudit
+    errors through the qubit pipeline.  Every (kind, position, value) is
+    drawn first; each kind is then expanded and decoded as one batch, and
+    the first trial in draw order that is not recovered is reported, or its
+    exception raised, as a loop over the trials would."""
     gf = make_field(3)
     trials = 500
     qrs = grs_mod.make_qrs(gf, 8, 2, 5)
@@ -579,17 +579,22 @@ def criterion_qrs(seed: int = 0) -> tuple[bool, str]:
     if plan.ns != 24 or rx != 6 or rz != 9 or plan.k != 9:
         return _fail(f"conversion gave [[{plan.ns},{plan.k}]] with ranks ({rx},{rz})")
     rng = np.random.default_rng(seed)
+    kinds, errors = [], []
     for _ in range(trials):
-        kind = "Z" if rng.integers(0, 2) else "X"
+        kinds.append("Z" if rng.integers(0, 2) else "X")
         W = np.zeros(8, dtype=np.int64)
         W[int(rng.integers(0, 8))] = int(rng.integers(1, 8))
-        bits = (
-            q2b_mod.expand_dual(assignment, W)
-            if kind == "Z"
-            else q2b_mod.expand_vector(assignment, W)
-        )
-        recovered = q2b_mod.end_to_end_decode(qrs, assignment, plan, bits, kind)
-        if not np.array_equal(recovered, bits):
+        errors.append(W)
+
+    def recovered(same_kind: list, stack: list) -> np.ndarray:
+        """Per trial of one kind, whether the pipeline gives back its error's bits."""
+        kind = same_kind[0]
+        expand = q2b_mod.expand_dual if kind == "Z" else q2b_mod.expand_vector
+        bits = expand(assignment, np.array(stack))
+        return np.all(q2b_mod.end_to_end_decode(qrs, assignment, plan, bits, kind) == bits, axis=-1)
+
+    for kind, ok in zip(kinds, _stacked(recovered, kinds, kinds, errors)):
+        if not _value(ok):
             return _fail(f"pipeline failed to recover a weight-1 {kind} error")
     return True, f"[[24,9]] conversion, ranks (6,9), {trials} within-radius recoveries"
 

@@ -38,3 +38,34 @@ def test_committed_snapshots_compare(capsys):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     for metric in declared["end_to_end"]:
         assert out.count(metric["name"]) == len(declared["workloads"])
+
+
+def test_criterion_spans_of_the_traced_runs(tmp_path, capsys):
+    """The nine verify.criterion.*.s spans of trace1, in criterion order,
+    with their ratio and direction; none for a workload that ran no criterion."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    names = [m["name"] for m in declared if m["name"].startswith("verify.criterion.")]
+    assert len(names) == 9
+    paths = []
+    for tag, scale in (("a", 1.0), ("b", 0.5)):
+        snap = snapshot(tag * 40, 2.0, 500.0, 1.0)
+        snap["runs"]["verify"] = snap["runs"].pop("decode")
+        spans = {name: {"unit": "s/op", "value": 0.01 * (i + 1) * (scale if i == 8 else 1.0)}
+                 for i, name in enumerate(names)}
+        snap["runs"]["verify"]["trace1"] = {"metrics": spans}
+        snap["runs"]["decode"] = snapshot(tag * 40, 9000.0, 0.1, 1.0)["runs"]["decode"]
+        snap["runs"]["decode"]["trace1"] = {"metrics": {n: {"unit": "s/op", "value": 0.0} for n in names}}
+        paths.append(tmp_path / f"BENCH_{tag}.json")
+        paths[-1].write_text(json.dumps(snap))
+    assert bench_diff["main"]([str(p) for p in paths]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines() if "verify.criterion." in line]
+    assert [r[1] for r in rows] == names and all(r[0] == "verify" for r in rows)
+    assert rows[0][3:] == ["0.01", "0.01", "1.000"]
+    assert rows[8][3:] == ["0.09", "0.045", "0.500", "better"]
+
+
+def test_committed_snapshots_show_the_criteria(capsys):
+    newest = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))[-2:]
+    assert bench_diff["main"]([str(p) for p in newest]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines() if "verify.criterion." in line]
+    assert len(rows) == 9 and {r[0] for r in rows} == {"verify"}

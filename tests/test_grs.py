@@ -733,3 +733,49 @@ class TestMakeQrs:
             qrs = make_qrs(gf, n, k1, k2, alpha, v)
             assert np.array_equal(qrs.decoders["Z"].parity_check, qrs.css.gx)
             assert np.array_equal(qrs.decoders["X"].parity_check, qrs.css.gz)
+
+
+def decode_outcome(code, syndrome):
+    """decode's errors as a list, or its DecodeFailure as its fields."""
+    try:
+        return decode(code, syndrome).tolist()
+    except DecodeFailure as exc:
+        return str(exc), exc.stage, exc.weight, exc.radius, exc.shot
+
+
+class TestDecodeStacks:
+    """A (shots, n - k) stack of syndromes against one decode call a row."""
+
+    @pytest.mark.parametrize("s,n,k", [(3, 8, 2), (4, 16, 6), (6, 64, 32), (8, 100, 60)])
+    def test_stack_matches_single_rows(self, s, n, k):
+        gf = make_field(s)
+        rng = np.random.default_rng(353 + s)
+        alpha = rng.permutation(gf.q)[:n].astype(np.int64)
+        code = GrsCode(gf, k, alpha, rng.integers(1, gf.q, size=n, dtype=np.int64))
+        E = np.zeros((3 * (code.radius + 4), n), dtype=np.int64)
+        for row, weight in zip(E, rng.permutation(np.repeat(np.arange(code.radius + 4), 3))):
+            row[rng.choice(n, size=weight, replace=False)] = rng.integers(1, gf.q, size=weight)
+        S = gf.matmul(E, code.parity_check.T)
+        singles = [decode_outcome(code, row) for row in S]
+        refused = [i for i, got in enumerate(singles) if isinstance(got, tuple)]
+        assert refused and all(singles[i][4] == 0 for i in refused)
+        assert decode_outcome(code, S) == singles[refused[0]][:4] + (refused[0],)
+        kept = [i for i in range(len(S)) if i not in refused]
+        assert decode_outcome(code, S[kept]) == [singles[i] for i in kept]
+        assert all(singles[i] == E[i].tolist() for i in kept if np.count_nonzero(E[i]) <= code.radius)
+
+    def test_shapes(self):
+        code = GrsCode(make_field(3), 3, np.arange(7), np.ones(7, dtype=np.int64))
+        assert decode(code, np.zeros(4, dtype=np.int64)).shape == (7,)
+        assert decode(code, np.zeros((1, 4), dtype=np.int64)).shape == (1, 7)
+        assert decode(code, np.zeros((0, 4), dtype=np.int64)).shape == (0, 7)
+        for shape in [(2, 3), (2, 5), (2, 1, 4), ()]:
+            with pytest.raises(DimensionMismatch):
+                decode(code, np.zeros(shape, dtype=np.int64))
+
+    def test_stack_checks_every_code(self):
+        code = GrsCode(make_field(3), 3, np.arange(7), np.ones(7, dtype=np.int64))
+        S = np.ones((3, 4), dtype=np.int64)
+        S[2, 1] = 8
+        with pytest.raises(InvalidFieldCode):
+            decode(code, S)

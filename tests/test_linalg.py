@@ -60,6 +60,67 @@ def loop_rref_augmented(gf, M, C):
     return R, A, pivots
 
 
+def scale_then_clear_rref_augmented(gf, M, C):
+    """The F_q pivot that the fused one replaced: scale the pivot row by a
+    checked product, then clear column c by a second one."""
+    W = np.concatenate([linalg.as_matrix(M), linalg.as_matrix(C, 0)], axis=1)
+    rows, cols = linalg.as_matrix(M).shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        hits = np.flatnonzero(W[r:, c])
+        if hits.size == 0:
+            continue
+        p = r + int(hits[0])
+        if p != r:
+            W[[r, p]] = W[[p, r]]
+        inv = gf.inv(int(W[r, c]))
+        if inv != 1:
+            W[r] = gf.mul_arr(W[r], inv)
+        f = W[:, c].copy()
+        f[r] = 0
+        if f.any():
+            W ^= gf.mul_arr(f[:, None], W[r])
+        pivots.append(c)
+        r += 1
+    return W[:, :cols], W[:, cols:], pivots
+
+
+class TestFusedPivot:
+    def test_matches_scale_then_clear(self):
+        """2,000 random cases over F_2 .. F_256, rank-deficient inputs and
+        carried columns included."""
+        rng = np.random.default_rng(419)
+        for trial in range(2000):
+            gf = make_field(1 + trial % 8)
+            m, n = (int(x) for x in rng.integers(1, 10, 2))
+            M = rng.integers(0, gf.q, (m, n), dtype=np.int64)
+            M[rng.random((m, n)) < rng.random()] = 0
+            if m > 2 and trial % 3:
+                M[-1] = M[0] ^ gf.mul_arr(M[1], int(rng.integers(0, gf.q)))
+            C = rng.integers(0, gf.q, (m, int(rng.integers(0, 4))), dtype=np.int64)
+            got = linalg.rref_augmented(gf, M, C)
+            want = scale_then_clear_rref_augmented(gf, M, C)
+            assert got[2] == want[2]
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_past_the_table_cap(self):
+        """Over F_2^17 the fused pivot runs the kernel, not the tables."""
+        gf = make_field(17)
+        assert gf._exp is None
+        rng = np.random.default_rng(421)
+        for _ in range(20):
+            M = rng.integers(0, gf.q, (4, 5), dtype=np.int64)
+            M[3] = M[0] ^ gf.mul_arr(M[1], int(rng.integers(1, gf.q)))
+            C = rng.integers(0, gf.q, (4, 2), dtype=np.int64)
+            got = linalg.rref_augmented(gf, M, C)
+            want = scale_then_clear_rref_augmented(gf, M, C)
+            assert got[2] == want[2] and len(got[2]) == 3
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 class TestPackedF2AgainstGeneric:
     def test_rref_augmented_identical(self):
         rng = np.random.default_rng(401)

@@ -15,7 +15,7 @@ from gqudits.errors import (
     PureTypeRequired,
     TooLarge,
 )
-from gqudits.field import make_field
+from gqudits.field import GF, make_field
 from gqudits.oracle import (
     ATOL,
     NOT_EIGENSTATE,
@@ -197,11 +197,27 @@ class TestPowerActions:
                 x, z = rng.integers(0, gf.q, n), rng.integers(0, gf.q, n)
                 for P in (PauliWord.from_vectors(gf, x, z, sign), PauliWord.x_word(gf, x, sign),
                           PauliWord.z_word(gf, z, sign)):
-                    (targets,), (phases,) = _power_actions(P, [1])
                     want_targets, want_phases = reference_pauli_action(P)
-                    assert np.array_equal(targets, want_targets)
-                    assert phases.dtype == want_phases.dtype
-                    assert np.array_equal(phases, want_phases)
+                    for mus in ([1], None):  # None: the word itself, no product
+                        (targets,), (phases,) = _power_actions(P, mus)
+                        assert np.array_equal(targets, want_targets)
+                        assert phases.dtype == want_phases.dtype
+                        assert np.array_equal(phases, want_phases)
+
+    def test_pauli_matrix_makes_no_power_product(self, monkeypatch):
+        """The mu = 1 action needs no mu * x or mu * (z . u) product: an X
+        word takes no F_q product at all, a word with a Z part only the
+        z . u of its matmul."""
+        gf = make_field(3)
+        calls = []
+        product = GF.mul_arr
+        monkeypatch.setattr(GF, "mul_arr", lambda self, a, b: calls.append(a) or product(self, a, b))
+        assert pauli_matrix(PauliWord.x_word(gf, [3, 6], -1)).action is not None
+        assert len(calls) == 0
+        assert pauli_matrix(PauliWord.from_vectors(gf, [3, 0], [5, 7], -1)).action is not None
+        assert len(calls) == 1
+        _power_actions(PauliWord.from_vectors(gf, [3, 0], [5, 7], -1), [1])
+        assert len(calls) == 4
 
 
 class TestStabiliserState:

@@ -1,6 +1,7 @@
 """Qudit-to-qubit conversion, measurement plans, and the decode pipeline."""
 
 import hashlib
+import pickle
 from functools import lru_cache
 
 import numpy as np
@@ -1213,3 +1214,81 @@ class TestForeignField:
         for kind in ("Z", "X"):
             with pytest.raises(FieldMismatch):
                 end_to_end_decode(qrs, foreign, plan, np.zeros(8 * 4, dtype=np.int64), kind)
+
+
+def outcome(fn, *args):
+    """fn's result as a list, or the DecodeFailure it raised as its fields."""
+    try:
+        return fn(*args).tolist()
+    except DecodeFailure as exc:
+        return str(exc), exc.stage, exc.weight, exc.radius, exc.shot
+
+
+class TestBatches:
+    """A (shots, n*s) stack of error bits against a loop of single shots:
+    the same errors, and the first refused shot named with its own stage,
+    weight and radius."""
+
+    @pytest.mark.parametrize("s,n,k1,k2", [(3, 8, 2, 5), (4, 16, 4, 10), (6, 32, 8, 24), (8, 40, 10, 30)])
+    @pytest.mark.parametrize("kind", ["Z", "X"])
+    def test_stack_matches_single_shots(self, s, n, k1, k2, kind):
+        gf = make_field(s)
+        rng = np.random.default_rng(347 + s + (kind == "X"))
+        alpha = rng.permutation(gf.q)[:n].astype(np.int64)
+        qrs = make_qrs(gf, n, k1, k2, alpha, rng.integers(1, gf.q, size=n, dtype=np.int64))
+        A = random_assignment(gf, n, rng)
+        plan = make_plan(qrs.css, A)
+        expand = expand_dual if kind == "Z" else expand_vector
+        radius = qrs.decoders[kind].radius
+        W = np.zeros((2 * (radius + 4), n), dtype=np.int64)
+        for row, weight in zip(W, rng.permutation(np.repeat(np.arange(radius + 4), 2))):
+            row[rng.choice(n, size=weight, replace=False)] = rng.integers(1, gf.q, size=weight)
+        bits = expand(A, W)
+        singles = [outcome(end_to_end_decode, qrs, A, plan, b, kind) for b in bits]
+        refused = [i for i, got in enumerate(singles) if isinstance(got, tuple)]
+        assert refused and len(refused) < len(singles)
+        first = refused[0]
+        assert outcome(end_to_end_decode, qrs, A, plan, bits, kind) == singles[first][:4] + (first,)
+        kept = [i for i in range(len(singles)) if i not in refused]
+        assert outcome(end_to_end_decode, qrs, A, plan, bits[kept], kind) == [singles[i] for i in kept]
+        assert all(singles[i] == bits[i].tolist() for i in kept if np.count_nonzero(W[i]) <= radius)
+
+    def test_batch_of_one_keeps_its_shape(self, setup):
+        gf, qrs, A, plan = setup
+        W = np.zeros(8, dtype=np.int64)
+        W[5] = 3
+        for kind, expand in (("Z", expand_dual), ("X", expand_vector)):
+            bits = expand(A, W)
+            assert end_to_end_decode(qrs, A, plan, bits, kind).shape == (24,)
+            stacked = end_to_end_decode(qrs, A, plan, bits[None], kind)
+            assert stacked.shape == (1, 24) and np.array_equal(stacked[0], bits)
+            assert end_to_end_decode(qrs, A, plan, np.zeros((0, 24), dtype=np.int64), kind).shape == (0, 24)
+
+    @pytest.mark.parametrize("shape", [(23,), (25,), (3, 23), (3, 25), (2, 3, 24), (), (24, 1)])
+    def test_wrong_widths_refused(self, setup, shape):
+        gf, qrs, A, plan = setup
+        with pytest.raises(DimensionMismatch):
+            end_to_end_decode(qrs, A, plan, np.zeros(shape, dtype=np.int64), "Z")
+
+    def test_refusal_names_its_shot_and_pickles(self, setup):
+        gf, qrs, A, plan = setup
+        W = np.zeros((3, 8), dtype=np.int64)
+        W[1, 5] = 3
+        W[2, :2] = 1  # a locator of length 2, past the radius 1
+        with pytest.raises(DecodeFailure) as info:
+            end_to_end_decode(qrs, A, plan, expand_dual(A, W), "Z")
+        copied = pickle.loads(pickle.dumps(info.value))
+        got = str(copied), copied.stage, copied.weight, copied.radius, copied.shot
+        assert got == ("error locator length 2 exceeds the radius 1", "radius", 2, 1, 2)
+
+    def test_check_columns_built_on_the_first_decode_only(self, setup):
+        gf, qrs, A, plan = setup
+        fresh = convert_code(qrs.css, A)
+        assert "_check_columns" not in vars(fresh)
+        fresh.params()
+        assert "_check_columns" not in vars(fresh)
+        end_to_end_decode(qrs, A, fresh, np.zeros(24, dtype=np.int64), "Z")
+        columns = vars(fresh)["_check_columns"]
+        end_to_end_decode(qrs, A, fresh, np.zeros((2, 24), dtype=np.int64), "X")
+        assert vars(fresh)["_check_columns"] is columns
+        assert np.array_equal(columns["Z"], fresh.hx.T) and np.array_equal(columns["X"], fresh.hz.T)

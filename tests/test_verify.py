@@ -1,13 +1,17 @@
 """Helpers of the acceptance criteria against their scalar references."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from gqudits import css as css_mod
 from gqudits import grs, linalg, q2b, verify
 from gqudits import oracle as oracle_mod
 from gqudits import tableau as tab_mod
 from gqudits.bases import FieldBasis
 from gqudits.field import make_field
+from gqudits.pauli import PauliWord
 from gqudits.verify import _CHI2_CRITICAL, _fail, _random_full_tableau, _random_pure_word
 
 
@@ -232,3 +236,155 @@ def test_draw_rule_replays_exactly(seed):
             assert replay.bit_generator.state == state and np.array_equal(shots, np.full(25, case.det))
     assert replay.bit_generator.state == rng.bit_generator.state
     assert all(np.array_equal(counts[q], want[q]) for q in counts)
+
+
+def reference_qrs(seed=0):
+    """Criterion 9 as one loop: each trial drawn, expanded and decoded
+    before the next is drawn."""
+    gf = make_field(3)
+    trials = 500
+    qrs = grs.make_qrs(gf, 8, 2, 5)
+    p = css_mod.params(qrs.css)
+    if (p.k, p.d_x, p.d_z) != (3, 4, 3):
+        return _fail(f"QRS(8,8,2,5) parameters {p.to_json()} disagree with the formulas")
+    if (p.d_x, p.d_z) != (qrs.d_x_formula, qrs.d_z_formula):
+        return _fail("enumerated distances disagree with the closed forms")
+    assignment = q2b.default_assignment(gf, 8)
+    plan = q2b.make_plan(qrs.css, assignment)
+    gf2 = make_field(1)
+    rx, rz = linalg.rank(gf2, plan.hx), linalg.rank(gf2, plan.hz)
+    if plan.ns != 24 or rx != 6 or rz != 9 or plan.k != 9:
+        return _fail(f"conversion gave [[{plan.ns},{plan.k}]] with ranks ({rx},{rz})")
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        kind = "Z" if rng.integers(0, 2) else "X"
+        W = np.zeros(8, dtype=np.int64)
+        W[int(rng.integers(0, 8))] = int(rng.integers(1, 8))
+        bits = q2b.expand_dual(assignment, W) if kind == "Z" else q2b.expand_vector(assignment, W)
+        recovered = q2b.end_to_end_decode(qrs, assignment, plan, bits, kind)
+        if not np.array_equal(recovered, bits):
+            return _fail(f"pipeline failed to recover a weight-1 {kind} error")
+    return True, f"[[24,9]] conversion, ranks (6,9), {trials} within-radius recoveries"
+
+
+def qrs_trials(seed):
+    """Criterion 9's (kind, position, value) trials in draw order; each
+    value is drawn before its position (W[position] = value evaluates the
+    right-hand side first)."""
+    rng = np.random.default_rng(seed)
+    trials = []
+    for _ in range(500):
+        kind = "Z" if rng.integers(0, 2) else "X"
+        value = int(rng.integers(1, 8))
+        trials.append((kind, int(rng.integers(0, 8)), value))
+    return trials
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 99])
+def test_qrs_matches_one_loop(seed):
+    assert verify.criterion_qrs(seed) == reference_qrs(seed)
+
+
+def test_qrs_decodes_one_batch_per_kind(monkeypatch):
+    calls = []
+    decode = q2b.end_to_end_decode
+    monkeypatch.setattr(q2b, "end_to_end_decode", lambda *a: calls.append(a) or decode(*a))
+    assert verify.criterion_qrs(0)[0]
+    assert sorted((a[4], len(a[3])) for a in calls) == sorted(
+        (kind, n) for kind, n in Counter(k for k, _, _ in qrs_trials(0)).items()
+    )
+
+
+class QrsFaults:
+    """Faults planted at chosen (kind, position, value) trials of criterion
+    9: a wrong recovery and a RuntimeError in q2b.end_to_end_decode, and a
+    DecodeFailure from the GRS decoder, each on every row that carries the
+    trial's error."""
+
+    end_to_end_decode = staticmethod(q2b.end_to_end_decode)
+    decode = staticmethod(q2b.decode)
+
+    def __init__(self, monkeypatch, wrong=None, boom=None, refuse=None):
+        gf = make_field(3)
+        qrs, assignment = grs.make_qrs(gf, 8, 2, 5), q2b.default_assignment(gf, 8)
+        self.faults = {}  # name -> (kind, the error's bits, its F_q syndrome)
+        for name, trial in (("wrong", wrong), ("boom", boom), ("refuse", refuse)):
+            if trial is not None:
+                kind, pos, value = trial
+                W = np.zeros(8, dtype=np.int64)
+                W[pos] = value
+                expand = q2b.expand_dual if kind == "Z" else q2b.expand_vector
+                syndrome = gf.matmul(qrs.decoders[kind].parity_check, W)
+                self.faults[name] = kind, expand(assignment, W), syndrome
+        monkeypatch.setattr(q2b, "end_to_end_decode", self.planted_pipeline)
+        monkeypatch.setattr(q2b, "decode", self.planted_decoder)
+
+    def hits(self, name, kind, stack):
+        """The rows of a stack of bits or syndromes (or of one) that carry
+        the error of fault name."""
+        if name not in self.faults or self.faults[name][0] != kind:
+            return []
+        target = self.faults[name][1 if stack.shape[-1] == 24 else 2]
+        return [i for i, row in enumerate(np.atleast_2d(stack)) if np.array_equal(row, target)]
+
+    def planted_pipeline(self, qrs, assignment, plan, bits, kind):
+        if self.hits("boom", kind, bits):
+            raise RuntimeError(f"planted pipeline fault on a {kind} error")
+        out = self.end_to_end_decode(qrs, assignment, plan, bits, kind)
+        for i in self.hits("wrong", kind, bits):
+            np.atleast_2d(out)[i, 0] ^= 1
+        return out
+
+    def planted_decoder(self, code, syndrome):
+        kind = "Z" if code.k == 6 else "X"  # GRS_{n-k1} = GRS_6 decodes Z, GRS_{k2} = GRS_5 X
+        for i in self.hits("refuse", kind, syndrome)[:1]:
+            raise grs.DecodeFailure("planted refusal", stage="split", weight=1, radius=1, shot=i)
+        return self.decode(code, syndrome)
+
+
+def raised(criterion, seed):
+    """criterion(seed), or the type and args of what it raised."""
+    try:
+        return criterion(seed)
+    except (RuntimeError, grs.DecodeFailure) as exc:
+        return type(exc).__name__, exc.args
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_qrs_planted_faults_reported_at_the_same_trial(monkeypatch, seed):
+    """Alone and in pairs in either draw order, the first planted trial in
+    draw order decides, with the one loop's message or exception."""
+    trials = qrs_trials(seed)
+    first = {}
+    for i, trial in enumerate(trials):
+        first.setdefault(trial, i)
+    by_first = sorted(first, key=first.get)
+    early, late = by_first[5], by_first[-5]
+    kinds = ("wrong", "boom", "refuse")
+    plans = [{k: early} for k in kinds] + [{a: early, b: late} for a in kinds for b in kinds if a != b]
+    for faults in plans:
+        QrsFaults(monkeypatch, **faults)
+        got = raised(verify.criterion_qrs, seed)
+        assert got == raised(reference_qrs, seed), faults
+        name = next(k for k, v in faults.items() if v == early)
+        if name == "wrong":
+            assert got == (False, f"pipeline failed to recover a weight-1 {early[0]} error")
+        elif name == "boom":
+            assert got == ("RuntimeError", (f"planted pipeline fault on a {early[0]} error",))
+        else:
+            assert got == ("DecodeFailure", ("planted refusal", "split", 1, 1, 0))
+
+
+def test_gate_identities_build_each_single_site_pauli_once(monkeypatch):
+    """Criterion 5 builds X^beta and Z^beta once per field (2q) and its four
+    two-site words per beta (4q): 6 * (2 + 4 + 8) matrices."""
+    words = []
+    build = oracle_mod.pauli_matrix
+    monkeypatch.setattr(oracle_mod, "pauli_matrix", lambda P: words.append(P) or build(P))
+    assert verify.criterion_gate_identities(0)[0]
+    assert len(words) == 84
+    fields = [make_field(s) for s in (1, 2, 3)]
+    assert [P for P in words if P.n == 1] == [
+        word(gf, [beta]) for gf in fields for word in (PauliWord.x_word, PauliWord.z_word)
+        for beta in gf.elements()
+    ]
