@@ -34,16 +34,7 @@ class CssCode:
     gz: np.ndarray  # generators of L_Z
 
     def __post_init__(self) -> None:
-        self.gx = linalg.as_matrix(self.gx, self.n)
-        self.gz = linalg.as_matrix(self.gz, self.n)
-        for name, rows in (("gx", self.gx), ("gz", self.gz)):
-            if rows.shape[1] != self.n:
-                raise DimensionMismatch(f"{name} rows have {rows.shape[1]} entries, n = {self.n}")
-            rank = linalg.rank(self.gf, rows)
-            if rank != len(rows):
-                raise RankDeficient(f"{name} rows are linearly dependent (rank {rank} of {len(rows)})")
-        if np.any(self.gf.matmul(self.gx, self.gz.T)):
-            raise NotCommuting("L_X is not orthogonal to L_Z")
+        self.gx, self.gz, _ = check_blocks(self.gf, self.n, self.gx, self.gz)
 
     def __eq__(self, other: object) -> bool:
         """Same field, length and generator rows; the same object at once."""
@@ -102,6 +93,29 @@ class CodeParams:
             "d": self.d,
             "distance_status": self.distance_status,
         }
+
+
+def check_blocks(gf: GF, n: int, gx, gz, xcarry=None, zcarry=None):
+    """The checks of a CssCode, which a tableau runs with its syndromes as
+    the carried columns: gx and gz as (m, n) int64 matrices and, for each,
+    rref_augmented's (carried, pivots) of [rows | carry], its one
+    elimination.  A row of another width than n raises DimensionMismatch,
+    dependent rows RankDeficient (naming the block and its rank), and
+    gx . gz^T != 0 NotCommuting."""
+    gx, gz = linalg.as_matrix(gx, n), linalg.as_matrix(gz, n)
+    reduced = []
+    for name, rows, carry in (("gx", gx, xcarry), ("gz", gz, zcarry)):
+        if rows.shape[1] != n:
+            raise DimensionMismatch(f"{name} rows have {rows.shape[1]} entries, n = {n}")
+        if carry is None:
+            carry = np.zeros((len(rows), 0), dtype=np.int64)
+        _, carried, pivots = linalg.rref_augmented(gf, rows, carry)
+        if len(pivots) != len(rows):
+            raise RankDeficient(f"{name} rows are linearly dependent (rank {len(pivots)} of {len(rows)})")
+        reduced.append((carried, pivots))
+    if np.any(gf.matmul(gx, gz.T)):
+        raise NotCommuting("L_X is not orthogonal to L_Z")
+    return gx, gz, reduced
 
 
 def new_css(gf: GF, n: int, gx, gz) -> CssCode:

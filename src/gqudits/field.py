@@ -21,7 +21,11 @@ Every public operation checks its codes, the scalar ones before any list
 read (a negative index would wrap silently); the kernels ``GF._prod`` and
 ``GF._inv`` behind ``mul_arr`` and ``inv_arr`` take codes already checked,
 for callers that check once at their boundary (the Chien search of
-``grs.decode``).
+``grs.decode``).  A code is an integer: ``check_code`` refuses anything
+else (a bool counts as an integer, 3.0 does not), and ``int_array``, the
+cast of code input at the tableau and Pauli boundaries, refuses float,
+complex, string and object arrays before numpy would truncate or parse
+them.
 """
 
 from __future__ import annotations
@@ -216,6 +220,9 @@ class GF:
             raise FieldMismatch(f"{self!r} vs {other!r}")
 
     def check_code(self, code: int) -> int:
+        """code, if it is an integer (a bool counts) in [0, q)."""
+        if not isinstance(code, (int, np.integer, np.bool_)):
+            raise InvalidFieldCode(f"code {code!r} is not an integer")
         if not 0 <= code < self.q:
             raise InvalidFieldCode(f"code {code} outside [0, {self.q})")
         return code
@@ -336,6 +343,18 @@ class GF:
         if B.ndim == 2:
             A = A[..., None]  # k on the second-to-last axis, next to B's columns
         return np.bitwise_xor.reduce(self.mul_arr(A, B), axis=-B.ndim)
+
+
+def int_array(codes) -> np.ndarray:
+    """codes as an int64 array.  Integer and bool input is cast, and an
+    empty input of any dtype gives an empty array; float, complex, string
+    and object input (ints outside int64 included) raises InvalidFieldCode
+    before the cast, which would truncate or parse it.  The range is the
+    caller's check (GF.check_codes)."""
+    a = np.asarray(codes)
+    if a.dtype.kind not in "biu" and a.size:
+        raise InvalidFieldCode(f"codes must be integers, got {a.dtype} input")
+    return a.astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=None)

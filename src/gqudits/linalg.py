@@ -132,12 +132,18 @@ def kernel_basis(gf: GF, M) -> np.ndarray:
 def solve(gf: GF, M, b) -> np.ndarray | None:
     """One particular solution of M x = b, or None if inconsistent."""
     M = as_matrix(M)
-    b = np.asarray(b, dtype=np.int64)
-    R, carried, pivots = rref_augmented(gf, M, b)
+    _, carried, pivots = rref_augmented(gf, M, np.asarray(b, dtype=np.int64))
+    return particular(M.shape[1], carried, pivots)
+
+
+def particular(ncols: int, carried: np.ndarray, pivots: list[int]) -> np.ndarray | None:
+    """The solution of M x = b read off rref_augmented(gf, M, b)'s carried
+    column and pivots (M has ncols columns): the reduced b at the pivot
+    columns and zero elsewhere, or None if a zero row carries a non-zero."""
     r = len(pivots)
-    if np.any(carried[r:]):
+    if carried[r:].any():
         return None
-    x = np.zeros(M.shape[1], dtype=np.int64)
+    x = np.zeros(ncols, dtype=np.int64)
     x[pivots] = carried[:r, 0]
     return x
 

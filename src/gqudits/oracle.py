@@ -18,11 +18,12 @@ is.  Only the package's constructors set a form.  A formed operator's .mat is
 read-only, and assigning a new .mat drops the form, so the two cannot drift
 apart; a dense-only .mat stays writable.
 
-stabiliser_state, syndrome_component, born_probabilities and collapse also
-take stacks: a list or tuple of tableaux with one (q, n, m_X), or of states
-on one system with one word each, checked and computed by one set of array
-operations.  A single argument is the batch of one and returns what it
-always did, so a stack is never a second implementation.
+stabiliser_state, syndrome_component, born_probabilities, collapse and
+states_equal_up_to_phase also take stacks: a list or tuple of tableaux with
+one (q, n, m_X), or of states on one system with one word or one state
+each, checked and computed by one set of array operations.  A single
+argument is the batch of one and returns what it always did, so a stack is
+never a second implementation.
 """
 
 from __future__ import annotations
@@ -463,13 +464,27 @@ def measure_projective(
     return eta, _normalised_sectors([psi], sectors, [[eta]])[0][0]
 
 
-def states_equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
-    if a.amps.shape != b.amps.shape:
-        return False
-    i = int(np.argmax(np.abs(a.amps)))
-    if abs(a.amps[i]) < ATOL or abs(b.amps[i]) < ATOL:
-        return bool(np.max(np.abs(a.amps - b.amps)) <= ATOL)
-    phase = b.amps[i] / a.amps[i]
-    if abs(abs(phase) - 1.0) > ATOL:
-        return False
-    return bool(np.max(np.abs(phase * a.amps - b.amps)) <= ATOL)
+def states_equal_up_to_phase(a: StateVector | list, b: StateVector | list) -> bool | list[bool]:
+    """Whether b = phase * a with |phase| = 1, within ATOL.  The phase is
+    read at a's largest amplitude; where that or b's entry there is below
+    ATOL, the states are compared as they are.  States of different shapes
+    differ.  Two equal-length stacks, each on one system, give the list of
+    their members' verdicts, by one set of array operations."""
+    single = not isinstance(a, (list, tuple))
+    if not single and len(a) != len(b):
+        raise DimensionMismatch(f"stacks of {len(a)} and {len(b)} states")
+    if not single and not a:
+        return []
+    (a, _), (b, _) = _stack(a), _stack(b)
+    A, B = np.array([s.amps for s in a]), np.array([s.amps for s in b])
+    if A.shape != B.shape:
+        out = [False] * len(a)
+    else:
+        rows = np.arange(len(a))
+        i = np.argmax(np.abs(A), axis=1)
+        ai, bi = A[rows, i], B[rows, i]
+        raw = (np.abs(ai) < ATOL) | (np.abs(bi) < ATOL)
+        phase = np.where(raw, 1.0, bi / np.where(raw, 1.0, ai))
+        unit = raw | (np.abs(np.abs(phase) - 1.0) <= ATOL)
+        out = (unit & (np.max(np.abs(phase[:, None] * A - B), axis=1) <= ATOL)).tolist()
+    return out[0] if single else out

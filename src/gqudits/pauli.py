@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PureTypeRequired
-from .field import GF
+from .field import GF, int_array
+
+
+def _codes(codes) -> tuple[int, ...]:
+    """A vector of codes as a tuple of Python ints, through field.int_array."""
+    a = int_array(codes)
+    if a.ndim != 1:
+        raise DimensionMismatch(f"a word's codes form one vector, got shape {a.shape}")
+    return tuple(a.tolist())
 
 
 @dataclass(frozen=True)
@@ -51,17 +59,17 @@ class PauliWord:
 
     @classmethod
     def x_word(cls, gf: GF, codes, sign: int = 1) -> "PauliWord":
-        codes = tuple(int(c) for c in codes)
+        codes = _codes(codes)
         return cls(gf, codes, (0,) * len(codes), sign)
 
     @classmethod
     def z_word(cls, gf: GF, codes, sign: int = 1) -> "PauliWord":
-        codes = tuple(int(c) for c in codes)
+        codes = _codes(codes)
         return cls(gf, (0,) * len(codes), codes, sign)
 
     @classmethod
     def from_vectors(cls, gf: GF, xvec, zvec, sign: int = 1) -> "PauliWord":
-        return cls(gf, tuple(int(c) for c in xvec), tuple(int(c) for c in zvec), sign)
+        return cls(gf, _codes(xvec), _codes(zvec), sign)
 
     # -- structure -------------------------------------------------------------
 

@@ -190,8 +190,7 @@ def _draw_cases(rng, counts: dict) -> tuple[list[_Case], Exception | None]:
             cases.append(case)
             case.det = tab_mod.deterministic_outcome(t, case.P)
             if case.det is None:
-                for eta in gf.elements():
-                    case.posts.append(tab_mod.measure_postselect(t, case.P, eta))
+                case.posts = tab_mod.measure_postselect(t, case.P, list(gf.elements()))
                 counts[gf.q] += np.bincount(tab_mod.sample(t, case.P, rng, 25), minlength=gf.q)
     except Exception as exc:
         return cases, exc
@@ -252,6 +251,16 @@ def _check_cases(cases: list[_Case]) -> str | None:
     components = by_system(oracle_mod.syndrome_component, det)
     probs = by_system(oracle_mod.born_probabilities, rand)
     collapsed = by_system(oracle_mod.collapse, rand, [list(cases[i].t.gf.elements()) for i in rand])
+    # each case's postselected states up to the first that raised, against
+    # their collapses: one stacked comparison over the cases of one (q, n)
+    built = {i: next((j for j, u in enumerate(post_states[i]) if isinstance(u, Exception)), len(post_states[i]))
+             for i in rand}
+    pairs = [(i, j) for i in rand if not isinstance(collapsed[i], Exception) for j in range(built[i])]
+    keys = [(cases[i].t.gf.q, cases[i].t.n) for i, _ in pairs]
+    lhs, rhs = [post_states[i][j] for i, j in pairs], [collapsed[i][j] for i, j in pairs]
+    agrees = dict.fromkeys(rand, True)
+    for (i, _), equal in zip(pairs, _stacked(oracle_mod.states_equal_up_to_phase, keys, lhs, rhs)):
+        agrees[i] &= equal
     for i, case in enumerate(cases):
         _value(psis[i])
         if case.det is _PENDING:
@@ -262,9 +271,12 @@ def _check_cases(cases: list[_Case]) -> str | None:
             continue
         if np.max(np.abs(_value(probs[i]) - 1.0 / case.t.gf.q)) > 1e-8:
             return "random-branch Born probabilities are not uniform"
-        for eta, tab_state in enumerate(post_states[i]):
-            if not oracle_mod.states_equal_up_to_phase(_value(tab_state), _value(collapsed[i])[eta]):
+        if built[i]:
+            _value(collapsed[i])
+            if not agrees[i]:
                 return "post-measurement state disagrees with oracle collapse"
+        if built[i] < len(post_states[i]):
+            raise post_states[i][built[i]]
     return None
 
 
@@ -308,13 +320,15 @@ def criterion_tableau_oracle(seed: int = 0) -> tuple[bool, str]:
 
 
 def criterion_cat_gadget(seed: int = 0) -> tuple[bool, str]:
+    """100 cat gadgets at q = 8 as one stacked run_cat_gadget call: every
+    (gammas, eta) is drawn first, in the trials' order, then the outcomes,
+    one draw a measured word.  The first failing trial is reported."""
     gf = make_field(3)
     trials = 100
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        gammas = [int(g) for g in rng.integers(1, 8, size=4)]
-        eta = int(rng.integers(0, 8))
-        res = tab_mod.run_cat_gadget(gf, gammas, eta, rng)
+    draws = [([int(g) for g in rng.integers(1, 8, size=4)], int(rng.integers(0, 8))) for _ in range(trials)]
+    results = tab_mod.run_cat_gadget(gf, [g for g, _ in draws], [eta for _, eta in draws], rng)
+    for (gammas, eta), res in zip(draws, results):
         if res.recovered != eta:
             return _fail(f"gadget recovered {res.recovered}, planted {eta}")
         acc = eta

@@ -15,6 +15,7 @@ from gqudits.errors import (
 )
 from gqudits.field import (
     canonical_modulus,
+    int_array,
     is_irreducible,
     make_field,
     poly_degree,
@@ -282,6 +283,32 @@ class TestScalarCodeValidation:
         assert gf.mul(np.int64(6), np.int64(7)) == gf.mul(6, 7)
         with pytest.raises(InvalidFieldCode):
             gf.trace(np.int64(8))
+
+
+class TestIntegerCodes:
+    """check_code and int_array take integers only; a bool counts as one,
+    and an integral float such as 3.0 does not."""
+
+    @pytest.mark.parametrize("code", [2.5, 3.0, "3", None, 1 + 0j, np.float64(3.0), [3]])
+    def test_check_code_refuses_non_integers(self, code):
+        with pytest.raises(InvalidFieldCode, match="not an integer"):
+            make_field(3).check_code(code)
+
+    def test_check_code_accepts_integer_types(self):
+        gf = make_field(3)
+        for code in (3, True, np.int64(3), np.uint8(3), np.True_):
+            assert gf.check_code(code) == code
+
+    @pytest.mark.parametrize("codes", [[1.5, 2.0], [1 + 0j], ["3"], [1, 1 << 70], np.array([0.0])])
+    def test_int_array_refuses_non_integers(self, codes):
+        with pytest.raises(InvalidFieldCode, match="must be integers"):
+            int_array(codes)
+
+    def test_int_array_casts_integers(self):
+        for codes, want in (([True, False], [1, 0]), (np.array([3], dtype=np.uint8), [3]), ([], []),
+                            (np.zeros((0, 2)), np.zeros((0, 2)))):
+            got = int_array(codes)
+            assert got.dtype == np.int64 and np.array_equal(got, want) and got.shape == np.shape(want)
 
 
 class TestListBackedScalars:

@@ -556,6 +556,58 @@ class TestStacks:
                     assert post.amps.tobytes() == collapse(psi, w, eta).amps.tobytes()
 
 
+    def test_stacked_equality_matches_pairwise(self):
+        """states_equal_up_to_phase on two stacks gives the verdicts of the
+        pairs, each as the scalar reference reads it: zero-amplitude pairs
+        (both zero, one zero, a zero at a's largest entry) and non-unit
+        phases among them."""
+        rng = np.random.default_rng(157)
+        seen = set()
+        for s in (1, 2):
+            gf = make_field(s)
+            for n in (1, 2):
+                d = gf.q**n
+                a, b = [], []
+                for _ in range(4):
+                    u = random_state(gf, n, rng).amps
+                    big = int(np.argmax(np.abs(u)))
+                    hole = u.copy()
+                    hole[big] = 0
+                    zero = np.zeros(d, dtype=np.complex128)
+                    for x, y in ((u, np.exp(1j * rng.uniform(0, 7)) * u), (u, u + 1e-10), (u, 2 * u),
+                                 (u, 0.5j * u), (u, random_state(gf, n, rng).amps), (zero, zero),
+                                 (zero, u), (u, zero), (u, hole), (hole, hole * -1)):
+                        a.append(StateVector(gf, n, x))
+                        b.append(StateVector(gf, n, y))
+                want = [reference_equal_up_to_phase(x, y) for x, y in zip(a, b)]
+                assert states_equal_up_to_phase(a, b) == want
+                assert [states_equal_up_to_phase(x, y) for x, y in zip(a, b)] == want
+                seen.update(want)
+        assert seen == {True, False}
+
+    def test_stacked_equality_shapes(self):
+        gf = make_field(2)
+        one, two = uniform_state(gf, 1), uniform_state(gf, 2)
+        assert states_equal_up_to_phase([one, one], [two, two]) == [False, False]
+        assert states_equal_up_to_phase([], []) == []
+        for a, b in (([one], [one, one]), ([one, two], [one, two])):
+            with pytest.raises(DimensionMismatch):
+                states_equal_up_to_phase(a, b)
+
+
+def reference_equal_up_to_phase(a, b):
+    """The scalar comparison, one pair at a time."""
+    if a.amps.shape != b.amps.shape:
+        return False
+    i = int(np.argmax(np.abs(a.amps)))
+    if abs(a.amps[i]) < ATOL or abs(b.amps[i]) < ATOL:
+        return bool(np.max(np.abs(a.amps - b.amps)) <= ATOL)
+    phase = b.amps[i] / a.amps[i]
+    if abs(abs(phase) - 1.0) > ATOL:
+        return False
+    return bool(np.max(np.abs(phase * a.amps - b.amps)) <= ATOL)
+
+
 class TestStabiliserStateMemory:
     def test_largest_x_only_state_stays_small(self):
         """(s, n, m_X) = (1, 14, 14), d = 2^14: the kets double over the rows,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gqudits import grs
-from gqudits.errors import DimensionMismatch, PureTypeRequired
+from gqudits.errors import DimensionMismatch, InvalidFieldCode, PureTypeRequired
 from gqudits.field import make_field
 from gqudits.oracle import pauli_matrix
 from gqudits.pauli import PauliWord
@@ -161,3 +161,21 @@ class TestText:
     def test_bad_text(self):
         with pytest.raises(ValueError):
             PauliWord.from_text(make_field(2), "x:[1]")
+
+
+class TestIntegerCodes:
+    def test_float_codes_refused(self):
+        gf = make_field(3)
+        for build in (lambda: PauliWord.x_word(gf, [1.5, 2.9]), lambda: PauliWord.z_word(gf, [1.0]),
+                      lambda: PauliWord.from_vectors(gf, [1], [0.5]), lambda: PauliWord(gf, (1.5,), (0,)),
+                      lambda: PauliWord.x_word(gf, ["1"])):
+            with pytest.raises(InvalidFieldCode):
+                build()
+
+    def test_integer_codes_kept(self):
+        gf = make_field(3)
+        word = PauliWord.x_word(gf, np.array([1, 2], dtype=np.uint8))
+        assert word.xvec == (1, 2) and all(type(c) is int for c in word.xvec)
+        assert PauliWord.z_word(gf, []).n == 0
+        with pytest.raises(DimensionMismatch):
+            PauliWord.x_word(gf, [[1, 2]])

@@ -942,3 +942,267 @@ class TestJsonFieldSize:
         data = t.to_json()
         del data["q"]
         assert tableaux_equal(CssTableau.from_json(data), t)
+
+
+# -- the carried solution ----------------------------------------------------------
+
+
+def assert_carries_solution(t):
+    """t carries t0 (not solved on first use), and it solves each block as a
+    fresh linalg.solve does: rows . t0 = rows . solve = syndromes.  A
+    particular solution is unique only modulo the kernel of the rows, which
+    on a full tableau is the other block's span, so w . t0 is the same for
+    every w the block spans."""
+    assert t._t0 is not None
+    assert t.t0.shape == (2, t.n) and t.t0.dtype == np.int64
+    for side, block in enumerate((t.x, t.z)):
+        rows, syn = block[:, :-1], block[:, -1]
+        fresh = linalg.solve(t.gf, rows, syn)
+        assert fresh is not None
+        assert np.array_equal(t.gf.matmul(rows, t.t0[side]), syn)
+        assert np.array_equal(t.gf.matmul(rows, fresh), syn)
+
+
+def updates(t, rng):
+    """(kind, result) for every update kind that applies to t."""
+    gf, n = t.gf, t.n
+    yield "copy", t.copy()
+    yield "canonical_form", canonical_form(t)
+    for block, m in (("x", t.m_x), ("z", t.m_z)):
+        if m:
+            yield "scale_row", scale_row(t, block, int(rng.integers(m)), int(rng.integers(1, gf.q)))
+        if m >= 2:
+            i, j = (int(a) for a in rng.choice(m, size=2, replace=False))
+            yield "add_row", add_row(t, block, i, j)
+    yield "mult", apply_gate(t, "mult", int(rng.integers(n)), delta=int(rng.integers(1, gf.q)))
+    if n >= 2:
+        i, j = (int(a) for a in rng.choice(n, size=2, replace=False))
+        yield "cnot", apply_gate(t, "cnot", i, j)
+    for i in range(n):
+        try:
+            yield "hadamard", apply_gate(t, "hadamard", i)
+        except NotCssPreserving:
+            pass
+    for _ in range(3):
+        P = sparse_pure_word(gf, n, rng)
+        yield "measure", measure(t, P, rng)[1]
+        if deterministic_outcome(t, P) is None:
+            for eta in range(gf.q):
+                yield "measure_postselect", measure_postselect(t, P, eta)
+
+
+class TestCarriedSolution:
+    def test_every_update_carries_a_solution(self):
+        """After each update kind, at q = 2, 4, 8 and n <= 4 with every split
+        m_x + m_z = n, and again after a chain of ten updates."""
+        rng = np.random.default_rng(307)
+        kinds = dict.fromkeys(["copy", "canonical_form", "scale_row", "add_row", "mult", "cnot",
+                               "hadamard", "measure", "measure_postselect"], 0)
+        for gf, t in cases(rng, 4):
+            assert_carries_solution(t)
+            for kind, t2 in updates(t, rng):
+                assert_carries_solution(t2)
+                kinds[kind] += 1
+            for _ in range(10):
+                chain = list(updates(t, rng))
+                kind, t = chain[int(rng.integers(len(chain)))]
+                assert_carries_solution(t)
+        assert min(kinds.values()) > 10, kinds
+
+    def test_deterministic_outcome_reads_the_carried_solution(self, monkeypatch):
+        """No elimination after construction: deterministic_outcome and
+        measure make no rref_augmented call."""
+        rng = np.random.default_rng(311)
+        tabs = [t for _, t in cases(rng, 2)]
+        calls = []
+        rref = linalg.rref_augmented
+        monkeypatch.setattr(linalg, "rref_augmented", lambda *a: calls.append(a) or rref(*a))
+        for t in tabs:
+            for _ in range(3):
+                P = sparse_pure_word(t.gf, t.n, rng)
+                deterministic_outcome(t, P)
+                measure(t, P, rng)
+        assert calls == []
+
+    def test_built_by_hand_solves_on_first_use(self):
+        gf = make_field(2)
+        t = random_full_tableau(gf, 3, np.random.default_rng(313), 1)
+        hand = CssTableau(gf, 3, t.x.copy(), t.z.copy())
+        assert hand._t0 is None
+        P = PauliWord.x_word(gf, t.xrows[0])
+        assert deterministic_outcome(hand, P) == deterministic_outcome(t, P) == t.xsyn[0]
+        assert_carries_solution(hand)
+        inconsistent = CssTableau(gf, 2, [[1, 0, 1], [1, 0, 2]], np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(RankDeficient):
+            inconsistent.t0
+        with pytest.raises(InvalidFieldCode):
+            CssTableau(gf, 1, [[1, 4]], np.zeros((0, 2), dtype=np.int64))
+
+    def test_blocks_are_read_only(self):
+        gf = make_field(2)
+        t = random_full_tableau(gf, 3, np.random.default_rng(317), 2)
+        for view in (t.x, t.z, t.t0, t.xrows, t.zsyn, t.block("x", 0)):
+            with pytest.raises(ValueError, match="read-only"):
+                view[(0,) * view.ndim] = 1
+        owned = np.array([[1, 2, 3]])
+        hand = CssTableau(gf, 2, owned, np.zeros((0, 3), dtype=np.int64))
+        owned[0, 2] = 0  # the caller's array is not the block
+        assert hand.xsyn.tolist() == [3]
+        assert owned.flags.writeable
+
+    def test_updates_share_read_only_blocks(self):
+        """A single tableau measured for several outcomes shares its one
+        recombined opposite block; copy shares everything."""
+        gf = make_field(3)
+        rng = np.random.default_rng(319)
+        while True:
+            t = random_full_tableau(gf, 3, rng, 1)
+            P = PauliWord.x_word(gf, rng.integers(1, gf.q, 3))
+            if deterministic_outcome(t, P) is None:
+                break
+        posts = measure_postselect(t, P, list(range(gf.q)))
+        assert all(u.z is posts[0].z or np.shares_memory(u.z, posts[0].z) for u in posts)
+        assert t.copy().x is t.x and t.copy().t0 is t.t0
+
+
+# -- stacks -------------------------------------------------------------------------------
+
+
+def stacks(seed, size=5):
+    """Stacks of random full tableaux with one (q, n, m_X), at q = 2, 4, 8."""
+    rng = np.random.default_rng(seed)
+    for s in (1, 2, 3):
+        gf = make_field(s)
+        for n in (1, 2, 3, 4):
+            for m_x in range(n + 1):
+                yield gf, [random_full_tableau(gf, n, rng, m_x) for _ in range(size)], rng
+
+
+def assert_same_carried(a, b):
+    assert_same_tableau(a, b)
+    assert np.array_equal(a.t0, b.t0)
+
+
+class TestStacks:
+    def test_each_member_is_its_single_result(self):
+        checked = {"det": 0, "random": 0}
+        for gf, ts, rng in stacks(331):
+            n = ts[0].n
+            for P in [sparse_pure_word(gf, n, rng) for _ in range(4)]:
+                dets = deterministic_outcome(ts, P)
+                assert dets == [deterministic_outcome(t, P) for t in ts]
+                seed = int(rng.integers(1 << 30))
+                outs, posts = measure(ts, P, np.random.default_rng(seed))
+                one = np.random.default_rng(seed)
+                for t, out, post in zip(ts, outs, posts):
+                    want_out, want_post = measure(t, P, one)
+                    assert out == want_out
+                    assert_same_carried(post, want_post)
+                    assert (post is t) == (want_post is t)
+                random = [t for t, det in zip(ts, dets) if det is None]
+                checked["det"] += len(ts) - len(random)
+                checked["random"] += len(random)
+                if random:
+                    etas = rng.integers(0, gf.q, len(random)).tolist()
+                    for got, t, eta in zip(measure_postselect(random, P, etas), random, etas):
+                        assert_same_carried(got, measure_postselect(t, P, eta))
+        assert min(checked.values()) > 300, checked
+
+    def test_one_tableau_many_outcomes(self):
+        for gf, ts, rng in stacks(337, size=2):
+            for t in ts:
+                P = sparse_pure_word(gf, t.n, rng)
+                if deterministic_outcome(t, P) is not None:
+                    continue
+                etas = list(range(gf.q))
+                for got, eta in zip(measure_postselect(t, P, etas), etas):
+                    assert_same_carried(got, measure_postselect(t, P, eta))
+
+    def test_stack_draws_random_members_in_one_draw(self):
+        gf = make_field(2)
+        rng = np.random.default_rng(347)
+        ts = [random_full_tableau(gf, 3, rng, 1) for _ in range(12)]
+        P = PauliWord.z_word(gf, [1, 2, 3])
+        dets = deterministic_outcome(ts, P)
+        random = [i for i, d in enumerate(dets) if d is None]
+        assert 0 < len(random) < len(ts)
+        outs, _ = measure(ts, P, np.random.default_rng(5))
+        drawn = np.random.default_rng(5).integers(0, gf.q, size=len(random), dtype=np.int64)
+        assert [outs[i] for i in random] == drawn.tolist()
+        assert [outs[i] for i, d in enumerate(dets) if d is not None] == [d for d in dets if d is not None]
+
+    def test_stack_checks(self):
+        gf = make_field(2)
+        rng = np.random.default_rng(349)
+        t1, t2 = random_full_tableau(gf, 3, rng, 1), random_full_tableau(gf, 3, rng, 2)
+        other = random_full_tableau(make_field(1), 3, rng, 1)
+        P = PauliWord.z_word(gf, [1, 2, 3])
+        for stack in ([], [t1, t2], [t1, other]):
+            with pytest.raises(DimensionMismatch):
+                measure(stack, P, rng)
+            with pytest.raises(DimensionMismatch):
+                deterministic_outcome(stack, P)
+        with pytest.raises(DimensionMismatch):
+            sample([t1], P, rng, 3)
+        t3 = random_full_tableau(gf, 3, rng, 1)
+        while deterministic_outcome(t3, P) is not None or deterministic_outcome(t1, P) is not None:
+            t1, t3 = random_full_tableau(gf, 3, rng, 1), random_full_tableau(gf, 3, rng, 1)
+        for etas in ([1], [1, 2, 3], [[1], [2]]):
+            with pytest.raises(DimensionMismatch):
+                measure_postselect([t1, t3], P, etas)
+        with pytest.raises(InvalidFieldCode):
+            measure_postselect([t1, t3], P, [1, 4])
+
+    def test_stacked_gadget_member_is_the_postselected_single_path(self):
+        """Each member of a stacked run_cat_gadget is the single gadget with
+        its three random outcomes postselected to the member's."""
+        gf = make_field(3)
+        rng = np.random.default_rng(353)
+        gammas = rng.integers(1, gf.q, size=(20, 4)).tolist()
+        etas = rng.integers(0, gf.q, size=20).tolist()
+        results = run_cat_gadget(gf, gammas, etas, rng)
+        words = []
+        for j in range(4):
+            codes = [0] * 8
+            codes[j] = codes[j + 4] = 1
+            words.append(PauliWord.x_word(gf, codes))
+        for g, eta, res in zip(gammas, etas, results):
+            t = cat_block_tableau(gf, g, eta)
+            for P, out in zip(words[:3], res.outcomes[:3]):
+                assert deterministic_outcome(t, P) is None
+                t = measure_postselect(t, P, out)
+            assert deterministic_outcome(t, words[3]) == res.outcomes[3]
+            assert res.recovered == eta
+            assert_same_carried(res.tableau, t)
+        single = run_cat_gadget(gf, gammas[0], etas[0], np.random.default_rng(7))
+        (stacked,) = run_cat_gadget(gf, gammas[:1], etas[:1], np.random.default_rng(7))
+        assert single.outcomes == stacked.outcomes and single.recovered == stacked.recovered
+        with pytest.raises(DimensionMismatch):
+            run_cat_gadget(gf, gammas[:2], etas[:3], rng)
+
+
+class TestIntegerCodes:
+    """Float input at the tableau boundary raises instead of being truncated."""
+
+    def test_new_tableau_refuses_floats(self):
+        gf = make_field(3)
+        with pytest.raises(InvalidFieldCode):
+            new_tableau(gf, 1, [[1]], [], [2.5], [])
+        with pytest.raises(InvalidFieldCode):
+            new_tableau(gf, 1, [[1.7]], [], [2], [])
+
+    def test_updates_refuse_floats(self):
+        gf = make_field(3)
+        t = new_tableau(gf, 2, [[1, 0]], [[0, 1]], [3], [5])
+        with pytest.raises(InvalidFieldCode):
+            measure_postselect(t, PauliWord.x_word(gf, [0, 1]), 2.5)
+        with pytest.raises(InvalidFieldCode):
+            scale_row(t, "x", 0, 2.5)
+        with pytest.raises(InvalidFieldCode):
+            apply_gate(t, "mult", 0, delta=2.5)
+
+    def test_integer_input_unchanged(self):
+        gf = make_field(3)
+        t = new_tableau(gf, 2, np.array([[1, 0]], dtype=np.uint8), [[0, True]], [np.int64(3)], [5])
+        assert t.x.dtype == np.int64 and t.z.tolist() == [[0, 1, 5]] and t.xsyn.tolist() == [3]
+        assert new_tableau(gf, 1, [], [[1]], [], [2]).z.tolist() == [[1, 2]]

@@ -144,10 +144,14 @@ class Faults:
         return det ^ 1 if det is not None and len(self.tableaux) - 1 == self.det else det
 
     def wrong_syndrome(self, t, P, eta):
-        t2 = self.measure_postselect(t, P, eta)
-        if eta == 0 and len(self.tableaux) - 1 == self.post:
-            (t2.x if any(P.xvec) else t2.z)[-1, -1] ^= 1  # the row [w | eta] that joined
-        return t2
+        """measure_postselect, one outcome or a sequence; at the planted
+        case the tableau for outcome 0 is replaced by flipped_syndrome's."""
+        out = self.measure_postselect(t, P, eta)
+        if len(self.tableaux) - 1 != self.post:
+            return out
+        if isinstance(out, list):
+            return [flipped_syndrome(t2, P) if e == 0 else t2 for e, t2 in zip(eta, out)]
+        return flipped_syndrome(out, P) if eta == 0 else out
 
     def flipped_amplitude(self, t, amps):
         members = t if isinstance(t, list) else [t]
@@ -156,6 +160,15 @@ class Faults:
             if self.flip is not None and self.flip < len(self.tableaux) and u is self.tableaux[self.flip]:
                 row[np.flatnonzero(row)[0]] *= -1
         return self.verify_eigen(t, amps)
+
+
+def flipped_syndrome(t, P):
+    """t built anew (its blocks are read-only) with the syndrome of the last
+    row of P's block flipped: the row [w | eta] that a random-branch
+    measurement of P adds.  Built by hand, it solves its t0 on first use."""
+    x, z = t.x.copy(), t.z.copy()
+    (x if any(P.xvec) else z)[-1, -1] ^= 1
+    return tab_mod.CssTableau(t.gf, t.n, x, z)
 
 
 def case_kinds(seed):
@@ -236,6 +249,100 @@ def test_draw_rule_replays_exactly(seed):
             assert replay.bit_generator.state == state and np.array_equal(shots, np.full(25, case.det))
     assert replay.bit_generator.state == rng.bit_generator.state
     assert all(np.array_equal(counts[q], want[q]) for q in counts)
+
+
+def reference_cat_gadget(seed=0):
+    """Criterion 4 as one loop: each trial's gammas and eta drawn, then its
+    gadget run, drawing its own outcomes, before the next trial is drawn."""
+    gf = make_field(3)
+    trials = 100
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        gammas = [int(g) for g in rng.integers(1, 8, size=4)]
+        eta = int(rng.integers(0, 8))
+        res = tab_mod.run_cat_gadget(gf, gammas, eta, rng)
+        if res.recovered != eta:
+            return _fail(f"gadget recovered {res.recovered}, planted {eta}")
+        acc = eta
+        for g, o in zip(gammas[:3], res.outcomes[:3]):
+            acc ^= gf.mul(g, o)
+        expected_fourth = gf.mul(gf.inv(gammas[3]), acc)
+        if res.outcomes[3] != expected_fourth:
+            return _fail("deterministic fourth outcome violates the closed form")
+    return True, f"trials={trials} at q=8, fourth outcome closed form verified"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cat_gadget_matches_one_loop(seed):
+    got = verify.criterion_cat_gadget(seed)
+    assert got == reference_cat_gadget(seed)
+    assert got[0]
+
+
+def test_cat_gadget_measures_one_stack_a_word(monkeypatch):
+    calls = []
+    measure = tab_mod.measure
+    monkeypatch.setattr(tab_mod, "measure", lambda t, P, rng: calls.append(len(t)) or measure(t, P, rng))
+    assert verify.criterion_cat_gadget(0)[0]
+    assert calls == [100] * 4
+
+
+class CatFaults:
+    """Faults planted at chosen trials of criterion 4, a trial being counted
+    by its tableau.cat_block_tableau call, which both forms make in trial
+    order: det flips the trial's deterministic fourth outcome, post the
+    syndrome of the row [XX_0 | outcome] that its first measurement adds
+    (flipped_syndrome).  Either way the gadget recovers eta + gamma_4 or
+    eta + gamma_1 in place of eta, whatever the other outcomes were."""
+
+    cat_block_tableau = staticmethod(tab_mod.cat_block_tableau)
+    measure = staticmethod(tab_mod.measure)
+
+    def __init__(self, monkeypatch, det=None, post=None):
+        self.det, self.post = det, post
+        self.trials = []  # (gammas, eta) of each trial, in order
+        self.trial_of = {}  # id of a tableau -> (its trial, the tableau, kept alive)
+        monkeypatch.setattr(tab_mod, "cat_block_tableau", self.planted_block)
+        monkeypatch.setattr(tab_mod, "measure", self.planted_measure)
+
+    def planted_block(self, gf, gammas, eta):
+        t = self.cat_block_tableau(gf, gammas, eta)
+        self.trial_of[id(t)] = len(self.trials), t
+        self.trials.append(([int(g) for g in gammas], int(eta)))
+        return t
+
+    def planted_measure(self, t, P, rng):
+        single = not isinstance(t, list)
+        ts = [t] if single else t
+        outs, posts = self.measure(ts, P, rng)
+        for k, (u, v) in enumerate(zip(ts, posts)):
+            trial = self.trial_of[id(u)][0]
+            if v is u and trial == self.det:
+                outs[k] ^= 1
+            elif v is not u and P.xvec[0] and trial == self.post:
+                posts[k] = v = flipped_syndrome(v, P)
+            self.trial_of[id(v)] = trial, v
+        return (outs[0], posts[0]) if single else (outs, posts)
+
+    def message(self, trial, kind):
+        gammas, eta = self.trials[trial]
+        return False, f"gadget recovered {eta ^ gammas[3 if kind == 'det' else 0]}, planted {eta}"
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+def test_cat_gadget_planted_faults_reported_at_the_same_trial(monkeypatch, seed):
+    """Alone and in pairs in either trial order, the first planted trial
+    decides, with its message in both forms.  The two forms draw their
+    trials in another order, so each message is read off the form's own
+    trials."""
+    early, late = 7, 80
+    plans = [{"det": early}, {"post": early}, {"det": early, "post": late}, {"post": early, "det": late}]
+    for faults in plans:
+        kind = next(k for k, v in faults.items() if v == early)
+        for criterion in (verify.criterion_cat_gadget, reference_cat_gadget):
+            planted = CatFaults(monkeypatch, **faults)
+            got = criterion(seed)
+            assert got == planted.message(early, kind), (faults, criterion.__name__)
 
 
 def reference_qrs(seed=0):
