@@ -23,12 +23,10 @@ class FieldBasis:
 
     def __init__(self, gf: GF, elements):
         self.gf = gf
-        self.elements = tuple(int(e) for e in elements)
-        if len(self.elements) != gf.s:
-            raise DimensionMismatch(f"basis needs {gf.s} elements, got {len(self.elements)}")
-        for e in self.elements:
-            gf.check_code(e)
-        self._codes = np.array(self.elements, dtype=np.int64)
+        self._codes = np.array(gf.check_codes(elements))
+        if self._codes.shape != (gf.s,):
+            raise DimensionMismatch(f"basis needs {gf.s} elements, got shape {self._codes.shape}")
+        self.elements = tuple(self._codes.tolist())
         # columns are the polynomial-basis bits of each basis element
         cols = (self._codes >> np.arange(gf.s)[:, None]) & 1
         gf2 = make_field(1)
@@ -62,7 +60,7 @@ class FieldBasis:
         int gives one (s,) bit row, an (m, n) matrix gives (m, n, s).  One
         product bits(codes) C_B, exact in float32 as each sum has at most 31 bits.
         """
-        codes = self.gf.check_codes(np.asarray(codes, dtype=np.int64))
+        codes = self.gf.check_codes(codes)
         bits = ((codes[..., None] >> np.arange(self.gf.s)) & 1).astype(np.float32)
         return (bits @ self.coord_matrix).astype(np.int64) & 1
 
@@ -71,7 +69,7 @@ class FieldBasis:
     def recompose(self, bits) -> int | np.ndarray:
         """Inverse of decompose: the code sum_i c_i eta_i of every (..., s)
         row of bits c, by one XOR-reduction; one (s,) row gives an int."""
-        bits = make_field(1).check_codes(np.asarray(bits, dtype=np.int64))
+        bits = make_field(1).check_codes(bits)
         if bits.shape[-1:] != (self.gf.s,):
             raise DimensionMismatch(f"expected rows of {self.gf.s} bits, got shape {bits.shape}")
         codes = np.bitwise_xor.reduce(bits * self._codes, axis=-1)
@@ -81,8 +79,7 @@ class FieldBasis:
 
     def gram(self) -> np.ndarray:
         """Matrix of tr(eta_i * eta_j)."""
-        e = np.array(self.elements, dtype=np.int64)
-        return self.gf.trace_arr(self.gf.mul_arr(e[:, None], e[None, :]))
+        return self.gf.trace_arr(self.gf.mul_arr(self._codes[:, None], self._codes))
 
     def is_self_dual(self) -> bool:
         return bool(np.array_equal(self.gram(), np.eye(self.gf.s, dtype=np.int64)))

@@ -42,6 +42,14 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _write(args, text: str) -> None:
+    """text to the file --out names, or to stdout without one."""
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -101,14 +109,10 @@ def cmd_basis_dual(args) -> int:
 
 def cmd_code_qrs(args) -> int:
     gf = _field_from_args(args)
-    alpha = np.array(_codes_list(args.alpha), dtype=np.int64) if args.alpha else None
-    v = np.array(_codes_list(args.v), dtype=np.int64) if args.v else None
+    alpha = _codes_list(args.alpha) if args.alpha else None
+    v = _codes_list(args.v) if args.v else None
     qrs = grs_mod.make_qrs(gf, args.n, args.k1, args.k2, alpha, v)
-    payload = qrs.to_json()
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        _emit(payload)
+    _write(args, json.dumps(qrs.to_json(), sort_keys=True) + "\n")
     return 0
 
 
@@ -127,22 +131,14 @@ def cmd_code_to_qubits(args) -> int:
     else:
         assignment = q2b_mod.default_assignment(code.gf, code.n)
     qubit = q2b_mod.convert_code(code, assignment)
-    payload = qubit.to_json()
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        _emit(payload)
+    _write(args, json.dumps(qubit.to_json(), sort_keys=True) + "\n")
     return 0
 
 
 def cmd_code_export(args) -> int:
     bundle = q2b_mod.QubitCssCode.from_json(json.loads(Path(args.infile).read_text()))
     M = bundle.hx if args.matrix == "hx" else bundle.hz
-    text = q2b_mod.export_alist(M) if args.format == "alist" else q2b_mod.export_dense(M)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, q2b_mod.export_alist(M) if args.format == "alist" else q2b_mod.export_dense(M))
     return 0
 
 

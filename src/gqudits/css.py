@@ -11,13 +11,13 @@ multiply runs per word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotCommuting, RankDeficient, json_int_fields, json_matrix
-from .field import GF, field_from_json
+from .field import GF, field_from_json, values_equal
 
 DEFAULT_DISTANCE_BUDGET = 1 << 20
 _LOW_BITS = 14
@@ -36,16 +36,7 @@ class CssCode:
     def __post_init__(self) -> None:
         self.gx, self.gz, _ = check_blocks(self.gf, self.n, self.gx, self.gz)
 
-    def __eq__(self, other: object) -> bool:
-        """Same field, length and generator rows; the same object at once."""
-        if not isinstance(other, CssCode):
-            return NotImplemented
-        return self is other or (
-            self.gf == other.gf
-            and self.n == other.n
-            and np.array_equal(self.gx, other.gx)
-            and np.array_equal(self.gz, other.gz)
-        )
+    __eq__ = values_equal
 
     @property
     def m_x(self) -> int:
@@ -85,30 +76,25 @@ class CodeParams:
     distance_status: str  # "exact" or "not-computed"
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "d_x": self.d_x,
-            "d_z": self.d_z,
-            "d": self.d,
-            "distance_status": self.distance_status,
-        }
+        return asdict(self)
 
 
 def check_blocks(gf: GF, n: int, gx, gz, xcarry=None, zcarry=None):
     """The checks of a CssCode, which a tableau runs with its syndromes as
     the carried columns: gx and gz as (m, n) int64 matrices and, for each,
     rref_augmented's (carried, pivots) of [rows | carry], its one
-    elimination.  A row of another width than n raises DimensionMismatch,
-    dependent rows RankDeficient (naming the block and its rank), and
-    gx . gz^T != 0 NotCommuting."""
-    gx, gz = linalg.as_matrix(gx, n), linalg.as_matrix(gz, n)
+    elimination.  A row of another width than n or a carry of another length
+    than its block raises DimensionMismatch, dependent rows RankDeficient
+    (naming the block and its rank), and gx . gz^T != 0 NotCommuting."""
+    gx, gz = (linalg.as_matrix(gf.check_codes(rows), n) for rows in (gx, gz))
     reduced = []
     for name, rows, carry in (("gx", gx, xcarry), ("gz", gz, zcarry)):
         if rows.shape[1] != n:
             raise DimensionMismatch(f"{name} rows have {rows.shape[1]} entries, n = {n}")
         if carry is None:
             carry = np.zeros((len(rows), 0), dtype=np.int64)
+        elif len(carry) != len(rows):
+            raise DimensionMismatch(f"{len(carry)} syndromes for {len(rows)} {name} rows")
         _, carried, pivots = linalg.rref_augmented(gf, rows, carry)
         if len(pivots) != len(rows):
             raise RankDeficient(f"{name} rows are linearly dependent (rank {len(pivots)} of {len(rows)})")
@@ -125,7 +111,7 @@ def new_css(gf: GF, n: int, gx, gz) -> CssCode:
 
 def dual_space(gf: GF, M) -> np.ndarray:
     """Generator matrix of the Euclidean-orthogonal space (the kernel)."""
-    return linalg.kernel_basis(gf, linalg.as_matrix(M))
+    return linalg.kernel_basis(gf, M)
 
 
 def min_weight_excluding(gf: GF, span_basis, exclude, budget: int) -> int | None:
@@ -143,8 +129,8 @@ def min_weight_excluding(gf: GF, span_basis, exclude, budget: int) -> int | None
     the low table per step.  A word lies outside span(exclude) exactly when
     its residual half is non-zero; no field multiply runs per word.
     """
-    span_basis = linalg.as_matrix(span_basis)
-    exclude = linalg.as_matrix(exclude, span_basis.shape[1])
+    span_basis = linalg.as_matrix(gf.check_codes(span_basis))
+    exclude = linalg.as_matrix(gf.check_codes(exclude), span_basis.shape[1])
     dim, n = span_basis.shape
     if gf.q**dim > budget:
         return None

@@ -22,14 +22,16 @@ read (a negative index would wrap silently); the kernels ``GF._prod`` and
 ``GF._inv`` behind ``mul_arr`` and ``inv_arr`` take codes already checked,
 for callers that check once at their boundary (the Chien search of
 ``grs.decode``).  A code is an integer: ``check_code`` refuses anything
-else (a bool counts as an integer, 3.0 does not), and ``int_array``, the
-cast of code input at the tableau and Pauli boundaries, refuses float,
+else (a bool counts as an integer, 3.0 does not), and ``check_codes``, the
+one cast of code and bit input at every array boundary, refuses float,
 complex, string and object arrays before numpy would truncate or parse
-them.
+them.  A degree or modulus is any integer (``operator.index``).
 """
 
 from __future__ import annotations
 
+import operator
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -99,13 +101,25 @@ def is_irreducible(p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+def _integer(x, error: type[Exception], what: str) -> int:
+    """x as a Python int if it is an integer of any kind (operator.index), else error."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} {x!r} is not an integer") from None
+
+
 def canonical_modulus(s: int) -> int:
     """Irreducible degree-s polynomial with the smallest integer encoding.
 
     s = 1 uses x + 1 so that alpha reduces to 1 and F_2 behaves as the
     ordinary bit field.
     """
+    return _canonical_modulus(_integer(s, UnsupportedDegree, "degree"))
+
+
+@lru_cache(maxsize=None)
+def _canonical_modulus(s: int) -> int:
     if s < 1 or s > MAX_DEGREE:
         raise UnsupportedDegree(f"degree {s} outside 1..{MAX_DEGREE}")
     if s == 1:
@@ -139,6 +153,7 @@ class GF:
     """
 
     def __init__(self, modulus: int):
+        modulus = _integer(modulus, InvalidPolynomial, "modulus")
         if modulus <= 0:
             raise InvalidPolynomial("modulus must be a non-zero polynomial")
         s = poly_degree(modulus)
@@ -227,11 +242,18 @@ class GF:
             raise InvalidFieldCode(f"code {code} outside [0, {self.q})")
         return code
 
-    def check_codes(self, codes: np.ndarray) -> np.ndarray:
-        """check_code for a whole integer array at once: one OR-reduction,
-        which has a bit at or above s (or is negative) iff some code does."""
+    def check_codes(self, codes) -> np.ndarray:
+        """codes as an int64 array (int64 input is not copied), if each is an
+        integer (a bool counts) in [0, q): the one rule for code and bit input.
+        Float, complex, string and object input, ints outside int64 included,
+        raises InvalidFieldCode before the cast, unless it is empty.  The range
+        is one OR-reduction, which has a bit at or above s iff some code has."""
+        a = np.asarray(codes)
+        if a.dtype.kind not in "biu" and a.size:
+            raise InvalidFieldCode(f"codes must be integers, got {a.dtype} input")
+        codes = a.astype(np.int64, copy=False)
         if np.bitwise_or.reduce(codes, axis=None) >> self.s:
-            bad = codes[(codes < 0) | (codes >= self.q)].flat[0]
+            bad = a[(codes < 0) | (codes >= self.q)].flat[0]
             raise InvalidFieldCode(f"code {bad} outside [0, {self.q})")
         return codes
 
@@ -243,7 +265,11 @@ class GF:
     sub = add  # characteristic 2
 
     def mul(self, a: int, b: int) -> int:
-        if (a | b) >> self.s:  # a or b is negative or >= q
+        try:
+            bad = (a | b) >> self.s  # a or b is negative or >= q
+        except TypeError:  # or not an integer
+            bad = True
+        if bad:
             self.check_code(a)
             self.check_code(b)
         if self._exp_list is not None:
@@ -252,7 +278,11 @@ class GF:
         return self._mul(a, b)
 
     def inv(self, a: int) -> int:
-        if a >> self.s:
+        try:
+            bad = a >> self.s
+        except TypeError:
+            bad = True
+        if bad:
             self.check_code(a)
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
@@ -266,7 +296,7 @@ class GF:
     def pow(self, a, e: int):
         """a^e for a code or an int64 array of codes, by square and multiply
         on the kernel; a negative e raises a^(q-2) = a^-1 to -e."""
-        self.check_codes(np.asarray(a, dtype=np.int64))
+        self.check_codes(a)
         if e < 0:
             if np.any(a == 0):
                 raise DivisionByZero("0 has no multiplicative inverse")
@@ -283,7 +313,11 @@ class GF:
         return self.mul(a, a)
 
     def trace(self, a: int) -> int:
-        if a >> self.s:
+        try:
+            bad = a >> self.s
+        except TypeError:
+            bad = True
+        if bad:
             self.check_code(a)
         if self._tr_list is not None:
             return self._tr_list[a]
@@ -302,12 +336,10 @@ class GF:
     def mul_arr(self, a, b) -> np.ndarray:
         """Elementwise product, broadcast.  Any code outside [0, q) raises
         InvalidFieldCode; then the unchecked kernel _prod."""
-        a = self.check_codes(np.asarray(a, dtype=np.int64))
-        b = self.check_codes(np.asarray(b, dtype=np.int64))
-        return self._prod(a, b)
+        return self._prod(self.check_codes(a), self.check_codes(b))
 
     def inv_arr(self, a) -> np.ndarray:
-        return self._inv(self.check_codes(np.asarray(a, dtype=np.int64)))
+        return self._inv(self.check_codes(a))
 
     def _prod(self, a, b) -> np.ndarray:
         """mul_arr of int64 codes already checked: one kernel call, or for
@@ -326,7 +358,7 @@ class GF:
         return self._exp[(self.q - 1) - self._log[a]]
 
     def trace_arr(self, a) -> np.ndarray:
-        a = self.check_codes(np.asarray(a, dtype=np.int64))
+        a = self.check_codes(a)
         if self._tr is None:
             return self._trace(a)
         return self._tr[a]
@@ -336,8 +368,7 @@ class GF:
         (k,)@(k,) gives a numpy integer.  Any other shape raises
         DimensionMismatch.  One checked broadcast mul_arr, then one XOR over k,
         so k = 0 gives zeros."""
-        A = np.asarray(A, dtype=np.int64)
-        B = np.asarray(B, dtype=np.int64)
+        A, B = np.asarray(A), np.asarray(B)  # mul_arr checks their codes
         if A.ndim not in (1, 2) or B.ndim not in (1, 2) or A.shape[-1] != B.shape[0]:
             raise DimensionMismatch(f"matmul of shapes {A.shape} and {B.shape}")
         if B.ndim == 2:
@@ -345,16 +376,19 @@ class GF:
         return np.bitwise_xor.reduce(self.mul_arr(A, B), axis=-B.ndim)
 
 
-def int_array(codes) -> np.ndarray:
-    """codes as an int64 array.  Integer and bool input is cast, and an
-    empty input of any dtype gives an empty array; float, complex, string
-    and object input (ints outside int64 included) raises InvalidFieldCode
-    before the cast, which would truncate or parse it.  The range is the
-    caller's check (GF.check_codes)."""
-    a = np.asarray(codes)
-    if a.dtype.kind not in "biu" and a.size:
-        raise InvalidFieldCode(f"codes must be integers, got {a.dtype} input")
-    return a.astype(np.int64, copy=False)
+def values_equal(a, b) -> bool:
+    """a == b for a dataclass that holds arrays (CssCode, GrsCode, QrsCode,
+    CssTableau, StateVector, DenseOperator): the same class and every field
+    with compare=True equal, arrays by np.array_equal; the same object at once."""
+    if type(b) is not type(a):
+        return NotImplemented
+    if a is b:
+        return True
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.compare and not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -371,8 +405,9 @@ def make_field(s: int | None = None, modulus: int | None = None) -> GF:
     if modulus is None:
         if s is None:
             raise ValueError("need s or modulus")
-        modulus = canonical_modulus(s)
-    elif s is not None and poly_degree(modulus) != s:
+        return _field_for_modulus(canonical_modulus(s))
+    modulus = _integer(modulus, InvalidPolynomial, "modulus")
+    if s is not None and poly_degree(modulus) != _integer(s, UnsupportedDegree, "degree"):
         raise ValueError(f"modulus 0b{modulus:b} has degree {poly_degree(modulus)}, not {s}")
     return _field_for_modulus(modulus)
 

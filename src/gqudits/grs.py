@@ -32,7 +32,7 @@ from .errors import (
     InvalidSupport,
     WeightBelowDistance,
 )
-from .field import GF
+from .field import GF, values_equal
 
 
 # -- classical GRS -------------------------------------------------------------
@@ -46,12 +46,11 @@ class GrsCode:
     v: np.ndarray
 
     def __post_init__(self) -> None:
-        self.alpha = np.asarray(self.alpha, dtype=np.int64).reshape(-1)
-        self.v = np.asarray(self.v, dtype=np.int64).reshape(-1)
+        self.alpha = self.gf.check_codes(self.alpha).reshape(-1)
+        self.v = self.gf.check_codes(self.v).reshape(-1)
         n = self.alpha.size
         if self.v.size != n:
             raise DimensionMismatch("need one multiplier per evaluation point")
-        self.gf.check_codes(np.concatenate([self.alpha, self.v]))
         if n > self.gf.q:
             raise DimensionMismatch(f"n = {n} exceeds q = {self.gf.q} distinct points")
         if len(set(self.alpha.tolist())) != n:
@@ -60,6 +59,8 @@ class GrsCode:
             raise InvalidSupport("column multipliers must be non-zero")
         if not 0 <= self.k <= n:
             raise DimensionMismatch(f"dimension k = {self.k} outside 0..{n}")
+
+    __eq__ = values_equal
 
     @property
     def n(self) -> int:
@@ -98,7 +99,7 @@ def generator_matrix(c: GrsCode) -> np.ndarray:
 
 def encode(c: GrsCode, coeffs) -> np.ndarray:
     """(v_1 f(alpha_1), ..., v_n f(alpha_n)) for message coefficients of f."""
-    coeffs = np.asarray(coeffs, dtype=np.int64).reshape(-1)
+    coeffs = c.gf.check_codes(coeffs).reshape(-1)
     if coeffs.size != c.k:
         raise DimensionMismatch(f"message needs {c.k} coefficients, got {coeffs.size}")
     return c.gf.matmul(coeffs, generator_matrix(c))
@@ -106,8 +107,7 @@ def encode(c: GrsCode, coeffs) -> np.ndarray:
 
 def dual_multipliers(gf: GF, alpha, v) -> np.ndarray:
     """u with u_i^-1 = v_i * prod_{j != i} (alpha_i - alpha_j)."""
-    alpha = np.asarray(alpha, dtype=np.int64).reshape(-1)
-    v = np.asarray(v, dtype=np.int64).reshape(-1)
+    alpha, v = gf.check_codes(alpha).reshape(-1), gf.check_codes(v).reshape(-1)
     diff = alpha[:, None] ^ alpha[None, :]
     np.fill_diagonal(diff, 1)
     for col in diff.T:
@@ -136,16 +136,16 @@ def mds_weight_count(n: int, k: int, q: int, w: int) -> int:
 
 def min_weight_codeword(c: GrsCode, roots, eta: int) -> np.ndarray:
     """Evaluations of eta * prod_{beta in roots} (x - beta): weight n-k+1."""
-    roots = [int(r) for r in roots]
-    alpha_set = set(c.alpha.tolist())
-    if len(set(roots)) != len(roots) or not set(roots) <= alpha_set:
+    roots = c.gf.check_codes(roots).reshape(-1)
+    points = set(roots.tolist())
+    if len(points) != roots.size or not points <= set(c.alpha.tolist()):
         raise InvalidSupport("roots must be distinct evaluation points")
     if len(roots) != c.k - 1:
         raise InvalidSupport(f"need k-1 = {c.k - 1} roots, got {len(roots)}")
     if c.gf.check_code(eta) == 0:
         raise InvalidSupport("eta must be non-zero")
     # v_i * eta * prod_r (alpha_i - r), one product per root over all points
-    factors = c.alpha[None, :] ^ np.array(roots, dtype=np.int64).reshape(-1, 1)
+    factors = c.alpha[None, :] ^ roots[:, None]
     return reduce(c.gf.mul_arr, factors, c.gf.mul_arr(c.v, eta))
 
 
@@ -184,7 +184,7 @@ def decode(c: GrsCode, syndrome) -> np.ndarray:
     batch of one and gives one error.  The first row that is refused raises
     its DecodeFailure, whose shot is that row.
     """
-    syndrome = c.gf.check_codes(np.asarray(syndrome, dtype=np.int64))
+    syndrome = c.gf.check_codes(syndrome)
     if syndrome.ndim not in (1, 2) or syndrome.shape[-1] != c.n - c.k:
         raise DimensionMismatch(
             f"syndrome rows need length n - k = {c.n - c.k}, got shape {syndrome.shape}"
@@ -260,6 +260,11 @@ class QrsCode:
     u: np.ndarray
     css: CssCode
 
+    def __post_init__(self) -> None:
+        self.alpha = self.gf.check_codes(self.alpha).reshape(-1)
+        self.v = self.gf.check_codes(self.v).reshape(-1)
+        self.u = self.gf.check_codes(self.u).reshape(-1)
+
     @property
     def n(self) -> int:
         return self.alpha.size
@@ -275,6 +280,8 @@ class QrsCode:
     @property
     def d_z_formula(self) -> int:
         return self.k1 + 1
+
+    __eq__ = values_equal
 
     @cached_property
     def decoders(self) -> dict[str, GrsCode]:

@@ -17,13 +17,13 @@ from .field import GF
 
 
 def as_matrix(M, ncols: int | None = None) -> np.ndarray:
-    """Coerce to a 2-D int64 array.
+    """M, codes already checked (GF.check_codes), as a 2-D array; no cast.
 
     An (m, 0) matrix keeps its m rows.  An input with no rows, or an empty
     1-D one, becomes (0, ncols); ncols defaults to the input's column
     count, or 0 for a 1-D input.
     """
-    A = np.asarray(M, dtype=np.int64)
+    A = np.asarray(M)
     if A.size == 0 and not (A.ndim == 2 and A.shape[0]):
         return A.reshape(0, ncols if ncols is not None else (A.shape[1] if A.ndim == 2 else 0))
     if A.ndim != 2:
@@ -39,11 +39,9 @@ def rref_augmented(gf: GF, M, C) -> tuple[np.ndarray, np.ndarray, list[int]]:
     (with the carried columns transformed covariantly).  Entries of M and C
     must be field codes of gf.
     """
-    R = gf.check_codes(as_matrix(M))
-    A = np.asarray(C, dtype=np.int64)
+    R, A = as_matrix(gf.check_codes(M)), gf.check_codes(C)
     if A.ndim == 1:
         A = A.reshape(-1, 1)
-    gf.check_codes(A)
     rows, cols = R.shape
     W = np.concatenate([R, A], axis=1)  # a fresh copy; every row operation acts on [M | C]
     if gf.q == 2:
@@ -109,8 +107,7 @@ def _rref_f2(W: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray, list[int
 
 
 def rref(gf: GF, M) -> tuple[np.ndarray, list[int]]:
-    M = as_matrix(M)
-    R, _, pivots = rref_augmented(gf, M, np.zeros((M.shape[0], 0), dtype=np.int64))
+    R, _, pivots = rref_augmented(gf, M, np.zeros((len(M), 0), dtype=np.int64))
     return R, pivots
 
 
@@ -120,9 +117,8 @@ def rank(gf: GF, M) -> int:
 
 def kernel_basis(gf: GF, M) -> np.ndarray:
     """Generator matrix of the right kernel {x : M x = 0}."""
-    M = as_matrix(M)
-    n = M.shape[1]
     R, pivots = rref(gf, M)
+    n = R.shape[1]
     free = [c for c in range(n) if c not in pivots]
     K = np.eye(n, dtype=np.int64)[free]
     K[:, pivots] = R[: len(pivots), free].T  # -R[j,f] == R[j,f] in characteristic 2
@@ -131,9 +127,8 @@ def kernel_basis(gf: GF, M) -> np.ndarray:
 
 def solve(gf: GF, M, b) -> np.ndarray | None:
     """One particular solution of M x = b, or None if inconsistent."""
-    M = as_matrix(M)
-    _, carried, pivots = rref_augmented(gf, M, np.asarray(b, dtype=np.int64))
-    return particular(M.shape[1], carried, pivots)
+    R, carried, pivots = rref_augmented(gf, M, b)
+    return particular(R.shape[1], carried, pivots)
 
 
 def particular(ncols: int, carried: np.ndarray, pivots: list[int]) -> np.ndarray | None:

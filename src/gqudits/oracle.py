@@ -37,7 +37,7 @@ import numpy as np
 
 from . import bases as _bases
 from .errors import DimensionMismatch, FullTableauRequired, TooLarge
-from .field import GF
+from .field import GF, values_equal
 from .pauli import PauliWord
 
 if TYPE_CHECKING:
@@ -82,10 +82,7 @@ class StateVector:
     def normalised(self) -> "StateVector":
         return StateVector(self.gf, self.n, self.amps / np.linalg.norm(self.amps))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return (self.gf, self.n) == (other.gf, other.n) and np.array_equal(self.amps, other.amps)
+    __eq__ = values_equal
 
 
 @dataclass(eq=False)
@@ -94,8 +91,8 @@ class DenseOperator:
     n: int
     mat: np.ndarray
     # the forms, set only by the package's constructors (see _formed)
-    action: tuple | None = dataclasses.field(default=None, init=False, repr=False)
-    clifford: bool = dataclasses.field(default=False, init=False, repr=False)
+    action: tuple | None = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    clifford: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=np.complex128)
@@ -109,11 +106,7 @@ class DenseOperator:
             super().__setattr__("action", None)
             super().__setattr__("clifford", False)
 
-    def __eq__(self, other) -> bool:
-        """Same field, n and matrix; the forms are not compared."""
-        if not isinstance(other, DenseOperator):
-            return NotImplemented
-        return (self.gf, self.n) == (other.gf, other.n) and np.array_equal(self.mat, other.mat)
+    __eq__ = values_equal  # the forms are not compared
 
     @classmethod
     def from_action(cls, gf: GF, n: int, targets: np.ndarray, phases) -> "DenseOperator":
@@ -175,7 +168,7 @@ def index_of(gf: GF, digits):
     """Packed index of every (..., n) digit row (leftmost digit most
     significant), by one shift and one OR-reduction; one (n,) row gives an
     int.  Inverse of all_digits."""
-    digits = np.asarray(digits, dtype=np.int64)
+    digits = gf.check_codes(digits)
     idx = np.bitwise_or.reduce(digits << _shifts(gf, digits.shape[-1]), axis=-1)
     return int(idx) if digits.ndim == 1 else idx
 
@@ -232,7 +225,7 @@ def _power_actions(P, mus=None) -> tuple[np.ndarray, np.ndarray]:
     gf, n, k = words[0].gf, words[0].n, len(words)
     d = _check_cap(gf, n)
     if mus is not None:
-        mus = np.asarray(mus, dtype=np.int64)[:, None]
+        mus = np.asarray(mus)[:, None]
     xs = np.array([w.xvec for w in words], dtype=np.int64).reshape(k, 1, n)
     zs = np.array([w.zvec for w in words], dtype=np.int64).reshape(k, n)
     signs = np.array([w.sign for w in words], dtype=np.int64)[:, None, None]
@@ -423,9 +416,9 @@ def _born(states: list, words: list) -> tuple[np.ndarray, np.ndarray]:
 def _normalised_sectors(states: list, sectors: np.ndarray, etas) -> list[list[StateVector]]:
     """For each state, its sectors at its row of etas, each renormalised."""
     gf = states[0].gf
-    if len(etas) != len(states):
-        raise DimensionMismatch(f"{len(etas)} rows of outcomes for {len(states)} states")
-    etas = np.array([[gf.check_code(eta) for eta in row] for row in etas])
+    etas = gf.check_codes(etas)
+    if etas.ndim != 2 or len(etas) != len(states):
+        raise DimensionMismatch(f"outcomes of shape {etas.shape} for {len(states)} states")
     vecs = sectors[np.arange(len(states))[:, None], etas]
     norms = np.linalg.norm(vecs, axis=2, keepdims=True)
     zero = norms[..., 0] < ATOL

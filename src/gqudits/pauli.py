@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, PureTypeRequired
-from .field import GF, int_array
-
-
-def _codes(codes) -> tuple[int, ...]:
-    """A vector of codes as a tuple of Python ints, through field.int_array."""
-    a = int_array(codes)
-    if a.ndim != 1:
-        raise DimensionMismatch(f"a word's codes form one vector, got shape {a.shape}")
-    return tuple(a.tolist())
+from .field import GF
 
 
 @dataclass(frozen=True)
@@ -32,12 +24,15 @@ class PauliWord:
     sign: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("xvec", "zvec"):  # kept as tuples of Python ints
+            codes = self.gf.check_codes(getattr(self, name))
+            if codes.ndim != 1:
+                raise DimensionMismatch(f"a word's codes form one vector, got shape {codes.shape}")
+            object.__setattr__(self, name, tuple(codes.tolist()))
         if len(self.xvec) != len(self.zvec):
             raise DimensionMismatch(f"x has {len(self.xvec)} sites, z has {len(self.zvec)}")
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        for c in (*self.xvec, *self.zvec):
-            self.gf.check_code(c)
 
     @property
     def n(self) -> int:
@@ -59,17 +54,15 @@ class PauliWord:
 
     @classmethod
     def x_word(cls, gf: GF, codes, sign: int = 1) -> "PauliWord":
-        codes = _codes(codes)
-        return cls(gf, codes, (0,) * len(codes), sign)
+        return cls(gf, codes, (0,) * np.size(codes), sign)
 
     @classmethod
     def z_word(cls, gf: GF, codes, sign: int = 1) -> "PauliWord":
-        codes = _codes(codes)
-        return cls(gf, (0,) * len(codes), codes, sign)
+        return cls(gf, (0,) * np.size(codes), codes, sign)
 
     @classmethod
     def from_vectors(cls, gf: GF, xvec, zvec, sign: int = 1) -> "PauliWord":
-        return cls(gf, _codes(xvec), _codes(zvec), sign)
+        return cls(gf, xvec, zvec, sign)
 
     # -- structure -------------------------------------------------------------
 

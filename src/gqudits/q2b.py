@@ -47,11 +47,11 @@ def expand_vector(assignment: BasisAssignment, V) -> np.ndarray:
     (m, n*s).  D_{B_i} is F_2-linear, so every qudit is one batched product
     of its components' polynomial-basis bits with its map in assignment.maps.
     """
-    V = np.asarray(V, dtype=np.int64)
+    V = assignment.gf.check_codes(V)
     if V.ndim > 2 or V.shape[-1:] != (assignment.n,):
         raise DimensionMismatch(f"sites of shape {V.shape}, assignment has {assignment.n}")
     n, s = assignment.n, assignment.gf.s
-    codes = assignment.gf.check_codes(V).reshape(-1, n).T
+    codes = V.reshape(-1, n).T
     bits = ((codes[..., None] >> np.arange(s)) & 1).astype(np.float32)
     # float32 is exact: each entry sums at most s <= 31 bit products
     out = (bits @ assignment.maps).transpose(1, 0, 2).astype(np.int64, order="C")
@@ -69,7 +69,6 @@ def _expand_rows(assignment: BasisAssignment, rows, dualise: bool) -> np.ndarray
     basis b, row by row; Z-type rows (dualise) expand through the dual bases.
     D(b_t * eta) is F_2-linear in D(eta), so the rows are expanded once and
     then scaled by one batched product with the assignment's scalings."""
-    rows = linalg.as_matrix(rows, assignment.n)
     (m, n), s = rows.shape, assignment.gf.s
     if dualise:
         assignment = assignment.duals()
@@ -257,10 +256,9 @@ def end_to_end_decode(
         raise PlanMismatch("the plan was made for other check rows")
     if plan.assignment is not assignment and plan.assignment.bases != assignment.bases:
         raise PlanMismatch("the plan was made for another assignment")
-    error_bits = np.asarray(error_bits, dtype=np.int64)
+    error_bits = make_field(1).check_codes(error_bits)
     if error_bits.ndim not in (1, 2) or error_bits.shape[-1] != plan.ns:
         raise DimensionMismatch(f"expected {plan.ns} bits a shot, got shape {error_bits.shape}")
-    make_field(1).check_codes(error_bits)
     if kind not in ("Z", "X"):
         raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
     columns = plan._check_columns[kind]
@@ -290,7 +288,7 @@ def _index_lines(M: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, list[str
 def export_alist(M) -> str:
     """MacKay alist text for a binary matrix: header 'N M', degree lists,
     then 1-based per-column and per-row index lists (zero padded)."""
-    M = make_field(1).check_codes(linalg.as_matrix(M)).astype(bool)
+    M = linalg.as_matrix(make_field(1).check_codes(M)).astype(bool)
     table = np.array([str(i) for i in range(max(M.shape) + 1)], dtype=object)
     col_deg, col_lines = _index_lines(M.T, table)
     row_deg, row_lines = _index_lines(M, table)
@@ -333,5 +331,5 @@ def _incidence(lists: list[list[int]], size: int, what: str) -> np.ndarray:
 
 
 def export_dense(M) -> str:
-    M = make_field(1).check_codes(linalg.as_matrix(M))
+    M = linalg.as_matrix(make_field(1).check_codes(M))
     return "\n".join("".join(str(int(b)) for b in row) for row in M) + "\n"

@@ -63,18 +63,18 @@ from .errors import (
     json_int_fields,
     json_matrix,
 )
-from .field import GF, field_from_json, int_array
+from .field import GF, field_from_json, values_equal
 from .pauli import PauliWord
 
 
 def _frozen(gf: GF, a) -> np.ndarray:
     """a as a read-only int64 array that nothing can write through: shared
-    when it is one already (with a read-only owner), else a copy, through
-    field.int_array, whose codes are checked."""
+    when it is one already (with a read-only owner), else a copy of
+    gf.check_codes(a)."""
     if isinstance(a, np.ndarray) and not a.flags.writeable and a.dtype == np.int64:
         if a.base is None or (isinstance(a.base, np.ndarray) and not a.base.flags.writeable):
             return a
-    a = gf.check_codes(np.array(int_array(a)))
+    a = np.array(gf.check_codes(a))
     a.flags.writeable = False
     return a
 
@@ -107,12 +107,14 @@ class CssTableau:
     n: int
     x: np.ndarray
     z: np.ndarray
-    _t0: np.ndarray | None = dataclasses.field(default=None, repr=False)
+    _t0: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.x, self.z = _frozen(self.gf, self.x), _frozen(self.gf, self.z)
         if self._t0 is not None:
             self._t0 = _frozen(self.gf, self._t0)
+
+    __eq__ = values_equal  # not _t0 (compare=False), which follows from the blocks
 
     @property
     def t0(self) -> np.ndarray:
@@ -187,14 +189,7 @@ class CssTableau:
 def new_tableau(gf: GF, n: int, xrows, zrows, xsyn, zsyn) -> CssTableau:
     """Validated tableau: integer F_q syndromes, independent integer rows of
     n entries, orthogonal blocks; t0 comes from the rank checks' eliminations."""
-    xrows, zrows = linalg.as_matrix(int_array(xrows), n), linalg.as_matrix(int_array(zrows), n)
-    xsyn, zsyn = int_array(xsyn).reshape(-1), int_array(zsyn).reshape(-1)
-    if xsyn.shape[0] != xrows.shape[0]:
-        raise DimensionMismatch("one X syndrome per X row required")
-    if zsyn.shape[0] != zrows.shape[0]:
-        raise DimensionMismatch("one Z syndrome per Z row required")
-    gf.check_codes(xsyn)
-    gf.check_codes(zsyn)
+    xsyn, zsyn = gf.check_codes(xsyn).reshape(-1), gf.check_codes(zsyn).reshape(-1)
     xrows, zrows, reduced = check_blocks(gf, n, xrows, zrows, xsyn, zsyn)
     t0 = np.zeros((2, n), dtype=np.int64)
     for side, (carried, pivots) in enumerate(reduced):
@@ -398,7 +393,7 @@ def measure_postselect(t, P: PauliWord, eta):
     rank and orthogonality.
     """
     m = _measured(t, P)
-    etas = m.ts[0].gf.check_codes(int_array(eta))
+    etas = m.ts[0].gf.check_codes(eta)
     if etas.ndim > 1 or (not m.single and etas.shape != (len(m.ts),)):
         raise DimensionMismatch(f"outcomes of shape {etas.shape} for {len(m.ts)} tableaux")
     if not m.random.all():
@@ -466,7 +461,7 @@ def cat_block_tableau(gf: GF, gammas, eta: int) -> CssTableau:
     The code block is completed to full rank with the same cat-style Z rows,
     planting syndrome eta on its X generator.
     """
-    g1, g2, g3, g4 = int_array(gammas).tolist()
+    g1, g2, g3, g4 = gf.check_codes(gammas).tolist()
     if 0 in (g1, g2, g3, g4):
         raise InvalidScale("gadget coefficients must all be non-zero")
     z = [0, 0, 0, 0]
@@ -486,7 +481,7 @@ def run_cat_gadget(gf: GF, gammas, eta, rng: np.random.Generator):
     members keep one m_X throughout.
     """
     single = np.ndim(eta) == 0
-    gammas, etas = int_array([gammas] if single else gammas), [eta] if single else list(eta)
+    gammas, etas = gf.check_codes([gammas] if single else gammas), [eta] if single else list(eta)
     if gammas.shape != (len(etas), 4):
         raise DimensionMismatch(f"gammas of shape {gammas.shape} for {len(etas)} gadgets")
     ts = [cat_block_tableau(gf, g, e) for g, e in zip(gammas, etas)]

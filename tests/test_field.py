@@ -14,8 +14,8 @@ from gqudits.errors import (
     UnsupportedDegree,
 )
 from gqudits.field import (
+    GF,
     canonical_modulus,
-    int_array,
     is_irreducible,
     make_field,
     poly_degree,
@@ -286,7 +286,7 @@ class TestScalarCodeValidation:
 
 
 class TestIntegerCodes:
-    """check_code and int_array take integers only; a bool counts as one,
+    """check_code and check_codes take integers only; a bool counts as one,
     and an integral float such as 3.0 does not."""
 
     @pytest.mark.parametrize("code", [2.5, 3.0, "3", None, 1 + 0j, np.float64(3.0), [3]])
@@ -302,13 +302,62 @@ class TestIntegerCodes:
     @pytest.mark.parametrize("codes", [[1.5, 2.0], [1 + 0j], ["3"], [1, 1 << 70], np.array([0.0])])
     def test_int_array_refuses_non_integers(self, codes):
         with pytest.raises(InvalidFieldCode, match="must be integers"):
-            int_array(codes)
+            make_field(3).check_codes(codes)
 
     def test_int_array_casts_integers(self):
         for codes, want in (([True, False], [1, 0]), (np.array([3], dtype=np.uint8), [3]), ([], []),
                             (np.zeros((0, 2)), np.zeros((0, 2)))):
-            got = int_array(codes)
+            got = make_field(3).check_codes(codes)
             assert got.dtype == np.int64 and np.array_equal(got, want) and got.shape == np.shape(want)
+
+    def test_check_codes_shares_int64_input(self):
+        codes = np.array([1, 2, 7])
+        assert make_field(3).check_codes(codes) is codes
+
+    @pytest.mark.parametrize("codes", [[8], [-1], np.array([1 << 63], dtype=np.uint64)])
+    def test_check_codes_names_the_code_outside_the_field(self, codes):
+        with pytest.raises(InvalidFieldCode, match=f"code {np.asarray(codes)[0]} outside"):
+            make_field(3).check_codes(codes)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.9, "3", 1 + 0j, 2**70, np.float64(2.0)])
+    def test_scalar_ops_refuse_non_integers(self, bad):
+        gf = make_field(3)
+        calls = [gf.mul, gf.div, lambda a, b: gf.mul(b, a), lambda a, b: gf.div(b, a), gf.pow]
+        for call in calls:
+            with pytest.raises(InvalidFieldCode):
+                call(bad, 3)
+        for call in (gf.inv, gf.trace, gf.frobenius):
+            with pytest.raises(InvalidFieldCode):
+                call(bad)
+
+
+class TestIntegerDegrees:
+    """make_field, GF and canonical_modulus take any integer s or modulus;
+    a numpy integer gives the field of the Python int, anything else raises."""
+
+    def test_numpy_integers(self):
+        assert make_field(np.int64(3)) is make_field(3)
+        assert make_field(modulus=np.int64(11)) is make_field(modulus=11)
+        assert make_field(np.uint8(3), np.int32(11)) is make_field(3)
+        assert GF(np.int64(11)) == make_field(3) and type(GF(np.int64(11)).modulus) is int
+        assert canonical_modulus(np.int64(4)) == canonical_modulus(4) == 0b10011
+
+    @pytest.mark.parametrize("s", [3.0, "3", None, [3], 3 + 0j])
+    def test_non_integer_degrees(self, s):
+        with pytest.raises(UnsupportedDegree):
+            canonical_modulus(s)
+        if s is not None:  # make_field(None) asks for s or a modulus
+            with pytest.raises(UnsupportedDegree):
+                make_field(s)
+            with pytest.raises(UnsupportedDegree):
+                make_field(s, modulus=11)
+
+    @pytest.mark.parametrize("modulus", [11.0, "11", [11], np.float64(11)])
+    def test_non_integer_moduli(self, modulus):
+        with pytest.raises(InvalidPolynomial):
+            make_field(modulus=modulus)
+        with pytest.raises(InvalidPolynomial):
+            GF(modulus)
 
 
 class TestListBackedScalars:

@@ -779,3 +779,26 @@ class TestDecodeStacks:
         S[2, 1] = 8
         with pytest.raises(InvalidFieldCode):
             decode(code, S)
+
+
+class TestValueEquality:
+    """== compares the field, the parameters and the arrays by value."""
+
+    def test_grs_codes(self):
+        gf = make_field(3)
+        a = GrsCode(gf, 2, [0, 1, 2, 3], [1, 2, 3, 4])
+        assert a == GrsCode(gf, 2, np.array([0, 1, 2, 3]), (1, 2, 3, 4))
+        assert a != GrsCode(gf, 2, [0, 1, 2, 3], [1, 2, 3, 5])
+        assert a != GrsCode(gf, 2, [0, 1, 2, 4], [1, 2, 3, 4])
+        assert a != GrsCode(gf, 3, [0, 1, 2, 3], [1, 2, 3, 4])
+        assert a != GrsCode(make_field(4), 2, [0, 1, 2, 3], [1, 2, 3, 4])
+        assert a != "GRS" and a == a
+
+    def test_qrs_codes(self):
+        gf = make_field(3)
+        a = make_qrs(gf, 8, 2, 5)
+        assert a == make_qrs(gf, 8, 2, 5)
+        assert a != make_qrs(gf, 8, 2, 5, v=[1, 1, 1, 1, 1, 1, 1, 2])
+        assert a != make_qrs(gf, 8, 2, 5, alpha=[1, 0, 2, 3, 4, 5, 6, 7])
+        assert a != make_qrs(gf, 8, 1, 5)
+        assert a != grs.QrsCode(gf, 2, 5, a.alpha, a.v, np.r_[2, a.u[1:]], a.css)

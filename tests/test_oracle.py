@@ -633,6 +633,8 @@ class TestEquality:
         a = DenseOperator(gf, 1, np.eye(2))
         assert a == DenseOperator(gf, 1, np.eye(2))
         assert a == pauli_matrix(PauliWord.identity(gf, 1))  # the form is not compared
+        X = PauliWord.x_word(gf, [1])
+        assert pauli_matrix(X) == pauli_matrix(X) != a  # nor are two forms
         assert a != DenseOperator(gf, 1, np.diag([1, -1]))
         assert a != DenseOperator(make_field(2), 1, np.eye(4)) and a != DenseOperator(gf, 2, np.eye(4))
         assert (a == "eye") is False and a != np.eye(2).tolist()

@@ -1073,7 +1073,8 @@ class TestExports:
 
     def test_alist_matches_loop_writer(self):
         rng = np.random.default_rng(197)
-        mats = [np.zeros((0, 0)), np.zeros((0, 4)), np.zeros((3, 5)), np.ones((2, 3))]
+        mats = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 4), (3, 5))]
+        mats.append(np.ones((2, 3), dtype=np.int64))
         for _ in range(25):
             # n >= 1 here; test_alist_round_trip_of_empty_shapes covers (m, 0)
             m, n = int(rng.integers(0, 30)), int(rng.integers(1, 30))

@@ -1206,3 +1206,18 @@ class TestIntegerCodes:
         t = new_tableau(gf, 2, np.array([[1, 0]], dtype=np.uint8), [[0, True]], [np.int64(3)], [5])
         assert t.x.dtype == np.int64 and t.z.tolist() == [[0, 1, 5]] and t.xsyn.tolist() == [3]
         assert new_tableau(gf, 1, [], [[1]], [], [2]).z.tolist() == [[1, 2]]
+
+
+class TestValueEquality:
+    """== compares the field, the length and the blocks by value, not t0."""
+
+    def test_equal_and_unequal_builds(self):
+        gf = make_field(3)
+        t = new_tableau(gf, 2, [[1, 0]], [[0, 1]], [3], [5])
+        assert t == new_tableau(gf, 2, np.array([[1, 0]]), [[0, 1]], [3], [5])
+        assert t == CssTableau(gf, 2, t.x, t.z)  # built by hand, t0 not yet solved
+        assert t != new_tableau(gf, 2, [[1, 0]], [[0, 1]], [3], [6])
+        assert t != new_tableau(gf, 2, [[1, 1]], [[1, 1]], [3], [5])
+        assert t != new_tableau(gf, 2, [[0, 1]], [[1, 0]], [3], [5])
+        assert t != new_tableau(make_field(4), 2, [[1, 0]], [[0, 1]], [3], [5])
+        assert t != "tableau" and t == t.copy()
