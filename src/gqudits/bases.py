@@ -4,6 +4,9 @@ A basis B = (eta_0, ..., eta_{s-1}) turns F_q into the bit-vector space
 F_2^s via the decomposition map; the dual basis B* satisfies
 tr(eta_i * mu_j) = delta_ij, which is what makes X-type data travel through
 B and Z-type data through B* in the qudit-to-qubit mappings.
+D_B is F_2-linear, so it is held as ceil(s/8) byte-sliced tables (the
+eight-bits-at-a-time tables of Arlazarov et al. 1970, as in M4RI): table j
+maps a byte v to D_B(v << 8j) packed in the smallest unsigned dtype of s bits.
 """
 
 from __future__ import annotations
@@ -17,9 +20,23 @@ from .errors import DimensionMismatch, FieldMismatch, SelfDualRequired
 from .field import GF, make_field
 
 
+def unpack_bits(codes: np.ndarray, s: int) -> np.ndarray:
+    """(..., s) uint8: bit i of every code, of a little-endian unsigned dtype."""
+    return np.unpackbits(codes[..., None].view(np.uint8), axis=-1, bitorder="little")[..., :s]
+
+
+def coordinates(tables: np.ndarray, index, codes: np.ndarray, s: int) -> np.ndarray:
+    """(..., s) uint8 coordinates of checked codes: their bytes' entries in
+    the flat byte tables from index on (one per code, or broadcast), XORed."""
+    packed = tables[index + (codes & 255)]
+    for j in range(1, -(-s // 8)):
+        packed ^= tables[index + 256 * j + ((codes >> 8 * j) & 255)]
+    return unpack_bits(packed, s)
+
+
 class FieldBasis:
-    """An ordered F_2-basis of F_q and its read-only float32 coordinate
-    matrix C_B, whose row i is D_B(x^i)."""
+    """An ordered F_2-basis of F_q and its read-only byte tables of D_B:
+    tables[j, v] is D_B(v << 8j) packed, bit i the coefficient of eta_i."""
 
     def __init__(self, gf: GF, elements):
         self.gf = gf
@@ -33,9 +50,14 @@ class FieldBasis:
         _, inv, pivots = linalg.rref_augmented(gf2, cols, np.eye(gf.s, dtype=np.int64))
         if len(pivots) != gf.s:
             raise DimensionMismatch(f"elements {self.elements} are F_2-dependent")
-        # inv takes a column of polynomial-basis bits to its coordinates
-        self.coord_matrix = inv.T.astype(np.float32)
-        self.coord_matrix.setflags(write=False)
+        # inv takes a column of polynomial-basis bits to its coordinates, so its
+        # column i packed is D_B(x^i); table j doubles in one bit of v << 8j at a time
+        dtype = np.min_scalar_type(gf.q - 1).newbyteorder("<")
+        self.tables = np.zeros((-(-gf.s // 8), 256), dtype=dtype)
+        for i, x_i in enumerate(((1 << np.arange(gf.s)) @ inv).tolist()):
+            j, b = divmod(i, 8)
+            self.tables[j, 1 << b : 2 << b] = self.tables[j, : 1 << b] ^ x_i
+        self.tables.setflags(write=False)
         self._dual: FieldBasis | None = None
 
     def __eq__(self, other: object) -> bool:
@@ -58,11 +80,10 @@ class FieldBasis:
 
         Takes one code or an array of them and returns shape (..., s): an
         int gives one (s,) bit row, an (m, n) matrix gives (m, n, s).  One
-        product bits(codes) C_B, exact in float32 as each sum has at most 31 bits.
+        gather a byte from the tables, XORed, then one unpack.
         """
         codes = self.gf.check_codes(codes)
-        bits = ((codes[..., None] >> np.arange(self.gf.s)) & 1).astype(np.float32)
-        return (bits @ self.coord_matrix).astype(np.int64) & 1
+        return coordinates(self.tables.reshape(-1), 0, codes, self.gf.s).astype(np.int64)
 
     decompose_arr = decompose
 
@@ -175,10 +196,12 @@ class BasisAssignment:
         return self._duals
 
     @cached_property
-    def maps(self) -> np.ndarray:
-        """float32 (n, s, s): map j is C_{B_j}, so the polynomial-basis bits
-        of an element times map j are its B_j bits."""
-        return np.stack([basis.coord_matrix for basis in self.bases])
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(tables, index): the byte tables of the distinct bases, flat in
+        order of first use, and per qudit the start of its basis's tables."""
+        distinct = {B: i for i, B in enumerate(dict.fromkeys(self.bases))}
+        flat = np.concatenate([B.tables.reshape(-1) for B in distinct])
+        return flat, np.array([distinct[B] for B in self.bases]) * self.bases[0].tables.size
 
     @cached_property
     def scalings(self) -> np.ndarray:

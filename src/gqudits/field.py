@@ -19,13 +19,13 @@ and matrix-matrix products alike): numpy's @ shapes (m,k)@(k,n), (m,k)@(k,),
 
 Every public operation checks its codes, the scalar ones before any list
 read (a negative index would wrap silently); the kernels ``GF._prod`` and
-``GF._inv`` behind ``mul_arr`` and ``inv_arr`` take codes already checked,
-for callers that check once at their boundary (the Chien search of
-``grs.decode``).  A code is an integer: ``check_code`` refuses anything
-else (a bool counts as an integer, 3.0 does not), and ``check_codes``, the
-one cast of code and bit input at every array boundary, refuses float,
-complex, string and object arrays before numpy would truncate or parse
-them.  A degree or modulus is any integer (``operator.index``).
+``GF._inv`` behind ``mul_arr`` and ``inv_arr``, and the scalar ``GF._kernels``,
+take codes already checked, for callers that check once at their boundary
+(``grs.decode``).  A code is an integer: ``check_code`` refuses anything
+else (a bool counts as an integer, 3.0 and an array do not), and
+``check_codes``, the one cast of code and bit input at every array boundary,
+refuses float, complex, string, object and ragged input before numpy would
+truncate or parse it.  A degree or modulus is any integer (``operator.index``).
 """
 
 from __future__ import annotations
@@ -169,6 +169,7 @@ class GF:
         self._exp_list = self._log_list = self._tr_list = None  # their list copies
         if s <= _TABLE_CAP:
             self._build_tables()
+        self._kernels = self._scalar_kernels()
 
     # -- the kernel and its table cache -----------------------------------------
 
@@ -219,6 +220,20 @@ class GF:
         self._exp_list, self._log_list = exp.tolist(), self._log.tolist()
         self._tr_list = self._tr.tolist()
 
+    def _scalar_kernels(self):
+        """(mul, inv) on codes already checked, for callers that check once at
+        their boundary (grs.decode): closures over the list tables for s <= 16,
+        else the shift kernel.  inv keeps its zero test: the lookup of a 0
+        would read the zero tail of exp, a silent wrong answer."""
+        exp, log, order = self._exp_list, self._log_list, self.q - 1
+
+        def inv(a: int) -> int:
+            if a == 0:
+                raise DivisionByZero("0 has no multiplicative inverse")
+            return self.pow(a, order - 1) if exp is None else exp[order - log[a]]
+
+        return (self._mul if exp is None else lambda a, b: exp[log[a] + log[b]]), inv
+
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -226,6 +241,9 @@ class GF:
 
     def __hash__(self) -> int:
         return hash(("GF", self.modulus))
+
+    def __reduce__(self):  # the kernels are closures: pickle the modulus
+        return make_field, (None, self.modulus)
 
     def __repr__(self) -> str:
         return f"GF(2^{self.s}, modulus=0b{self.modulus:b})"
@@ -248,7 +266,10 @@ class GF:
         Float, complex, string and object input, ints outside int64 included,
         raises InvalidFieldCode before the cast, unless it is empty.  The range
         is one OR-reduction, which has a bit at or above s iff some code has."""
-        a = np.asarray(codes)
+        try:
+            a = np.asarray(codes)
+        except ValueError:  # ragged nesting
+            raise InvalidFieldCode("codes must form an array, got ragged input") from None
         if a.dtype.kind not in "biu" and a.size:
             raise InvalidFieldCode(f"codes must be integers, got {a.dtype} input")
         codes = a.astype(np.int64, copy=False)
@@ -265,11 +286,9 @@ class GF:
     sub = add  # characteristic 2
 
     def mul(self, a: int, b: int) -> int:
-        try:
-            bad = (a | b) >> self.s  # a or b is negative or >= q
-        except TypeError:  # or not an integer
-            bad = True
-        if bad:
+        # one shift finds a negative code or one >= q; anything but an int,
+        # a numpy integer or an array say, goes to check_code too
+        if type(a) is not int or type(b) is not int or (a | b) >> self.s:
             self.check_code(a)
             self.check_code(b)
         if self._exp_list is not None:
@@ -278,17 +297,9 @@ class GF:
         return self._mul(a, b)
 
     def inv(self, a: int) -> int:
-        try:
-            bad = a >> self.s
-        except TypeError:
-            bad = True
-        if bad:
+        if type(a) is not int or a >> self.s:
             self.check_code(a)
-        if a == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        if self._exp_list is not None:
-            return self._exp_list[(self.q - 1) - self._log_list[a]]
-        return self.pow(a, self.q - 2)
+        return self._kernels[1](a)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -313,11 +324,7 @@ class GF:
         return self.mul(a, a)
 
     def trace(self, a: int) -> int:
-        try:
-            bad = a >> self.s
-        except TypeError:
-            bad = True
-        if bad:
+        if type(a) is not int or a >> self.s:
             self.check_code(a)
         if self._tr_list is not None:
             return self._tr_list[a]
@@ -368,7 +375,7 @@ class GF:
         (k,)@(k,) gives a numpy integer.  Any other shape raises
         DimensionMismatch.  One checked broadcast mul_arr, then one XOR over k,
         so k = 0 gives zeros."""
-        A, B = np.asarray(A), np.asarray(B)  # mul_arr checks their codes
+        A, B = self.check_codes(A), self.check_codes(B)
         if A.ndim not in (1, 2) or B.ndim not in (1, 2) or A.shape[-1] != B.shape[0]:
             raise DimensionMismatch(f"matmul of shapes {A.shape} and {B.shape}")
         if B.ndim == 2:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bases import BasisAssignment, FieldBasis
 from .errors import DimensionMismatch, InvalidGate, NonUnitary, TooLarge
-from .field import GF, make_field
+from .field import GF, _integer, make_field
 from .oracle import (
     UNITARY_ATOL, DenseOperator, StateVector, _check_cap, _check_entries, _chi_matrix,
     all_digits, index_of, pauli_matrix,
@@ -40,10 +40,11 @@ _PAULI_ATOL = 1e-8
 # -- gate construction ----------------------------------------------------------
 
 
-def _take(params: dict, kind: str, name: str):
+def _take(params: dict, kind: str, name: str, integer: bool = False):
     if name not in params:
         raise InvalidGate(f"gate {kind!r} needs parameter {name!r}")
-    return params.pop(name)
+    value = params.pop(name)
+    return _integer(value, InvalidGate, f"parameter {name!r}") if integer else value
 
 
 def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
@@ -70,8 +71,8 @@ def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
 def _monomial_action(gf: GF, kind: str, params: dict) -> tuple[int, np.ndarray, np.ndarray | int]:
     """(sites, perm, phase) of a named monomial gate, which maps |j> to
     phase[j] |perm[j]> (a scalar phase for every j); params are consumed."""
-    sites = int(_take(params, kind, "l")) if kind == "multi_cz" else {"cnot": 2, "ccz": 3}.get(kind, 1)
-    if sites < 2 and kind == "multi_cz":
+    sites = {"cnot": 2, "ccz": 3}.get(kind, 1)
+    if kind == "multi_cz" and (sites := _take(params, kind, "l", integer=True)) < 2:
         raise InvalidGate(f"multi_cz needs l >= 2 sites, got {sites}")
     codes = np.arange(_check_cap(gf, sites), dtype=np.int64)  # the kets, field codes at 1 site
     if kind == "x":
@@ -93,7 +94,7 @@ def _monomial_action(gf: GF, kind: str, params: dict) -> tuple[int, np.ndarray, 
         prod = reduce(gf.mul_arr, all_digits(gf, sites).T)
         return sites, codes, 1 - 2 * gf.trace_arr(gf.mul_arr(gamma, prod))
     if kind == "u_n":
-        npow = int(_take(params, kind, "n"))
+        npow = _take(params, kind, "n", integer=True)
         beta = gf.check_code(_take(params, kind, "beta"))
         if npow < 1:
             raise InvalidGate("u_n needs a power n >= 1")

@@ -10,9 +10,9 @@ positions and Forney's formula gives the error values.  decode checks one
 syndrome, or a stack of them, once and then decodes row by row.
 Berlekamp-Massey and Forney's step work on a handful of elements (at most
 n - k syndromes, at most radius positions), so they run on Python ints
-through the scalar field ops; the Chien search stays vectorised, one gather
-from a cached table of point powers, one product and one XOR-reduction over
-all n points.
+through the field's unchecked scalar kernels (``GF._kernels``); the Chien
+search and the final check H . e == S stay vectorised on ``GF._prod``: one
+gather from a cached table of point powers, one product and one XOR-reduction.
 """
 
 from __future__ import annotations
@@ -79,6 +79,11 @@ class GrsCode:
         """H[j, i] = w_i alpha_i^j (j < n-k), w = dual_multipliers(alpha, v):
         the dual code's generator matrix, so H . r is the syndrome of r."""
         return generator_matrix(dual(self))
+
+    @cached_property
+    def _scalars(self) -> tuple[list[int], list[int]]:
+        """alpha and w = parity_check[0] as lists, for the decoder's scalar steps."""
+        return self.alpha.tolist(), self.parity_check[0].tolist()
 
     @cached_property
     def powers(self) -> np.ndarray:
@@ -151,9 +156,9 @@ def min_weight_codeword(c: GrsCode, roots, eta: int) -> np.ndarray:
 
 def _berlekamp_massey(gf: GF, S: list[int]) -> tuple[list[int], int]:
     """Shortest register (Lambda, L) with Lambda_0 = 1 and sum_l Lambda_l
-    S_{j-l} = 0 for L <= j < len(S) (Massey 1969), on Python ints; S's codes
-    are checked.  Lambda has exactly L + 1 entries (its degree may be less)."""
-    mul = gf.mul
+    S_{j-l} = 0 for L <= j < len(S) (Massey 1969), on Python ints whose codes
+    are already checked.  Lambda has exactly L + 1 entries (its degree may be less)."""
+    mul, inv = gf._kernels
     lam, prev = [1], [1]
     L, shift, prev_d = 0, 1, 1
     for j, d in enumerate(S):
@@ -162,7 +167,7 @@ def _berlekamp_massey(gf: GF, S: list[int]) -> tuple[list[int], int]:
         if d:
             # lam - (d / prev_d) x^shift prev; x^shift prev has L + 1 entries at most,
             # or exactly the new L + 1 when the register grows
-            scale = gf.div(d, prev_d)
+            scale = mul(d, inv(prev_d))
             new = lam + [0] * (shift + len(prev) - len(lam))
             for i, p in enumerate(prev, shift):
                 if p:
@@ -208,6 +213,8 @@ def _decode_row(c: GrsCode, S: list[int], shot: int):
     what S_0 holds beyond the other values.
     """
     gf, H = c.gf, c.parity_check
+    mul, inv = gf._kernels
+    alpha, w = c._scalars
     lam, L = _berlekamp_massey(gf, S)
 
     def refusal(stage: str, message: str) -> DecodeFailure:
@@ -223,26 +230,26 @@ def _decode_row(c: GrsCode, S: list[int], shot: int):
 
     # Forney: Y_i = X_i Omega(1/X_i) / Lambda'(1/X_i) with Omega = S Lambda mod x^L, each
     # read as X^(L-1) f(1/X) = sum_j f_j X^(L-1-j) (Horner): the X^(L-1) cancel in the ratio.
-    mul = gf.mul
     omega = [0] * L
     for i in range(L):
         for l in range(i + 1):
             omega[i] ^= mul(S[i - l], lam[l])
     deriv = [0 if i % 2 else lam[i + 1] for i in range(L)]  # characteristic 2: odd terms only
-    X = c.alpha[pos].tolist()
+    support = pos.tolist()
+    X = [alpha[i] for i in support]
     values = [0] * L
     for i, x in enumerate(X):
         if x:
             num = den = 0
-            for w, dw in zip(omega, deriv):
-                num, den = mul(num, x) ^ w, mul(den, x) ^ dw
-            values[i] = mul(x, gf.div(num, den))
+            for o, dl in zip(omega, deriv):
+                num, den = mul(num, x) ^ o, mul(den, x) ^ dl
+            values[i] = mul(x, mul(num, inv(den)))
     if 0 in X:
         values[X.index(0)] = reduce(xor, values, S[0])
-    e = [gf.div(y, w) for y, w in zip(values, H[0, pos].tolist())]  # H[0] = w
+    e = [mul(y, inv(w[i])) for y, i in zip(values, support)]
 
     # H . e == S, read on the support columns alone
-    if gf.matmul(H[:, pos], e).tolist() != S:
+    if np.bitwise_xor.reduce(gf._prod(H[:, pos], np.array(e)), axis=1).tolist() != S:
         raise refusal("syndrome", "no error within the radius has this syndrome")
     return pos, e
 
@@ -314,10 +321,9 @@ def make_qrs(gf: GF, n: int, k1: int, k2: int, alpha=None, v=None) -> QrsCode:
     """
     if k1 > k2:
         raise InvalidNesting(f"k1 = {k1} > k2 = {k2}")
-    if alpha is None:
-        alpha = np.arange(n, dtype=np.int64)  # all of F_q in code order when n = q
-    if v is None:
-        v = np.ones(n, dtype=np.int64)
+    # alpha defaults to all of F_q in code order when n = q
+    alpha = np.arange(n, dtype=np.int64) if alpha is None else gf.check_codes(alpha)
+    v = np.ones(n, dtype=np.int64) if v is None else gf.check_codes(v)
     if np.size(alpha) != n or np.size(v) != n:
         raise DimensionMismatch(
             f"n = {n}, but alpha has {np.size(alpha)} entries and v has {np.size(v)}"

@@ -54,11 +54,11 @@ class PauliWord:
 
     @classmethod
     def x_word(cls, gf: GF, codes, sign: int = 1) -> "PauliWord":
-        return cls(gf, codes, (0,) * np.size(codes), sign)
+        return cls(gf, codes, (0,) * gf.check_codes(codes).size, sign)
 
     @classmethod
     def z_word(cls, gf: GF, codes, sign: int = 1) -> "PauliWord":
-        return cls(gf, (0,) * np.size(codes), codes, sign)
+        return cls(gf, (0,) * gf.check_codes(codes).size, codes, sign)
 
     @classmethod
     def from_vectors(cls, gf: GF, xvec, zvec, sign: int = 1) -> "PauliWord":

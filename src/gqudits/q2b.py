@@ -7,11 +7,11 @@ A CssCode is checked when it is built, and nothing here checks it again:
 D_B(a) . D_{B*}(b) = tr(a b) makes hx . hz^T = 0, and D is F_2-linear and
 injective, so m independent qudit rows expand to m*s independent checks.
 Everything X-type travels through the per-qudit bases; everything Z-type
-travels through their duals.  Every qudit check is read in the self-dual
-basis b: measured as s qubit checks it reports s bits tr(b_i * component),
-and one recompose per shot turns them into the F_q syndrome; that is the
-GRS decoder's syndrome (the QRS check rows are the decoders' parity
-checks), from which it recovers the error.
+through their duals.  Every qudit check is read in the self-dual basis b:
+its s qubit checks report tr(b_i * component), which reconstruct_syndrome
+turns into the F_q syndrome that the GRS decoder takes (the QRS check rows
+are its parity checks).  Both steps are F_2-linear, so a plan holds their
+composite as one map per error kind: a shot is one product and one pack.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .bases import BasisAssignment, FieldBasis, find_self_dual
+from .bases import BasisAssignment, FieldBasis, coordinates, find_self_dual, unpack_bits
 from .css import CssCode, dual_space, new_css
 from .errors import (
     DimensionMismatch,
@@ -33,7 +33,7 @@ from .errors import (
     json_int_fields,
     json_matrix,
 )
-from .field import GF, make_field
+from .field import GF, MAX_DEGREE, make_field
 from .grs import QrsCode, decode
 
 
@@ -44,19 +44,13 @@ def expand_vector(assignment: BasisAssignment, V) -> np.ndarray:
     """D_B(V): expand component i in basis B_i; bits concatenated.
 
     V is an F_q vector (n,) or matrix (m, n); the result is (n*s,) or
-    (m, n*s).  D_{B_i} is F_2-linear, so every qudit is one batched product
-    of its components' polynomial-basis bits with its map in assignment.maps.
+    (m, n*s): one gather a byte from each qudit's tables (assignment.tables).
     """
     V = assignment.gf.check_codes(V)
     if V.ndim > 2 or V.shape[-1:] != (assignment.n,):
         raise DimensionMismatch(f"sites of shape {V.shape}, assignment has {assignment.n}")
-    n, s = assignment.n, assignment.gf.s
-    codes = V.reshape(-1, n).T
-    bits = ((codes[..., None] >> np.arange(s)) & 1).astype(np.float32)
-    # float32 is exact: each entry sums at most s <= 31 bit products
-    out = (bits @ assignment.maps).transpose(1, 0, 2).astype(np.int64, order="C")
-    out &= 1
-    return out.reshape(V.shape[:-1] + (n * s,))
+    out = coordinates(*assignment.tables, V, assignment.gf.s).astype(np.int64)
+    return out.reshape(V.shape[:-1] + (assignment.n * assignment.gf.s,))
 
 
 def expand_dual(assignment: BasisAssignment, W) -> np.ndarray:
@@ -121,13 +115,19 @@ class QubitCssCode:
         return self.source.n * self.source.gf.s
 
     @cached_property
-    def _check_columns(self) -> dict[str, np.ndarray]:
-        """Per error kind, the (n*s, m*s) columns of the checks that diagnose
-        it (hx for "Z", hz for "X"), so that bits @ columns counts each check
-        on every shot's support in one product.  Built on the first decode,
-        in float32 when that is exact (every count is at most n*s < 2^24)."""
+    def _syndrome_maps(self) -> dict[str, np.ndarray]:
+        """Per error kind, the (n*s, m*s) F_2 map from a shot's bits to the
+        polynomial-basis bits of its F_q syndrome under the checks that
+        diagnose it (x_checks for "Z", z_checks for "X"), by one
+        reconstruct_syndrome over the check columns.  Built on the first
+        decode, in float32 when that is exact (every count is at most n*s < 2^24)."""
         dtype = np.float32 if self.ns < 1 << 24 else np.float64
-        return {"Z": self.hx.T.astype(dtype), "X": self.hz.T.astype(dtype)}
+        s, maps = self.source.gf.s, {}
+        for kind, checks in (("Z", self.x_checks), ("X", self.z_checks)):
+            codes = reconstruct_syndrome(checks.transpose(2, 0, 1), self.basis)
+            bits = unpack_bits(codes.astype(self.basis.tables.dtype), s)
+            maps[kind] = bits.reshape(self.ns, -1).astype(dtype)
+        return maps
 
     @property
     def k(self) -> int:
@@ -231,6 +231,8 @@ def reconstruct_syndrome(bits, basis: FieldBasis) -> int | np.ndarray:
 
 # -- end-to-end qubit decoding ------------------------------------------------------
 
+_POWERS = 1 << np.arange(MAX_DEGREE)  # packs polynomial-basis bits into codes
+
 
 def end_to_end_decode(
     qrs: QrsCode,
@@ -246,9 +248,9 @@ def end_to_end_decode(
     kind "X": an X-type error D_B(A) diagnosed by the Z checks; decoded
     against GRS_{k2}(alpha, v).  Each decoder's parity check is its checks' rows.
     error_bits is one shot of n*s bits, or a (shots, n*s) stack, which is
-    checked once and takes one product, one recompose, one decode call and
-    one expansion; a refused shot raises its DecodeFailure, whose shot is
-    that row.  PlanMismatch unless plan was made for qrs.css and assignment.
+    checked once and takes one product with the plan's syndrome map, one pack,
+    one decode call and one expansion; a refused shot raises its DecodeFailure,
+    whose shot is that row.  PlanMismatch unless plan was made for qrs.css and assignment.
     """
     gf = qrs.gf
     gf.check_same(assignment.gf)
@@ -261,12 +263,12 @@ def end_to_end_decode(
         raise DimensionMismatch(f"expected {plan.ns} bits a shot, got shape {error_bits.shape}")
     if kind not in ("Z", "X"):
         raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
-    columns = plan._check_columns[kind]
-    # each check's parity on the shot's support, exact in the columns' dtype
-    counts = error_bits.astype(columns.dtype) @ columns
-    m = columns.shape[1] // gf.s
+    syndrome_map = plan._syndrome_maps[kind]
+    # the parity of each syndrome bit on the shot's support, exact in the map's dtype
+    counts = error_bits.astype(syndrome_map.dtype) @ syndrome_map
+    m = syndrome_map.shape[1] // gf.s
     bits = (counts.astype(np.int64) & 1).reshape(error_bits.shape[:-1] + (m, gf.s))
-    err = decode(qrs.decoders[kind], reconstruct_syndrome(bits, plan.basis))
+    err = decode(qrs.decoders[kind], bits @ _POWERS[: gf.s])
     if kind == "Z":
         return expand_dual(assignment, err)
     return expand_vector(assignment, err)

@@ -480,7 +480,7 @@ def run_cat_gadget(gf: GF, gammas, eta, rng: np.random.Generator):
     are random and the fourth deterministic for every member, so the
     members keep one m_X throughout.
     """
-    single = np.ndim(eta) == 0
+    single = gf.check_codes(eta).ndim == 0
     gammas, etas = gf.check_codes([gammas] if single else gammas), [eta] if single else list(eta)
     if gammas.shape != (len(etas), 4):
         raise DimensionMismatch(f"gammas of shape {gammas.shape} for {len(etas)} gadgets")

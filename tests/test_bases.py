@@ -314,24 +314,35 @@ class TestAssignment:
         assert A.duals() is A.duals()
         assert A.duals().duals() is A
 
-    @pytest.mark.parametrize("s", [1, 2, 4, 8])
+    @pytest.mark.parametrize("s", [1, 2, 4, 8, 12])
     def test_maps_and_scalings_are_the_linear_identities(self, s):
-        """D_B(eta) = bits(eta) C_B and D_B(b_t * eta) = D_B(eta) S_{B,b_t}
-        over F_2 on every qudit, for every element at s <= 4 and for random
-        ones at s = 8, with C_B = maps[j] and S_{B,b_t} the t-th block of
-        scalings[j]."""
+        """The byte tables of qudit j's basis B, from its start in
+        A.tables, hold D_B(v << 8t) packed: recomposing the unpacked entry
+        gives v << 8t back, for every byte below q.  D_B(eta) is the XOR of
+        its bytes' entries, and D_B(b_t * eta) = D_B(eta) S_{B,b_t} over F_2
+        with S_{B,b_t} the t-th block of scalings[j], for every element at
+        s <= 4 and for random ones above."""
         gf = make_field(s)
         rng = np.random.default_rng(29 + s)
         pool = [random_basis(gf, rng) for _ in range(3)]
         A = BasisAssignment([pool[int(i)] for i in rng.integers(0, 3, 7)])
-        assert A.maps.shape == (7, s, s) and A.scalings.shape == (7, s, s * s)
-        assert A.maps.dtype == A.scalings.dtype == np.float32
-        assert A.maps is A.maps and A.scalings is A.scalings
+        tables, index = A.tables
+        width = -(-s // 8)
+        assert tables.dtype == np.dtype(np.uint8 if s <= 8 else np.uint16).newbyteorder("<")
+        assert tables.shape == (len(set(A.bases)) * width * 256,) and index.shape == (7,)
+        assert A.tables is A.tables and A.scalings.shape == (7, s, s * s)
+        assert A.scalings.dtype == np.float32 and A.scalings is A.scalings
         eta = np.arange(gf.q) if s <= 4 else rng.integers(0, gf.q, 64)
-        bits = (eta[:, None] >> np.arange(s)) & 1
-        for B, C, S in zip(A.bases, A.maps.astype(np.int64), A.scalings.astype(np.int64)):
+        for B, start, S in zip(A.bases, index, A.scalings.astype(np.int64)):
+            entries = tables[start : start + width * 256].reshape(width, 256)
+            assert np.array_equal(entries, B.tables) and not B.tables.flags.writeable
+            for t in range(width):
+                v = np.arange(min(256, gf.q >> 8 * t))
+                unpacked = (entries[t, v].astype(np.int64)[:, None] >> np.arange(s)) & 1
+                assert np.array_equal(B.recompose(unpacked), v << 8 * t)
+            packed = np.bitwise_xor.reduce([entries[t, (eta >> 8 * t) & 255] for t in range(width)])
             coords = B.decompose(eta)
-            assert np.array_equal(bits @ C % 2, coords)
+            assert np.array_equal(coords, (packed.astype(np.int64)[:, None] >> np.arange(s)) & 1)
             scaled = (coords @ S % 2).reshape(len(eta), s, s)
             for t, b in enumerate(find_self_dual(gf).elements):
                 assert np.array_equal(scaled[:, t], B.decompose(gf.mul_arr(eta, b)))
@@ -349,8 +360,10 @@ class TestAssignment:
             return decompose(self, codes)
 
         monkeypatch.setattr(FieldBasis, "decompose", counted)
-        _ = A.maps
-        assert calls == []  # the stack of each qudit's C_B
+        tables, index = A.tables
+        assert calls == []  # each distinct basis's own tables, once
+        assert np.array_equal(tables, np.concatenate([B1.tables.ravel(), B2.tables.ravel()]))
+        assert index.tolist() == [0, 256, 0, 256, 0]
         for _ in range(2):  # the second reading is cached
-            _ = A.maps, A.scalings
+            _ = A.tables, A.scalings
             assert calls == [B1, B2]

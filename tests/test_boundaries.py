@@ -1,8 +1,9 @@
 """Every public entry point that takes codes or bits refuses non-integers.
 
 GF.check_codes is the one rule for code and bit input: a float, complex,
-string or object input, or an int outside int64, raises InvalidFieldCode
-before numpy would truncate or parse it.  The walk below spoils one code
+string, object or ragged input, or an int outside int64, raises
+InvalidFieldCode before numpy would truncate or parse it; the scalar GF
+ops refuse the same kinds, arrays included.  The walk below spoils one code
 argument of each entry point at a time with each bad kind, in an otherwise
 valid call, and requires a GquditError.
 """
@@ -18,7 +19,7 @@ from gqudits.errors import GquditError
 from gqudits.field import make_field
 from gqudits.pauli import PauliWord
 
-BAD = [1.5, 2.9, "3", 1 + 0j, 2**70, "object array"]
+BAD = [1.5, 2.9, "3", 1 + 0j, 2**70, "object array", "ragged"]
 
 # the gqudits.__all__ entries whose arguments hold no codes or bits
 NO_CODES = {
@@ -36,13 +37,14 @@ NO_CODES = {
 
 def spoil(codes, bad):
     """codes with its first entry replaced by bad, or for the object kind
-    the same codes as an object array (0-d for one code); None keeps them."""
+    the same codes as an object array (0-d for one code), or for the ragged
+    kind by the ragged nesting [[c, c], [c]]; None keeps them."""
     if bad is None:
         return codes
     if bad == "object array":
         return np.array(codes, dtype=object)
     if np.ndim(codes) == 0:
-        return bad
+        return [[codes, codes], [codes]] if bad == "ragged" else bad
     out = list(codes)
     out[0] = spoil(out[0], bad)
     return out
@@ -72,6 +74,11 @@ def calls():
             lambda b: gf.matmul([1, 2], spoil([[1, 0], [0, 1]], b)),
             lambda b: gf.pow(spoil(np.array([1, 2]), b), 3),
             lambda b: gf.check_codes(spoil([1, 2], b)),
+            lambda b: gf.mul(spoil(1, b), 3),
+            lambda b: gf.mul(3, spoil(1, b)),
+            lambda b: gf.div(3, spoil(1, b)),
+            lambda b: gf.inv(spoil(1, b)),
+            lambda b: gf.trace(spoil(1, b)),
         ],
         "FieldBasis": [lambda b: gqudits.FieldBasis(gf, spoil([1, 2, 4], b))],
         "CssCode": [

@@ -1,5 +1,6 @@
 """Field construction, arithmetic laws, trace, and linear maps."""
 
+import pickle
 import re
 
 import numpy as np
@@ -329,6 +330,58 @@ class TestIntegerCodes:
         for call in (gf.inv, gf.trace, gf.frobenius):
             with pytest.raises(InvalidFieldCode):
                 call(bad)
+
+    @pytest.mark.parametrize("s", [3, 17])  # a table field and a table-free one
+    @pytest.mark.parametrize(
+        "bad", [np.array([1]), np.array([1, 2]), np.array(1), np.array(1, dtype=object)], ids=repr
+    )
+    def test_scalar_ops_refuse_arrays(self, s, bad):
+        """An array, even of one valid code, is no scalar code: the one-shift
+        guard sends it to check_code, not into a list read."""
+        gf = make_field(s)
+        calls = [gf.mul, gf.div, lambda a, b: gf.mul(b, a), lambda a, b: gf.div(b, a)]
+        for call in calls:
+            with pytest.raises(InvalidFieldCode):
+                call(bad, 3)
+        for call in (gf.inv, gf.trace, gf.frobenius):
+            with pytest.raises(InvalidFieldCode):
+                call(bad)
+
+    @pytest.mark.parametrize("codes", [[[1, 2], [3]], [1, [2, 3]], [[1], [[2]]]])
+    def test_check_codes_refuses_ragged_input(self, codes):
+        gf = make_field(3)
+        for call in (gf.check_codes, lambda c: gf.mul_arr(c, 1), lambda c: gf.matmul(c, [1, 1])):
+            with pytest.raises(InvalidFieldCode, match="ragged"):
+                call(codes)
+
+
+class TestScalarKernels:
+    """GF._kernels, the unchecked scalar (mul, inv) that grs.decode runs
+    after one check at its boundary: list-table closures up to s = 16, the
+    shift kernel above, equal to the checked gf.mul and gf.inv on seeded
+    codes, and inv(0) raises DivisionByZero in both regimes."""
+
+    @pytest.mark.parametrize("s", [1, 2, 6, 16, 17, 20, 31])
+    def test_match_the_checked_ops(self, s):
+        gf = make_field(s)
+        mul, inv = gf._kernels
+        rng = np.random.default_rng(3100 + s)
+        a, b = rng.integers(0, gf.q, (2, 40)).tolist()
+        assert [mul(x, y) for x, y in zip(a, b)] == [gf.mul(x, y) for x, y in zip(a, b)]
+        units = [x for x in a if x][:10] + [1, gf.q - 1]
+        assert [inv(x) for x in units] == [gf.inv(x) for x in units]
+        assert all(gf.mul(x, inv(x)) == 1 for x in units)
+        with pytest.raises(DivisionByZero):
+            inv(0)
+
+    def test_built_once_per_field(self):
+        gf = make_field(6)
+        assert gf._kernels is make_field(6)._kernels and len(gf._kernels) == 2
+
+    @pytest.mark.parametrize("s", [3, 17])
+    def test_field_pickles_as_the_cached_field(self, s):
+        gf = make_field(s)
+        assert pickle.loads(pickle.dumps(gf)) is gf
 
 
 class TestIntegerDegrees:

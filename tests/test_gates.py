@@ -106,6 +106,19 @@ class TestBuildGate:
             with pytest.raises(InvalidGate):
                 build_gate(gf, "multi_cz", l=l, gamma=1)
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, "2", 2 + 0j, None, np.float64(2.0)], ids=repr)
+    def test_integer_parameters_are_not_truncated(self, bad):
+        """u_n's n and multi_cz's l are integers: anything else raises
+        InvalidGate rather than being read as int(bad); a numpy integer is
+        read as the Python int."""
+        gf = make_field(3)
+        with pytest.raises(InvalidGate, match="not an integer"):
+            build_gate(gf, "u_n", n=bad, beta=1)
+        with pytest.raises(InvalidGate, match="not an integer"):
+            build_gate(gf, "multi_cz", l=bad, gamma=1)
+        assert build_gate(gf, "u_n", n=np.int64(2), beta=1) == build_gate(gf, "u_n", n=2, beta=1)
+        assert build_gate(gf, "multi_cz", l=np.int8(2), gamma=1) == build_gate(gf, "multi_cz", l=2, gamma=1)
+
     @pytest.mark.parametrize("s, build", [
         (6, lambda gf: build_gate(gf, "ccz", gamma=1)),
         (10, lambda gf: build_gate(gf, "cnot")),

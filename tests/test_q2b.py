@@ -880,9 +880,10 @@ class TestEndToEndF64:
 
 
 class TestSupportParitySyndrome:
-    """The shot's syndrome bits, the parity of the check columns on the
-    error's support, against the product checks @ bits % 2 they replaced,
-    under the default assignment and random ones that are not self-dual."""
+    """The F_q syndrome that a shot hands to decode, one product with the
+    plan's syndrome map, against the checks' bits read one by one,
+    reconstruct_syndrome(checks @ bits % 2), under the default assignment
+    and random ones that are not self-dual."""
 
     @pytest.mark.parametrize("s,n,k1,k2", [(3, 8, 2, 5), (4, 16, 4, 10), (6, 32, 8, 24)])
     def test_matches_the_product(self, s, n, k1, k2, monkeypatch):
@@ -890,8 +891,7 @@ class TestSupportParitySyndrome:
         rng = np.random.default_rng(311 + s)
         qrs = make_qrs(gf, n, k1, k2)
         seen = []
-        read = q2b.reconstruct_syndrome
-        monkeypatch.setattr(q2b, "reconstruct_syndrome", lambda b, B: seen.append(b) or read(b, B))
+        monkeypatch.setattr(q2b, "decode", lambda c, S: seen.append(S) or decode(c, S))
         random = random_assignment(gf, n, rng)
         assert not any(b.is_self_dual() for b in random.bases)
         for A in (default_assignment(gf, n), random, mixed_assignment(gf, n, rng)):
@@ -908,7 +908,8 @@ class TestSupportParitySyndrome:
                             out = end_to_end_decode(qrs, A, plan, bits, kind)
                         except DecodeFailure:
                             out = None
-                        assert len(seen) == 1 and np.array_equal(seen[0], checks @ bits % 2)
+                        expected = reconstruct_syndrome(checks @ bits % 2, plan.basis)
+                        assert len(seen) == 1 and np.array_equal(seen[0], expected)
                         if weight <= radius and bits is errors:
                             assert np.array_equal(out, bits)
 
@@ -1282,14 +1283,67 @@ class TestBatches:
         got = str(copied), copied.stage, copied.weight, copied.radius, copied.shot
         assert got == ("error locator length 2 exceeds the radius 1", "radius", 2, 1, 2)
 
-    def test_check_columns_built_on_the_first_decode_only(self, setup):
+    def test_syndrome_map_built_on_the_first_decode_only(self, setup, monkeypatch):
+        """The maps of both kinds are built by the first decode, one
+        reconstruct_syndrome each, and row r of a map is the polynomial-basis
+        bits of the F_q syndrome of qubit r alone."""
         gf, qrs, A, plan = setup
+        calls = []
+        read = q2b.reconstruct_syndrome
+        monkeypatch.setattr(q2b, "reconstruct_syndrome", lambda b, B: calls.append(b) or read(b, B))
         fresh = convert_code(qrs.css, A)
-        assert "_check_columns" not in vars(fresh)
+        assert "_syndrome_maps" not in vars(fresh)
         fresh.params()
-        assert "_check_columns" not in vars(fresh)
+        assert "_syndrome_maps" not in vars(fresh) and not calls
         end_to_end_decode(qrs, A, fresh, np.zeros(24, dtype=np.int64), "Z")
-        columns = vars(fresh)["_check_columns"]
+        maps = vars(fresh)["_syndrome_maps"]
+        assert len(calls) == 2
         end_to_end_decode(qrs, A, fresh, np.zeros((2, 24), dtype=np.int64), "X")
-        assert vars(fresh)["_check_columns"] is columns
-        assert np.array_equal(columns["Z"], fresh.hx.T) and np.array_equal(columns["X"], fresh.hz.T)
+        assert vars(fresh)["_syndrome_maps"] is maps and len(calls) == 2
+        for kind, checks in (("Z", fresh.x_checks), ("X", fresh.z_checks)):
+            assert maps[kind].shape == (24, len(checks) * 3) and maps[kind].dtype == np.float32
+            for r, unit in enumerate(np.eye(24, dtype=np.int64)):
+                codes = read(checks @ unit % 2, fresh.basis)
+                assert maps[kind][r].tolist() == ((codes[:, None] >> np.arange(3)) & 1).ravel().tolist()
+
+
+class TestDecodeGolden:
+    """Seeded qubit shots at q = 8, 16, 64 and 256, both kinds, under the
+    default assignment and a random one, decoded one at a time and as one
+    stack of the decodable shots and one of all: every decoded word and
+    every refusal's (stage, weight, radius, shot) hash to a pinned digest."""
+
+    CODES = [(3, 8, 2, 6), (4, 16, 4, 12), (6, 64, 16, 48), (8, 128, 32, 96)]
+    SHA256 = "f98396116fa60c10d6116b6d5e6b677d356d3df6fbb6d244a980822404a2f4ae"
+
+    def test_outcomes_match_the_pinned_digest(self):
+        h = hashlib.sha256()
+
+        def add(result):
+            if isinstance(result, tuple):
+                h.update(repr(result[1:]).encode())
+            else:
+                h.update(np.asarray(result, dtype=np.uint8).tobytes())
+
+        for s, n, k1, k2 in self.CODES:
+            gf = make_field(s)
+            rng = np.random.default_rng(3400 + s)
+            alpha = rng.permutation(gf.q)[:n].astype(np.int64)
+            qrs = make_qrs(gf, n, k1, k2, alpha, rng.integers(1, gf.q, size=n, dtype=np.int64))
+            for A in (default_assignment(gf, n), random_assignment(gf, n, rng)):
+                plan = make_plan(qrs.css, A)
+                for kind in ("Z", "X"):
+                    expand = expand_dual if kind == "Z" else expand_vector
+                    radius = qrs.decoders[kind].radius
+                    W = np.zeros((12, n), dtype=np.int64)
+                    for row in W:
+                        weight = int(rng.integers(0, radius + 3))
+                        row[rng.choice(n, size=weight, replace=False)] = rng.integers(1, gf.q, weight)
+                    bits = np.concatenate([expand(A, W), rng.integers(0, 2, (4, n * s))])
+                    singles = [outcome(end_to_end_decode, qrs, A, plan, b, kind) for b in bits]
+                    for got in singles:
+                        add(got)
+                    kept = [i for i, got in enumerate(singles) if not isinstance(got, tuple)]
+                    add(outcome(end_to_end_decode, qrs, A, plan, bits[kept], kind))
+                    add(outcome(end_to_end_decode, qrs, A, plan, bits, kind))
+        assert h.hexdigest() == self.SHA256
