@@ -39,17 +39,21 @@ class FieldBasis:
     tables[j, v] is D_B(v << 8j) packed, bit i the coefficient of eta_i."""
 
     def __init__(self, gf: GF, elements):
-        self.gf = gf
-        self._codes = np.array(gf.check_codes(elements))
-        if self._codes.shape != (gf.s,):
-            raise DimensionMismatch(f"basis needs {gf.s} elements, got shape {self._codes.shape}")
-        self.elements = tuple(self._codes.tolist())
+        codes = np.array(gf.check_codes(elements))
+        if codes.shape != (gf.s,):
+            raise DimensionMismatch(f"basis needs {gf.s} elements, got shape {codes.shape}")
         # columns are the polynomial-basis bits of each basis element
-        cols = (self._codes >> np.arange(gf.s)[:, None]) & 1
-        gf2 = make_field(1)
-        _, inv, pivots = linalg.rref_augmented(gf2, cols, np.eye(gf.s, dtype=np.int64))
+        cols = (codes >> np.arange(gf.s)[:, None]) & 1
+        _, inv, pivots = linalg.rref_augmented(make_field(1), cols, np.eye(gf.s, dtype=np.int64))
         if len(pivots) != gf.s:
-            raise DimensionMismatch(f"elements {self.elements} are F_2-dependent")
+            raise DimensionMismatch(f"elements {tuple(codes.tolist())} are F_2-dependent")
+        self._build(gf, codes, inv)
+
+    def _build(self, gf: GF, codes: np.ndarray, inv: np.ndarray) -> None:
+        """Set up the basis of checked, independent codes from its inverse."""
+        self.gf = gf
+        self._codes = codes
+        self.elements = tuple(codes.tolist())
         # inv takes a column of polynomial-basis bits to its coordinates, so its
         # column i packed is D_B(x^i); table j doubles in one bit of v << 8j at a time
         dtype = np.min_scalar_type(gf.q - 1).newbyteorder("<")
@@ -134,8 +138,10 @@ def dual_basis(basis: FieldBasis) -> FieldBasis:
     R, X, pivots = linalg.rref_augmented(gf2, T, np.eye(s, dtype=np.int64))
     if len(pivots) != s:
         raise RuntimeError("trace form degenerate; should be impossible for F_{2^s}")
-    # column j of X solves T x = e_j: the polynomial-basis bits of mu_j
-    out = FieldBasis(gf, (1 << np.arange(s, dtype=np.int64)) @ X)
+    # column j of X solves T x = e_j: the polynomial-basis bits of mu_j; and
+    # D_{B*}(x)_i = tr(eta_i * x) = (T . bits(x))_i, so T is the dual's inverse
+    out = FieldBasis.__new__(FieldBasis)
+    out._build(gf, (1 << np.arange(s, dtype=np.int64)) @ X, T)
     out._dual = basis
     return out
 

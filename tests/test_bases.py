@@ -169,6 +169,39 @@ class TestDualBasis:
             for B in (polynomial_basis(gf), random_basis(gf, rng)):
                 assert dual_basis(dual_basis(B)) == B
 
+    @pytest.mark.parametrize("s", list(range(1, 17)) + [20, 31])
+    def test_tables_match_a_basis_of_the_dual_elements(self, s):
+        """The dual's tables, read off the trace matrix, are those of its
+        elements built from scratch (the self-dual search stops at s = 16)."""
+        gf = make_field(s)
+        rng = np.random.default_rng(700 + s)
+        bases = [polynomial_basis(gf), random_basis(gf, rng), random_basis(gf, rng)]
+        if s <= 16:
+            bases.append(find_self_dual(gf))
+        for B in bases:
+            D = dual_basis(B)
+            fresh = FieldBasis(gf, D.elements)
+            assert D.tables.dtype == fresh.tables.dtype
+            assert np.array_equal(D.tables, fresh.tables)
+            assert not D.tables.flags.writeable
+            assert D.dual() is B
+
+    def test_one_elimination(self, monkeypatch):
+        gf = make_field(8)
+        B = random_basis(gf, np.random.default_rng(8))
+        calls = []
+        rref_augmented = linalg.rref_augmented
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return rref_augmented(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "rref_augmented", counted)
+        D = dual_basis(B)
+        assert calls == [(8, 8)]
+        FieldBasis(gf, D.elements)
+        assert len(calls) == 2  # a basis built from its elements eliminates once
+
 
 class TestSelfDual:
     def test_f2(self):

@@ -188,6 +188,34 @@ def reference_alist(M):
     return "\n".join(lines) + "\n"
 
 
+def reference_dense(M):
+    """The per-entry writer that export_dense replaced."""
+    M = linalg.as_matrix(M)
+    return "\n".join("".join(str(int(b)) for b in row) for row in M) + "\n"
+
+
+def export_matrices():
+    """Seeded 0/1 matrices for the writers: random shapes and densities,
+    wide and tall ones at 1% (indices of four digits, a padded last nibble),
+    every width 1-17, and all-zero and all-one rows and columns."""
+    rng = np.random.default_rng(197)
+    mats = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 4), (3, 5))]
+    mats.append(np.ones((2, 3), dtype=np.int64))
+    for _ in range(25):
+        # n >= 1 here; test_alist_round_trip_of_empty_shapes covers (m, 0)
+        m, n = int(rng.integers(0, 30)), int(rng.integers(1, 30))
+        mats.append((rng.random((m, n)) < rng.random()).astype(np.int64))
+    for shape in ((37, 1029), (1029, 37), (3, 4096)):
+        mats.append((rng.random(shape) < 0.01).astype(np.int64))
+    for w in range(1, 18):
+        mats += [(rng.random(shape) < 0.5).astype(np.int64) for shape in ((7, w), (w, 7))]
+        mats += [np.ones((3, w), dtype=np.int64), np.zeros((w, 3), dtype=np.int64)]
+    sparse, dense = (rng.random((2, 9, 13)) < [[[0.4]], [[0.6]]]).astype(np.int64)
+    sparse[2], sparse[:, 3] = 0, 0
+    dense[5], dense[:, 7] = 1, 1
+    return mats + [sparse, dense]
+
+
 def mixed_assignment(gf, n, rng):
     """Random per-qudit bases drawn from a pool of three, so that qudits
     share bases and at least one basis differs from its dual."""
@@ -1073,14 +1101,7 @@ class TestExports:
         assert lines[4].split() == ["1", "0"]  # zero padded to max degree
 
     def test_alist_matches_loop_writer(self):
-        rng = np.random.default_rng(197)
-        mats = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 4), (3, 5))]
-        mats.append(np.ones((2, 3), dtype=np.int64))
-        for _ in range(25):
-            # n >= 1 here; test_alist_round_trip_of_empty_shapes covers (m, 0)
-            m, n = int(rng.integers(0, 30)), int(rng.integers(1, 30))
-            mats.append((rng.random((m, n)) < rng.random()).astype(np.int64))
-        for M in mats:
+        for M in export_matrices():
             text = export_alist(M)
             assert text == reference_alist(M)
             assert np.array_equal(import_alist(text), M)
@@ -1100,6 +1121,15 @@ class TestExports:
     def test_dense_export(self):
         M = np.array([[1, 0], [0, 1]])
         assert export_dense(M) == "10\n01\n"
+
+    def test_dense_matches_entry_writer(self):
+        for M in export_matrices():
+            assert export_dense(M) == reference_dense(M)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0, 0), (1, 0)])
+    def test_dense_of_empty_shapes(self, shape):
+        M = np.zeros(shape, dtype=np.int64)
+        assert export_dense(M) == reference_dense(M) == "\n" * max(shape[0], 1)
 
     @pytest.mark.parametrize("M", [[[2, 0], [-1, 1]], [[0, 2]], [[-1]]])
     def test_dense_rejects_non_bits(self, M):
