@@ -2,6 +2,10 @@
 
     python3 scripts/bench_diff.py BENCH_20.json BENCH_21.json
 
+The header names each snapshot's commit and its ``dirty`` flag: a dirty
+snapshot was measured on uncommitted changes over that commit, so its SHA is
+the parent of the code it measured.
+
 For each workload in both files, prints every end-to-end metric of the
 untraced run (``trace0``, the run that times end to end), the value in A and
 in B, the ratio B/A and whether B is better or worse by the direction that
@@ -75,8 +79,9 @@ def main(argv=None) -> int:
     p.add_argument("b", help="the later snapshot, e.g. BENCH_21.json")
     args = p.parse_args(argv)
     a, b = load(args.a), load(args.b)
-    print(f"# A {args.a}: {a['git_sha'][:7]}, src {a['src_lines']} lines")
-    print(f"# B {args.b}: {b['git_sha'][:7]}, src {b['src_lines']} lines")
+    for tag, path, snap in (("A", args.a, a), ("B", args.b, b)):
+        dirty = snap.get("dirty", "?")
+        print(f"# {tag} {path}: {snap['git_sha'][:7]} (dirty: {dirty}), src {snap['src_lines']} lines")
     table = [["workload", "metric", "unit", "A", "B", "B/A", "B vs A"]] + rows(a, b, directions())
     widths = [max(len(r[i]) for r in table) for i in range(len(table[0]))]
     for r in table:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, FieldMismatch, SelfDualRequired
-from .field import GF, make_field
+from .field import GF, check_int, make_field
 
 
 def unpack_bits(codes: np.ndarray, s: int) -> np.ndarray:
@@ -118,7 +118,7 @@ class FieldBasis:
         """i-th coefficient of eta, valid only for a self-dual basis."""
         if not self.is_self_dual():
             raise SelfDualRequired(f"{self!r} is not self-dual")
-        return self.gf.trace(self.gf.mul(eta, self.elements[i]))
+        return self.gf.trace(self.gf.mul(eta, self.elements[check_int(i, "i", 0, self.gf.s - 1)]))
 
 
 @lru_cache(maxsize=None)
@@ -180,20 +180,18 @@ class BasisAssignment:
 
     def __init__(self, bases):
         bases = tuple(bases)
-        if not bases:
-            raise DimensionMismatch("assignment needs at least one basis")
+        self.n = check_int(len(bases), "number of bases", 1, error=DimensionMismatch)
         gf = bases[0].gf
         for b in bases:
             if b.gf != gf:
                 raise FieldMismatch("assignment mixes different fields")
         self.gf = gf
         self.bases = bases
-        self.n = len(bases)
         self._duals: BasisAssignment | None = None
 
     @classmethod
     def uniform(cls, basis: FieldBasis, n: int) -> "BasisAssignment":
-        return cls([basis] * n)
+        return cls([basis] * check_int(n, "n", 1, error=DimensionMismatch))
 
     def duals(self) -> "BasisAssignment":
         if self._duals is None:

@@ -21,8 +21,8 @@ from . import q2b as q2b_mod
 from . import tableau as tab_mod
 from . import verify as verify_mod
 from .bases import FieldBasis, dual_basis, find_self_dual
-from .errors import GquditError
-from .field import GF, make_field, poly_str
+from .errors import GquditError, InvalidArgument
+from .field import GF, check_int, make_field, poly_str
 from .pauli import PauliWord
 
 
@@ -31,10 +31,10 @@ def _field_from_args(args) -> GF:
         return make_field(modulus=args.modulus)
     q = getattr(args, "q", None)
     if q is None:
-        raise ValueError("need --q or --modulus")
-    s = q.bit_length() - 1
+        raise InvalidArgument("need --q or --modulus")
+    s = check_int(q, "q", 2).bit_length() - 1
     if 1 << s != q:
-        raise ValueError(f"q = {q} is not a power of 2")
+        raise InvalidArgument(f"q = {q} is not a power of 2")
     return make_field(s)
 
 

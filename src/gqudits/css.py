@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotCommuting, RankDeficient, json_int_fields, json_matrix
-from .field import GF, field_from_json, values_equal
+from .field import GF, check_int, field_from_json, values_equal
 
 DEFAULT_DISTANCE_BUDGET = 1 << 20
 _LOW_BITS = 14
@@ -34,6 +34,7 @@ class CssCode:
     gz: np.ndarray  # generators of L_Z
 
     def __post_init__(self) -> None:
+        self.n = check_int(self.n, "n", error=DimensionMismatch)
         self.gx, self.gz, _ = check_blocks(self.gf, self.n, self.gx, self.gz)
 
     __eq__ = values_equal
@@ -86,6 +87,7 @@ def check_blocks(gf: GF, n: int, gx, gz, xcarry=None, zcarry=None):
     elimination.  A row of another width than n or a carry of another length
     than its block raises DimensionMismatch, dependent rows RankDeficient
     (naming the block and its rank), and gx . gz^T != 0 NotCommuting."""
+    n = check_int(n, "n", error=DimensionMismatch)
     gx, gz = (linalg.as_matrix(gf.check_codes(rows), n) for rows in (gx, gz))
     reduced = []
     for name, rows, carry in (("gx", gx, xcarry), ("gz", gz, zcarry)):
@@ -161,7 +163,8 @@ def min_weight_excluding(gf: GF, span_basis, exclude, budget: int) -> int | None
 
 
 def params(code: CssCode, distance_budget: int = DEFAULT_DISTANCE_BUDGET) -> CodeParams:
-    """n, k, and brute-force d_X / d_Z within the enumeration budget."""
+    """n, k, and brute-force d_X / d_Z within the enumeration budget of words."""
+    distance_budget = check_int(distance_budget, "distance budget")
     gf = code.gf
     k = code.k
     if k == 0:

@@ -23,6 +23,10 @@ class InvalidAlist(GquditError, ValueError):
     """Alist text is malformed or describes an inconsistent matrix."""
 
 
+class InvalidArgument(GquditError, ValueError):
+    """An integer argument is not an integer of its range, or a name not one of its names."""
+
+
 class InvalidDocument(GquditError, ValueError):
     """A JSON document is not an object, lacks a required key, or holds a
     value of the wrong type."""

@@ -25,7 +25,9 @@ take codes already checked, for callers that check once at their boundary
 else (a bool counts as an integer, 3.0 and an array do not), and
 ``check_codes``, the one cast of code and bit input at every array boundary,
 refuses float, complex, string, object and ragged input before numpy would
-truncate or parse it.  A degree or modulus is any integer (``operator.index``).
+truncate or parse it.  Every other integer argument goes through ``check_int``:
+any integer ``operator.index`` reads, in its range, but not a bool (still a
+code); each site names its error, ``InvalidArgument`` where none is narrower.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
+    InvalidArgument,
     InvalidDocument,
     InvalidFieldCode,
     InvalidPolynomial,
@@ -86,11 +89,8 @@ def is_irreducible(p: int) -> bool:
     Trial division by every candidate divisor of degree <= deg(p)/2; cheap
     at the desk scales this package works at.
     """
-    if p == 0:
-        raise InvalidPolynomial("the zero polynomial cannot be tested")
+    p = check_int(p, "polynomial", 2, error=InvalidPolynomial)  # degree >= 1
     d = poly_degree(p)
-    if d < 1:
-        raise InvalidPolynomial("irreducibility needs degree >= 1")
     if d == 1:
         return True
     if p & 1 == 0:
@@ -101,12 +101,31 @@ def is_irreducible(p: int) -> bool:
     return True
 
 
-def _integer(x, error: type[Exception], what: str) -> int:
-    """x as a Python int if it is an integer of any kind (operator.index), else error."""
+def check_int(x, what: str, lo: int = 0, hi: int | None = None, error=InvalidArgument) -> int:
+    """x as a Python int if operator.index reads it and it lies in lo..hi (no
+    bound when hi is None); a bool or np.bool_ is refused by its type, whatever
+    numpy's version.  Anything else raises error, naming what."""
+    if isinstance(x, (bool, np.bool_)):
+        raise error(f"{what} {x!r} is not an integer")
     try:
-        return operator.index(x)
+        x = operator.index(x)
     except TypeError:
         raise error(f"{what} {x!r} is not an integer") from None
+    if x < lo or (hi is not None and x > hi):
+        raise error(f"{what} = {x} below {lo}" if hi is None else f"{what} = {x} outside {lo}..{hi}")
+    return x
+
+
+def _stack(item) -> tuple[list, bool]:
+    """(members, single): a list or tuple is a stack, whose members live on one
+    system; anything else is the batch of one."""
+    single = not isinstance(item, (list, tuple))
+    members = [item] if single else list(item)
+    if not members:
+        raise DimensionMismatch("an empty stack")
+    if any((m.gf, m.n) != (members[0].gf, members[0].n) for m in members):
+        raise DimensionMismatch("the members of a stack live on different systems")
+    return members, single
 
 
 def canonical_modulus(s: int) -> int:
@@ -115,13 +134,11 @@ def canonical_modulus(s: int) -> int:
     s = 1 uses x + 1 so that alpha reduces to 1 and F_2 behaves as the
     ordinary bit field.
     """
-    return _canonical_modulus(_integer(s, UnsupportedDegree, "degree"))
+    return _canonical_modulus(check_int(s, "degree", 1, MAX_DEGREE, UnsupportedDegree))
 
 
 @lru_cache(maxsize=None)
 def _canonical_modulus(s: int) -> int:
-    if s < 1 or s > MAX_DEGREE:
-        raise UnsupportedDegree(f"degree {s} outside 1..{MAX_DEGREE}")
     if s == 1:
         return 0b11
     p = (1 << s) + 1
@@ -153,12 +170,8 @@ class GF:
     """
 
     def __init__(self, modulus: int):
-        modulus = _integer(modulus, InvalidPolynomial, "modulus")
-        if modulus <= 0:
-            raise InvalidPolynomial("modulus must be a non-zero polynomial")
-        s = poly_degree(modulus)
-        if s < 1 or s > MAX_DEGREE:
-            raise UnsupportedDegree(f"degree {s} outside 1..{MAX_DEGREE}")
+        modulus = check_int(modulus, "modulus", 1, error=InvalidPolynomial)
+        s = check_int(poly_degree(modulus), "degree", 1, MAX_DEGREE, UnsupportedDegree)
         if not is_irreducible(modulus):
             raise IrreducibleRequired(f"0b{modulus:b} = {poly_str(modulus)} factors over F_2")
         self.modulus = modulus
@@ -411,11 +424,11 @@ def make_field(s: int | None = None, modulus: int | None = None) -> GF:
     """
     if modulus is None:
         if s is None:
-            raise ValueError("need s or modulus")
+            raise InvalidArgument("need s or modulus")
         return _field_for_modulus(canonical_modulus(s))
-    modulus = _integer(modulus, InvalidPolynomial, "modulus")
-    if s is not None and poly_degree(modulus) != _integer(s, UnsupportedDegree, "degree"):
-        raise ValueError(f"modulus 0b{modulus:b} has degree {poly_degree(modulus)}, not {s}")
+    modulus = check_int(modulus, "modulus", 1, error=InvalidPolynomial)
+    if s is not None and poly_degree(modulus) != check_int(s, "degree", 1, MAX_DEGREE, UnsupportedDegree):
+        raise InvalidArgument(f"modulus 0b{modulus:b} has degree {poly_degree(modulus)}, not {s}")
     return _field_for_modulus(modulus)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bases import BasisAssignment, FieldBasis
 from .errors import DimensionMismatch, InvalidGate, NonUnitary, TooLarge
-from .field import GF, _integer, make_field
+from .field import GF, check_int, make_field
 from .oracle import (
     UNITARY_ATOL, DenseOperator, StateVector, _check_cap, _check_entries, _chi_matrix,
     all_digits, index_of, pauli_matrix,
@@ -40,11 +40,10 @@ _PAULI_ATOL = 1e-8
 # -- gate construction ----------------------------------------------------------
 
 
-def _take(params: dict, kind: str, name: str, integer: bool = False):
+def _take(params: dict, kind: str, name: str):
     if name not in params:
         raise InvalidGate(f"gate {kind!r} needs parameter {name!r}")
-    value = params.pop(name)
-    return _integer(value, InvalidGate, f"parameter {name!r}") if integer else value
+    return params.pop(name)
 
 
 def build_gate(gf: GF, kind: str, **params) -> DenseOperator:
@@ -72,8 +71,8 @@ def _monomial_action(gf: GF, kind: str, params: dict) -> tuple[int, np.ndarray, 
     """(sites, perm, phase) of a named monomial gate, which maps |j> to
     phase[j] |perm[j]> (a scalar phase for every j); params are consumed."""
     sites = {"cnot": 2, "ccz": 3}.get(kind, 1)
-    if kind == "multi_cz" and (sites := _take(params, kind, "l", integer=True)) < 2:
-        raise InvalidGate(f"multi_cz needs l >= 2 sites, got {sites}")
+    if kind == "multi_cz":
+        sites = check_int(_take(params, kind, "l"), "parameter 'l'", 2, error=InvalidGate)
     codes = np.arange(_check_cap(gf, sites), dtype=np.int64)  # the kets, field codes at 1 site
     if kind == "x":
         return 1, codes ^ gf.check_code(_take(params, kind, "beta")), 1
@@ -94,10 +93,8 @@ def _monomial_action(gf: GF, kind: str, params: dict) -> tuple[int, np.ndarray, 
         prod = reduce(gf.mul_arr, all_digits(gf, sites).T)
         return sites, codes, 1 - 2 * gf.trace_arr(gf.mul_arr(gamma, prod))
     if kind == "u_n":
-        npow = _take(params, kind, "n", integer=True)
+        npow = check_int(_take(params, kind, "n"), "parameter 'n'", 1, error=InvalidGate)
         beta = gf.check_code(_take(params, kind, "beta"))
-        if npow < 1:
-            raise InvalidGate("u_n needs a power n >= 1")
         return 1, codes, 1 - 2 * gf.trace_arr(gf.mul_arr(beta, gf.pow(codes, npow)))
     raise InvalidGate(f"unknown gate kind {kind!r}")
 
@@ -108,8 +105,8 @@ def embed_single(gf: GF, n: int, site: int, U: DenseOperator) -> DenseOperator:
     clifford U stays clifford, its generators elsewhere being fixed."""
     if U.n != 1:
         raise DimensionMismatch("embed_single takes a 1-qudit operator")
-    if not 0 <= site < n:
-        raise DimensionMismatch(f"site {site} outside [0, {n})")
+    n = check_int(n, "n", 1, error=DimensionMismatch)
+    site = check_int(site, "site", 0, n - 1, DimensionMismatch)
     if U.dim != gf.q:
         raise DimensionMismatch(f"a {U.dim}-level operator on {gf.q}-level qudits")
     _check_entries(_check_cap(gf, n) ** 2)
@@ -129,9 +126,7 @@ def embed_single(gf: GF, n: int, site: int, U: DenseOperator) -> DenseOperator:
 
 def pauli_coefficient_matrix(U: DenseOperator) -> np.ndarray:
     """C[a, b] with U = sum_{a,b} C[a, b] X^a Z^b over packed index vectors."""
-    d = U.dim
-    if d > HIERARCHY_DIM_CAP:
-        raise TooLarge(f"dimension {d} exceeds cap {HIERARCHY_DIM_CAP}")
+    d = check_int(U.dim, "dimension", 0, HIERARCHY_DIM_CAP, TooLarge)
     cols = np.arange(d, dtype=np.int64)
     diagonals = U.mat[cols[:, None] ^ cols, cols[:, None]]  # column a holds U[j ^ a, j]
     # one real product on the float view reaches BLAS with the int8 table
@@ -313,10 +308,8 @@ def hierarchy_level(
     NonUnitary if U fails is_unitary, a d^3 product that a root with a form
     (unitary by construction) or one read as monomial skips.
     """
-    if max_level < 1:
-        raise ValueError(f"max_level must be at least 1, got {max_level}")
-    if U.dim > HIERARCHY_DIM_CAP:
-        raise TooLarge(f"dimension {U.dim} exceeds cap {HIERARCHY_DIM_CAP}")
+    max_level = check_int(max_level, "max_level", 1)
+    check_int(U.dim, "dimension", 0, HIERARCHY_DIM_CAP, TooLarge)
     monomial = U.action
     if monomial is None and not U.clifford:
         monomial = _monomial(U.mat)  # one that _monomial reads passes is_unitary

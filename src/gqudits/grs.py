@@ -32,7 +32,7 @@ from .errors import (
     InvalidSupport,
     WeightBelowDistance,
 )
-from .field import GF, values_equal
+from .field import GF, check_int, values_equal
 
 
 # -- classical GRS -------------------------------------------------------------
@@ -48,17 +48,14 @@ class GrsCode:
     def __post_init__(self) -> None:
         self.alpha = self.gf.check_codes(self.alpha).reshape(-1)
         self.v = self.gf.check_codes(self.v).reshape(-1)
-        n = self.alpha.size
+        n = check_int(self.alpha.size, "n", 0, self.gf.q, DimensionMismatch)  # distinct points
         if self.v.size != n:
             raise DimensionMismatch("need one multiplier per evaluation point")
-        if n > self.gf.q:
-            raise DimensionMismatch(f"n = {n} exceeds q = {self.gf.q} distinct points")
         if len(set(self.alpha.tolist())) != n:
             raise InvalidSupport("evaluation points must be distinct")
         if np.any(self.v == 0):
             raise InvalidSupport("column multipliers must be non-zero")
-        if not 0 <= self.k <= n:
-            raise DimensionMismatch(f"dimension k = {self.k} outside 0..{n}")
+        self.k = check_int(self.k, "dimension k", 0, n, DimensionMismatch)
 
     __eq__ = values_equal
 
@@ -127,11 +124,10 @@ def dual(c: GrsCode) -> GrsCode:
 
 def mds_weight_count(n: int, k: int, q: int, w: int) -> int:
     """Number of weight-w codewords in any [n, k, n-k+1] MDS code over F_q."""
-    d = n - k + 1
-    if w < d:
-        raise WeightBelowDistance(f"w = {w} below distance d = {d}")
-    if w > n:
-        raise DimensionMismatch(f"w = {w} exceeds length n = {n}")
+    n = check_int(n, "n")
+    d = n - check_int(k, "k", 0, n) + 1
+    q, w = check_int(q, "q", 2), check_int(w, "w", d, error=WeightBelowDistance)
+    check_int(w, "w", 0, n, DimensionMismatch)
     total = 0
     for j in range(w - d + 1):
         term = math.comb(w - 1, j) * q ** (w - d - j)
@@ -271,6 +267,8 @@ class QrsCode:
         self.alpha = self.gf.check_codes(self.alpha).reshape(-1)
         self.v = self.gf.check_codes(self.v).reshape(-1)
         self.u = self.gf.check_codes(self.u).reshape(-1)
+        self.k1 = check_int(self.k1, "k1", 0, self.n, DimensionMismatch)
+        self.k2 = check_int(self.k2, "k2", self.k1, self.n, InvalidNesting)
 
     @property
     def n(self) -> int:
@@ -319,8 +317,9 @@ def make_qrs(gf: GF, n: int, k1: int, k2: int, alpha=None, v=None) -> QrsCode:
 
     Logical qudits k = k2 - k1, d_X = n - k2 + 1, d_Z = k1 + 1.
     """
-    if k1 > k2:
-        raise InvalidNesting(f"k1 = {k1} > k2 = {k2}")
+    n = check_int(n, "n")
+    k1 = check_int(k1, "k1", 0, n, DimensionMismatch)
+    k2 = check_int(k2, "k2", k1, n, InvalidNesting)
     # alpha defaults to all of F_q in code order when n = q
     alpha = np.arange(n, dtype=np.int64) if alpha is None else gf.check_codes(alpha)
     v = np.ones(n, dtype=np.int64) if v is None else gf.check_codes(v)
@@ -329,8 +328,6 @@ def make_qrs(gf: GF, n: int, k1: int, k2: int, alpha=None, v=None) -> QrsCode:
             f"n = {n}, but alpha has {np.size(alpha)} entries and v has {np.size(v)}"
         )
     cx = GrsCode(gf, k1, alpha, v)
-    if k2 > n:
-        raise InvalidNesting(f"k2 = {k2} exceeds n = {n}")
     u = dual_multipliers(gf, cx.alpha, cx.v)
     cz = GrsCode(gf, n - k2, cx.alpha, u)
     css = new_css(gf, n, generator_matrix(cx), generator_matrix(cz))

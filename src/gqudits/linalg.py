@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import GF
+from .errors import InvalidArgument
+from .field import GF, check_int
 
 
 def as_matrix(M, ncols: int | None = None) -> np.ndarray:
@@ -27,7 +28,7 @@ def as_matrix(M, ncols: int | None = None) -> np.ndarray:
     if A.size == 0 and not (A.ndim == 2 and A.shape[0]):
         return A.reshape(0, ncols if ncols is not None else (A.shape[1] if A.ndim == 2 else 0))
     if A.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {A.shape}")
+        raise InvalidArgument(f"expected a matrix, got shape {A.shape}")
     return A
 
 
@@ -144,13 +145,12 @@ def particular(ncols: int, carried: np.ndarray, pivots: list[int]) -> np.ndarray
 
 
 def random_matrix(gf: GF, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    return rng.integers(0, gf.q, size=(m, n), dtype=np.int64)
+    return rng.integers(0, gf.q, size=(check_int(m, "m"), check_int(n, "n")), dtype=np.int64)
 
 
 def random_full_rank(gf: GF, rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Rejection-sample an m x n matrix of rank m (requires m <= n)."""
-    if m > n:
-        raise ValueError("cannot have rank m > n")
+    m = check_int(m, "m", 0, check_int(n, "n"))
     while True:
         M = random_matrix(gf, rng, m, n)
         if rank(gf, M) == m:

@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import bases as _bases
-from .errors import DimensionMismatch, FullTableauRequired, TooLarge
-from .field import GF, values_equal
+from .errors import DimensionMismatch, FullTableauRequired, InvalidArgument, TooLarge
+from .field import GF, _stack, check_int, values_equal
 from .pauli import PauliWord
 
 if TYPE_CHECKING:
@@ -66,6 +66,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        self.n = check_int(self.n, "n", error=DimensionMismatch)
         self.amps = np.asarray(self.amps, dtype=np.complex128)
         if self.amps.shape != (self.gf.q**self.n,):
             raise DimensionMismatch(
@@ -95,6 +96,7 @@ class DenseOperator:
     clifford: bool = dataclasses.field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.n = check_int(self.n, "n", error=DimensionMismatch)
         self.mat = np.asarray(self.mat, dtype=np.complex128)
         d = self.gf.q**self.n
         if self.mat.shape != (d, d):
@@ -194,22 +196,7 @@ def _chi_matrix(gf: GF, n: int) -> np.ndarray:
 
 
 def _check_cap(gf: GF, n: int) -> int:
-    d = gf.q**n
-    if d > DIM_CAP:
-        raise TooLarge(f"q^n = {d} exceeds cap {DIM_CAP}")
-    return d
-
-
-def _stack(item) -> tuple[list, bool]:
-    """(members, single): a list or tuple is a stack, whose members live on one
-    system; anything else is the batch of one."""
-    single = not isinstance(item, (list, tuple))
-    members = [item] if single else list(item)
-    if not members:
-        raise DimensionMismatch("an empty stack")
-    if any((m.gf, m.n) != (members[0].gf, members[0].n) for m in members):
-        raise DimensionMismatch("the members of a stack live on different systems")
-    return members, single
+    return check_int(gf.q**n, "q^n", 0, DIM_CAP, TooLarge)
 
 
 # -- Pauli actions, matrices and sectors ----------------------------------------------
@@ -258,8 +245,7 @@ def _apply_powers(words: list, mus, amps: np.ndarray) -> np.ndarray:
 
 def _check_entries(count: int) -> None:
     """TooLarge, before it is built, for an array of more than SECTOR_CAP entries."""
-    if count > SECTOR_CAP:
-        raise TooLarge(f"{count} entries exceed cap {SECTOR_CAP}")
+    check_int(count, "entries", 0, SECTOR_CAP, TooLarge)
 
 
 def _sectors(words: list, amps: np.ndarray) -> np.ndarray:
@@ -409,7 +395,7 @@ def _born(states: list, words: list) -> tuple[np.ndarray, np.ndarray]:
     probs = np.sum(np.abs(sectors) ** 2, axis=2)
     total = probs.sum(axis=1, keepdims=True)
     if not np.all(total > 0):
-        raise ValueError("a zero-norm state has no Born probabilities")
+        raise InvalidArgument("a zero-norm state has no Born probabilities")
     return sectors, probs / total
 
 
@@ -423,7 +409,7 @@ def _normalised_sectors(states: list, sectors: np.ndarray, etas) -> list[list[St
     norms = np.linalg.norm(vecs, axis=2, keepdims=True)
     zero = norms[..., 0] < ATOL
     if zero.any():
-        raise ValueError(f"outcome {etas[zero][0]} has zero probability")
+        raise InvalidArgument(f"outcome {etas[zero][0]} has zero probability")
     return [[StateVector(gf, s.n, v) for v in row] for s, row in zip(states, vecs / norms)]
 
 
@@ -463,12 +449,11 @@ def states_equal_up_to_phase(a: StateVector | list, b: StateVector | list) -> bo
     ATOL, the states are compared as they are.  States of different shapes
     differ.  Two equal-length stacks, each on one system, give the list of
     their members' verdicts, by one set of array operations."""
-    single = not isinstance(a, (list, tuple))
-    if not single and len(a) != len(b):
-        raise DimensionMismatch(f"stacks of {len(a)} and {len(b)} states")
-    if not single and not a:
+    if not a and not b:  # two empty stacks; a state is never falsy
         return []
-    (a, _), (b, _) = _stack(a), _stack(b)
+    (a, single), (b, _) = _stack(a), _stack(b)
+    if len(a) != len(b):
+        raise DimensionMismatch(f"stacks of {len(a)} and {len(b)} states")
     A, B = np.array([s.amps for s in a]), np.array([s.amps for s in b])
     if A.shape != B.shape:
         out = [False] * len(a)

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PureTypeRequired
-from .field import GF
+from .errors import DimensionMismatch, InvalidArgument, PureTypeRequired
+from .field import GF, check_int
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,10 @@ class PauliWord:
             object.__setattr__(self, name, tuple(codes.tolist()))
         if len(self.xvec) != len(self.zvec):
             raise DimensionMismatch(f"x has {len(self.xvec)} sites, z has {len(self.zvec)}")
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        sign = check_int(self.sign, "sign", -1, 1)
+        if sign == 0:
+            raise InvalidArgument("sign must be +1 or -1, got 0")
+        object.__setattr__(self, "sign", sign)
 
     @property
     def n(self) -> int:
@@ -50,6 +52,7 @@ class PauliWord:
 
     @classmethod
     def identity(cls, gf: GF, n: int) -> "PauliWord":
+        n = check_int(n, "n")
         return cls(gf, (0,) * n, (0,) * n)
 
     @classmethod
@@ -130,7 +133,7 @@ class PauliWord:
     def from_text(cls, gf: GF, text: str) -> "PauliWord":
         m = re.fullmatch(r"([+-])\|x:\[([\d,\s]*)\]\|z:\[([\d,\s]*)\]", text.strip())
         if m is None:
-            raise ValueError(f"cannot parse Pauli text {text!r}")
+            raise InvalidArgument(f"cannot parse Pauli text {text!r}")
         sign = 1 if m.group(1) == "+" else -1
         parse = lambda g: tuple(int(t) for t in g.split(",") if t.strip())
         return cls(gf, parse(m.group(2)), parse(m.group(3)), sign)

@@ -27,6 +27,7 @@ from .css import CssCode, dual_space, new_css
 from .errors import (
     DimensionMismatch,
     InvalidAlist,
+    InvalidArgument,
     InvalidDocument,
     PlanMismatch,
     json_fields,
@@ -140,7 +141,7 @@ class QubitCssCode:
         return len(self.hx) + len(self.hz)
 
     def as_binary_css(self) -> CssCode:
-        return new_css(make_field(1), self.ns, self.hx, self.hz)
+        return new_css(_F2, self.ns, self.hx, self.hz)
 
     def params(self, distance_budget: int | None = None):
         """Brute-force [[ns, k, d]] of the converted code; the qubit-level
@@ -169,9 +170,8 @@ class QubitCssCode:
             raise InvalidDocument(f"key 'basis_assignment': {len(bases)} bases, {source.n} qudits")
         bases = json_matrix("basis_assignment", bases, source.gf.s)
         code = cls(source, BasisAssignment([FieldBasis(source.gf, els) for els in bases]))
-        gf2 = make_field(1)
         for key, rows, derived in (("hx", hx, code.hx), ("hz", hz, code.hz)):
-            if not np.array_equal(gf2.check_codes(json_matrix(key, rows, code.ns)), derived):
+            if not np.array_equal(_F2.check_codes(json_matrix(key, rows, code.ns)), derived):
                 raise InvalidDocument(f"key {key!r} is not the expansion of the qudit code")
         return code
 
@@ -232,6 +232,7 @@ def reconstruct_syndrome(bits, basis: FieldBasis) -> int | np.ndarray:
 # -- end-to-end qubit decoding ------------------------------------------------------
 
 _POWERS = 1 << np.arange(MAX_DEGREE)  # packs polynomial-basis bits into codes
+_F2 = make_field(1)  # the bit field, built once: a decode shot makes no make_field call
 
 
 def end_to_end_decode(
@@ -258,11 +259,11 @@ def end_to_end_decode(
         raise PlanMismatch("the plan was made for other check rows")
     if plan.assignment is not assignment and plan.assignment.bases != assignment.bases:
         raise PlanMismatch("the plan was made for another assignment")
-    error_bits = make_field(1).check_codes(error_bits)
+    error_bits = _F2.check_codes(error_bits)
     if error_bits.ndim not in (1, 2) or error_bits.shape[-1] != plan.ns:
         raise DimensionMismatch(f"expected {plan.ns} bits a shot, got shape {error_bits.shape}")
     if kind not in ("Z", "X"):
-        raise ValueError(f"kind must be 'Z' or 'X', got {kind!r}")
+        raise InvalidArgument(f"kind must be 'Z' or 'X', got {kind!r}")
     syndrome_map = plan._syndrome_maps[kind]
     # the parity of each syndrome bit on the shot's support, exact in the map's dtype
     counts = error_bits.astype(syndrome_map.dtype) @ syndrome_map
@@ -316,7 +317,7 @@ def export_alist(M) -> str:
     so the cost is O(rows * cols / 4 + rows + cols) whatever the density: at
     the ~50% density of converted codes that is about two indices a fragment,
     but very sparse input pays for the nibbles it skips."""
-    M = linalg.as_matrix(make_field(1).check_codes(M)).astype(bool)
+    M = linalg.as_matrix(_F2.check_codes(M)).astype(bool)
     fragments = _fragments(max(M.shape))
     col_deg, col_lines = _index_lines(M.T, fragments)
     row_deg, row_lines = _index_lines(M, fragments)
@@ -360,7 +361,7 @@ def _incidence(lists: list[list[int]], size: int, what: str) -> np.ndarray:
 
 def export_dense(M) -> str:
     """One line of '0'/'1' characters per row."""
-    M = linalg.as_matrix(make_field(1).check_codes(M))
+    M = linalg.as_matrix(_F2.check_codes(M))
     text = np.full((M.shape[0], M.shape[1] + 1), ord("\n"), dtype=np.uint8)
     text[:, :-1] = M + ord("0")
     return text.tobytes().decode() if M.shape[0] else "\n"

@@ -57,13 +57,14 @@ from .css import check_blocks
 from .errors import (
     DimensionMismatch,
     FullTableauRequired,
+    InvalidArgument,
     InvalidScale,
     NotCssPreserving,
     RankDeficient,
     json_int_fields,
     json_matrix,
 )
-from .field import GF, field_from_json, values_equal
+from .field import GF, _stack, check_int, field_from_json, values_equal
 from .pauli import PauliWord
 
 
@@ -110,6 +111,7 @@ class CssTableau:
     _t0: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.n = check_int(self.n, "n", error=DimensionMismatch)
         self.x, self.z = _frozen(self.gf, self.x), _frozen(self.gf, self.z)
         if self._t0 is not None:
             self._t0 = _frozen(self.gf, self._t0)
@@ -152,13 +154,13 @@ class CssTableau:
         return self.m_x + self.m_z == self.n
 
     def block(self, name: str, *rows: int) -> np.ndarray:
-        """The "x" or "z" block; ValueError for any other name and
+        """The "x" or "z" block; InvalidArgument for any other name and
         DimensionMismatch unless each index in rows is one of its rows."""
         if name not in ("x", "z"):
-            raise ValueError(f"block must be 'x' or 'z', got {name!r}")
+            raise InvalidArgument(f"block must be 'x' or 'z', got {name!r}")
         out = self.x if name == "x" else self.z
-        if not all(0 <= i < len(out) for i in rows):
-            raise DimensionMismatch(f"rows {rows} outside [0, {len(out)})")
+        for i in rows:
+            check_int(i, "row", 0, len(out) - 1, DimensionMismatch)
         return out
 
     def copy(self) -> "CssTableau":
@@ -239,10 +241,14 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
     F_q power line carries the same eigenvalue pattern.  hadamard(i) moves
     the rows supported on site i alone to the other block and refuses a
     weight>1 row touching site i, which would no longer be pure-type.
+    InvalidArgument for another kind, DimensionMismatch for a bad site or count.
     """
     gf = t.gf
-    if not all(0 <= i < t.n for i in sites):
-        raise DimensionMismatch(f"sites {sites} outside [0, {t.n})")
+    arity = {"hadamard": 1, "mult": 1, "cnot": 2}.get(kind)
+    if arity is None:
+        raise InvalidArgument(f"unsupported tableau gate {kind!r}")
+    check_int(len(sites), f"number of {kind} sites", arity, arity, DimensionMismatch)
+    sites = [check_int(i, "site", 0, t.n - 1, DimensionMismatch) for i in sites]
     if kind == "hadamard":
         (i,) = sites
         rows = np.vstack([t.xrows, t.zrows])
@@ -266,7 +272,7 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
         z[:, i] ^= z[:, j]
         t0[0, i] ^= t0[0, j]
         t0[1, j] ^= t0[1, i]
-    elif kind == "mult":
+    else:
         (i,) = sites
         if delta is None or gf.check_code(delta) == 0:
             raise InvalidScale("mult update needs a non-zero delta")
@@ -274,8 +280,6 @@ def apply_gate(t: CssTableau, kind: str, *sites, delta: int | None = None) -> Cs
         x[:, i] = gf.mul_arr(x[:, i], delta)
         z[:, i] = gf.mul_arr(z[:, i], inv)
         t0[:, i] = gf.mul_arr(t0[:, i], [inv, delta])
-    else:
-        raise ValueError(f"unsupported tableau gate {kind!r}")
     return CssTableau(gf, t.n, x, z, t0)
 
 
@@ -303,17 +307,14 @@ class _Measured:
 
 
 def _measured(t, P: PauliWord) -> _Measured:
-    single = not isinstance(t, (list, tuple))
-    ts = [t] if single else list(t)
-    if not ts:
-        raise DimensionMismatch("an empty stack")
+    ts, single = _stack(t)
     u = ts[0]
     gf, n = u.gf, u.n
     for v in ts:
         if not v.is_full:
             raise FullTableauRequired("measurement is defined on full tableaux")
-        if (v.gf, v.n, v.m_x) != (gf, n, u.m_x):
-            raise DimensionMismatch("the tableaux of a stack differ in (q, n, m_X)")
+        if v.m_x != u.m_x:
+            raise DimensionMismatch("the tableaux of a stack differ in m_X")
     P.require_pure()
     if P.gf != gf or P.n != n:
         raise DimensionMismatch("word and tableau live on different systems")
@@ -413,11 +414,12 @@ def sample(t: CssTableau, P: PauliWord, rng: np.random.Generator, shots: int) ->
 
     The deterministic outcome repeated, drawing nothing; otherwise one
     uniform draw of shots codes, which gives the same values and leaves the
-    same generator state as shots single draws.
+    same generator state as shots single draws.  InvalidArgument for shots < 0.
     """
-    if isinstance(t, (list, tuple)):
-        raise DimensionMismatch("sample draws from one tableau")
+    shots = check_int(shots, "shots")
     m = _measured(t, P)
+    if not m.single:
+        raise DimensionMismatch("sample draws from one tableau")
     if not m.random[0]:
         return np.full(shots, m.wt0[0], dtype=np.int64)
     return _draw(t.gf, rng, shots)

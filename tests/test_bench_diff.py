@@ -69,3 +69,18 @@ def test_committed_snapshots_show_the_criteria(capsys):
     assert bench_diff["main"]([str(p) for p in newest]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines() if "verify.criterion." in line]
     assert len(rows) == 9 and {r[0] for r in rows} == {"verify"}
+
+
+def test_header_shows_the_dirty_flag(tmp_path, capsys):
+    """A dirty snapshot carries the SHA of the commit under its uncommitted
+    changes, so the header prints the flag next to the SHA."""
+    paths = []
+    for tag, dirty in (("a", False), ("b", True)):
+        snap = snapshot(tag * 40, 2000.0, 0.4, 1.0)
+        snap["dirty"] = dirty
+        paths.append(tmp_path / f"BENCH_{tag}.json")
+        paths[-1].write_text(json.dumps(snap))
+    assert bench_diff["main"]([str(p) for p in paths]) == 0
+    head = capsys.readouterr().out.splitlines()[:2]
+    assert head[0].endswith(": aaaaaaa (dirty: False), src 10 lines")
+    assert head[1].endswith(": bbbbbbb (dirty: True), src 10 lines")

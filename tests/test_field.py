@@ -9,6 +9,8 @@ import pytest
 from gqudits.errors import (
     DimensionMismatch,
     DivisionByZero,
+    GquditError,
+    InvalidArgument,
     InvalidFieldCode,
     InvalidPolynomial,
     IrreducibleRequired,
@@ -17,6 +19,7 @@ from gqudits.errors import (
 from gqudits.field import (
     GF,
     canonical_modulus,
+    check_int,
     is_irreducible,
     make_field,
     poly_degree,
@@ -382,6 +385,51 @@ class TestScalarKernels:
     def test_field_pickles_as_the_cached_field(self, s):
         gf = make_field(s)
         assert pickle.loads(pickle.dumps(gf)) is gf
+
+
+class TestCheckInt:
+    """check_int, the one rule for an integer argument that is not a code."""
+
+    @pytest.mark.parametrize("x", [3, np.int64(3), np.int32(3), np.uint8(3), np.int8(3)], ids=repr)
+    def test_any_integer_is_a_python_int(self, x):
+        out = check_int(x, "n")
+        assert out == 3 and type(out) is int
+
+    def test_big_ints_and_negative_bounds(self):
+        assert check_int(2**70, "n") == 2**70
+        assert check_int(-1, "sign", -1, 1) == -1
+
+    @pytest.mark.parametrize(
+        "x", [True, False, np.bool_(True), 3.0, np.float64(3.0), 2.5, "3", None, [3], 3 + 0j, np.array(3.0)],
+        ids=repr,
+    )
+    def test_refuses_what_is_not_an_integer(self, x):
+        """A bool is refused by its type, not by numpy's version; an integral
+        float is refused rather than truncated."""
+        with pytest.raises(InvalidArgument, match=r"^n .* is not an integer$"):
+            check_int(x, "n")
+        with pytest.raises(UnsupportedDegree):
+            check_int(x, "degree", error=UnsupportedDegree)
+
+    def test_range_is_inclusive(self):
+        assert check_int(1, "k", 1, 4) == 1 and check_int(4, "k", 1, 4) == 4
+        with pytest.raises(InvalidArgument, match=r"^k = 5 outside 1\.\.4$"):
+            check_int(5, "k", 1, 4)
+        with pytest.raises(InvalidArgument, match=r"^k = 0 outside 1\.\.4$"):
+            check_int(0, "k", 1, 4)
+        with pytest.raises(InvalidArgument, match=r"^shots = -1 below 0$"):
+            check_int(-1, "shots")
+        with pytest.raises(DimensionMismatch, match="row = 0 outside 0..-1"):
+            check_int(0, "row", 0, -1, DimensionMismatch)  # an empty range
+
+    def test_invalid_argument_is_a_value_error(self):
+        assert issubclass(InvalidArgument, GquditError) and issubclass(InvalidArgument, ValueError)
+
+    def test_is_irreducible_takes_a_polynomial_of_degree_one_or_more(self):
+        """A negative p used to be read by its bit length and answered."""
+        for p in (0, 1, -11, 11.0, True):
+            with pytest.raises(InvalidPolynomial):
+                is_irreducible(p)
 
 
 class TestIntegerDegrees:
