@@ -101,17 +101,17 @@ def is_irreducible(p: int) -> bool:
     return True
 
 
-def check_int(x, what: str, lo: int = 0, hi: int | None = None, error=InvalidArgument) -> int:
+def check_int(x, what: str, lo: int | None = 0, hi: int | None = None, error=InvalidArgument) -> int:
     """x as a Python int if operator.index reads it and it lies in lo..hi (no
-    bound when hi is None); a bool or np.bool_ is refused by its type, whatever
-    numpy's version.  Anything else raises error, naming what."""
+    bound where lo or hi is None); a bool or np.bool_ is refused by its type,
+    whatever numpy's version.  Anything else raises error, naming what."""
     if isinstance(x, (bool, np.bool_)):
         raise error(f"{what} {x!r} is not an integer")
     try:
         x = operator.index(x)
     except TypeError:
         raise error(f"{what} {x!r} is not an integer") from None
-    if x < lo or (hi is not None and x > hi):
+    if (lo is not None and x < lo) or (hi is not None and x > hi):
         raise error(f"{what} = {x} below {lo}" if hi is None else f"{what} = {x} outside {lo}..{hi}")
     return x
 
@@ -211,7 +211,7 @@ class GF:
         order = self.q - 1
         checks = [order // f for f in _prime_factors(order)]
         for cand in range(2, self.q):
-            if all(self.pow(cand, c) != 1 for c in checks):
+            if all(self._pow(cand, c) != 1 for c in checks):
                 return cand
         raise RuntimeError("no primitive element found; multiplicative group not cyclic?")
 
@@ -243,7 +243,7 @@ class GF:
         def inv(a: int) -> int:
             if a == 0:
                 raise DivisionByZero("0 has no multiplicative inverse")
-            return self.pow(a, order - 1) if exp is None else exp[order - log[a]]
+            return self._pow(a, order - 1) if exp is None else exp[order - log[a]]
 
         return (self._mul if exp is None else lambda a, b: exp[log[a] + log[b]]), inv
 
@@ -318,13 +318,22 @@ class GF:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, e: int):
-        """a^e for a code or an int64 array of codes, by square and multiply
-        on the kernel; a negative e raises a^(q-2) = a^-1 to -e."""
-        self.check_codes(a)
+        """a^e for a code or an array of codes, by square and multiply on the
+        kernel; e is read by check_int, and a negative e raises a^(q-2) = a^-1
+        to -e."""
+        codes = self.check_codes(a)
+        if codes.ndim:
+            a = codes  # a scalar code keeps its type
+        e = check_int(e, "exponent", None)
         if e < 0:
             if np.any(a == 0):
                 raise DivisionByZero("0 has no multiplicative inverse")
             e = -e * (self.q - 2)
+        return self._pow(a, e)
+
+    def _pow(self, a, e: int):
+        """pow of checked codes and an exponent e >= 0 already read, for the
+        inverses past the table cap (the scalar kernel inv and _inv)."""
         out = 0 * a + 1  # one, shaped like a
         while e:
             if e & 1:
@@ -374,7 +383,7 @@ class GF:
         if np.any(a == 0):
             raise DivisionByZero("0 has no multiplicative inverse")
         if self._exp is None:
-            return self.pow(a, self.q - 2)
+            return self._pow(a, self.q - 2)
         return self._exp[(self.q - 1) - self._log[a]]
 
     def trace_arr(self, a) -> np.ndarray:

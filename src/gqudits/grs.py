@@ -90,13 +90,19 @@ class GrsCode:
 
 
 def generator_matrix(c: GrsCode) -> np.ndarray:
-    """Row j holds v_i * alpha_i^j for j = 0..k-1."""
-    G = np.zeros((c.k, c.n), dtype=np.int64)
-    row = c.v.copy()
-    for j in range(c.k):
-        G[j] = row
-        row = c.gf.mul_arr(row, c.alpha)
-    return G
+    """Row j holds v_i * alpha_i^j for j = 0..k-1, filled by doubling: rows
+    j..2j-1 are rows 0..j-1 times alpha^j.  Row 0 of the work array holds
+    alpha^j, so the one product of a step also gives alpha^2j, and k rows
+    take ceil(log2 k) products."""
+    W = np.empty((c.k + 1, c.n), dtype=np.int64)
+    W[0], W[1:2] = c.alpha, c.v
+    j = 1
+    while j < c.k:
+        m = min(j, c.k - j)
+        step = c.gf._prod(W[: m + 1], W[0])
+        W[0], W[j + 1 : j + 1 + m] = step[0], step[1:]
+        j += m
+    return W[1:]
 
 
 def encode(c: GrsCode, coeffs) -> np.ndarray:
@@ -108,13 +114,18 @@ def encode(c: GrsCode, coeffs) -> np.ndarray:
 
 
 def dual_multipliers(gf: GF, alpha, v) -> np.ndarray:
-    """u with u_i^-1 = v_i * prod_{j != i} (alpha_i - alpha_j)."""
+    """u with u_i^-1 = v_i * prod_{j != i} (alpha_i - alpha_j): row i of the
+    differences with v_i on the diagonal, multiplied out by a product tree
+    that halves the columns each step, ceil(log2 n) products in all."""
     alpha, v = gf.check_codes(alpha).reshape(-1), gf.check_codes(v).reshape(-1)
-    diff = alpha[:, None] ^ alpha[None, :]
-    np.fill_diagonal(diff, 1)
-    for col in diff.T:
-        v = gf.mul_arr(v, col)
-    return gf.inv_arr(v)
+    if alpha.size != v.size:
+        raise DimensionMismatch("need one multiplier per evaluation point")
+    P = alpha[:, None] ^ alpha[None, :]
+    np.fill_diagonal(P, v)
+    while P.shape[1] > 1:
+        half = P.shape[1] // 2  # an odd last column waits for the next step
+        P = np.concatenate([gf._prod(P[:, :half], P[:, half : 2 * half]), P[:, 2 * half :]], axis=1)
+    return gf._inv(P.reshape(alpha.size))  # P is (n, 1), or (0, 0) for no points
 
 
 def dual(c: GrsCode) -> GrsCode:

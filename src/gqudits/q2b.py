@@ -17,7 +17,7 @@ composite as one map per error kind: a shot is one product and one pack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,12 +45,16 @@ def expand_vector(assignment: BasisAssignment, V) -> np.ndarray:
     """D_B(V): expand component i in basis B_i; bits concatenated.
 
     V is an F_q vector (n,) or matrix (m, n); the result is (n*s,) or
-    (m, n*s): one gather a byte from each qudit's tables (assignment.tables).
+    (m, n*s) uint8 bits: one gather a byte from each qudit's tables
+    (assignment.tables).  uint8 is the dtype of every bit array q2b returns
+    or holds: sum and count_nonzero promote, so a row weight is exact, but
+    a product (@) of two bit arrays stays uint8 and wraps mod 256, which
+    keeps its parity but not its count.
     """
     V = assignment.gf.check_codes(V)
     if V.ndim > 2 or V.shape[-1:] != (assignment.n,):
         raise DimensionMismatch(f"sites of shape {V.shape}, assignment has {assignment.n}")
-    out = coordinates(*assignment.tables, V, assignment.gf.s).astype(np.int64)
+    out = coordinates(*assignment.tables, V, assignment.gf.s)
     return out.reshape(V.shape[:-1] + (assignment.n * assignment.gf.s,))
 
 
@@ -60,19 +64,21 @@ def expand_dual(assignment: BasisAssignment, W) -> np.ndarray:
 
 
 def _expand_rows(assignment: BasisAssignment, rows, dualise: bool) -> np.ndarray:
-    """(m*s, n*s) bits: D(b_t * rows[j]) for t = 0..s-1 over the self-dual
-    basis b, row by row; Z-type rows (dualise) expand through the dual bases.
-    D(b_t * eta) is F_2-linear in D(eta), so the rows are expanded once and
-    then scaled by one batched product with the assignment's scalings."""
+    """(m*s, n*s) uint8 bits: D(b_t * rows[j]) for t = 0..s-1 over the
+    self-dual basis b, row by row; Z-type rows (dualise) expand through the
+    dual bases.  D(b_t * eta) is F_2-linear in D(eta), so the rows are
+    expanded once and then scaled by one batched product with the
+    assignment's scalings.  Like every q2b bit array the result is uint8: a
+    row weight by sum is exact, a product (@) of two is exact mod 2 only."""
     (m, n), s = rows.shape, assignment.gf.s
     if dualise:
         assignment = assignment.duals()
     bits = expand_vector(assignment, rows).reshape(m, n, s).transpose(1, 0, 2).astype(np.float32)
-    # exact in float32 as in expand_vector; the parity is taken in int8 (the
-    # sums are at most 31) so the one int64 copy is the (m, t, n, s) result
-    out = (bits @ assignment.scalings).astype(np.int8)
+    # each sum is at most s <= 31, exact in float32 and in uint8, where the
+    # parity is taken; the one transposed copy is the (m, t, n, s) result
+    out = (bits @ assignment.scalings).astype(np.uint8)
     out &= 1
-    out = out.reshape(n, m, s, s).transpose(1, 2, 0, 3).astype(np.int64, order="C")
+    out = np.ascontiguousarray(out.reshape(n, m, s, s).transpose(1, 2, 0, 3))
     return out.reshape(m * s, n * s)
 
 
@@ -281,10 +287,12 @@ def end_to_end_decode(
 _POPCOUNT = np.array([bin(v).count("1") for v in range(16)])
 
 
+@lru_cache(maxsize=4)
 def _fragments(width: int) -> np.ndarray:
     """Entry 16*g + v: the tokens 'c ' of the 1-based columns 4g+1 .. 4g+4
     whose bit is set in the nibble v (most significant bit first), built from
-    the column tokens by two doubling steps over pairs of columns."""
+    the column tokens by two doubling steps over pairs of columns.  Cached
+    by width and read-only: hx and hz of one code share their width."""
     groups = -(-width // 4)
     tokens = np.full(4 * groups, "", dtype=object)
     tokens[:width] = [f"{c} " for c in range(1, width + 1)]
@@ -292,7 +300,9 @@ def _fragments(width: int) -> np.ndarray:
     # a pair's bits (b, b') read 2b + b': '', its second token, its first, both
     none = np.full((groups, 2), "", dtype=object)
     pairs = np.stack([none, second, first, first + second], axis=-1)
-    return (pairs[:, 0, :, None] + pairs[:, 1, None, :]).reshape(-1)
+    out = (pairs[:, 0, :, None] + pairs[:, 1, None, :]).reshape(-1)
+    out.setflags(write=False)
+    return out
 
 
 def _index_lines(M: np.ndarray, fragments: np.ndarray) -> tuple[np.ndarray, list[str]]:
@@ -316,7 +326,9 @@ def export_alist(M) -> str:
     Each index line is joined from one precomputed fragment per four columns,
     so the cost is O(rows * cols / 4 + rows + cols) whatever the density: at
     the ~50% density of converted codes that is about two indices a fragment,
-    but very sparse input pays for the nibbles it skips."""
+    but very sparse input pays for the nibbles it skips.  The fragment table
+    of a width is built once and cached (the last four widths), so hx and hz
+    of one code, and every code of that length, share it."""
     M = linalg.as_matrix(_F2.check_codes(M)).astype(bool)
     fragments = _fragments(max(M.shape))
     col_deg, col_lines = _index_lines(M.T, fragments)
@@ -327,7 +339,7 @@ def export_alist(M) -> str:
 
 
 def import_alist(text: str) -> np.ndarray:
-    """Binary matrix of alist text.  InvalidAlist for a bad header, line
+    """Binary uint8 matrix of alist text.  InvalidAlist for a bad header, line
     count or index, or degree lists that disagree with the index lists."""
     try:
         rows = [[int(t) for t in line.split()] for line in text.splitlines()]
@@ -349,8 +361,8 @@ def import_alist(text: str) -> np.ndarray:
 
 
 def _incidence(lists: list[list[int]], size: int, what: str) -> np.ndarray:
-    """0/1 rows of alist index lists; zero entries are padding."""
-    out = np.zeros((len(lists), size), dtype=np.int64)
+    """0/1 uint8 rows of alist index lists; zero entries are padding."""
+    out = np.zeros((len(lists), size), dtype=np.uint8)
     for i, line in enumerate(lists):
         idx = [j - 1 for j in line if j]
         if not all(0 <= j < size for j in idx) or len(set(idx)) != len(idx):

@@ -237,7 +237,11 @@ def int_calls():
             (lambda m: make_field(modulus=m), 11, (0, -11)),
             (lambda s: make_field(s, modulus=11), 3, (0, 4)),
         ],
-        "GF": [(lambda m: gqudits.GF(m), 11, (0, 1, -11, 1 << 40))],
+        "GF": [
+            (lambda m: gqudits.GF(m), 11, (0, 1, -11, 1 << 40)),
+            (lambda e: gf.pow(3, e), 2, ()),  # every integer exponent is valid
+            (lambda e: gf.pow(np.array([1, 2]), e), -3, ()),
+        ],
         "is_irreducible": [(lambda p: gqudits.is_irreducible(p), 11, (0, 1, -11))],
         "build_gate": [
             (lambda l: gqudits.build_gate(gf, "multi_cz", l=l, gamma=1), 2, (1, 0, 8)),

@@ -432,6 +432,44 @@ class TestCheckInt:
                 is_irreducible(p)
 
 
+class TestPowExponent:
+    """GF.pow reads its exponent through check_int: 2.0 and "2" raised raw
+    TypeErrors and True was read as 1.  A negative exponent keeps its meaning."""
+
+    @pytest.mark.parametrize("e", [2.0, "2", True, np.bool_(True), None, np.float64(2.0)], ids=repr)
+    def test_refuses_what_is_not_an_integer(self, e):
+        gf = make_field(3)
+        for a in (3, np.array([1, 2])):
+            with pytest.raises(InvalidArgument, match="exponent"):
+                gf.pow(a, e)
+
+    @pytest.mark.parametrize("s", [3, 17])
+    def test_negative_and_numpy_exponents(self, s):
+        gf = make_field(s)
+        assert gf.pow(3, -1) == gf.inv(3) and gf.pow(3, -2) == gf.inv(gf.mul(3, 3))
+        assert gf.pow(3, np.int64(5)) == gf.pow(3, 5) and type(gf.pow(3, np.uint8(5))) is int
+        with pytest.raises(DivisionByZero):
+            gf.pow(0, -1)
+
+    def test_code_lists_are_arrays(self):
+        """A list of codes raised a raw TypeError (0 * list is a list)."""
+        gf = make_field(3)
+        assert np.array_equal(gf.pow([1, 2, 3], 2), gf.mul_arr([1, 2, 3], [1, 2, 3]))
+        assert gf.pow((5,), -1).tolist() == [gf.inv(5)]
+
+    def test_inverses_past_the_table_cap_read_no_exponent(self, monkeypatch):
+        """The scalar kernel inv and _inv raise to q - 2 unchecked, so a decode
+        shot past the cap makes no check_int call."""
+        import gqudits.field as field_mod
+
+        gf = make_field(17)
+        calls = []
+        monkeypatch.setattr(field_mod, "check_int", lambda *a, **kw: calls.append(a))
+        assert gf.mul(gf._kernels[1](5), 5) == 1
+        assert gf._inv(np.array([5, 7])).tolist() == [gf._kernels[1](5), gf._kernels[1](7)]
+        assert calls == []
+
+
 class TestIntegerDegrees:
     """make_field, GF and canonical_modulus take any integer s or modulus;
     a numpy integer gives the field of the Python int, anything else raises."""

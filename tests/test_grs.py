@@ -92,6 +92,80 @@ class TestGeneratorMatrix:
             GrsCode(gf, 5, np.array([0, 1]), np.ones(2, dtype=np.int64))
 
 
+def reference_dual_multipliers(gf, alpha, v):
+    """u_i = (v_i * prod_{j != i} (alpha_i - alpha_j))^-1, point by point."""
+    out = []
+    for i, (a, vi) in enumerate(zip(alpha, v)):
+        prod = vi
+        for j, b in enumerate(alpha):
+            if j != i:
+                prod = gf.mul(prod, a ^ b)
+        out.append(gf.inv(prod))
+    return out
+
+
+def reference_generator_matrix(gf, k, alpha, v):
+    """Row j holds v_i * alpha_i^j, point by point."""
+    return [[gf.mul(vi, gf.pow(a, j)) for a, vi in zip(alpha, v)] for j in range(k)]
+
+
+SETUP_CASES = [
+    (s, n) for s in (1, 3, 8, 17, 20) for n in (1, 2, 3, 5, 64, 128) if n <= 1 << s
+]
+
+
+class TestLogDepthSetup:
+    """dual_multipliers (a product tree over the differences) and
+    generator_matrix (rows filled by doubling) against per-point loops, and
+    their ceil(log2) products, in table fields and past the table cap."""
+
+    @staticmethod
+    def instance(s, n):
+        gf = make_field(s)
+        rng = np.random.default_rng(3700 + 7 * s + n)
+        alpha = rng.choice(gf.q, n, replace=False).astype(np.int64)
+        return gf, alpha, rng.integers(1, gf.q, n, dtype=np.int64)
+
+    @staticmethod
+    def count_products(monkeypatch, gf):
+        calls = []
+        prod = gf._prod
+        monkeypatch.setattr(gf, "_prod", lambda a, b: calls.append(1) or prod(a, b))
+        return calls
+
+    @pytest.mark.parametrize("s,n", SETUP_CASES)
+    def test_dual_multipliers(self, monkeypatch, s, n):
+        gf, alpha, v = self.instance(s, n)
+        calls = self.count_products(monkeypatch, gf)
+        u = dual_multipliers(gf, alpha, v)
+        assert len(calls) == math.ceil(math.log2(n))
+        assert u.dtype == np.int64 and u.tolist() == reference_dual_multipliers(gf, alpha.tolist(), v.tolist())
+
+    @pytest.mark.parametrize("s,n", SETUP_CASES)
+    def test_generator_matrix(self, monkeypatch, s, n):
+        gf, alpha, v = self.instance(s, n)
+        calls = self.count_products(monkeypatch, gf)
+        for k in (0, 1, 2, 3, 7, 8, 9):
+            if k <= n:
+                calls.clear()
+                G = generator_matrix(GrsCode(gf, k, alpha, v))
+                assert len(calls) == (math.ceil(math.log2(k)) if k else 0)
+                assert G.shape == (k, n) and G.dtype == np.int64
+                assert G.tolist() == reference_generator_matrix(gf, k, alpha.tolist(), v.tolist())
+
+    def test_no_points(self):
+        gf = make_field(3)
+        assert dual_multipliers(gf, [], []).shape == (0,)
+        assert generator_matrix(GrsCode(gf, 0, [], [])).shape == (0, 0)
+
+    def test_one_multiplier_per_point(self):
+        """The diagonal takes v, so a v of another length is refused, not cycled."""
+        gf = make_field(3)
+        for alpha, v in (([0, 1, 2], [1, 1]), ([0, 1], [1, 1, 1])):
+            with pytest.raises(DimensionMismatch):
+                dual_multipliers(gf, alpha, v)
+
+
 class TestEncode:
     def test_zero_polynomial(self):
         assert not encode(f4_instance(), [0, 0]).any()

@@ -1377,3 +1377,84 @@ class TestDecodeGolden:
                     add(outcome(end_to_end_decode, qrs, A, plan, bits[kept], kind))
                     add(outcome(end_to_end_decode, qrs, A, plan, bits, kind))
         assert h.hexdigest() == self.SHA256
+
+
+class TestUint8Bits:
+    """uint8 is the one dtype of the bits q2b returns and holds; the bits of
+    one workload-sized conversion are pinned, as int64 bytes, to what they
+    were when they were int64."""
+
+    # q = 256, n = 128, QRS(24, 100), random bases; hx, hz, then convert_logicals
+    PINS = {
+        "hx": "0884ddd5eb788bbc972d62120327ba38570afee83cd115b1229dc7e716a756fa",
+        "hz": "b4e18f1b69625b5449ee6f9550221fc112dc76ad7f72622873e16db35ac7e331",
+        "z_space": "a156520b10e55664c730f549189a34916ec368601f336b8ecb9da9a75f971eb4",
+        "x_space": "0a97e2b1a3fdc53401d9fcaf8635588e77cf117c519927ebc1fc1a201aa2492a",
+    }
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def workload_sized():
+        gf = make_field(8)
+        rng = np.random.default_rng(3701)
+        n = 128
+        alpha = rng.permutation(gf.q)[:n].astype(np.int64)
+        v = rng.integers(1, gf.q, size=n, dtype=np.int64)
+        A = random_assignment(gf, n, rng)
+        code = make_qrs(gf, n, 24, 100, alpha, v).css
+        qubit = convert_code(code, A)
+        z_space, x_space = convert_logicals(code, A)
+        return {"hx": qubit.hx, "hz": qubit.hz, "z_space": z_space, "x_space": x_space}
+
+    def test_workload_sized_pins(self):
+        got = {
+            name: hashlib.sha256(np.ascontiguousarray(M, dtype=np.int64).tobytes()).hexdigest()
+            for name, M in self.workload_sized().items()
+        }
+        assert got == self.PINS
+
+    def test_every_bit_array_is_uint8(self):
+        gf = make_field(3)
+        qrs = make_qrs(gf, 8, 2, 5)
+        A = random_assignment(gf, 8, np.random.default_rng(3702))
+        plan = make_plan(qrs.css, A)
+        W = np.zeros((2, 8), dtype=np.int64)
+        W[:, 3] = [5, 6]
+        arrays = [
+            expand_vector(A, W),
+            expand_vector(A, W[0]),
+            expand_dual(A, W),
+            plan.hx,
+            plan.hz,
+            plan.x_checks,
+            plan.z_checks,
+            *convert_logicals(qrs.css, A),
+            import_alist(export_alist(plan.hx)),
+            end_to_end_decode(qrs, A, plan, expand_dual(A, W), "Z"),
+            end_to_end_decode(qrs, A, plan, expand_vector(A, W[0]), "X"),
+            QubitCssCode.from_json(plan.to_json()).hz,
+        ]
+        assert [M.dtype for M in arrays] == [np.uint8] * len(arrays)
+
+    def test_counts_do_not_wrap(self):
+        """Rows of 1,024 bits weigh more than 255: sum and the alist degree
+        lists promote, and @ of two bit arrays is exact mod 2 only."""
+        hx, hz = self.workload_sized()["hx"], self.workload_sized()["hz"]
+        weights = hx.sum(axis=1)
+        assert weights.max() > 255
+        assert weights.tolist() == hx.astype(np.int64).sum(axis=1).tolist()
+        assert not np.any((hx @ hz.T) & 1)  # the commutation, by parity
+        lines = export_alist(hx).splitlines()
+        assert [int(d) for d in lines[3].split()] == weights.tolist()
+        assert np.array_equal(import_alist("\n".join(lines) + "\n"), hx)
+        assert linalg.rank(make_field(1), hx) == hx.shape[0]
+
+    def test_fragment_table_is_cached_and_read_only(self):
+        q2b._fragments.cache_clear()
+        table = q2b._fragments(1024)
+        M = self.workload_sized()["hx"]
+        export_alist(M)
+        assert q2b._fragments(1024) is table and q2b._fragments.cache_info().hits >= 2
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = "x"
