@@ -67,19 +67,19 @@ def _expand_rows(assignment: BasisAssignment, rows, dualise: bool) -> np.ndarray
     """(m*s, n*s) uint8 bits: D(b_t * rows[j]) for t = 0..s-1 over the
     self-dual basis b, row by row; Z-type rows (dualise) expand through the
     dual bases.  D(b_t * eta) is F_2-linear in D(eta), so the rows are
-    expanded once and then scaled by one batched product with the
-    assignment's scalings.  Like every q2b bit array the result is uint8: a
+    expanded once, scaled by one batched product with the assignment's
+    scalings and put in order by one copy of s-byte items, not of bits.  A
     row weight by sum is exact, a product (@) of two is exact mod 2 only."""
     (m, n), s = rows.shape, assignment.gf.s
     if dualise:
         assignment = assignment.duals()
     bits = expand_vector(assignment, rows).reshape(m, n, s).transpose(1, 0, 2).astype(np.float32)
     # each sum is at most s <= 31, exact in float32 and in uint8, where the
-    # parity is taken; the one transposed copy is the (m, t, n, s) result
+    # parity is taken; the (n, m, t) items of s bits are copied as (m, t, n)
     out = (bits @ assignment.scalings).astype(np.uint8)
     out &= 1
-    out = np.ascontiguousarray(out.reshape(n, m, s, s).transpose(1, 2, 0, 3))
-    return out.reshape(m * s, n * s)
+    items = out.view(np.dtype((np.void, s))).transpose(1, 2, 0)
+    return np.ascontiguousarray(items).view(np.uint8).reshape(m * s, n * s)
 
 
 # -- code conversion ---------------------------------------------------------------
@@ -284,23 +284,25 @@ def end_to_end_decode(
 # -- exports ----------------------------------------------------------------------
 
 
-_POPCOUNT = np.array([bin(v).count("1") for v in range(16)])
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)])
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=2)
 def _fragments(width: int) -> np.ndarray:
-    """Entry 16*g + v: the tokens 'c ' of the 1-based columns 4g+1 .. 4g+4
-    whose bit is set in the nibble v (most significant bit first), built from
-    the column tokens by two doubling steps over pairs of columns.  Cached
-    by width and read-only: hx and hz of one code share their width."""
-    groups = -(-width // 4)
-    tokens = np.full(4 * groups, "", dtype=object)
+    """Entry 256*g + v: the tokens 'c ' of the 1-based columns 8g+1 .. 8g+8
+    whose bit is set in the byte v (most significant bit first), built from
+    the column tokens by three doubling steps.  Read-only, and 32 strings a
+    column (2.3 MiB at width 1024), so only the last two widths are cached:
+    enough for hx and hz of one code, which share their width."""
+    groups = -(-width // 8)
+    tokens = np.full(8 * groups, "", dtype=object)
     tokens[:width] = [f"{c} " for c in range(1, width + 1)]
-    first, second = tokens[0::2].reshape(groups, 2), tokens[1::2].reshape(groups, 2)
-    # a pair's bits (b, b') read 2b + b': '', its second token, its first, both
-    none = np.full((groups, 2), "", dtype=object)
-    pairs = np.stack([none, second, first, first + second], axis=-1)
-    out = (pairs[:, 0, :, None] + pairs[:, 1, None, :]).reshape(-1)
+    # per column, its strings for bit 0 and 1; each step joins neighbouring
+    # runs of 1, 2, 4 columns, whose values (v, v') read as the digits vv'
+    table = np.stack([np.full_like(tokens, ""), tokens], axis=-1).reshape(groups, 8, 2)
+    for runs, values in ((4, 4), (2, 16), (1, 256)):
+        table = (table[:, 0::2, :, None] + table[:, 1::2, None, :]).reshape(groups, runs, values)
+    out = table.reshape(-1)
     out.setflags(write=False)
     return out
 
@@ -308,14 +310,11 @@ def _fragments(width: int) -> np.ndarray:
 def _index_lines(M: np.ndarray, fragments: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Row degrees of a bool matrix and each row's 1-based column indices,
     zero padded to the largest degree (a lone '0' if that is 0): one
-    fragment a nibble of the packed row."""
-    rows, groups = M.shape[0], -(-M.shape[1] // 4)
-    packed = np.packbits(M, axis=1)  # a byte's first four columns are its high nibble
-    nibbles = np.stack([packed >> 4, packed & 15], axis=-1).reshape(rows, 2 * packed.shape[1])
-    nibbles = nibbles[:, :groups]
-    deg = _POPCOUNT[nibbles].sum(axis=1)
+    fragment a byte of the packed row."""
+    packed = np.packbits(M, axis=1)  # a byte's first column is its high bit
+    deg = _POPCOUNT[packed].sum(axis=1)
     top = max(int(deg.max(initial=0)), 1)
-    lines = fragments[nibbles + 16 * np.arange(groups)].tolist()
+    lines = fragments[packed + 256 * np.arange(packed.shape[1])].tolist()
     return deg, [("".join(f) + "0 " * (top - d))[:-1] for f, d in zip(lines, deg.tolist())]
 
 
@@ -323,15 +322,15 @@ def export_alist(M) -> str:
     """MacKay alist text for a binary matrix: header 'N M', degree lists,
     then 1-based per-column and per-row index lists (zero padded).
 
-    Each index line is joined from one precomputed fragment per four columns,
-    so the cost is O(rows * cols / 4 + rows + cols) whatever the density: at
-    the ~50% density of converted codes that is about two indices a fragment,
-    but very sparse input pays for the nibbles it skips.  The fragment table
-    of a width is built once and cached (the last four widths), so hx and hz
-    of one code, and every code of that length, share it."""
+    Each index line is joined from one precomputed fragment per packed byte
+    (eight columns), so the cost is O(rows * cols / 8 + rows + cols)
+    whatever the density: at the ~50% density of converted codes that is
+    about four indices a fragment, but very sparse input pays for the bytes
+    it skips.  The fragment table of a width is built once and cached (the
+    last two widths), so hx and hz of one code share it."""
     M = linalg.as_matrix(_F2.check_codes(M)).astype(bool)
     fragments = _fragments(max(M.shape))
-    col_deg, col_lines = _index_lines(M.T, fragments)
+    col_deg, col_lines = _index_lines(np.ascontiguousarray(M.T), fragments)  # packbits is slow strided
     row_deg, row_lines = _index_lines(M, fragments)
     head = [f"{M.shape[1]} {M.shape[0]}", f"{col_deg.max(initial=0)} {row_deg.max(initial=0)}"]
     degrees = [" ".join(map(str, col_deg.tolist())), " ".join(map(str, row_deg.tolist()))]

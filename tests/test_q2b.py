@@ -196,7 +196,7 @@ def reference_dense(M):
 
 def export_matrices():
     """Seeded 0/1 matrices for the writers: random shapes and densities,
-    wide and tall ones at 1% (indices of four digits, a padded last nibble),
+    wide and tall ones at 1% (indices of four digits, a padded last byte),
     every width 1-17, and all-zero and all-one rows and columns."""
     rng = np.random.default_rng(197)
     mats = [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 4), (3, 5))]
@@ -1458,3 +1458,83 @@ class TestUint8Bits:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = "x"
+
+
+def defined_rows(gf, assignment, rows, dualise):
+    """_expand_rows by its definition: expand_vector(A, b_t * row) stacked
+    in (row, t) order over the self-dual basis b, through A.duals() when the
+    rows are dualised."""
+    A, b = assignment.duals() if dualise else assignment, find_self_dual(gf).elements
+    out = [expand_vector(A, gf.mul_arr(b_t, row)) for row in rows for b_t in b]
+    return np.array(out, dtype=np.uint8).reshape(len(out), assignment.n * gf.s)
+
+
+class TestItemwiseExpandRows:
+    """_expand_rows copies s-byte items (a qudit's bits) in one transposed
+    copy; at every item size, powers of two or not, it is its definition."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["repeated", "distinct"])
+    @pytest.mark.parametrize("s", [1, 2, 3, 5, 8, 9, 12])
+    def test_matches_definition(self, s, shared):
+        gf = make_field(s)
+        rng = np.random.default_rng(3800 + s)
+        for n in (1, 5):
+            A = random_assignment(gf, n, rng)
+            if shared:
+                A = BasisAssignment.uniform(A[0], n)
+            for m in (0, 1, 7):
+                rows = rng.integers(0, gf.q, size=(m, n), dtype=np.int64)
+                for dualise in (False, True):
+                    got = q2b._expand_rows(A, rows, dualise)
+                    assert got.dtype == np.uint8 and got.flags.c_contiguous
+                    assert got.shape == (m * s, n * s)
+                    assert np.array_equal(got, defined_rows(gf, A, rows, dualise))
+
+    @pytest.mark.parametrize("s", [3, 5, 8])
+    def test_checks_are_views_of_the_check_matrices(self, s):
+        gf = make_field(s)
+        code = make_qrs(gf, 7, 2, 4).css
+        plan = make_plan(code, random_assignment(gf, 7, np.random.default_rng(3810 + s)))
+        for checks, H in ((plan.x_checks, plan.hx), (plan.z_checks, plan.hz)):
+            assert H.flags.c_contiguous and np.shares_memory(checks, H)
+            assert checks.shape == (len(H) // s, s, plan.ns)
+            assert np.array_equal(checks.reshape(H.shape), H)
+
+
+class TestByteFragments:
+    """export_alist joins one fragment a packed byte: every width around a
+    byte edge, at every density, in both orientations, is the loop writer."""
+
+    WIDTHS = [*range(1, 18), 1023, 1024, 1025]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_alist_at_byte_edges_matches_loop_writer(self, width):
+        rng = np.random.default_rng(3820 + width)
+        for density in (0.0, 0.01, 0.5, 1.0):
+            for shape in ((3, width), (width, 3)):
+                M = (rng.random(shape) < density).astype(np.uint8)
+                text = export_alist(M)
+                assert text == reference_alist(M)
+                assert np.array_equal(import_alist(text), M)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_table_is_its_definition(self, width):
+        table = q2b._fragments(width)
+        groups = -(-width // 8)
+        assert len(table) == 256 * groups and not table.flags.writeable
+        assert q2b._fragments(width) is table
+        for g in sorted({0, groups - 1}):
+            for v in range(256):
+                cols = [8 * g + j + 1 for j in range(8) if v >> (7 - j) & 1 and 8 * g + j < width]
+                assert table[256 * g + v] == "".join(f"{c} " for c in cols)
+
+    def test_cache_holds_two_widths(self):
+        """32 strings a column: the cache keeps hx and hz's one width and
+        the one before, not four."""
+        assert q2b._fragments.cache_parameters()["maxsize"] == 2
+        q2b._fragments.cache_clear()
+        first = q2b._fragments(40)
+        q2b._fragments(48)
+        q2b._fragments(56)
+        assert q2b._fragments.cache_info().currsize == 2
+        assert q2b._fragments(40) is not first
